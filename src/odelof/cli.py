@@ -40,7 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag = sub.add_parser("diagnose", help="run the configured tests on a dataset")
     _add_config_args(p_diag)
     p_diag.add_argument(
-        "--data", default=None, help="input CSV; omit to simulate from the config"
+        "--data",
+        default=None,
+        help="input CSV; omit to read the config's csv source or simulate",
     )
     p_diag.add_argument("--out", default=None, help="output directory (default: out_dir)")
 
@@ -91,7 +93,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     config = _load(args)
-    series = read_timeseries_csv(args.data) if args.data else None
+    data = args.data or config.data_csv
+    series = read_timeseries_csv(data) if data else None
     out_dir = args.out or config.out_dir
     reports = run_diagnose(config, out_dir, series)
     for r in reports:

@@ -418,6 +418,13 @@ def _validate(cfg: dict, source: str) -> None:
         isinstance(obs, list) and obs and all(_is_int(x) and x >= 1 for x in obs)
     ):
         _fail(source, "observed", "must be a list of 1-based coordinate indices")
+    if isinstance(system, str):
+        generator = builtin_system(system)
+        for key, size in (("theta", generator.n_params), ("x0", generator.dim)):
+            if cfg[key] is not None and len(cfg[key]) != size:
+                _fail(source, key, f"has {len(cfg[key])} entries, {system} expects {size}")
+        if obs is not None and max(obs) > generator.dim:
+            _fail(source, "observed", f"indices must lie in 1..{generator.dim} for {system}")
 
     ode = cfg["ode"]
     if not _is_num(ode["rate_scale"]) or ode["rate_scale"] == 0:

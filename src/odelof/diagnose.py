@@ -274,8 +274,7 @@ def _json_float(v: float):
 
 
 def _from_json_float(v) -> float:
-    if isinstance(v, str):
-        return float(v)
+    # float() reads the "inf" / "-inf" strings of _json_float too
     return float(v)
 
 
@@ -307,7 +306,7 @@ def case3_test(
 
 
 class _Case2Stat:
-    def __init__(self, times_trim, smoother_settings, delta=None):
+    def __init__(self, smoother_settings):
         self.settings = smoother_settings
 
     def evaluate(self, states_trim, g_trim, perm_rng=None, b2=0, block_len=0):
@@ -327,58 +326,68 @@ class _Case2Stat:
         return f0, p_b, fit.edf, None
 
 
+# permutations whose lag terms are rebuilt together: enough to spread the
+# per-call cost of the array operations, few enough to keep memory small
+_LAG_CHUNK = 8
+
+
 class _Case3Stat:
     def __init__(self, times_trim, smoother_settings, delta):
         self.settings = smoother_settings
         self.times = times_trim
         self.delta = float(delta)
         lag_t = times_trim - self.delta
-        self.valid = lag_t >= times_trim[0] - 1e-12
-        if int(self.valid.sum()) < 16:
+        # times increase, so the rows whose lag stays in range form a tail
+        first = int(np.searchsorted(lag_t, times_trim[0] - 1e-12))
+        if lag_t.size - first < 16:
             raise ArgumentError(
-                f"lag delta={delta:g} leaves {int(self.valid.sum())} usable rows; "
+                f"lag delta={delta:g} leaves {lag_t.size - first} usable rows; "
                 "shorten the lag or the trim"
             )
+        self.valid = slice(first, None)
         self.lag_times = lag_t[self.valid]
 
     def _lagged(self, g):
         return np.interp(self.lag_times, self.times, g)
 
+    def lag_design(self, states_trim, g_trim) -> AdditiveSmootherDesign:
+        """The h1 design on the lag-valid rows: the state smooth plus a
+        term in g(t - delta), which is always its last group of its own."""
+        x1 = np.column_stack([states_trim[self.valid], self._lagged(g_trim)])
+        m = x1.shape[1] - 1
+        # the lagged-g term enters additively next to the state smooth
+        # even when the states form one joint interaction term
+        groups = [tuple(range(m)), (m,)] if self.settings.interaction else None
+        return AdditiveSmootherDesign(x1, self.settings, groups=groups)
+
     def evaluate(self, states_trim, g_trim, perm_rng=None, b2=0, block_len=0):
         design0 = AdditiveSmootherDesign(states_trim, self.settings)
         h0 = design0.fit_values(g_trim)
-        f0, h1_edf, template = self._stat(states_trim, g_trim, h0.fitted, None)
+        design1 = self.lag_design(states_trim, g_trim)
+        f0, h1_edf = self._stat(design1, g_trim, h0.fitted)
         p_b = None
         if perm_rng is not None:
             eta = g_trim - h0.fitted
             count = 0
-            for _ in range(b2):
-                eta_k = block_permute(eta, block_len, perm_rng)
-                g_k = h0.fitted + eta_k
-                h0_k = design0.fit_values(g_k)
-                f_k, _, _ = self._stat(states_trim, g_k, h0_k.fitted, template)
-                if f_k.value >= f0.value:
-                    count += 1
+            for start in range(0, b2, _LAG_CHUNK):
+                g_ks = [
+                    h0.fitted + block_permute(eta, block_len, perm_rng)
+                    for _ in range(min(_LAG_CHUNK, b2 - start))
+                ]
+                # the states are fixed within a replicate: only the lag term
+                # changes across permutations, rebuilt a chunk at a time
+                lags = design1.with_last_columns([self._lagged(g_k) for g_k in g_ks])
+                for g_k, design1_k in zip(g_ks, lags):
+                    h0_k = design0.fit_values(g_k)
+                    f_k, _ = self._stat(design1_k, g_k, h0_k.fitted)
+                    if f_k.value >= f0.value:
+                        count += 1
             p_b = (1 + count) / (b2 + 1)
         return f0, p_b, h0.edf, h1_edf
 
-    def _stat(self, states_trim, g, h0_fitted, template):
-        lagged = self._lagged(g)
-        x1 = np.column_stack([states_trim[self.valid], lagged])
-        m = x1.shape[1] - 1
-        # the lagged-g term enters additively next to the state smooth
-        # even when the states form one joint interaction term
-        groups = [tuple(range(m)), (m,)] if self.settings.interaction and m >= 2 else None
-        # state columns are fixed within one bootstrap replicate; only the
-        # lagged-g term changes across permutations
-        shared = None if template is None else (template, tuple(range(m)))
-        design1 = AdditiveSmootherDesign(x1, self.settings, groups=groups, _shared=shared)
+    def _stat(self, design1, g, h0_fitted):
         h1 = design1.fit_values(g[self.valid])
-        return (
-            f_stat_case3(g[self.valid], h0_fitted[self.valid], h1.fitted),
-            h1.edf,
-            design1,
-        )
+        return f_stat_case3(g[self.valid], h0_fitted[self.valid], h1.fitted), h1.edf
 
 
 def _run_test(kind, series, system, config, pipeline):
@@ -408,8 +417,10 @@ def _run_test(kind, series, system, config, pipeline):
     if kind == "case3":
         delta = config.delta if config.delta is not None else 2.0 * block_len * spacing
 
-    stat_cls = _Case2Stat if kind == "case2" else _Case3Stat
-    stat = stat_cls(t_trim, settings.smoother, delta)
+    if kind == "case2":
+        stat = _Case2Stat(settings.smoother)
+    else:
+        stat = _Case3Stat(t_trim, settings.smoother, delta)
 
     f0, _, edf_h, edf_alt = stat.evaluate(fit0.state_obs[sl], fit0.g_obs[sl])
 

@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .diagnose import DiagnosticReport
+from .diagnose import DiagnosticReport, _Case3Stat
 from .errors import ArgumentError, BlowupError
 from .smoothers import AdditiveSmootherDesign, SmootherSettings
 from .splines import SplineFunction
@@ -138,26 +138,17 @@ def _export_h(report, out, t_trim, s_trim, g_trim) -> Path:
         _write_csv(path, ["s1", "s2", "h"], [pts[:, 0], pts[:, 1], h])
         return path
 
-    # case 3: h0 and h1 predictions on the lag-valid rows.
-    delta = float(report.delta)
-    lag_t = t_trim - delta
-    valid = lag_t >= t_trim[0] - 1e-12
-    design0 = AdditiveSmootherDesign(s_trim, settings)
-    h0 = design0.fit_values(g_trim)
-    lagged = np.interp(lag_t[valid], t_trim, g_trim)
-    m = s_trim.shape[1]
-    # lag term stays additive next to the (possibly joint) state smooth,
-    # matching the diagnostic fit
-    groups = [tuple(range(m)), (m,)] if settings.interaction and m >= 2 else None
-    design1 = AdditiveSmootherDesign(
-        np.column_stack([s_trim[valid], lagged]), settings, groups=groups
-    )
-    h1 = design1.fit_values(g_trim[valid])
+    # case 3: h0 and h1 predictions on the lag-valid rows, h1 on the same
+    # lag design as the test's unpermuted fit
+    stat = _Case3Stat(t_trim, settings, report.delta)
+    h0 = AdditiveSmootherDesign(s_trim, settings).fit_values(g_trim)
+    rows = stat.valid
+    h1 = stat.lag_design(s_trim, g_trim).fit_values(g_trim[rows])
     path = out / "h_lag.csv"
     _write_csv(
         path,
         ["time", "g", "h0", "h1"],
-        [t_trim[valid], g_trim[valid], h0.fitted[valid], h1.fitted],
+        [t_trim[rows], g_trim[rows], h0.fitted[rows], h1.fitted],
     )
     return path
 

@@ -15,18 +15,30 @@ whole term away (EDF -> 1 for pure-noise responses).
 The design is factorized once (thin QR + eigendecomposition of the
 reparameterized penalty), after which each response-only refit costs
 O(n k): the nested bootstrap/permutation loops depend on this.
+
+Case-3 permutations change one predictor as well: the lagged response,
+the design's last column. :meth:`AdditiveSmootherDesign.with_last_columns`
+keeps the intercept and the state terms with a QR factor of their block,
+computed once per replicate, and rebuilds only the last term: its knots,
+B-spline columns (Cox-de Boor, stacked over a chunk of permutations),
+Householder sum-to-zero basis and closed-form curvature penalty. The
+factor of the whole design then follows from a QR of a small stacked
+triangle. Full builds keep scipy's ``BSpline``, ``null_space`` and
+factorizations, whose bits archived reports hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import lru_cache
+from typing import Iterator, Optional
 
 import numpy as np
 from scipy.linalg import eigh, null_space, qr, solve_triangular
+from scipy.linalg.lapack import dgeqrf, dtrtri
 
 from .errors import ArgumentError, DegenerateDesignError
-from .splines import BSplineBasis
+from .splines import BSplineBasis, stacked_basis_values, stacked_derivative_gram
 
 _RIDGE_REL = 1e-10
 
@@ -74,6 +86,62 @@ def _row_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
 
 
+@lru_cache(maxsize=32)
+def _quantile_positions(n: int, n_breaks: int) -> tuple[np.ndarray, np.ndarray]:
+    # Interior breaks sit at quantiles by np.quantile's linear rule, its
+    # rounding included: between sorted values below and below + 1, at
+    # fraction gamma.
+    at = (n - 1) * np.linspace(0.0, 1.0, n_breaks)[1:-1]
+    below = np.floor(at).astype(np.intp)
+    gamma = at - below
+    below.flags.writeable = gamma.flags.writeable = False  # shared by the cache
+    return below, gamma
+
+
+def _sum_to_zero_bases(rows: np.ndarray) -> np.ndarray:
+    """For each row of ``rows`` (m, K), an orthonormal basis (K, K - 1) of
+    the vectors orthogonal to it.
+
+    The Householder reflection taking the row to a multiple of the first
+    unit vector has the wanted basis as its other columns. It spans the
+    same space as an SVD null-space basis, so fits, EDF and GCV do not
+    depend on which of the two a term uses.
+    """
+    v = rows.astype(float, copy=True)
+    v[:, 0] += np.copysign(np.sqrt(np.sum(v * v, axis=1)), v[:, 0])
+    h = -(2.0 / np.sum(v * v, axis=1))[:, None, None] * v[:, :, None] * v[:, None, 1:]
+    h[:, 1:] += np.eye(v.shape[1] - 1)
+    return h
+
+
+def _shrunk_penalties(z: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    # The penalties of AdditiveSmootherDesign._term_penalty for a stack of
+    # univariate terms, with numpy's eigh, which takes stacks; full builds
+    # keep scipy's, whose bits archived reports hold
+    curv = z.transpose(0, 2, 1) @ gram @ z
+    curv = 0.5 * (curv + curv.transpose(0, 2, 1))
+    scale = np.sqrt(np.sum(curv * curv, axis=(1, 2)))
+    curv /= np.where(scale > 0, scale, 1.0)[:, None, None]
+    w, v = np.linalg.eigh(curv)
+    null = w <= 1e-10 * np.maximum(w.max(axis=1), 1.0)[:, None]
+    return curv + (v * null[:, None, :]) @ v.transpose(0, 2, 1)
+
+
+def _r_factor(a: np.ndarray) -> np.ndarray:
+    """Triangular factor of a thin QR (LAPACK geqrf, no Q formed)."""
+    packed, _, _, info = dgeqrf(a)
+    if info != 0:
+        raise DegenerateDesignError(f"QR of the smoother design failed (info {info})")
+    return np.triu(packed[: a.shape[1]])
+
+
+def _check_width(k: int, n: int) -> None:
+    if k + 2 > n:
+        raise DegenerateDesignError(
+            f"additive design has {k} columns for {n} rows; reduce total_dim"
+        )
+
+
 class AdditiveSmootherDesign:
     """Factorized smoother design for one predictor matrix.
 
@@ -90,14 +158,7 @@ class AdditiveSmootherDesign:
         predictors,
         settings: Optional[SmootherSettings] = None,
         groups: Optional[list[tuple[int, ...]]] = None,
-        _shared: Optional[tuple["AdditiveSmootherDesign", tuple[int, ...]]] = None,
     ):
-        # _shared = (template, columns): reuse the template's term bases,
-        # design columns, and penalty blocks for groups whose predictor
-        # columns are all listed and identical to the template's.
-        # Permutation loops vary one predictor while the rest never
-        # change; rebuilding only the changed term keeps those loops
-        # cheap.
         self.settings = settings or SmootherSettings()
         x = np.asarray(predictors, dtype=float)
         if x.ndim == 1:
@@ -113,67 +174,141 @@ class AdditiveSmootherDesign:
         self.predictors = x
         self.groups = self._normalize_groups(groups, p)
 
-        total = min(self.settings.total_dim, max(n // 4, self.settings.min_term_dim * p))
-        template, shared_cols = _shared if _shared is not None else (None, ())
-        tmpl_terms = (
-            {t.cols: i for i, t in enumerate(template.terms)} if template is not None else {}
-        )
+        self._total = min(self.settings.total_dim, max(n // 4, self.settings.min_term_dim * p))
         self.terms = []
         self._term_cols = []
         self._term_pens = []
         for grp in self.groups:
-            if template is not None and all(j in shared_cols for j in grp):
-                at = tmpl_terms.get(grp)
-                if at is None:
-                    raise ArgumentError(
-                        f"shared predictor group {grp} has no matching template term"
-                    )
-                for j in grp:
-                    if not np.array_equal(x[:, j], template.predictors[:, j]):
-                        raise ArgumentError(
-                            f"shared predictor column {j} differs from the template"
-                        )
-                self.terms.append(template.terms[at])
-                self._term_cols.append(template._term_cols[at])
-                self._term_pens.append(template._term_pens[at])
-            else:
-                term = self._build_term(x, grp, total * len(grp) // p)
-                self.terms.append(term)
-                self._term_cols.append(term.columns(x))
-                self._term_pens.append(self._term_penalty(term))
+            term = self._build_term(x, grp)
+            self.terms.append(term)
+            self._term_cols.append(term.columns(x))
+            self._term_pens.append(self._term_penalty(term))
 
         design = np.hstack([np.ones((n, 1))] + self._term_cols)
         k = design.shape[1]
-        if k + 2 > n:
-            raise DegenerateDesignError(
-                f"additive design has {k} columns for {n} rows; reduce total_dim"
-            )
-        penalty = np.zeros((k, k))
-        at = 1
-        for block, pen in zip(self._term_cols, self._term_pens):
-            kj = block.shape[1]
-            penalty[at : at + kj, at : at + kj] = pen
-            at += kj
-
+        _check_width(k, n)
         # Tiny fixed ridge keeps R invertible under accidental collinearity;
         # its effect on RSS/EDF is corrected exactly below.
         eps = _RIDGE_REL * (np.sum(design**2) / k)
         aug = np.vstack([design, np.sqrt(eps) * np.eye(k)])
-        r = qr(aug, mode="economic")[1]
-        m = solve_triangular(r, penalty.T, trans=1, lower=False)
-        m = solve_triangular(r, m.T, trans=1, lower=False)
-        lam_eig, u = eigh(0.5 * (m + m.T))
-        lam_eig = np.clip(lam_eig, 0.0, None)
-        v = solve_triangular(r, u, lower=False)  # R^{-1} U
+        r = qr(aug, mode="economic", check_finite=False)[1]
+        m = solve_triangular(r, self._penalty(k).T, trans=1, lower=False, check_finite=False)
+        m = solve_triangular(r, m.T, trans=1, lower=False, check_finite=False)
+        lam_eig, u = eigh(0.5 * (m + m.T), check_finite=False)
+        v = solve_triangular(r, u, lower=False, check_finite=False)  # R^{-1} U
+        self._set_basis(design, eps, lam_eig, v)
+        lo, hi = self.settings.log10_lambda
+        self.lambda_grid = np.logspace(lo, hi, self.settings.n_lambda)
+        self._fixed = None
 
+    def _penalty(self, k: int) -> np.ndarray:
+        penalty = np.zeros((k, k))
+        at = 1
+        for pen in self._term_pens:
+            kj = pen.shape[0]
+            penalty[at : at + kj, at : at + kj] = pen
+            at += kj
+        return penalty
+
+    def _set_basis(self, design, eps, lam_eig, v) -> None:
+        # v = R^{-1} U diagonalizes the ridged Gram and the penalty at once:
+        # R^T R = X^T X + eps I and U^T R^{-T} S R^{-1} U = diag(lam_eig)
         self.design = design
         self.eps = eps
         self._v = v
-        self._eig = lam_eig
+        self._eig = np.clip(lam_eig, 0.0, None)
         self._gram_corr = v.T @ v  # C = U^T R^{-T} R^{-1} U
         self._edf_weights = 1.0 - eps * np.diag(self._gram_corr)
-        lo, hi = self.settings.log10_lambda
-        self.lambda_grid = np.logspace(lo, hi, self.settings.n_lambda)
+        self._shrink = None  # per-lambda shrinkage factors, on first fit
+
+    def with_last_columns(self, columns) -> Iterator["AdditiveSmootherDesign"]:
+        """This design with its last predictor column replaced by each row
+        of ``columns`` (m, n) in turn.
+
+        The last group must be that column alone. The intercept and the
+        other terms are kept; the last term is rebuilt by the same rules
+        as a full build (quantile knots, curvature penalty with null-space
+        shrinkage, ridge from the new Frobenius norm), for all rows at once.
+        Each design's factorization is then updated against a thin QR of
+        the kept block, computed once and shared by every design derived
+        from this one, when the returned iterator reaches it.
+        ``fit_values`` then agrees with a full build up to rounding.
+        """
+        j = self.p - 1
+        if self.groups[-1] != (j,):
+            raise ArgumentError("the last predictor column must form a group of its own")
+        cols = np.asarray(columns, dtype=float)
+        if cols.ndim != 2 or cols.shape[1] != self.n:
+            raise ArgumentError(f"columns must have shape (m, {self.n}), got {cols.shape}")
+        if not np.all(np.isfinite(cols)):
+            raise ArgumentError("columns contain non-finite values")
+        if self._fixed is None:
+            kept = self.design[:, : self.n_columns - self._term_cols[-1].shape[1]]
+            q_kept, r_kept = np.linalg.qr(kept)
+            self._fixed = (q_kept, r_kept, float(np.sum(kept**2)))
+        terms = self._univariate_terms(cols, j)
+        return (self._with_last_term(col, *term) for col, term in zip(cols, terms))
+
+    def _univariate_terms(self, cols: np.ndarray, j: int) -> list:
+        # (term, design columns, penalty) of column j rebuilt on each row
+        order = self.settings.order
+        lo, hi, breaks = self._breaks(np.sort(cols, axis=1), self._dims((j,))[0])
+        out = [None] * len(breaks)
+        by_size: dict[int, list[int]] = {}
+        for i, row in enumerate(breaks):
+            by_size.setdefault(len(row), []).append(i)
+        for rows in by_size.values():
+            bps = np.array([breaks[i] for i in rows])
+            knots = np.hstack(
+                [np.repeat(bps[:, :1], order - 1, 1), bps, np.repeat(bps[:, -1:], order - 1, 1)]
+            )
+            marg = stacked_basis_values(knots, order, cols[rows])
+            z = _sum_to_zero_bases(marg.sum(axis=1))
+            term_cols = marg @ z
+            pens = _shrunk_penalties(z, stacked_derivative_gram(knots, order, 2))
+            for at, i in enumerate(rows):
+                term = _Term(
+                    cols=(j,),
+                    bases=[BSplineBasis(order, bps[at])],
+                    transform=z[at],
+                    los=(float(lo[i]),),
+                    his=(float(hi[i]),),
+                )
+                out[i] = (term, term_cols[at], pens[at])
+        return out
+
+    def _with_last_term(self, col, term, cols, pen) -> "AdditiveSmootherDesign":
+        q_kept, r_kept, sq_kept = self._fixed
+        kf, kl = r_kept.shape[1], cols.shape[1]
+        k = kf + kl
+        _check_width(k, self.n)
+        eps = _RIDGE_REL * ((sq_kept + np.sum(cols**2)) / k)
+        # [kept, cols] = [Q, Q_c] [[R, C], [0, R_c]]; the ridge rows enter
+        # through a QR of the small stacked triangle
+        c = q_kept.T @ cols
+        stacked = np.zeros((2 * k, k))
+        stacked[:kf, :kf] = r_kept
+        stacked[:kf, kf:] = c
+        stacked[kf:k, kf:] = _r_factor(cols - q_kept @ c)
+        stacked[k:] = np.sqrt(eps) * np.eye(k)
+        r_inv, info = dtrtri(_r_factor(stacked))
+        if info != 0:
+            raise DegenerateDesignError("ridged smoother design lost full rank")
+
+        new = object.__new__(AdditiveSmootherDesign)
+        new.__dict__.update(self.__dict__)
+        new.predictors = self.predictors.copy()
+        new.predictors[:, -1] = col
+        new.terms = self.terms[:-1] + [term]
+        new._term_cols = self._term_cols[:-1] + [cols]
+        new._term_pens = self._term_pens[:-1] + [pen]
+        m = r_inv.T @ new._penalty(k) @ r_inv
+        lam_eig, u = np.linalg.eigh(0.5 * (m + m.T))
+        design = np.empty((self.n, k))
+        design[:, :kf] = self.design[:, :kf]
+        design[:, kf:] = cols
+        new._set_basis(design, eps, lam_eig, r_inv @ u)
+        return new
 
     def _normalize_groups(
         self, groups: Optional[list[tuple[int, ...]]], p: int
@@ -201,21 +336,23 @@ class AdditiveSmootherDesign:
             raise ArgumentError("groups must cover every predictor column exactly once")
         return tuple(clean)
 
-    def _build_term(self, x: np.ndarray, grp: tuple[int, ...], budget: int) -> _Term:
+    def _dims(self, grp: tuple[int, ...]) -> list[int]:
+        # each term's share of total_dim is proportional to its columns
         q = len(grp)
+        budget = self._total * q // self.p
         if q == 1:
-            dim = max(self.settings.min_term_dim, budget)
-            dims = [dim]
-        else:
-            # Largest per-direction dimension whose tensor fits the
-            # group's share of total_dim; 4 is one cubic span.
-            dim = 4
-            while (dim + 1) ** q <= budget:
-                dim += 1
-            dims = [dim] * q
+            return [max(self.settings.min_term_dim, budget)]
+        # Largest per-direction dimension whose tensor fits the group's
+        # share of total_dim; 4 is one cubic span.
+        dim = 4
+        while (dim + 1) ** q <= budget:
+            dim += 1
+        return [dim] * q
+
+    def _build_term(self, x: np.ndarray, grp: tuple[int, ...]) -> _Term:
         bases, los, his = [], [], []
         block = None
-        for j, dim_j in zip(grp, dims):
+        for j, dim_j in zip(grp, self._dims(grp)):
             basis, lo, hi = self._marginal_basis(x[:, j], dim_j)
             bases.append(basis)
             los.append(lo)
@@ -226,25 +363,38 @@ class AdditiveSmootherDesign:
         return _Term(cols=grp, bases=bases, transform=z, los=tuple(los), his=tuple(his))
 
     def _marginal_basis(self, xj: np.ndarray, dim: int) -> tuple[BSplineBasis, float, float]:
-        lo, hi = float(xj.min()), float(xj.max())
-        if hi - lo <= 0 or hi - lo < 1e-12 * max(1.0, abs(hi)):
+        lo, hi, breaks = self._breaks(np.sort(xj)[None, :], dim)
+        return BSplineBasis(self.settings.order, np.asarray(breaks[0])), float(lo[0]), float(hi[0])
+
+    def _breaks(self, xs: np.ndarray, dim: int):
+        """Spline breakpoints for each row of ``xs`` (m, n), sorted along
+        rows: the ends plus interior quantiles, dropping any closer than a
+        tolerance to the last break kept."""
+        lo, hi = xs[:, 0], xs[:, -1]
+        width = hi - lo
+        if np.any((width <= 0) | (width < 1e-12 * np.maximum(1.0, np.abs(hi)))):
             raise DegenerateDesignError(
                 "constant predictor: its smooth term would reduce to the mean"
             )
-        order = self.settings.order
-        n_breaks = max(2, dim - order + 2)
-        qs = np.quantile(xj, np.linspace(0.0, 1.0, n_breaks))
-        qs[0], qs[-1] = lo, hi
-        breaks = [qs[0]]
-        tol = 1e-10 * (hi - lo)
-        for q in qs[1:]:
-            if q - breaks[-1] > tol:
-                breaks.append(q)
-        if len(breaks) < 2:
-            raise DegenerateDesignError(
-                "predictor has too few distinct values for a spline term"
-            )
-        return BSplineBasis(order, np.asarray(breaks)), lo, hi
+        n_breaks = max(2, dim - self.settings.order + 2)
+        below, gamma = _quantile_positions(xs.shape[1], n_breaks)
+        a, b = xs[:, below], xs[:, below + 1]
+        gap = b - a
+        inner = np.where(gamma >= 0.5, b - gap * (1 - gamma), a + gap * gamma)
+        breaks = []
+        for row_lo, row_inner, row_hi, tol in zip(
+            lo.tolist(), inner.tolist(), hi.tolist(), (1e-10 * width).tolist()
+        ):
+            row = [row_lo]
+            for q in row_inner + [row_hi]:
+                if q - row[-1] > tol:
+                    row.append(q)
+            if len(row) < 2:
+                raise DegenerateDesignError(
+                    "predictor has too few distinct values for a spline term"
+                )
+            breaks.append(row)
+        return lo, hi, breaks
 
     def _term_penalty(self, term: _Term) -> np.ndarray:
         z = term.transform
@@ -267,7 +417,7 @@ class AdditiveSmootherDesign:
         scale = np.linalg.norm(curv)
         if scale > 0:
             curv = curv / scale
-        w, v = eigh(curv)
+        w, v = eigh(curv, check_finite=False)
         null = v[:, w <= 1e-10 * max(w.max(), 1.0)]
         # Shrinkage of the curvature null space (linear trends and their
         # products) lets lambda -> inf remove the term entirely.
@@ -300,15 +450,17 @@ class AdditiveSmootherDesign:
 
         z = self._v.T @ (self.design.T @ y)  # (k, m)
         lam = self.lambda_grid
-        d = 1.0 / (1.0 + lam[:, None] * self._eig[None, :])  # (L, k)
-        edf = d @ self._edf_weights
+        if self._shrink is None:
+            d = 1.0 / (1.0 + lam[:, None] * self._eig[None, :])  # (L, k)
+            self._shrink = (d, d * d, d @ self._edf_weights)
+        d, d2, edf = self._shrink
         yy = np.sum(y * y, axis=0)
         z2 = z * z
         rss = np.zeros(lam.size)
         for j in range(y.shape[1]):
             dz = d * z[:, j][None, :]
-            corr = np.einsum("lk,kq,lq->l", dz, self._gram_corr, dz)
-            rss += yy[j] - 2.0 * (d @ z2[:, j]) + (d * d) @ z2[:, j] - self.eps * corr
+            corr = np.sum((dz @ self._gram_corr) * dz, axis=1)
+            rss += yy[j] - 2.0 * (d @ z2[:, j]) + d2 @ z2[:, j] - self.eps * corr
         rss = np.clip(rss, 0.0, None)
         gcv = rss / (self.n - edf) ** 2
         pick = lam.size - 1 - int(np.argmin(gcv[::-1]))  # ties -> largest lambda

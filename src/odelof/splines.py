@@ -2,7 +2,10 @@
 
 Basis evaluation is delegated to scipy's BSpline; penalty Grams are built
 here by per-span Gauss-Legendre quadrature, which is exact because the
-integrands are piecewise polynomials.
+integrands are piecewise polynomials. For loops that rebuild a basis per
+call, :func:`stacked_basis_values` and :func:`stacked_derivative_gram` do
+the same for a stack of bases at once, by the Cox-de Boor recursion and
+closed-form Grams, equal up to rounding.
 """
 
 from __future__ import annotations
@@ -119,6 +122,98 @@ class BSplineBasis:
 @lru_cache(maxsize=16)
 def _gauss_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
     return leggauss(q)
+
+
+def stacked_basis_values(knots: np.ndarray, order: int, t: np.ndarray) -> np.ndarray:
+    """B-spline values for a stack of clamped bases.
+
+    Row i of ``knots`` (m, nk) is the full knot vector of one clamped basis
+    of the given order, as :attr:`BSplineBasis.knots` builds it; row i of
+    ``t`` (m, n) holds points inside that basis's domain. Returns (m, n, K),
+    the K = nk - order basis functions of row i at its points. Agrees with
+    :meth:`BSplineBasis.design_matrix` up to rounding, without a scipy
+    ``BSpline`` with identity coefficients per basis, so loops that rebuild
+    a basis per call can evaluate many at once. ``design_matrix`` stays the
+    evaluator of record wherever archived output depends on its exact bits.
+    """
+    return _cox_de_boor(knots, order, order, t)
+
+
+def stacked_derivative_gram(knots: np.ndarray, order: int, deriv: int = 2) -> np.ndarray:
+    """:meth:`BSplineBasis.penalty_gram` for a stack of clamped bases (rows
+    of ``knots`` as in :func:`stacked_basis_values`), up to rounding.
+
+    The derivative of an order-m B-spline is a two-term combination of
+    order m - 1 ones, so ``P = D G D^T`` with ``G`` the Gram of the order
+    ``q = order - deriv`` B-splines on the same knots and ``D`` the product
+    of ``deriv`` bidiagonal difference maps. ``G`` has a closed form for
+    piecewise constant and linear B-splines (q <= 2); above that it comes
+    from the same exact Gauss rule as ``penalty_gram``.
+    """
+    m, nk = knots.shape
+    q = order - deriv
+    size = nk - q  # order-q B-splines on these knots
+    at = np.arange(size)
+    h = np.diff(knots, axis=1)
+    gram = np.zeros((m, size, size))
+    if q == 1:
+        gram[:, at, at] = h
+    elif q == 2:
+        # hats: integral of B_j^2 = (k_{j+2} - k_j) / 3 and of B_j B_{j+1}
+        # = (k_{j+2} - k_{j+1}) / 6
+        gram[:, at, at] = (h[:, :-1] + h[:, 1:]) / 3.0
+        gram[:, at[:-1], at[1:]] = gram[:, at[1:], at[:-1]] = h[:, 1:-1] / 6.0
+    else:
+        breaks = knots[:, order - 1 : nk - order + 1]
+        xi, wi = _gauss_rule(q)
+        half = 0.5 * (breaks[:, 1:] - breaks[:, :-1])
+        mid = 0.5 * (breaks[:, 1:] + breaks[:, :-1])
+        nodes = (mid[:, :, None] + half[:, :, None] * xi).reshape(m, -1)
+        weights = (half[:, :, None] * wi).reshape(m, -1)
+        vals = _cox_de_boor(knots, order, q, nodes)
+        gram = vals.transpose(0, 2, 1) @ (weights[:, :, None] * vals)
+    for mm in range(q + 1, order + 1):
+        # d/dt B_{a,mm} = (mm - 1) (B_{a,mm-1} / (k_{a+mm-1} - k_a)
+        #                           - B_{a+1,mm-1} / (k_{a+mm} - k_{a+1}))
+        gaps = knots[:, mm - 1 :] - knots[:, : nk - mm + 1]
+        inv = np.zeros_like(gaps)
+        np.divide(mm - 1.0, gaps, out=inv, where=gaps > 0)
+        rows = np.arange(nk - mm)
+        diff = np.zeros((m, rows.size, rows.size + 1))
+        diff[:, rows, rows] = inv[:, :-1]
+        diff[:, rows, rows + 1] = -inv[:, 1:]
+        gram = diff @ gram @ diff.transpose(0, 2, 1)
+    return 0.5 * (gram + gram.transpose(0, 2, 1))
+
+
+def _cox_de_boor(knots: np.ndarray, order: int, q: int, t: np.ndarray) -> np.ndarray:
+    # Values of the order-q B-splines on each row of a stack of knot
+    # vectors of order-`order` clamped bases, by the triangular Cox-de Boor
+    # scheme vectorized over bases and points (Piegl & Tiller, The NURBS
+    # Book, A2.2). Each point sits in a nonempty span, so no denominator
+    # is zero.
+    p = q - 1
+    m, n = t.shape
+    nk = knots.shape[1]
+    # each point's span i (k_i <= t < k_{i+1}); the right end of the domain
+    # belongs to the last nonempty one
+    span = np.array([np.searchsorted(k, x, side="right") for k, x in zip(knots, t)]) - 1
+    np.clip(span, order - 1, nk - order - 1, out=span)
+    base = np.arange(m)[:, None] * nk + span
+    win = knots.ravel()[base + np.arange(1 - p, p + 1)[:, None, None]]  # k_{i-p+1} .. k_{i+p}
+    left = t - win[p - 1 :: -1] if p else None  # row j - 1: t - k_{i+1-j}
+    right = win[p:] - t  # row j - 1: k_{i+j} - t
+    vals = np.ones((1, m, n))  # row r: the r-th order-j function nonzero at t
+    for j in range(1, p + 1):
+        lj = left[j - 1 :: -1]
+        temp = vals / (right[:j] + lj)
+        vals = np.zeros((j + 1, m, n))
+        vals[:j] = right[:j] * temp
+        vals[1:] += lj * temp
+    out = np.zeros((m, n, nk - q))
+    first = (np.arange(m * n).reshape(m, n)) * (nk - q) + span - p
+    out.ravel()[first + np.arange(q)[:, None, None]] = vals
+    return out
 
 
 def make_basis(order: int, domain: tuple[float, float], knot_spacing: float) -> BSplineBasis:

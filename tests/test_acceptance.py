@@ -132,7 +132,7 @@ class TestCriterion3Level:
         fit = PipelineRunner(times, system, PipelineSettings()).run(series.values)
         block_len, trim = 32, 16
         sl = slice(trim, times.size - trim)
-        stat = _Case2Stat(times[sl], SmootherSettings())
+        stat = _Case2Stat(SmootherSettings())
         states = fit.state_obs[sl]
 
         root = np.random.SeedSequence(2718)

@@ -224,3 +224,52 @@ class TestArgumentHandling:
         code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "system must be one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"theta": [1, 2, 3]}, "theta has 3 entries, vanderpol expects 2"),
+            ({"x0": [0.0, 2.0, 1.0]}, "x0 has 3 entries, vanderpol expects 2"),
+            ({"observed": [1, 3]}, "observed indices must lie in 1..2 for vanderpol"),
+        ],
+    )
+    def test_lengths_are_checked_against_the_system(self, tmp_path, capsys, override, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"system": "vanderpol", "master_seed": 1, **override}))
+        code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+class TestCsvDataSource:
+    def test_csv_config_diagnoses_the_simulated_file(self, tmp_path):
+        builtin = write_config(tmp_path / "builtin.json")
+        data = tmp_path / "data.csv"
+        assert cli.main(["simulate", "--config", str(builtin), "--out", str(data)]) == 0
+        csv_config = write_config(
+            tmp_path / "csv.json",
+            system={"csv": str(data)},
+            model="linear2d",
+            forcing={"mode": "additive", "target": 2},
+        )
+        from_csv = tmp_path / "from_csv"
+        assert cli.main(["diagnose", "--config", str(csv_config), "--out", str(from_csv)]) == 0
+        # the same file passed with --data to the builtin config gives the
+        # same report
+        with_data = tmp_path / "with_data"
+        assert (
+            cli.main(
+                ["diagnose", "--config", str(builtin), "--data", str(data), "--out", str(with_data)]
+            )
+            == 0
+        )
+        assert (from_csv / "report_case2.json").read_bytes() == (
+            with_data / "report_case2.json"
+        ).read_bytes()
+        assert (from_csv / "data.csv").read_bytes() == data.read_bytes()
+
+    def test_csv_config_cannot_simulate(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", system={"csv": "d.csv"}, model="linear2d")
+        code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "builtin 'system' name" in capsys.readouterr().err

@@ -24,7 +24,8 @@ from odelof import (
     report_json,
     residual_bootstrap_resample,
 )
-from odelof.diagnose import _Case2Stat, _from_json_float, _json_float
+from odelof.diagnose import _Case2Stat, _Case3Stat, _from_json_float, _json_float
+from odelof.smoothers import AdditiveSmootherDesign
 
 
 class TestFStatistics:
@@ -336,3 +337,73 @@ class TestReportJson:
         assert list(d) == sorted(d)
         assert d["kind"] == "case2"
         assert d["b2"] == 19
+
+
+def case3_setup(system, interaction, seed=11):
+    """A case-3 statistic on one simulated dataset, as the test builds it."""
+    from odelof import config_from_dict
+    from odelof.pipeline import PipelineRunner
+    from odelof.power import simulate_series
+
+    config = config_from_dict(
+        {"system": system, "master_seed": seed, "smoothing": {"h_interaction": interaction}}
+    )
+    series = simulate_series(config, np.random.SeedSequence(seed, spawn_key=(0, 0)))
+    settings = config.pipeline_settings()
+    runner = PipelineRunner(series.times, config.model_system(), settings)
+    fit = runner.run(series.values)
+    test = TestConfig(seed=seed, **config.test_kwargs())
+    spacing = float(np.median(np.diff(series.times)))
+    block_len = test.block_len or default_block_len(runner.g_basis.support_width, spacing)
+    trim = test.end_trim if test.end_trim is not None else math.ceil(block_len / 2)
+    rows = slice(trim, series.times.size - trim)
+    stat = _Case3Stat(series.times[rows], settings.smoother, 2.0 * block_len * spacing)
+    return stat, fit.state_obs[rows], fit.g_obs[rows], block_len
+
+
+class TestCase3LagUpdate:
+    @pytest.mark.parametrize(
+        "system, interaction",
+        [("vanderpol", True), ("vanderpol", False), ("vanderpol_order2", True)],
+    )
+    def test_permuted_statistics_match_full_builds(self, system, interaction):
+        # vanderpol_order2 observes one coordinate (observed: [1])
+        stat, states, g, block_len = case3_setup(system, interaction)
+        design0 = AdditiveSmootherDesign(states, stat.settings)
+        h0 = design0.fit_values(g)
+        rng = np.random.default_rng(3)
+        g_ks = [h0.fitted + block_permute(g - h0.fitted, block_len, rng) for _ in range(50)]
+        updates = stat.lag_design(states, g).with_last_columns([stat._lagged(x) for x in g_ks])
+        rows = stat.valid
+        for g_k, update in zip(g_ks, updates):
+            h0_k = design0.fit_values(g_k).fitted[rows]
+            fresh = stat.lag_design(states, g_k).fit_values(g_k[rows])
+            fast = update.fit_values(g_k[rows])
+            assert fast.lam == fresh.lam
+            assert fast.edf == pytest.approx(fresh.edf, rel=1e-10)
+            scale = np.max(np.abs(fresh.fitted))
+            assert_allclose(fast.fitted, fresh.fitted, rtol=0, atol=1e-10 * scale)
+            f_fast = f_stat_case3(g_k[rows], h0_k, fast.fitted).value
+            f_fresh = f_stat_case3(g_k[rows], h0_k, fresh.fitted).value
+            assert f_fast == pytest.approx(f_fresh, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "system, p_values",
+        [
+            ("linear2d", (0.2, 0.24, 0.38, 0.14)),
+            ("rossler_chaotic", (0.08, 0.38, 0.38, 0.4)),
+        ],
+    )
+    def test_pinned_p_values(self, system, p_values):
+        # p-values of the full-rebuild implementation; both datasets have
+        # permuted F values above and below F0, so a changed statistic or a
+        # flipped comparison would move them
+        from odelof import config_from_dict
+        from odelof.power import diagnose_series, simulate_series
+
+        config = config_from_dict({"system": system, "master_seed": 11, "test": {"b1": 4, "b2": 49}})
+        series = simulate_series(config, np.random.SeedSequence(11, spawn_key=(0, 0)))
+        report = diagnose_series(
+            config, series, "case3", np.random.SeedSequence(11, spawn_key=(1,))
+        )
+        assert report.p_values == p_values

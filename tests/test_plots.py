@@ -3,6 +3,8 @@ import pytest
 
 from odelof import (
     ArgumentError,
+    SmootherSettings,
+    SplineFunction,
     TestConfig,
     builtin_system,
     case2_test,
@@ -11,6 +13,7 @@ from odelof import (
     integrate,
     observe,
 )
+from odelof.diagnose import _Case3Stat
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +83,26 @@ class TestCase3Exports:
         assert 0 < len(rows) < series.times.size - 2 * report.end_trim
         first_time = float(rows[0].split(",")[0])
         assert first_time >= series.times[report.end_trim] + report.delta - 1e-9
+
+    def test_h1_is_the_tests_lag_fit(self, series, tmp_path):
+        # the exported h1 comes from the same lag design as the unpermuted
+        # case-3 fit, on the trimmed states and g of the report
+        report = case3_test(
+            series, builtin_system("linear2d"), TestConfig(seed=4, b1=2, b2=9)
+        )
+        paths = export_diagnostic_plots(report, series, tmp_path / "p")
+        h_lag = next(p for p in paths if p.name == "h_lag.csv")
+        exported = np.loadtxt(h_lag, delimiter=",", skiprows=1)
+
+        rows = slice(report.end_trim, series.times.size - report.end_trim)
+        times = series.times[rows]
+        states = SplineFunction.from_dict(report.xhat_spline)(times)
+        g = SplineFunction.from_dict(report.g_spline)(times)
+        settings = SmootherSettings(
+            total_dim=report.settings["smoother_total_dim"],
+            interaction=report.settings["smoother_interaction"],
+        )
+        stat = _Case3Stat(times, settings, report.delta)
+        h1 = stat.lag_design(states, g).fit_values(g[stat.valid]).fitted
+        np.testing.assert_array_equal(exported[:, 0], times[stat.valid])
+        np.testing.assert_array_equal(exported[:, 3], h1)

@@ -6,6 +6,7 @@ from odelof import (
     ArgumentError,
     DegenerateDesignError,
     SmootherSettings,
+    block_permute,
     fit_scatter_smoother,
 )
 from odelof.smoothers import AdditiveSmootherDesign
@@ -205,7 +206,7 @@ class TestInteraction:
         with pytest.raises(ArgumentError, match="outside predictor range"):
             fit_scatter_smoother(x, y, groups=[(0,), (2,)])
 
-    def test_shared_group_reproduces_full_build(self, crossed_data):
+    def test_last_column_update_reproduces_full_build(self, crossed_data):
         x, _, y = crossed_data
         rng = np.random.default_rng(13)
         groups = [(0, 1), (2,)]
@@ -213,32 +214,128 @@ class TestInteraction:
             np.column_stack([x, rng.uniform(0, 1, x.shape[0])]), groups=groups
         )
         swapped = np.column_stack([x, rng.uniform(0, 1, x.shape[0])])
-        fresh = AdditiveSmootherDesign(swapped, groups=groups)
-        reused = AdditiveSmootherDesign(swapped, groups=groups, _shared=(template, (0, 1)))
-        fit_a = fresh.fit_values(y)
-        fit_b = reused.fit_values(y)
-        assert_allclose(fit_b.fitted, fit_a.fitted, rtol=0, atol=0)
-        assert fit_b.lam == fit_a.lam
+        assert_same_fit(
+            updated(template, swapped[:, 2]), AdditiveSmootherDesign(swapped, groups=groups), y
+        )
 
 
-class TestSharedTerms:
-    def test_shared_columns_reproduce_full_build(self, sine_data):
+def updated(design, column):
+    return next(design.with_last_columns([column]))
+
+
+def fit_gaps(a, b, y):
+    """Relative gaps between two designs' fits of y: fitted values, EDF
+    and GCV; and whether they picked the same lambda."""
+    fit_a, fit_b = a.fit_values(y), b.fit_values(y)
+    scale = np.max(np.abs(fit_a.fitted))
+    gaps = (
+        np.max(np.abs(fit_b.fitted - fit_a.fitted)) / scale,
+        abs(fit_b.edf - fit_a.edf) / fit_a.edf,
+        abs(fit_b.gcv - fit_a.gcv) / fit_a.gcv,
+    )
+    return gaps, fit_a.lam == fit_b.lam
+
+
+def assert_same_fit(update, fresh, y, rtol=1e-10):
+    """The update agrees with a full build: the same knots and lambda, and
+    fitted values, EDF and GCV up to rounding."""
+    assert update.groups == fresh.groups
+    assert np.array_equal(
+        update.terms[-1].bases[0].breakpoints, fresh.terms[-1].bases[0].breakpoints
+    )
+    gaps, same_lam = fit_gaps(fresh, update, y)
+    assert same_lam
+    assert max(gaps) <= rtol
+    fit = update.fit_values(y)
+    assert_allclose(
+        update.design_for(fresh.predictors) @ fit.coefficients,
+        fit.fitted,
+        rtol=0,
+        atol=1e-9 * np.max(np.abs(fit.fitted)),
+    )
+
+
+class TestLastColumnUpdate:
+    def test_update_reproduces_full_build(self, sine_data):
         x, y = sine_data
         rng = np.random.default_rng(7)
-        extra = rng.uniform(0, 1, x.size)
-        base = np.column_stack([x, extra])
-        template = AdditiveSmootherDesign(base)
-
+        template = AdditiveSmootherDesign(np.column_stack([x, rng.uniform(0, 1, x.size)]))
         swapped = np.column_stack([x, rng.uniform(0, 1, x.size)])
-        fresh = AdditiveSmootherDesign(swapped)
-        reused = AdditiveSmootherDesign(swapped, _shared=(template, (0,)))
-        fit_a = fresh.fit_values(y)
-        fit_b = reused.fit_values(y)
-        assert_allclose(fit_b.fitted, fit_a.fitted, rtol=0, atol=0)
-        assert fit_b.lam == fit_a.lam
+        assert_same_fit(updated(template, swapped[:, 1]), AdditiveSmootherDesign(swapped), y)
 
-    def test_shared_column_must_match_template(self, sine_data):
+    def test_updates_chain_from_an_update(self, sine_data):
         x, y = sine_data
-        template = AdditiveSmootherDesign(x)
-        with pytest.raises(ArgumentError, match="template"):
-            AdditiveSmootherDesign(x + 1.0, _shared=(template, (0,)))
+        rng = np.random.default_rng(8)
+        template = AdditiveSmootherDesign(np.column_stack([x, rng.uniform(0, 1, x.size)]))
+        first = updated(template, rng.uniform(0, 1, x.size))
+        column = rng.normal(size=x.size)
+        assert_same_fit(
+            updated(first, column), AdditiveSmootherDesign(np.column_stack([x, column])), y
+        )
+
+    def test_rows_match_one_at_a_time(self, sine_data):
+        x, y = sine_data
+        rng = np.random.default_rng(9)
+        template = AdditiveSmootherDesign(np.column_stack([x, rng.uniform(0, 1, x.size)]))
+        columns = rng.normal(size=(3, x.size))
+        for column, design in zip(columns, template.with_last_columns(columns)):
+            a, b = design.fit_values(y), updated(template, column).fit_values(y)
+            assert np.array_equal(a.fitted, b.fitted)
+
+    @pytest.mark.parametrize("interaction", [True, False])
+    @pytest.mark.parametrize("n_states", [1, 2])
+    def test_block_permuted_lags_match_full_builds(self, interaction, n_states):
+        # The case-3 use: the states fixed, the last column a lagged
+        # response whose blocks are permuted. On this synthetic data GCV
+        # often picks the top of the lambda grid, where two full builds of
+        # the same design with its rows reversed already differ by up to
+        # ~1e-9; the update must stay within a small multiple of that gap.
+        rng = np.random.default_rng(20 + n_states)
+        t = np.linspace(0.0, 40.0, 360)
+        states = np.column_stack([np.sin(t), np.cos(0.7 * t)])[:, :n_states]
+        g = states @ np.ones(n_states) + 0.3 * rng.standard_normal(t.size)
+        settings = SmootherSettings(interaction=interaction)
+        groups = [tuple(range(n_states)), (n_states,)] if interaction else None
+        lag = 24
+        rows = slice(lag, None)
+        template = AdditiveSmootherDesign(
+            np.column_stack([states[rows], g[:-lag]]), settings, groups=groups
+        )
+        g_ks = [block_permute(g, 20, rng) for _ in range(50)]
+        updates = template.with_last_columns([g_k[:-lag] for g_k in g_ks])
+        update_gap = reversal_gap = 0.0
+        for g_k, update in zip(g_ks, updates):
+            x = np.column_stack([states[rows], g_k[:-lag]])
+            fresh = AdditiveSmootherDesign(x, settings, groups=groups)
+            reversed_rows = AdditiveSmootherDesign(x[::-1], settings, groups=groups)
+            y = g_k[rows]
+            assert np.array_equal(
+                update.terms[-1].bases[0].breakpoints, fresh.terms[-1].bases[0].breakpoints
+            )
+            gaps, same_lam = fit_gaps(fresh, update, y)
+            assert same_lam
+            update_gap = max(update_gap, *gaps)
+            fit_r = reversed_rows.fit_values(y[::-1])
+            fit_f = fresh.fit_values(y)
+            reversal_gap = max(
+                reversal_gap,
+                np.max(np.abs(fit_r.fitted[::-1] - fit_f.fitted)) / np.max(np.abs(fit_f.fitted)),
+                abs(fit_r.edf - fit_f.edf) / fit_f.edf,
+            )
+        assert update_gap <= max(10.0 * reversal_gap, 1e-12)
+
+    def test_last_group_must_be_the_column_alone(self, crossed_data):
+        x, _, _ = crossed_data
+        joint = AdditiveSmootherDesign(x, SmootherSettings(interaction=True))
+        with pytest.raises(ArgumentError, match="group of its own"):
+            joint.with_last_columns([x[:, 1]])
+
+    def test_columns_are_checked(self, sine_data):
+        x, _ = sine_data
+        design = AdditiveSmootherDesign(np.column_stack([x, np.cos(x)]))
+        with pytest.raises(ArgumentError, match="shape"):
+            design.with_last_columns([x[:-1]])
+        with pytest.raises(ArgumentError, match="non-finite"):
+            design.with_last_columns([np.r_[np.nan, x[1:]]])
+        with pytest.raises(DegenerateDesignError, match="constant"):
+            design.with_last_columns([x, np.ones_like(x)])

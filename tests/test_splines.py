@@ -16,6 +16,7 @@ from odelof import (
     make_basis,
     smooth_timeseries,
 )
+from odelof.splines import stacked_basis_values, stacked_derivative_gram
 
 
 class TestBasis:
@@ -73,6 +74,40 @@ class TestBasis:
         basis = make_basis(4, (0.0, 1.0), 0.5)
         with pytest.raises(ArgumentError):
             basis.design_matrix(np.array([0.5]), deriv=4)
+
+
+class TestStackedBases:
+    @pytest.fixture
+    def stack(self):
+        # three uneven clamped bases per order, with points at every
+        # breakpoint and both domain ends
+        rng = np.random.default_rng(4)
+
+        def make(order):
+            bases = [
+                BSplineBasis(order, np.sort(np.r_[0.0, rng.uniform(0.0, 3.0, 5), 3.0]))
+                for _ in range(3)
+            ]
+            points = np.array([np.r_[b.breakpoints, rng.uniform(0.0, 3.0, 40)] for b in bases])
+            return bases, np.array([b.knots for b in bases]), points
+
+        return make
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_values_match_design_matrix(self, stack, order):
+        bases, knots, points = stack(order)
+        values = stacked_basis_values(knots, order, points)
+        for basis, t, v in zip(bases, points, values):
+            assert_allclose(v, basis.design_matrix(t), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_grams_match_penalty_gram(self, stack, order):
+        bases, knots, _ = stack(order)
+        for deriv in range(order):
+            grams = stacked_derivative_gram(knots, order, deriv)
+            for basis, gram in zip(bases, grams):
+                exact = basis.penalty_gram(deriv)
+                assert_allclose(gram, exact, rtol=0, atol=1e-12 * np.abs(exact).max())
 
 
 class TestSplineFunction:
