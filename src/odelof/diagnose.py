@@ -15,6 +15,15 @@ Both are wrapped in a residual bootstrap over the data smoothing, giving
 one permutation p-value p_b per bootstrap replicate:
 ``p_b = (1 + #{F_kb >= F_0b}) / (B2 + 1)``; the test rejects when the mean
 of the p_b falls below alpha.
+
+The B2 permutations of a replicate run as one batch: their block orders
+come from the replicate's generator in the order of B2
+:func:`block_permute` calls (:func:`block_permutation_indices`), the
+permuted responses are fitted together with per-column GCV
+(:meth:`~odelof.smoothers.AdditiveSmootherDesign.fit_many`), and their F
+values come from the column kernels that :func:`f_stat_case2` and
+:func:`f_stat_case3` wrap. Only the case-3 h1 fits stay one per
+permutation, each on its own lag design.
 """
 
 from __future__ import annotations
@@ -55,12 +64,51 @@ def _as_rows(a, name: str) -> np.ndarray:
     return v
 
 
-def _ratio(num: float, den: float) -> FStatResult:
-    if den == 0.0:
-        if num == 0.0:
-            return FStatResult(0.0, "zero_over_zero")
-        return FStatResult(math.inf, "zero_denominator")
-    return FStatResult(num / den, None)
+# degeneracy flags of the F kernels, indexed by their flag codes
+_FLAGS = (None, "zero_over_zero", "zero_denominator")
+
+
+def _mean_squares(r: np.ndarray) -> np.ndarray:
+    # squares r (m, n, d) in place; the means over rows of the sums over d
+    r *= r
+    return np.mean(np.sum(r, axis=2), axis=1)
+
+
+def _ratios(num: np.ndarray, den: np.ndarray):
+    """F values and flag codes (indices into ``_FLAGS``): 0/0 reads 0,
+    x/0 reads inf."""
+    zero = den == 0.0
+    values = np.divide(num, den, out=np.zeros_like(num), where=~zero)
+    values[zero & (num != 0.0)] = math.inf
+    codes = np.where(zero, np.where(num == 0.0, 1, 2), 0)
+    return values, codes
+
+
+# The F kernels take (m, n, d) arrays: m statistics, n rows, d response
+# columns, and return the m F values and flag codes. Each statistic sums
+# over its rows in the order a single one does, so its bits do not depend
+# on m.
+
+
+def _case2_columns(g: np.ndarray, h: np.ndarray):
+    """Case 2: variance of h around its mean over the mean squared
+    residual of g around h."""
+    r = h - h.mean(axis=1, keepdims=True)
+    num = _mean_squares(r)
+    return _ratios(num, _mean_squares(np.subtract(g, h, out=r)))
+
+
+def _case3_columns(g: np.ndarray, h0: np.ndarray, h1: np.ndarray):
+    """Case 3: mean squared gap between h1 and h0 over the mean squared
+    residual of g around h1."""
+    r = h1 - h0
+    num = _mean_squares(r)
+    return _ratios(num, _mean_squares(np.subtract(g, h1, out=r)))
+
+
+def _one(result) -> FStatResult:
+    values, codes = result
+    return FStatResult(float(values[0]), _FLAGS[codes[0]])
 
 
 def f_stat_case2(g, h) -> FStatResult:
@@ -70,9 +118,7 @@ def f_stat_case2(g, h) -> FStatResult:
     hv = _as_rows(h, "h")
     if gv.shape != hv.shape:
         raise ArgumentError(f"g and h must share a shape, got {gv.shape} vs {hv.shape}")
-    num = float(np.mean(np.sum((hv - hv.mean(axis=0)) ** 2, axis=1)))
-    den = float(np.mean(np.sum((gv - hv) ** 2, axis=1)))
-    return _ratio(num, den)
+    return _one(_case2_columns(gv[None], hv[None]))
 
 
 def f_stat_case3(g, h0, h1) -> FStatResult:
@@ -85,24 +131,42 @@ def f_stat_case3(g, h0, h1) -> FStatResult:
         raise ArgumentError(
             f"g, h0, h1 must share a shape, got {gv.shape}, {h0v.shape}, {h1v.shape}"
         )
-    num = float(np.mean(np.sum((h1v - h0v) ** 2, axis=1)))
-    den = float(np.mean(np.sum((gv - h1v) ** 2, axis=1)))
-    return _ratio(num, den)
+    return _one(_case3_columns(gv[None], h0v[None], h1v[None]))
+
+
+def block_permutation_indices(
+    n: int, block_len: int, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Row indices (n, count) of ``count`` block permutations of n rows.
+
+    Column j reorders the consecutive blocks of ``block_len`` rows (a
+    final short block moves along with the full ones) by the j-th of
+    ``count`` successive ``rng.permutation`` draws, so the columns are the
+    rows that ``count`` successive :func:`block_permute` calls take.
+    """
+    if block_len < 1:
+        raise ArgumentError(f"block_len must be >= 1, got {block_len}")
+    if n < 1:
+        raise ArgumentError("nothing to permute")
+    n_blocks = -(-n // block_len)
+    starts = np.arange(n_blocks) * block_len
+    sizes = np.minimum(block_len, n - starts)
+    orders = np.array([rng.permutation(n_blocks) for _ in range(count)], dtype=np.intp)
+    orders = orders.reshape(count, n_blocks)
+    lens = sizes[orders]
+    # output row p of a block that starts at output row s and source row
+    # b is source row p + (b - s)
+    shift = starts[orders] - (np.cumsum(lens, axis=1) - lens)
+    rows = np.repeat(shift.ravel(), lens.ravel()).reshape(count, n)
+    rows += np.arange(n)
+    return rows.T
 
 
 def block_permute(values, block_len: int, rng: np.random.Generator) -> np.ndarray:
     """Permute consecutive blocks of rows; a final short block permutes
     along with the full ones. The row multiset is preserved."""
     v = np.asarray(values, dtype=float)
-    n = v.shape[0]
-    if block_len < 1:
-        raise ArgumentError(f"block_len must be >= 1, got {block_len}")
-    if n < 1:
-        raise ArgumentError("nothing to permute")
-    starts = np.arange(0, n, block_len)
-    order = rng.permutation(starts.size)
-    chunks = [v[starts[i] : starts[i] + block_len] for i in order]
-    return np.concatenate(chunks, axis=0)
+    return v[block_permutation_indices(v.shape[0], block_len, 1, rng)[:, 0]]
 
 
 def residual_bootstrap_resample(
@@ -156,9 +220,16 @@ class TestConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagnosticReport:
-    """Everything needed to reproduce, inspect, and plot one test run."""
+    """Everything needed to reproduce, inspect, and plot one test run.
+
+    ``g_spline`` and ``xhat_spline`` are spline dicts (``order``,
+    ``breakpoints``, ``coefficients``, as :meth:`SplineFunction.from_dict`
+    reads them) that hold read-only arrays: about a sixth of the memory of float
+    lists, for callers that keep many reports. :meth:`to_dict` gives the
+    lists. Reports are equal when their dicts are.
+    """
 
     kind: str
     reject: bool
@@ -213,8 +284,8 @@ class DiagnosticReport:
             "theta": list(self.theta),
             "edf_h": self.edf_h,
             "edf_h_alt": self.edf_h_alt,
-            "g_spline": self.g_spline,
-            "xhat_spline": self.xhat_spline,
+            "g_spline": _json_spline(self.g_spline),
+            "xhat_spline": _json_spline(self.xhat_spline),
             "settings": self.settings,
             "version": self.version,
         }
@@ -246,11 +317,16 @@ class DiagnosticReport:
             theta=tuple(d["theta"]),
             edf_h=float(d["edf_h"]),
             edf_h_alt=None if d["edf_h_alt"] is None else float(d["edf_h_alt"]),
-            g_spline=d["g_spline"],
-            xhat_spline=d["xhat_spline"],
+            g_spline=_spline_arrays(SplineFunction.from_dict(d["g_spline"])),
+            xhat_spline=_spline_arrays(SplineFunction.from_dict(d["xhat_spline"])),
             settings=d["settings"],
             version=d.get("version", __version__),
         )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DiagnosticReport):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     def save(self, path: Union[str, os.PathLike]) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -264,6 +340,19 @@ class DiagnosticReport:
 
 def report_json(report: DiagnosticReport) -> str:
     return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def _spline_arrays(spline: SplineFunction) -> dict:
+    # SplineFunction.to_dict with the (read-only) arrays in place of lists
+    return {
+        "order": spline.basis.order,
+        "breakpoints": spline.basis.breakpoints,
+        "coefficients": spline.coefficients,
+    }
+
+
+def _json_spline(d: dict) -> dict:
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in d.items()}
 
 
 def _json_float(v: float):
@@ -305,33 +394,60 @@ def case3_test(
     return _run_test("case3", series, system, config, pipeline)
 
 
-class _Case2Stat:
-    def __init__(self, smoother_settings):
-        self.settings = smoother_settings
-
-    def evaluate(self, states_trim, g_trim, perm_rng=None, b2=0, block_len=0):
-        design = AdditiveSmootherDesign(states_trim, self.settings)
-        fit = design.fit_values(g_trim)
-        f0 = f_stat_case2(g_trim, fit.fitted)
-        p_b = None
-        if perm_rng is not None:
-            count = 0
-            for _ in range(b2):
-                g_k = block_permute(g_trim, block_len, perm_rng)
-                fk = design.fit_values(g_k)
-                s = f_stat_case2(g_k, fk.fitted)
-                if s.value >= f0.value:
-                    count += 1
-            p_b = (1 + count) / (b2 + 1)
-        return f0, p_b, fit.edf, None
-
-
-# permutations whose lag terms are rebuilt together: enough to spread the
-# per-call cost of the array operations, few enough to keep memory small
+# Permutations fitted together: enough columns for the matrix products to
+# pay, few enough that the (block, n) responses, fits and residuals stay
+# small next to the rest of a replicate's memory. A multiple of _LAG_CHUNK.
+_PERM_BLOCK = 64
+# permutations whose case-3 lag terms are rebuilt together
 _LAG_CHUNK = 8
 
 
-class _Case3Stat:
+class _PermutationStat:
+    """A test statistic with its block-permutation null.
+
+    :meth:`evaluate` fits the unpermuted statistic. Given a permutation
+    generator, it then draws all ``b2`` block permutations into one index
+    matrix and passes its columns, a block at a time, to the null of
+    :meth:`_observed`, which fits them together and returns their F
+    values; the count of those at or above F0 gives the p-value.
+    """
+
+    def evaluate(self, states_trim, g_trim, perm_rng=None, b2=0, block_len=0):
+        f0, edfs, null = self._observed(states_trim, g_trim)
+        p_b = None
+        if perm_rng is not None:
+            idx = block_permutation_indices(g_trim.shape[0], block_len, b2, perm_rng)
+            count = sum(
+                int(np.count_nonzero(null(idx[:, at : at + _PERM_BLOCK].T) >= f0.value))
+                for at in range(0, b2, _PERM_BLOCK)
+            )
+            p_b = (1 + count) / (b2 + 1)
+        return (f0, p_b) + edfs
+
+
+def _rows(fit) -> np.ndarray:
+    # the (n, m) fitted columns of fit_many as contiguous rows (m, n), the
+    # layout the F kernels sum in
+    return np.ascontiguousarray(fit.fitted.T)
+
+
+class _Case2Stat(_PermutationStat):
+    def __init__(self, smoother_settings):
+        self.settings = smoother_settings
+
+    def _observed(self, states_trim, g_trim):
+        design = AdditiveSmootherDesign(states_trim, self.settings)
+        fit = design.fit_values(g_trim)
+
+        def null(idx):
+            g_k = g_trim[idx]  # (m, n): one permutation per row
+            h_k = _rows(design.fit_many(g_k.T))
+            return _case2_columns(g_k[:, :, None], h_k[:, :, None])[0]
+
+        return f_stat_case2(g_trim, fit.fitted), (fit.edf, None), null
+
+
+class _Case3Stat(_PermutationStat):
     def __init__(self, times_trim, smoother_settings, delta):
         self.settings = smoother_settings
         self.times = times_trim
@@ -360,34 +476,32 @@ class _Case3Stat:
         groups = [tuple(range(m)), (m,)] if self.settings.interaction else None
         return AdditiveSmootherDesign(x1, self.settings, groups=groups)
 
-    def evaluate(self, states_trim, g_trim, perm_rng=None, b2=0, block_len=0):
+    def _observed(self, states_trim, g_trim):
+        rows = self.valid
         design0 = AdditiveSmootherDesign(states_trim, self.settings)
         h0 = design0.fit_values(g_trim)
         design1 = self.lag_design(states_trim, g_trim)
-        f0, h1_edf = self._stat(design1, g_trim, h0.fitted)
-        p_b = None
-        if perm_rng is not None:
-            eta = g_trim - h0.fitted
-            count = 0
-            for start in range(0, b2, _LAG_CHUNK):
-                g_ks = [
-                    h0.fitted + block_permute(eta, block_len, perm_rng)
-                    for _ in range(min(_LAG_CHUNK, b2 - start))
-                ]
-                # the states are fixed within a replicate: only the lag term
-                # changes across permutations, rebuilt a chunk at a time
-                lags = design1.with_last_columns([self._lagged(g_k) for g_k in g_ks])
-                for g_k, design1_k in zip(g_ks, lags):
-                    h0_k = design0.fit_values(g_k)
-                    f_k, _ = self._stat(design1_k, g_k, h0_k.fitted)
-                    if f_k.value >= f0.value:
-                        count += 1
-            p_b = (1 + count) / (b2 + 1)
-        return f0, p_b, h0.edf, h1_edf
+        h1 = design1.fit_values(g_trim[rows])
+        f0 = f_stat_case3(g_trim[rows], h0.fitted[rows], h1.fitted)
+        eta = g_trim - h0.fitted
 
-    def _stat(self, design1, g, h0_fitted):
-        h1 = design1.fit_values(g[self.valid])
-        return f_stat_case3(g[self.valid], h0_fitted[self.valid], h1.fitted), h1.edf
+        def null(idx):
+            # the null keeps h0(x_hat) and block-permutes eta = g - h0
+            g_k = eta[idx]  # (m, n): one permutation per row
+            g_k += h0.fitted
+            h0_k = _rows(design0.fit_many(g_k.T))
+            # each permutation has its own lag column, so its own h1 design;
+            # the states are fixed within a replicate, so only the lag term
+            # is rebuilt, a chunk at a time
+            h1_k = np.empty((g_k.shape[0], h1.fitted.size))
+            for at in range(0, g_k.shape[0], _LAG_CHUNK):
+                chunk = g_k[at : at + _LAG_CHUNK]
+                lags = design1.with_last_columns([self._lagged(g) for g in chunk])
+                for j, (g, design1_k) in enumerate(zip(chunk, lags), start=at):
+                    h1_k[j] = design1_k.fit_values(g[rows]).fitted
+            return _case3_columns(g_k[:, rows, None], h0_k[:, rows, None], h1_k[:, :, None])[0]
+
+        return f0, (h0.edf, h1.edf), null
 
 
 def _run_test(kind, series, system, config, pipeline):
@@ -511,8 +625,8 @@ def _run_test(kind, series, system, config, pipeline):
         theta=tuple(float(v) for v in theta),
         edf_h=float(edf_h),
         edf_h_alt=None if edf_alt is None else float(edf_alt),
-        g_spline=fit0.forcing.g.to_dict(),
-        xhat_spline=fit0.xhat.to_dict(),
+        g_spline=_spline_arrays(fit0.forcing.g),
+        xhat_spline=_spline_arrays(fit0.xhat),
         settings=settings_echo,
         version=__version__,
     )

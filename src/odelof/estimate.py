@@ -43,10 +43,11 @@ def quad_grid(times, per_spacing: int = 4) -> tuple[np.ndarray, np.ndarray]:
         raise ArgumentError("times must be 1-D and strictly increasing")
     if per_spacing < 1:
         raise ArgumentError(f"per_spacing must be >= 1, got {per_spacing}")
-    pieces = [
-        np.linspace(t[i], t[i + 1], per_spacing + 1)[:-1] for i in range(t.size - 1)
-    ]
-    nodes = np.concatenate(pieces + [t[-1:]])
+    # the arithmetic of np.linspace(t[i], t[i + 1], per_spacing + 1)[:-1],
+    # for all intervals at once
+    step = np.diff(t) / per_spacing
+    pieces = np.arange(per_spacing) * step[:, None] + t[:-1, None]
+    nodes = np.concatenate([pieces.ravel(), t[-1:]])
     h = np.diff(nodes)
     w = np.zeros(nodes.size)
     w[:-1] += 0.5 * h

@@ -15,6 +15,11 @@ whole term away (EDF -> 1 for pure-noise responses).
 The design is factorized once (thin QR + eigendecomposition of the
 reparameterized penalty), after which each response-only refit costs
 O(n k): the nested bootstrap/permutation loops depend on this.
+:meth:`AdditiveSmootherDesign.fit_values` fits one response, or several
+sharing one lambda; :meth:`AdditiveSmootherDesign.fit_many` fits the
+columns of a response matrix, such as the B2 block permutations of one
+replicate, each with its own GCV lambda, with matrix products over the
+(lambda, column) table.
 
 Case-3 permutations change one predictor as well: the lagged response,
 the design's last column. :meth:`AdditiveSmootherDesign.with_last_columns`
@@ -41,6 +46,8 @@ from .errors import ArgumentError, DegenerateDesignError
 from .splines import BSplineBasis, stacked_basis_values, stacked_derivative_gram
 
 _RIDGE_REL = 1e-10
+# response columns per block of fit_many's GCV ridge correction
+_CORR_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -437,23 +444,32 @@ class AdditiveSmootherDesign:
         blocks += [term.columns(x) for term in self.terms]
         return np.hstack(blocks)
 
-    def fit_values(self, responses) -> "SmootherFit":
-        """GCV-smoothed fit of new responses on the precomputed design."""
+    def _responses(self, responses) -> np.ndarray:
         y = np.asarray(responses, dtype=float)
-        one_d = y.ndim == 1
-        if one_d:
-            y = y[:, None]
         if y.shape[0] != self.n:
             raise ArgumentError(f"responses have {y.shape[0]} rows, design has {self.n}")
         if not np.all(np.isfinite(y)):
             raise ArgumentError("responses contain non-finite values")
+        return y
+
+    def _shrinkage(self):
+        # per-lambda shrinkage factors d (L, k), their squares and the EDF
+        if self._shrink is None:
+            d = 1.0 / (1.0 + self.lambda_grid[:, None] * self._eig[None, :])
+            self._shrink = (d, d * d, d @ self._edf_weights)
+        return self._shrink
+
+    def fit_values(self, responses) -> "SmootherFit":
+        """GCV-smoothed fit of new responses on the precomputed design.
+        The columns of 2-D responses share one lambda."""
+        y = self._responses(responses)
+        one_d = y.ndim == 1
+        if one_d:
+            y = y[:, None]
 
         z = self._v.T @ (self.design.T @ y)  # (k, m)
         lam = self.lambda_grid
-        if self._shrink is None:
-            d = 1.0 / (1.0 + lam[:, None] * self._eig[None, :])  # (L, k)
-            self._shrink = (d, d * d, d @ self._edf_weights)
-        d, d2, edf = self._shrink
+        d, d2, edf = self._shrinkage()
         yy = np.sum(y * y, axis=0)
         z2 = z * z
         rss = np.zeros(lam.size)
@@ -476,6 +492,42 @@ class AdditiveSmootherDesign:
             gcv=float(gcv[pick]),
         )
 
+    def fit_many(self, responses) -> "ColumnFits":
+        """GCV-smoothed fits of the columns of ``responses`` (n, m), each
+        with its own lambda: column j gets the fit ``fit_values`` gives
+        it alone, up to rounding.
+
+        The (lambda, column) table of RSS and GCV comes from matrix
+        products; the ridge correction eps * zT C z is built over chunks
+        of columns, which bounds its (L, chunk, k) temporaries.
+        """
+        y = self._responses(responses)
+        if y.ndim != 2:
+            raise ArgumentError(f"responses must be 2-D (n, m), got shape {y.shape}")
+        z = self._v.T @ (self.design.T @ y)  # (k, m)
+        lam = self.lambda_grid
+        d, d2, edf = self._shrinkage()
+        z2 = z * z
+        rss = np.einsum("ij,ij->j", y, y) - 2.0 * (d @ z2) + d2 @ z2  # (L, m)
+        for at in range(0, y.shape[1], _CORR_CHUNK):
+            cols = slice(at, at + _CORR_CHUNK)
+            dz = d[:, None, :] * z[:, cols].T[None, :, :]  # (L, chunk, k)
+            corr = dz @ self._gram_corr
+            corr *= dz
+            rss[:, cols] -= self.eps * np.sum(corr, axis=2)
+        rss = np.clip(rss, 0.0, None)
+        gcv = rss / ((self.n - edf) ** 2)[:, None]
+        pick = lam.size - 1 - np.argmin(gcv[::-1], axis=0)  # ties -> largest lambda
+
+        beta = self._v @ (d[pick].T * z)
+        return ColumnFits(
+            coefficients=beta,
+            fitted=self.design @ beta,
+            edf=edf[pick],
+            lam=lam[pick],
+            gcv=gcv[pick, np.arange(y.shape[1])],
+        )
+
 
 @dataclass(frozen=True)
 class SmootherFit:
@@ -484,6 +536,18 @@ class SmootherFit:
     edf: float
     lam: float
     gcv: float
+
+
+@dataclass(frozen=True)
+class ColumnFits:
+    """Per-column fits of :meth:`AdditiveSmootherDesign.fit_many`: one
+    entry of ``edf``, ``lam`` and ``gcv`` per response column."""
+
+    coefficients: np.ndarray  # (k, m)
+    fitted: np.ndarray  # (n, m)
+    edf: np.ndarray
+    lam: np.ndarray
+    gcv: np.ndarray
 
 
 @dataclass

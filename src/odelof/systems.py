@@ -348,13 +348,15 @@ def simulate_sde(
         dt = t_grid[i + 1] - t_grid[i]
         n_sub = max(1, math.ceil(dt / step - 1e-12))
         h = dt / n_sub
-        scale = np.sqrt(s2 * h)
+        # one draw per interval: the same stream as one draw per substep
+        noise = np.sqrt(s2 * h) * rng.standard_normal((n_sub, system.dim))
         t = t_grid[i]
-        for _ in range(n_sub):
+        for dw in noise:
             drift = np.asarray(system.rate(x, t, th, None), dtype=float)
-            x = x + drift * h + scale * rng.standard_normal(system.dim)
+            x = x + drift * h + dw
             t += h
-            if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > BLOWUP_LIMIT:
+            # also true for NaN and inf
+            if not np.abs(x).max() <= BLOWUP_LIMIT:
                 raise BlowupError(f"SDE simulation of {system.name} diverged at t={t:.6g}", t)
         out[i + 1] = x
     return Trajectory(t_grid, out)

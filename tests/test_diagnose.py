@@ -24,8 +24,18 @@ from odelof import (
     report_json,
     residual_bootstrap_resample,
 )
-from odelof.diagnose import _Case2Stat, _Case3Stat, _from_json_float, _json_float
-from odelof.smoothers import AdditiveSmootherDesign
+from odelof.diagnose import (
+    _FLAGS,
+    _Case2Stat,
+    _Case3Stat,
+    _case2_columns,
+    _case3_columns,
+    _from_json_float,
+    _json_float,
+    block_permutation_indices,
+)
+from odelof.pipeline import PipelineRunner
+from odelof.smoothers import AdditiveSmootherDesign, SmootherSettings
 
 
 class TestFStatistics:
@@ -72,6 +82,82 @@ class TestFStatistics:
             f_stat_case2([1.0], [1.0])
         with pytest.raises(ArgumentError, match="non-finite"):
             f_stat_case2([1.0, np.nan], [1.0, 2.0])
+
+
+class TestFStatColumns:
+    """The (m, n, d) kernels behind the scalar statistics."""
+
+    @staticmethod
+    def statistics(d):
+        rng = np.random.default_rng(d)
+        g = rng.standard_normal((5, 40, d))
+        h = 0.5 * g + 0.1 * rng.standard_normal((5, 40, d))
+        h1 = h + 0.1 * rng.standard_normal((5, 40, d))
+        g[1] = h[1] = h1[1] = 2.0  # zero_over_zero in both cases
+        h[2] = g[2]  # case 2: zero_denominator
+        h1[3] = g[3]  # case 3: zero_denominator
+        return g, h, h1
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_case2_columns_match_scalar(self, d):
+        g, h, _ = self.statistics(d)
+        values, codes = _case2_columns(g, h)
+        for j in range(g.shape[0]):
+            res = f_stat_case2(g[j], h[j])
+            assert values[j] == res.value
+            assert _FLAGS[codes[j]] == res.flag
+        assert [_FLAGS[c] for c in codes[:3]] == [None, "zero_over_zero", "zero_denominator"]
+        num = np.mean(np.sum((h[0] - h[0].mean(axis=0)) ** 2, axis=1))
+        den = np.mean(np.sum((g[0] - h[0]) ** 2, axis=1))
+        assert values[0] == pytest.approx(num / den, rel=1e-14)
+        assert values[1] == 0.0 and math.isinf(values[2])
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_case3_columns_match_scalar(self, d):
+        g, h0, h1 = self.statistics(d)
+        values, codes = _case3_columns(g, h0, h1)
+        for j in range(g.shape[0]):
+            res = f_stat_case3(g[j], h0[j], h1[j])
+            assert values[j] == res.value
+            assert _FLAGS[codes[j]] == res.flag
+        assert [_FLAGS[c] for c in codes[[0, 1, 3]]] == [None, "zero_over_zero", "zero_denominator"]
+        num = np.mean(np.sum((h1[0] - h0[0]) ** 2, axis=1))
+        den = np.mean(np.sum((g[0] - h1[0]) ** 2, axis=1))
+        assert values[0] == pytest.approx(num / den, rel=1e-14)
+
+    def test_kernels_leave_inputs_alone(self):
+        g, h0, h1 = self.statistics(1)
+        before = [a.copy() for a in (g, h0, h1)]
+        _case2_columns(g, h0)
+        _case3_columns(g, h0, h1)
+        for a, b in zip((g, h0, h1), before):
+            assert np.array_equal(a, b)
+
+
+class TestBlockPermutationIndices:
+    @pytest.mark.parametrize("n, block_len", [(60, 5), (63, 5), (7, 10), (9, 1)])
+    def test_columns_are_successive_block_permutes(self, n, block_len):
+        v = np.random.default_rng(0).standard_normal(n)
+        rng_a, rng_b = np.random.default_rng(12), np.random.default_rng(12)
+        idx = block_permutation_indices(n, block_len, 30, rng_a)
+        expected = np.column_stack([block_permute(v, block_len, rng_b) for _ in range(30)])
+        assert idx.shape == (n, 30)
+        assert np.array_equal(v[idx], expected)
+        # the generators drew the same stream
+        assert rng_a.random() == rng_b.random()
+
+    def test_short_final_block_moves_whole(self):
+        idx = block_permutation_indices(11, 4, 20, np.random.default_rng(5))
+        for col in idx.T:
+            assert np.array_equal(np.sort(col), np.arange(11))
+            at = int(np.flatnonzero(col == 8)[0])
+            assert np.array_equal(col[at : at + 3], [8, 9, 10])
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ArgumentError, match="block_len"):
+            block_permutation_indices(5, 0, 3, np.random.default_rng(0))
+        with pytest.raises(ArgumentError, match="nothing"):
+            block_permutation_indices(0, 2, 3, np.random.default_rng(0))
 
 
 class TestBlockPermute:
@@ -398,12 +484,58 @@ class TestCase3LagUpdate:
         # p-values of the full-rebuild implementation; both datasets have
         # permuted F values above and below F0, so a changed statistic or a
         # flipped comparison would move them
-        from odelof import config_from_dict
-        from odelof.power import diagnose_series, simulate_series
+        assert fixture_p_values(system, "case3") == p_values
 
-        config = config_from_dict({"system": system, "master_seed": 11, "test": {"b1": 4, "b2": 49}})
-        series = simulate_series(config, np.random.SeedSequence(11, spawn_key=(0, 0)))
-        report = diagnose_series(
-            config, series, "case3", np.random.SeedSequence(11, spawn_key=(1,))
+
+class TestCase2Batched:
+    @pytest.mark.parametrize(
+        "system, p_values",
+        [
+            ("linear2d", (0.16, 0.32, 0.3, 0.58)),
+            ("vanderpol", (0.02, 0.02, 0.02, 0.02)),
+        ],
+    )
+    def test_pinned_p_values(self, system, p_values):
+        # p-values of the per-permutation implementation: linear2d has
+        # permuted F values above and below F0; vanderpol sits at the floor
+        assert fixture_p_values(system, "case2") == p_values
+
+    def test_counts_match_per_permutation_fits(self, vdp_series):
+        # the batched null against one fit_values call per permutation
+        fit = PipelineRunner(vdp_series.times, builtin_system("linear2d")).run(vdp_series.values)
+        states, g = fit.state_obs[10:-10], fit.g_obs[10:-10]
+        stat = _Case2Stat(SmootherSettings())
+        f0, p_b, edf, _ = stat.evaluate(
+            states, g, perm_rng=np.random.default_rng(4), b2=99, block_len=9
         )
-        assert report.p_values == p_values
+        design = AdditiveSmootherDesign(states)
+        rng = np.random.default_rng(4)
+        f_k = []
+        for _ in range(99):
+            g_k = block_permute(g, 9, rng)
+            f_k.append(f_stat_case2(g_k, design.fit_values(g_k).fitted).value)
+        assert f0 == f_stat_case2(g, design.fit_values(g).fitted)
+        assert edf == design.fit_values(g).edf
+        assert p_b == (1 + sum(f >= f0.value for f in f_k)) / 100
+
+
+    def test_degenerate_ties_count_as_exceedances(self, vdp_series):
+        # a zero response fits exactly: F0 and every permuted F read 0/0
+        fit = PipelineRunner(vdp_series.times, builtin_system("linear2d")).run(vdp_series.values)
+        f0, p_b, _, _ = _Case2Stat(SmootherSettings()).evaluate(
+            fit.state_obs, np.zeros(vdp_series.times.size),
+            perm_rng=np.random.default_rng(0), b2=19, block_len=9,
+        )
+        assert f0 == (0.0, "zero_over_zero")
+        assert p_b == 1.0
+
+
+def fixture_p_values(system, kind):
+    """p-values of one test on the fixed-seed fixture of ``system``."""
+    from odelof import config_from_dict
+    from odelof.power import diagnose_series, simulate_series
+
+    config = config_from_dict({"system": system, "master_seed": 11, "test": {"b1": 4, "b2": 49}})
+    series = simulate_series(config, np.random.SeedSequence(11, spawn_key=(0, 0)))
+    report = diagnose_series(config, series, kind, np.random.SeedSequence(11, spawn_key=(1,)))
+    return report.p_values

@@ -72,6 +72,24 @@ class TestQuadGrid:
         nodes, w = quad_grid(t)
         assert w @ (3.0 * nodes + 1.0) == pytest.approx(8.0, rel=1e-12)
 
+    @pytest.mark.parametrize("per_spacing", range(1, 8))
+    @pytest.mark.parametrize("grid", ["uniform", "random", "exponential"])
+    def test_nodes_are_the_linspace_pieces(self, grid, per_spacing):
+        rng = np.random.default_rng(per_spacing)
+        t = {
+            "uniform": np.linspace(0.0, 55.0, 440),
+            "random": np.cumsum(rng.uniform(0.01, 1.0, 200)),
+            "exponential": -3.0 + np.cumsum(np.exp(np.linspace(-12.0, 6.0, 120))),
+        }[grid]
+        pieces = [
+            np.linspace(t[i], t[i + 1], per_spacing + 1)[:-1] for i in range(t.size - 1)
+        ]
+        expected = np.concatenate(pieces + [t[-1:]])
+        nodes, w = quad_grid(t, per_spacing)
+        assert nodes.tobytes() == expected.tobytes()
+        h = np.diff(expected)
+        assert w.tobytes() == (np.r_[0.5 * h, 0.0] + np.r_[0.0, 0.5 * h]).tobytes()
+
     def test_rejects_bad_input(self):
         with pytest.raises(ArgumentError):
             quad_grid(np.array([0.0, 0.0, 1.0]))

@@ -91,6 +91,52 @@ class TestGcvFit:
         assert a.lam == b.lam
 
 
+class TestFitMany:
+    @pytest.mark.parametrize("interaction", [False, True])
+    def test_columns_match_fit_values(self, crossed_data, interaction):
+        x, truth, y = crossed_data
+        rng = np.random.default_rng(2)
+        design = AdditiveSmootherDesign(x, SmootherSettings(interaction=interaction))
+        ys = np.column_stack(
+            [y, truth, 3.0 * truth + 1.0, np.zeros_like(y), np.full_like(y, 2.5)]
+            + [block_permute(y, 20, rng) for _ in range(30)]
+            + [rng.standard_normal(y.size) for _ in range(5)]
+        )
+        fits = design.fit_many(ys)
+        assert fits.fitted.shape == ys.shape
+        assert fits.coefficients.shape == (design.n_columns, ys.shape[1])
+        for j in range(ys.shape[1]):
+            one = design.fit_values(ys[:, j])
+            assert fits.lam[j] == one.lam
+            assert fits.edf[j] == one.edf
+            assert fits.gcv[j] == pytest.approx(one.gcv, rel=1e-10, abs=1e-300)
+            scale = max(np.max(np.abs(one.fitted)), 1.0)
+            assert_allclose(fits.fitted[:, j], one.fitted, rtol=0, atol=1e-12 * scale)
+        # an all-zero response ties GCV on the whole grid: the largest lambda
+        assert fits.lam[3] == design.lambda_grid[-1]
+        # each column has its own lambda
+        assert np.unique(fits.lam).size > 3
+
+    def test_one_column(self, sine_data):
+        x, y = sine_data
+        design = AdditiveSmootherDesign(x)
+        fits, one = design.fit_many(y[:, None]), design.fit_values(y)
+        assert fits.lam[0] == one.lam and fits.edf[0] == one.edf
+        assert_allclose(fits.fitted[:, 0], one.fitted, rtol=0, atol=1e-12)
+
+    def test_responses_are_checked(self, sine_data):
+        x, y = sine_data
+        design = AdditiveSmootherDesign(x)
+        with pytest.raises(ArgumentError, match="2-D"):
+            design.fit_many(y)
+        with pytest.raises(ArgumentError, match="rows"):
+            design.fit_many(np.zeros((10, 3)))
+        bad = np.column_stack([y, y])
+        bad[4, 1] = np.inf
+        with pytest.raises(ArgumentError, match="non-finite"):
+            design.fit_many(bad)
+
+
 class TestPredict:
     def test_predict_matches_fitted_at_training_points(self, sine_data):
         x, y = sine_data

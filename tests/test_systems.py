@@ -19,7 +19,8 @@ from odelof import (
     simulate_sde,
     with_forcing,
 )
-from odelof.systems import forced_rate
+from odelof.rng import rng_from
+from odelof.systems import BLOWUP_LIMIT, DynamicalSystem, forced_rate
 
 # independently computed reference: Rossler (a, b, c) = (0.2, 0.2, 3),
 # x0 = (1, 1, 0), state at t = 10
@@ -144,6 +145,60 @@ class TestSde:
         sys = builtin_system("vanderpol")
         with pytest.raises(ArgumentError, match="seed"):
             simulate_sde(sys, (0.25, 4.0), 0.01, (0.0, 2.0), [0.0, 1.0])
+
+
+def sde_reference(system, theta, sigma2, x0, times, step, seed):
+    """Euler-Maruyama with one normal draw per substep, the path
+    simulate_sde must reproduce bit for bit."""
+    rng = rng_from(seed)
+    th = np.asarray(theta, dtype=float)
+    s2 = np.broadcast_to(np.asarray(sigma2, dtype=float), (system.dim,))
+    x = np.asarray(x0, dtype=float)
+    out = [x]
+    for a, b in zip(times[:-1], times[1:]):
+        n_sub = max(1, int(np.ceil((b - a) / step - 1e-12)))
+        h = (b - a) / n_sub
+        t = a
+        for _ in range(n_sub):
+            drift = np.asarray(system.rate(x, t, th, None), dtype=float)
+            x = x + drift * h + np.sqrt(s2 * h) * rng.standard_normal(system.dim)
+            t += h
+            if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > BLOWUP_LIMIT:
+                raise BlowupError("diverged", t)
+        out.append(x)
+    return np.array(out)
+
+
+class TestSdeReference:
+    @pytest.mark.parametrize(
+        "name, x0, sigma2",
+        [("vanderpol", (0.0, 2.0), 0.01), ("rossler", (1.0, 1.0, 0.0), (0.02, 0.01, 0.0))],
+    )
+    def test_path_matches_per_step_draws(self, name, x0, sigma2):
+        sys = builtin_system(name)
+        # uneven spacing: the substep count differs between intervals
+        times = np.cumsum(np.r_[0.0, np.random.default_rng(4).uniform(0.01, 0.2, 60)])
+        traj = simulate_sde(sys, sys.theta_default, sigma2, x0, times, step=0.007, seed=21)
+        ref = sde_reference(sys, sys.theta_default, sigma2, x0, times, 0.007, 21)
+        assert traj.states.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "rate",
+        [
+            lambda x, t, th, g: th[0] * x,  # grows past the limit
+            lambda x, t, th, g: np.full(2, np.nan) if t > 0.3 else -x,  # NaN
+            lambda x, t, th, g: np.full(2, np.inf) if t > 0.3 else -x,  # inf
+        ],
+        ids=["limit", "nan", "inf"],
+    )
+    def test_blowup_time_matches_per_step_draws(self, rate):
+        sys = DynamicalSystem(name="diverging", dim=2, n_params=1, rate=rate)
+        times = np.linspace(0.0, 40.0, 81)
+        with pytest.raises(BlowupError) as ref:
+            sde_reference(sys, (1.0,), 0.01, (1.0, 1.0), times, 0.01, 8)
+        with pytest.raises(BlowupError) as exc:
+            simulate_sde(sys, (1.0,), 0.01, (1.0, 1.0), times, step=0.01, seed=8)
+        assert exc.value.time == ref.value.time
 
 
 class TestObserve:
