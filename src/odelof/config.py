@@ -480,6 +480,30 @@ def _validate(cfg: dict, source: str) -> None:
         and all(isinstance(x, bool) for x in sm["theta_free"])
     ):
         _fail(source, "smoothing.theta_free", "must be a list of booleans")
+    if model is not None:
+        proposed = builtin_system(model)
+        if forcing is not None:
+            mode = forcing["mode"]
+            size, what = (
+                (proposed.dim, "coordinates")
+                if mode == "additive"
+                else (proposed.n_params, "parameters")
+            )
+            if forcing["target"] > size:
+                _fail(
+                    source,
+                    "forcing.target",
+                    f"must lie in 1..{size} ({model} has {size} {what} for {mode} forcing), "
+                    f"got {forcing['target']}",
+                )
+        for key in ("theta_init", "theta_free"):
+            v = sm[key]
+            if v is not None and len(v) != proposed.n_params:
+                _fail(
+                    source,
+                    f"smoothing.{key}",
+                    f"has {len(v)} entries, {model} expects {proposed.n_params}",
+                )
 
     t = cfg["test"]
     for key in ("b1", "b2"):

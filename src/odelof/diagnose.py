@@ -141,8 +141,9 @@ def block_permutation_indices(
 
     Column j reorders the consecutive blocks of ``block_len`` rows (a
     final short block moves along with the full ones) by the j-th of
-    ``count`` successive ``rng.permutation`` draws, so the columns are the
-    rows that ``count`` successive :func:`block_permute` calls take.
+    ``count`` successive ``rng.permutation(n_blocks)`` draws. One
+    ``rng.permuted`` call over ``count`` stacked ranges makes the same
+    draws, row by row, and leaves the generator in the same state.
     """
     if block_len < 1:
         raise ArgumentError(f"block_len must be >= 1, got {block_len}")
@@ -151,8 +152,7 @@ def block_permutation_indices(
     n_blocks = -(-n // block_len)
     starts = np.arange(n_blocks) * block_len
     sizes = np.minimum(block_len, n - starts)
-    orders = np.array([rng.permutation(n_blocks) for _ in range(count)], dtype=np.intp)
-    orders = orders.reshape(count, n_blocks)
+    orders = rng.permuted(np.tile(np.arange(n_blocks), (count, 1)), axis=1)
     lens = sizes[orders]
     # output row p of a block that starts at output row s and source row
     # b is source row p + (b - s)

@@ -6,9 +6,14 @@ functions here match model rates to the smooth's derivative:
 * :func:`gradient_match` minimizes the weighted quadrature approximation of
   ``integral ||dx_hat/dt - f(x_hat; t, theta)||^2`` over theta, in closed
   form when f is affine in theta and by damped Gauss-Newton otherwise.
-* :func:`estimate_forcing` then estimates g(t) = Psi(t) D with theta held
+* :class:`ForcingOperator` then estimates g(t) = Psi(t) D with theta held
   fixed, either added to one coordinate's equation (closed form) or
-  replacing one parameter (Gauss-Newton on D).
+  replacing one parameter (Gauss-Newton on D). One operator serves every
+  refit on a grid: the quadrature, Psi at its nodes and the penalty are
+  built once, and a replacement-mode Gauss-Newton step solves K x K banded
+  normal equations (K basis functions, bandwidth the g order) instead of
+  a least-squares problem over every quadrature row.
+  :func:`estimate_forcing` is a one-off operator.
 
 ``x_hat`` arguments are callables ``x_hat(t, deriv)`` returning state values
 or their time derivative; a SplineFunction qualifies.
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solveh_banded
 
 from .errors import ArgumentError, ConvergenceError, RankError
 from .rng import SeedLike, rng_from
@@ -325,11 +330,33 @@ class ForcingEstimate:
 
 
 class ForcingOperator:
-    """Cached closed-form additive forcing estimator for a fixed grid.
+    """Forcing estimator for one system, g basis, grid and penalty.
 
-    The forcing design, quadrature, and normal-equation factorization
-    depend only on (g_basis, times, penalty), so bootstrap replicates that
-    share the observation grid reuse one instance.
+    Everything that depends only on (system, g_basis, times, penalty) is
+    built once, so bootstrap replicates that share the observation grid
+    reuse one instance: the quadrature nodes and weights and the design
+    Psi of g at the nodes.
+
+    Additive mode solves the penalized least-squares problem in closed
+    form from a Cholesky factor of ``Psi^T W Psi + penalty * P`` (P the
+    curvature Gram of the g basis), also built once.
+
+    Parameter-replacement mode runs Gauss-Newton on the coefficients D,
+    started at the constant function equal to the replaced parameter's
+    value. Residual row (q, d) is ``sqrt(w_q) (dx_d - f_d(x, g))`` at node
+    q, so its Jacobian row is ``a_qd psi_q`` with ``a = -sqrt(w) df/dg``
+    (a central difference) and ``psi_q`` row q of Psi. The step solves the
+    normal equations ``(Psi^T diag(c) Psi + penalty P) step = Psi^T s +
+    penalty P D`` with ``c_q = sum_d a_qd^2`` and ``s_q = sum_d a_qd r_qd``.
+    A row of Psi has ``order`` consecutive nonzeros, so both sides are
+    accumulated from those nonzeros (kept once, with their first column)
+    into the (order, K) upper band of the K x K system, and the step comes
+    from a banded Cholesky solve. The penalty band is built once too. A
+    coefficient that no residual row depends on (a zero on the diagonal,
+    no penalty) makes the system singular: RankError. If the Cholesky
+    fails otherwise, the normal equations have lost a direction to
+    rounding (g far out, where the rate is nearly flat in it), and that
+    step is the least-squares solve over all rows instead.
     """
 
     def __init__(
@@ -340,17 +367,24 @@ class ForcingOperator:
         penalty: float = 0.0,
         quad_per_spacing: int = 4,
     ):
-        if system.forcing is None or system.forcing.mode != "additive":
-            raise ArgumentError("ForcingOperator requires a system with additive forcing")
+        if system.forcing is None:
+            raise ArgumentError(f"system {system.name} has no forcing specification")
         if not np.isfinite(penalty) or penalty < 0:
             raise ArgumentError(f"penalty must be nonnegative, got {penalty!r}")
         self.system = system
         self.basis = g_basis
         self.nodes, self.weights = quad_grid(times, quad_per_spacing)
         self.psi = g_basis.design_matrix(self.nodes)
+        pen = penalty * g_basis.penalty_gram(2) if penalty > 0 else None
+        if system.forcing.mode == "additive":
+            self._factor_additive(pen)
+        else:
+            self._band_replacement(pen)
+
+    def _factor_additive(self, pen: Optional[np.ndarray]):
         gram = self.psi.T @ (self.weights[:, None] * self.psi)
-        if penalty > 0:
-            gram = gram + penalty * g_basis.penalty_gram(2)
+        if pen is not None:
+            gram = gram + pen
         try:
             self._factor = cho_factor(gram)
         except np.linalg.LinAlgError:
@@ -358,9 +392,57 @@ class ForcingOperator:
                 "forcing design is singular; refine the quadrature or add a penalty"
             ) from None
 
-    def fit(self, xhat, theta) -> ForcingEstimate:
+    def _band_replacement(self, pen: Optional[np.ndarray]):
+        order, size = self.basis.order, self.basis.size
+        self._sqrt_w = np.sqrt(self.weights)
+        # the nonzeros of row q of Psi sit in columns first_q .. first_q + order - 1
+        first = np.searchsorted(self.basis.breakpoints, self.nodes, side="right") - 1
+        self._cols = np.clip(first, 0, size - order)[:, None] + np.arange(order)
+        self._vals = np.take_along_axis(self.psi, self._cols, axis=1)
+        # entry (i, j), i <= j, of a symmetric banded matrix sits at
+        # [order - 1 + i - j, j] of its upper band; flat band indices and
+        # the Psi products of every pair (i, j) of one row's nonzeros
+        ia, ib = np.triu_indices(order)
+        self._band_at = ((order - 1 - (ib - ia)) * size + self._cols[:, ib]).ravel()
+        self._band_psi = self._vals[:, ia] * self._vals[:, ib]
+        self._pen = pen
+        if pen is not None:
+            self._pen_band = np.zeros((order, size))
+            for k in range(order):
+                self._pen_band[order - 1 - k, k:] = np.diagonal(pen, k)
+            # penalty rows R with R^T R = pen, for the dense fallback step
+            w, v = np.linalg.eigh(pen)
+            self._pen_root = (v * np.sqrt(np.clip(w, 0.0, None))).T
+
+    def fit(
+        self, xhat, theta, max_iter: int = _GN_MAX_ITER, tol: float = _GN_TOL
+    ) -> ForcingEstimate:
+        """Estimate g at ``theta`` for the smooth ``xhat(t, deriv)``.
+
+        ``max_iter`` and ``tol`` bound the replacement-mode Gauss-Newton
+        (it stops on a relative change of the objective below ``tol``).
+
+        Raises
+        ------
+        RankError
+            In replacement mode, if a Gauss-Newton system is singular: the
+            rate does not depend on the replaced parameter over the support
+            of some g basis function, and no penalty ties that coefficient
+            to its neighbours.
+        """
+        system = self.system
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (system.n_params,):
+            raise ArgumentError(
+                f"theta must have shape ({system.n_params},), got {theta.shape}"
+            )
+        x, dx = _state_on_grid(xhat, self.nodes, system.dim)
+        if system.forcing.mode == "additive":
+            return self._fit_additive(x, dx, theta)
+        return self._fit_replacement(x, dx, theta, max_iter, tol)
+
+    def _fit_additive(self, x, dx, theta) -> ForcingEstimate:
         target = self.system.forcing.target - 1
-        x, dx = _state_on_grid(xhat, self.nodes, self.system.dim)
         resid = dx[:, target] - rate_values(self.system, x, self.nodes, theta)[:, target]
         coef = cho_solve(self._factor, self.psi.T @ (self.weights * resid))
         post = resid - self.psi @ coef
@@ -372,6 +454,99 @@ class ForcingOperator:
             objective_unforced=float(self.weights @ resid**2),
             converged=True,
             n_iter=1,
+        )
+
+    def _g_values(self, coef: np.ndarray) -> np.ndarray:
+        return np.einsum("qk,qk->q", self._vals, coef[self._cols])
+
+    def _step(self, coef: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Gauss-Newton step for residual rows ``r`` (nq, d) whose Jacobian
+        row (q, d) is ``a[q, d] * psi_q``, with the penalty rows when the
+        penalty is nonzero: the least-squares solution of J step = r."""
+        order, size = self.basis.order, self.basis.size
+        c = np.einsum("qd,qd->q", a, a)
+        s = np.einsum("qd,qd->q", a, r)
+        band = np.bincount(
+            self._band_at, weights=(self._band_psi * c[:, None]).ravel(), minlength=order * size
+        ).reshape(order, size)
+        rhs = np.bincount(
+            self._cols.ravel(), weights=(self._vals * s[:, None]).ravel(), minlength=size
+        )
+        if self._pen is not None:
+            band += self._pen_band
+            rhs += self._pen @ coef
+        try:
+            return solveh_banded(band, rhs, check_finite=False)
+        except np.linalg.LinAlgError:
+            pass
+        if not band[-1].all():
+            raise RankError(
+                "replacement-forcing Gauss-Newton system is singular: the rate does "
+                "not depend on the replaced parameter over the support of a g basis "
+                "function"
+            )
+        # positive definite in exact arithmetic, not in rounding: g has run to
+        # where the rate barely depends on it, and squaring the Jacobian's
+        # condition number lost that direction; solve over the rows instead
+        return self._dense_step(coef, a, r)
+
+    def _dense_step(self, coef: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray:
+        jac = (a[:, :, None] * self.psi[:, None, :]).reshape(-1, self.basis.size)
+        rhs = r.reshape(-1)
+        if self._pen is not None:
+            jac = np.vstack([jac, self._pen_root])
+            rhs = np.concatenate([rhs, self._pen_root @ coef])
+        return np.linalg.lstsq(jac, rhs, rcond=None)[0]
+
+    def _fit_replacement(self, x, dx, theta, max_iter, tol) -> ForcingEstimate:
+        system, nodes, sw = self.system, self.nodes, self._sqrt_w
+
+        def residual(coef):
+            g = self._g_values(coef)
+            r = sw[:, None] * (dx - rate_values(system, x, nodes, theta, g))
+            flat = r.reshape(-1)
+            obj = float(flat @ flat)
+            if self._pen is not None:
+                obj += float(coef @ (self._pen @ coef))
+            return r, g, obj
+
+        replaced = theta[system.forcing.target - 1]
+        coef = np.full(self.basis.size, replaced, dtype=float)  # partition of unity
+        r, g, obj = residual(coef)
+        if not np.all(np.isfinite(r)):
+            raise ConvergenceError("replacement forcing start produced non-finite residuals")
+        obj_unforced = obj
+        converged = False
+        it = 0
+        for it in range(1, max_iter + 1):
+            dgh = 1e-6 * max(1.0, float(np.abs(g).max()))
+            fp = rate_values(system, x, nodes, theta, g + dgh)
+            fm = rate_values(system, x, nodes, theta, g - dgh)
+            a = -sw[:, None] * ((fp - fm) / (2.0 * dgh))
+            step = self._step(coef, a, r)
+            scale = 1.0
+            improved = False
+            while scale > 1e-4:
+                trial = coef - scale * step
+                r_t, g_t, obj_t = residual(trial)
+                if np.all(np.isfinite(r_t)) and obj_t <= obj:
+                    if abs(obj - obj_t) <= tol * max(obj, 1e-300):
+                        converged = True
+                    coef, r, g, obj = trial, r_t, g_t, obj_t
+                    improved = True
+                    break
+                scale *= 0.5
+            if converged or not improved:
+                converged = converged or not improved
+                break
+        return ForcingEstimate(
+            g=SplineFunction(self.basis, coef),
+            mode="parameter_replacement",
+            target=system.forcing.target,
+            objective=obj,
+            objective_unforced=obj_unforced,
+            converged=converged,
+            n_iter=it,
         )
 
 
@@ -386,86 +561,7 @@ def estimate_forcing(
     max_iter: int = _GN_MAX_ITER,
     tol: float = _GN_TOL,
 ) -> ForcingEstimate:
-    """Estimate the empirical forcing for a fitted model.
-
-    Additive mode solves a penalized least-squares problem in closed form;
-    parameter-replacement mode runs Gauss-Newton on the coefficients D,
-    started at the constant function equal to the replaced parameter's
-    current value.
-    """
-    if system.forcing is None:
-        raise ArgumentError(f"system {system.name} has no forcing specification")
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (system.n_params,):
-        raise ArgumentError(
-            f"theta must have shape ({system.n_params},), got {theta.shape}"
-        )
-    if system.forcing.mode == "additive":
-        op = ForcingOperator(system, g_basis, times, penalty, quad_per_spacing)
-        return op.fit(xhat, theta)
-
-    nodes, w = quad_grid(times, quad_per_spacing)
-    x, dx = _state_on_grid(xhat, nodes, system.dim)
-    psi = g_basis.design_matrix(nodes)
-    sw = np.sqrt(w)
-    if penalty > 0:
-        pen_w, pen_v = np.linalg.eigh(g_basis.penalty_gram(2))
-        pen_root = (pen_v * np.sqrt(np.clip(pen_w, 0.0, None))).T * np.sqrt(penalty)
-    else:
-        pen_root = None
-
-    def residual(coef):
-        g = psi @ coef
-        r = (sw[:, None] * (dx - rate_values(system, x, nodes, theta, g))).reshape(-1)
-        if pen_root is not None:
-            r = np.concatenate([r, pen_root @ coef])
-        return r
-
-    replaced = theta[system.forcing.target - 1]
-    coef = np.full(g_basis.size, replaced, dtype=float)  # partition of unity
-    r = residual(coef)
-    if not np.all(np.isfinite(r)):
-        raise ConvergenceError("replacement forcing start produced non-finite residuals")
-    obj_unforced = float(r @ r)
-    obj = obj_unforced
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        dgh = 1e-6 * max(1.0, float(np.abs(psi @ coef).max()))
-        gp = psi @ coef + dgh
-        gm = psi @ coef - dgh
-        fp = rate_values(system, x, nodes, theta, gp)
-        fm = rate_values(system, x, nodes, theta, gm)
-        df_dg = (fp - fm) / (2.0 * dgh)  # (nq, d)
-        jac = -(sw[:, None] * df_dg).reshape(-1)[:, None] * np.repeat(
-            psi, system.dim, axis=0
-        )
-        if pen_root is not None:
-            jac = np.vstack([jac, pen_root])
-        step, *_ = np.linalg.lstsq(jac, r, rcond=None)
-        scale = 1.0
-        improved = False
-        while scale > 1e-4:
-            trial = coef - scale * step
-            r_t = residual(trial)
-            if np.all(np.isfinite(r_t)):
-                obj_t = float(r_t @ r_t)
-                if obj_t <= obj:
-                    if abs(obj - obj_t) <= tol * max(obj, 1e-300):
-                        converged = True
-                    coef, r, obj = trial, r_t, obj_t
-                    improved = True
-                    break
-            scale *= 0.5
-        if converged or not improved:
-            converged = converged or not improved
-            break
-    return ForcingEstimate(
-        g=SplineFunction(g_basis, coef),
-        mode="parameter_replacement",
-        target=system.forcing.target,
-        objective=obj,
-        objective_unforced=obj_unforced,
-        converged=converged,
-        n_iter=it,
-    )
+    """Estimate the empirical forcing for a fitted model: a one-off
+    :class:`ForcingOperator` (see there for both modes)."""
+    op = ForcingOperator(system, g_basis, times, penalty, quad_per_spacing)
+    return op.fit(xhat, theta, max_iter, tol)

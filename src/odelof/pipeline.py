@@ -2,7 +2,8 @@
 
 The diagnostic tests refit this pipeline on every bootstrap replicate, so
 the pieces that depend only on the observation grid (smoothing design and
-factorization, quadrature, forcing design) are built once by
+factorization, and the :class:`~odelof.estimate.ForcingOperator` with its
+quadrature, forcing design and factor or penalty band) are built once by
 :class:`PipelineRunner` and reused.
 """
 
@@ -18,7 +19,6 @@ from .estimate import (
     ForcingEstimate,
     ForcingOperator,
     GradientMatchFit,
-    estimate_forcing,
     gradient_match,
     gradient_match_order2,
 )
@@ -91,9 +91,10 @@ class PipelineRunner:
     times : array
         Observation grid shared by every data set this runner will fit.
     system : DynamicalSystem
-        Proposed model, including its ForcingSpec. Ignored for the
-        second-order pipeline, which always fits the five-regressor model
-        x'' = a + b x' + c x + d x^2 + e x (x')^2 with an additive forcing.
+        Proposed model, including its ForcingSpec (required). Ignored for
+        the second-order pipeline, which always fits the five-regressor
+        model x'' = a + b x' + c x + d x^2 + e x (x')^2 with an additive
+        forcing.
     """
 
     def __init__(self, times, system: DynamicalSystem, settings: Optional[PipelineSettings] = None):
@@ -113,11 +114,9 @@ class PipelineRunner:
             self.system = system
             if self.system is None:
                 raise ArgumentError("a proposed model system is required")
-        self._forcing_op = None
-        if self.system.forcing is not None and self.system.forcing.mode == "additive":
-            self._forcing_op = ForcingOperator(
-                self.system, self.g_basis, t, s.g_penalty, s.quad_per_spacing
-            )
+        self._forcing_op = ForcingOperator(
+            self.system, self.g_basis, t, s.g_penalty, s.quad_per_spacing
+        )
 
     def run(self, values) -> PipelineFit:
         """Smooth the data, match theta, and estimate the forcing."""
@@ -162,18 +161,7 @@ class PipelineRunner:
             raise PipelineError(f"gradient matching failed: {exc}", stage="match") from exc
 
         try:
-            if self._forcing_op is not None:
-                forcing = self._forcing_op.fit(state, match.theta)
-            else:
-                forcing = estimate_forcing(
-                    state,
-                    self.system,
-                    match.theta,
-                    self.g_basis,
-                    self.times,
-                    penalty=s.g_penalty,
-                    quad_per_spacing=s.quad_per_spacing,
-                )
+            forcing = self._forcing_op.fit(state, match.theta)
         except OdelofError as exc:
             raise PipelineError(f"forcing estimation failed: {exc}", stage="forcing") from exc
 

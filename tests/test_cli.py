@@ -240,6 +240,40 @@ class TestArgumentHandling:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            (
+                {"system": "vanderpol", "forcing": {"mode": "additive", "target": 5}},
+                "forcing.target must lie in 1..2 (linear2d has 2 coordinates",
+            ),
+            (
+                {
+                    "system": "rosenzweig_macarthur_log",
+                    "forcing": {"mode": "parameter_replacement", "target": 8},
+                },
+                "forcing.target must lie in 1..7 (rosenzweig_macarthur_log has 7 parameters",
+            ),
+            (
+                {"system": "rosenzweig_macarthur_log", "smoothing": {"theta_init": [1.0, 6.0]}},
+                "smoothing.theta_init has 2 entries, rosenzweig_macarthur_log expects 7",
+            ),
+            (
+                {"system": "vanderpol", "smoothing": {"theta_free": [True, False]}},
+                "smoothing.theta_free has 2 entries, linear2d expects 4",
+            ),
+        ],
+    )
+    def test_model_settings_are_checked_against_the_model(
+        self, tmp_path, capsys, override, message
+    ):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"master_seed": 1, **override}))
+        code = cli.main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCsvDataSource:
     def test_csv_config_diagnoses_the_simulated_file(self, tmp_path):

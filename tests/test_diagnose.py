@@ -146,6 +146,19 @@ class TestBlockPermutationIndices:
         # the generators drew the same stream
         assert rng_a.random() == rng_b.random()
 
+    @pytest.mark.parametrize("n, block_len", [(60, 5), (63, 5), (7, 10), (9, 1)])
+    def test_orders_are_successive_permutation_draws(self, n, block_len):
+        n_blocks = -(-n // block_len)
+        rng_a, rng_b = np.random.default_rng(12), np.random.default_rng(12)
+        idx = block_permutation_indices(n, block_len, 30, rng_a)
+        blocks = [np.arange(n)[k * block_len : (k + 1) * block_len] for k in range(n_blocks)]
+        expected = np.column_stack(
+            [np.concatenate([blocks[k] for k in rng_b.permutation(n_blocks)]) for _ in range(30)]
+        )
+        assert np.array_equal(idx, expected)
+        # the next draw of both generators agrees
+        assert rng_a.random() == rng_b.random()
+
     def test_short_final_block_moves_whole(self):
         idx = block_permutation_indices(11, 4, 20, np.random.default_rng(5))
         for col in idx.T:
@@ -530,12 +543,34 @@ class TestCase2Batched:
         assert p_b == 1.0
 
 
-def fixture_p_values(system, kind):
-    """p-values of one test on the fixed-seed fixture of ``system``."""
+class TestReplacementForcingFixture:
+    @pytest.mark.parametrize(
+        "kind, p_values, f0",
+        [
+            ("case2", (0.14, 0.06, 0.16, 0.02), 1.692443963003649),
+            ("case3", (0.1, 0.08, 0.18, 0.06), 0.40317506384153917),
+        ],
+    )
+    def test_pinned_p_values(self, kind, p_values, f0):
+        # p-values and F0 of the dense least-squares Gauss-Newton step on
+        # rosenzweig_macarthur_log (parameter-replacement forcing); the
+        # banded normal-equation step moves the refits only by rounding
+        report = fixture_report("rosenzweig_macarthur_log", kind)
+        assert report.n_failed == 0
+        assert report.p_values == p_values
+        assert report.f0 == pytest.approx(f0, rel=1e-9)
+
+
+def fixture_report(system, kind):
+    """Report of one test on the fixed-seed fixture of ``system``."""
     from odelof import config_from_dict
     from odelof.power import diagnose_series, simulate_series
 
     config = config_from_dict({"system": system, "master_seed": 11, "test": {"b1": 4, "b2": 49}})
     series = simulate_series(config, np.random.SeedSequence(11, spawn_key=(0, 0)))
-    report = diagnose_series(config, series, kind, np.random.SeedSequence(11, spawn_key=(1,)))
-    return report.p_values
+    return diagnose_series(config, series, kind, np.random.SeedSequence(11, spawn_key=(1,)))
+
+
+def fixture_p_values(system, kind):
+    """p-values of one test on the fixed-seed fixture of ``system``."""
+    return fixture_report(system, kind).p_values

@@ -6,12 +6,16 @@ from numpy.testing import assert_allclose
 
 from odelof import (
     ArgumentError,
+    DynamicalSystem,
+    ForcingOperator,
     ForcingSpec,
+    PipelineError,
     PipelineRunner,
     PipelineSettings,
     RankError,
     SmoothingOperator,
     builtin_system,
+    config_from_dict,
     estimate_forcing,
     gradient_match,
     gradient_match_order2,
@@ -21,6 +25,10 @@ from odelof import (
     quad_grid,
     with_forcing,
 )
+from odelof.diagnose import residual_bootstrap_resample
+from odelof.power import diagnose_series, simulate_series
+from odelof.rng import rng_from
+from odelof.systems import rate_values
 
 LINEAR_THETA = np.array([0.0, -1.0, 1.0, 0.0])
 TIMES = np.linspace(0.0, 55.0, 440)
@@ -241,3 +249,159 @@ class TestPipelineNull:
         interior = np.linspace(4.0, 51.0, 400)
         g = np.asarray(run.forcing.g(interior), dtype=float)
         assert np.sqrt(np.mean(g**2)) <= 0.01
+
+
+def dense_replacement_forcing(xhat, system, theta, g_basis, times, penalty=0.0):
+    """Parameter-replacement Gauss-Newton whose step is one dense
+    least-squares solve over every quadrature row (and the penalty rows):
+    the reference for the banded normal-equation step."""
+    nodes, w = quad_grid(times)
+    x, dx = xhat(nodes, 0), xhat(nodes, 1)
+    psi = g_basis.design_matrix(nodes)
+    sw = np.sqrt(w)
+    pen_root = penalty_root(g_basis, penalty)
+
+    def residual(coef):
+        r = (sw[:, None] * (dx - rate_values(system, x, nodes, theta, psi @ coef))).reshape(-1)
+        return r if pen_root is None else np.concatenate([r, pen_root @ coef])
+
+    coef = np.full(g_basis.size, theta[system.forcing.target - 1])
+    r = residual(coef)
+    obj = float(r @ r)
+    converged = False
+    for it in range(1, 101):
+        jac = dense_jacobian(system, x, nodes, theta, psi, sw, coef, pen_root)[0]
+        step = np.linalg.lstsq(jac, r, rcond=None)[0]
+        scale, improved = 1.0, False
+        while scale > 1e-4:
+            trial = coef - scale * step
+            r_t = residual(trial)
+            obj_t = float(r_t @ r_t)
+            if np.all(np.isfinite(r_t)) and obj_t <= obj:
+                converged = abs(obj - obj_t) <= 1e-10 * max(obj, 1e-300)
+                coef, r, obj, improved = trial, r_t, obj_t, True
+                break
+            scale *= 0.5
+        if converged or not improved:
+            return coef, obj, True, it
+    return coef, obj, False, it
+
+
+def penalty_root(g_basis, penalty):
+    if penalty == 0:
+        return None
+    vals, vecs = np.linalg.eigh(g_basis.penalty_gram(2))
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))).T * np.sqrt(penalty)
+
+
+def dense_jacobian(system, x, nodes, theta, psi, sw, coef, pen_root):
+    """Explicit Jacobian of the weighted replacement residuals in the g
+    coefficients (central difference in g), with the penalty rows, and the
+    per-row factors a = -sqrt(w) df/dg it is built from."""
+    g = psi @ coef
+    h = 1e-6 * max(1.0, float(np.abs(g).max()))
+    fp = rate_values(system, x, nodes, theta, g + h)
+    df = (fp - rate_values(system, x, nodes, theta, g - h)) / (2.0 * h)
+    a = -sw[:, None] * df
+    jac = (a[:, :, None] * psi[:, None, :]).reshape(-1, psi.shape[1])
+    if pen_root is not None:
+        jac = np.vstack([jac, pen_root])
+    return jac, a
+
+
+@pytest.fixture(scope="module")
+def rmlog():
+    config = config_from_dict({"system": "rosenzweig_macarthur_log", "master_seed": 1})
+    series = simulate_series(config, np.random.SeedSequence(1).spawn(1)[0])
+    runner = PipelineRunner(series.times, config.model_system(), config.pipeline_settings())
+    return series, runner, runner.run(series.values)
+
+
+class TestReplacementForcing:
+    @pytest.mark.parametrize("penalty", [0.0, 0.5])
+    def test_step_is_the_dense_least_squares_step(self, rmlog, penalty):
+        series, runner, base = rmlog
+        system, theta = runner.system, base.match.theta
+        op = ForcingOperator(system, runner.g_basis, series.times, penalty)
+        x, dx = base.xhat(op.nodes, 0), base.xhat(op.nodes, 1)
+        sw = np.sqrt(op.weights)
+        rng = np.random.default_rng(4)
+        pen_root = penalty_root(runner.g_basis, penalty)
+        for _ in range(3):
+            coef = theta[6] * (1.0 + 0.2 * rng.standard_normal(runner.g_basis.size))
+            g = op.psi @ coef
+            jac, a = dense_jacobian(system, x, op.nodes, theta, op.psi, sw, coef, pen_root)
+            r = sw[:, None] * (dx - rate_values(system, x, op.nodes, theta, g))
+            rhs = r.reshape(-1)
+            if pen_root is not None:
+                rhs = np.concatenate([rhs, pen_root @ coef])
+            dense = np.linalg.lstsq(jac, rhs, rcond=None)[0]
+            banded = op._step(coef, a, r)
+            assert np.abs(banded - dense).max() <= 1e-10 * np.abs(dense).max()
+
+    def test_refits_repeat_the_dense_iteration_counts(self, rmlog):
+        series, runner, base = rmlog
+        counts, reference = [], []
+        for b in range(20):
+            y = residual_bootstrap_resample(series.values, base.fitted_obs, rng_from(b))
+            fit = runner.run(y)
+            coef, obj, converged, n_iter = dense_replacement_forcing(
+                fit.xhat, runner.system, fit.match.theta, runner.g_basis, series.times
+            )
+            counts.append((fit.forcing.n_iter, fit.forcing.converged))
+            reference.append((n_iter, converged))
+            assert fit.forcing.objective == pytest.approx(obj, rel=1e-9)
+            scale = np.abs(coef).max()
+            assert_allclose(fit.forcing.g.coefficients, coef, rtol=0, atol=1e-6 * scale)
+        assert counts == reference
+        # two of these refits stop at the iteration cap
+        assert [b for b, (n, ok) in enumerate(counts) if not ok] == [8, 9]
+        assert counts[8][0] == counts[9][0] == 100
+
+    def test_step_lost_to_rounding_is_the_dense_step(self, monkeypatch):
+        # on this bootstrap replicate Gauss-Newton drives g to about 1.7e5,
+        # where the rate is nearly flat in it, and one banded system is not
+        # positive definite in rounding; that step is the dense one, and
+        # the test ends as with the dense step throughout
+        dense_calls = []
+        dense_step = ForcingOperator._dense_step
+
+        def counted(self, *args):
+            dense_calls.append(1)
+            return dense_step(self, *args)
+
+        monkeypatch.setattr(ForcingOperator, "_dense_step", counted)
+        config = config_from_dict(
+            {"system": "rosenzweig_macarthur_log", "master_seed": 1, "test": {"b1": 2, "b2": 19}}
+        )
+        series = simulate_series(config, np.random.SeedSequence(1, spawn_key=(0, 20)))
+        seed = np.random.SeedSequence(1, spawn_key=(1, 17, 20))
+        report = diagnose_series(config, series, "case2", seed)
+        assert len(dense_calls) == 1
+        assert report.n_failed == 0
+        assert report.p_values == (0.85, 0.1)
+        assert report.f0 == pytest.approx(0.6354450736176804, rel=1e-9)
+
+    def test_rate_flat_in_the_replaced_parameter_is_rank_deficient(self):
+        def rate(x, t, th, g):
+            # the replaced parameter p acts only outside t in [20, 30], which
+            # holds the whole support of several g basis functions
+            p = th[1] if g is None else g
+            on = np.where((np.asarray(t) >= 20.0) & (np.asarray(t) <= 30.0), 0.0, 1.0)
+            return (-th[0] * x[..., 0] + p * on)[..., None]
+
+        system = DynamicalSystem(
+            "windowed", 1, 2, rate, linear_in_params=True,
+            forcing=ForcingSpec("parameter_replacement", 2),
+        )
+        path = integrate(system, np.array([0.5, 1.0]), np.array([0.0]), TIMES)
+        runner = PipelineRunner(TIMES, system)
+        with pytest.raises(PipelineError) as err:
+            runner.run(path.states)
+        assert err.value.stage == "forcing"
+        xhat = runner.smoother.fit(path.states)
+        with pytest.raises(RankError, match="singular"):
+            ForcingOperator(system, runner.g_basis, TIMES).fit(xhat, np.array([0.5, 1.0]))
+        # a curvature penalty ties those coefficients to their neighbours
+        penalized = PipelineRunner(TIMES, system, PipelineSettings(g_penalty=1.0))
+        assert penalized.run(path.states).forcing.converged
