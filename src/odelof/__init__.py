@@ -39,14 +39,8 @@ from .splines import (
     SmoothingOperator,
     SplineFunction,
     make_basis,
-    smooth_timeseries,
 )
-from .smoothers import (
-    AdditiveSmootherDesign,
-    ScatterSmoother,
-    SmootherSettings,
-    fit_scatter_smoother,
-)
+from .smoothers import AdditiveSmootherDesign, SmootherSettings
 from .estimate import (
     ForcingEstimate,
     ForcingOperator,
@@ -112,11 +106,8 @@ __all__ = [
     "SmoothingOperator",
     "SplineFunction",
     "make_basis",
-    "smooth_timeseries",
     "AdditiveSmootherDesign",
-    "ScatterSmoother",
     "SmootherSettings",
-    "fit_scatter_smoother",
     "ForcingEstimate",
     "ForcingOperator",
     "GradientMatchFit",

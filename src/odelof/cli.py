@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import Optional
 
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, config_from_dict, load_config
 from .diagnose import DiagnosticReport
 from .errors import ConfigError, OdelofError, TestAbortedError
 from .plots import export_diagnostic_plots
@@ -71,17 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> ExperimentConfig:
     config = load_config(args.config)
     if args.seed is not None:
-        config.resolved["master_seed"] = args.seed
-        if config.raw is not None:
-            config.raw["master_seed"] = args.seed  # so cells inherit it
-        _revalidate(config)
+        config = _override(config, "master_seed", args.seed)
     return config
 
 
-def _revalidate(config: ExperimentConfig):
-    from .config import _validate
-
-    _validate(config.resolved, config.source)
+def _override(config: ExperimentConfig, key: str, value) -> ExperimentConfig:
+    # resolved again from the file's own keys, so cells inherit the value
+    return config_from_dict({**config.raw, key: value}, config.source)
 
 
 def _cmd_simulate(args) -> int:
@@ -110,10 +106,7 @@ def _cmd_diagnose(args) -> int:
 def _cmd_power_study(args) -> int:
     config = _load(args)
     if args.replicates is not None:
-        config.resolved["replicates"] = args.replicates
-        if config.raw is not None:
-            config.raw["replicates"] = args.replicates  # so cells inherit it
-        _revalidate(config)
+        config = _override(config, "replicates", args.replicates)
     jobs = args.jobs if args.jobs is not None else config.jobs
     if jobs < 1:
         raise ConfigError(f"--jobs must be a positive integer, got {jobs}")

@@ -22,8 +22,10 @@ come from the replicate's generator in the order of B2
 permuted responses are fitted together with per-column GCV
 (:meth:`~odelof.smoothers.AdditiveSmootherDesign.fit_many`), and their F
 values come from the column kernels that :func:`f_stat_case2` and
-:func:`f_stat_case3` wrap. Only the case-3 h1 fits stay one per
-permutation, each on its own lag design.
+:func:`f_stat_case3` wrap. In case 3 each permutation also has its own
+lag column, so its own h1 design; those fits run together too, a stack
+of lag-replaced designs at a time
+(:meth:`~odelof.smoothers.AdditiveSmootherDesign.fit_last_columns`).
 """
 
 from __future__ import annotations
@@ -396,10 +398,8 @@ def case3_test(
 
 # Permutations fitted together: enough columns for the matrix products to
 # pay, few enough that the (block, n) responses, fits and residuals stay
-# small next to the rest of a replicate's memory. A multiple of _LAG_CHUNK.
+# small next to the rest of a replicate's memory.
 _PERM_BLOCK = 64
-# permutations whose case-3 lag terms are rebuilt together
-_LAG_CHUNK = 8
 
 
 class _PermutationStat:
@@ -492,13 +492,9 @@ class _Case3Stat(_PermutationStat):
             h0_k = _rows(design0.fit_many(g_k.T))
             # each permutation has its own lag column, so its own h1 design;
             # the states are fixed within a replicate, so only the lag term
-            # is rebuilt, a chunk at a time
-            h1_k = np.empty((g_k.shape[0], h1.fitted.size))
-            for at in range(0, g_k.shape[0], _LAG_CHUNK):
-                chunk = g_k[at : at + _LAG_CHUNK]
-                lags = design1.with_last_columns([self._lagged(g) for g in chunk])
-                for j, (g, design1_k) in enumerate(zip(chunk, lags), start=at):
-                    h1_k[j] = design1_k.fit_values(g[rows]).fitted
+            # is rebuilt
+            lags = np.array([self._lagged(g) for g in g_k])
+            h1_k = design1.fit_last_columns(lags, g_k[:, rows]).fitted
             return _case3_columns(g_k[:, rows, None], h0_k[:, rows, None], h1_k[:, :, None])[0]
 
         return f0, (h0.edf, h1.edf), null

@@ -22,21 +22,23 @@ replicate, each with its own GCV lambda, with matrix products over the
 (lambda, column) table.
 
 Case-3 permutations change one predictor as well: the lagged response,
-the design's last column. :meth:`AdditiveSmootherDesign.with_last_columns`
-keeps the intercept and the state terms with a QR factor of their block,
-computed once per replicate, and rebuilds only the last term: its knots,
-B-spline columns (Cox-de Boor, stacked over a chunk of permutations),
-Householder sum-to-zero basis and closed-form curvature penalty. The
-factor of the whole design then follows from a QR of a small stacked
-triangle. Full builds keep scipy's ``BSpline``, ``null_space`` and
-factorizations, whose bits archived reports hold.
+the design's last column. :meth:`AdditiveSmootherDesign.fit_last_columns`
+fits a stack of responses, each on this design with its own last column.
+It keeps the intercept and the state terms with a QR factor of their
+block and rebuilds only the last term of each row, as arrays: knots,
+B-spline columns (Cox-de Boor), Householder sum-to-zero basis and
+closed-form curvature penalty. Each row's factor follows from LAPACK QRs
+of its residual block and of a small stacked triangle; one stacked
+eigendecomposition and one (row, lambda) GCV table then serve the stack.
+Full builds keep scipy's ``BSpline``, ``null_space`` and factorizations,
+whose bits archived reports hold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh, null_space, qr, solve_triangular
@@ -48,6 +50,10 @@ from .splines import BSplineBasis, stacked_basis_values, stacked_derivative_gram
 _RIDGE_REL = 1e-10
 # response columns per block of fit_many's GCV ridge correction
 _CORR_CHUNK = 8
+# rows of fit_last_columns whose last terms are built and fitted together:
+# enough to batch the LAPACK calls, few enough that the stack's (rows, n,
+# k) arrays stay small
+_STACK = 16
 
 
 @dataclass(frozen=True)
@@ -134,12 +140,22 @@ def _shrunk_penalties(z: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return curv + (v * null[:, None, :]) @ v.transpose(0, 2, 1)
 
 
-def _r_factor(a: np.ndarray) -> np.ndarray:
-    """Triangular factor of a thin QR (LAPACK geqrf, no Q formed)."""
-    packed, _, _, info = dgeqrf(a)
+def _packed_r(a: np.ndarray) -> np.ndarray:
+    """LAPACK geqrf of ``a`` in place when it is Fortran-ordered: the
+    triangular factor of its thin QR sits in the upper triangle of the
+    leading rows; below it are Householder vectors (no Q is formed)."""
+    packed, _, _, info = dgeqrf(a, overwrite_a=True)
     if info != 0:
         raise DegenerateDesignError(f"QR of the smoother design failed (info {info})")
-    return np.triu(packed[: a.shape[1]])
+    return packed
+
+
+@lru_cache(maxsize=8)
+def _upper(k: int) -> np.ndarray:
+    # mask of the upper triangle, to clear what LAPACK leaves below it
+    mask = np.triu(np.ones((k, k)))
+    mask.flags.writeable = False  # shared by the cache
+    return mask
 
 
 def _check_width(k: int, n: int) -> None:
@@ -202,11 +218,18 @@ class AdditiveSmootherDesign:
         m = solve_triangular(r, self._penalty(k).T, trans=1, lower=False, check_finite=False)
         m = solve_triangular(r, m.T, trans=1, lower=False, check_finite=False)
         lam_eig, u = eigh(0.5 * (m + m.T), check_finite=False)
-        v = solve_triangular(r, u, lower=False, check_finite=False)  # R^{-1} U
-        self._set_basis(design, eps, lam_eig, v)
+        # v = R^{-1} U diagonalizes the ridged Gram and the penalty at once:
+        # R^T R = X^T X + eps I and U^T R^{-T} S R^{-1} U = diag(lam_eig)
+        v = solve_triangular(r, u, lower=False, check_finite=False)
+        self.design = design
+        self.eps = eps
+        self._v = v
+        self._eig = np.clip(lam_eig, 0.0, None)
+        self._gram_corr = v.T @ v  # C = U^T R^{-T} R^{-1} U
+        self._edf_weights = 1.0 - eps * np.diag(self._gram_corr)
+        self._shrink = None  # per-lambda shrinkage factors, on first fit
         lo, hi = self.settings.log10_lambda
         self.lambda_grid = np.logspace(lo, hi, self.settings.n_lambda)
-        self._fixed = None
 
     def _penalty(self, k: int) -> np.ndarray:
         penalty = np.zeros((k, k))
@@ -216,106 +239,6 @@ class AdditiveSmootherDesign:
             penalty[at : at + kj, at : at + kj] = pen
             at += kj
         return penalty
-
-    def _set_basis(self, design, eps, lam_eig, v) -> None:
-        # v = R^{-1} U diagonalizes the ridged Gram and the penalty at once:
-        # R^T R = X^T X + eps I and U^T R^{-T} S R^{-1} U = diag(lam_eig)
-        self.design = design
-        self.eps = eps
-        self._v = v
-        self._eig = np.clip(lam_eig, 0.0, None)
-        self._gram_corr = v.T @ v  # C = U^T R^{-T} R^{-1} U
-        self._edf_weights = 1.0 - eps * np.diag(self._gram_corr)
-        self._shrink = None  # per-lambda shrinkage factors, on first fit
-
-    def with_last_columns(self, columns) -> Iterator["AdditiveSmootherDesign"]:
-        """This design with its last predictor column replaced by each row
-        of ``columns`` (m, n) in turn.
-
-        The last group must be that column alone. The intercept and the
-        other terms are kept; the last term is rebuilt by the same rules
-        as a full build (quantile knots, curvature penalty with null-space
-        shrinkage, ridge from the new Frobenius norm), for all rows at once.
-        Each design's factorization is then updated against a thin QR of
-        the kept block, computed once and shared by every design derived
-        from this one, when the returned iterator reaches it.
-        ``fit_values`` then agrees with a full build up to rounding.
-        """
-        j = self.p - 1
-        if self.groups[-1] != (j,):
-            raise ArgumentError("the last predictor column must form a group of its own")
-        cols = np.asarray(columns, dtype=float)
-        if cols.ndim != 2 or cols.shape[1] != self.n:
-            raise ArgumentError(f"columns must have shape (m, {self.n}), got {cols.shape}")
-        if not np.all(np.isfinite(cols)):
-            raise ArgumentError("columns contain non-finite values")
-        if self._fixed is None:
-            kept = self.design[:, : self.n_columns - self._term_cols[-1].shape[1]]
-            q_kept, r_kept = np.linalg.qr(kept)
-            self._fixed = (q_kept, r_kept, float(np.sum(kept**2)))
-        terms = self._univariate_terms(cols, j)
-        return (self._with_last_term(col, *term) for col, term in zip(cols, terms))
-
-    def _univariate_terms(self, cols: np.ndarray, j: int) -> list:
-        # (term, design columns, penalty) of column j rebuilt on each row
-        order = self.settings.order
-        lo, hi, breaks = self._breaks(np.sort(cols, axis=1), self._dims((j,))[0])
-        out = [None] * len(breaks)
-        by_size: dict[int, list[int]] = {}
-        for i, row in enumerate(breaks):
-            by_size.setdefault(len(row), []).append(i)
-        for rows in by_size.values():
-            bps = np.array([breaks[i] for i in rows])
-            knots = np.hstack(
-                [np.repeat(bps[:, :1], order - 1, 1), bps, np.repeat(bps[:, -1:], order - 1, 1)]
-            )
-            marg = stacked_basis_values(knots, order, cols[rows])
-            z = _sum_to_zero_bases(marg.sum(axis=1))
-            term_cols = marg @ z
-            pens = _shrunk_penalties(z, stacked_derivative_gram(knots, order, 2))
-            for at, i in enumerate(rows):
-                term = _Term(
-                    cols=(j,),
-                    bases=[BSplineBasis(order, bps[at])],
-                    transform=z[at],
-                    los=(float(lo[i]),),
-                    his=(float(hi[i]),),
-                )
-                out[i] = (term, term_cols[at], pens[at])
-        return out
-
-    def _with_last_term(self, col, term, cols, pen) -> "AdditiveSmootherDesign":
-        q_kept, r_kept, sq_kept = self._fixed
-        kf, kl = r_kept.shape[1], cols.shape[1]
-        k = kf + kl
-        _check_width(k, self.n)
-        eps = _RIDGE_REL * ((sq_kept + np.sum(cols**2)) / k)
-        # [kept, cols] = [Q, Q_c] [[R, C], [0, R_c]]; the ridge rows enter
-        # through a QR of the small stacked triangle
-        c = q_kept.T @ cols
-        stacked = np.zeros((2 * k, k))
-        stacked[:kf, :kf] = r_kept
-        stacked[:kf, kf:] = c
-        stacked[kf:k, kf:] = _r_factor(cols - q_kept @ c)
-        stacked[k:] = np.sqrt(eps) * np.eye(k)
-        r_inv, info = dtrtri(_r_factor(stacked))
-        if info != 0:
-            raise DegenerateDesignError("ridged smoother design lost full rank")
-
-        new = object.__new__(AdditiveSmootherDesign)
-        new.__dict__.update(self.__dict__)
-        new.predictors = self.predictors.copy()
-        new.predictors[:, -1] = col
-        new.terms = self.terms[:-1] + [term]
-        new._term_cols = self._term_cols[:-1] + [cols]
-        new._term_pens = self._term_pens[:-1] + [pen]
-        m = r_inv.T @ new._penalty(k) @ r_inv
-        lam_eig, u = np.linalg.eigh(0.5 * (m + m.T))
-        design = np.empty((self.n, k))
-        design[:, :kf] = self.design[:, :kf]
-        design[:, kf:] = cols
-        new._set_basis(design, eps, lam_eig, r_inv @ u)
-        return new
 
     def _normalize_groups(
         self, groups: Optional[list[tuple[int, ...]]], p: int
@@ -529,6 +452,142 @@ class AdditiveSmootherDesign:
         )
 
 
+    def fit_last_columns(self, columns, responses) -> "RowFits":
+        """GCV-smoothed fit of each row of ``responses`` (m, n) on this
+        design with its last predictor column replaced by the same row of
+        ``columns`` (m, n): row i gets the fit ``fit_values`` gives on a
+        full build with that column, up to rounding.
+
+        The last group must be that column alone. The intercept and the
+        other terms are kept, with a thin QR of their block; each row's
+        last term is rebuilt by the rules of a full build (quantile knots,
+        sum-to-zero constraint, curvature penalty with null-space
+        shrinkage, ridge from the row's own Frobenius norm) as arrays, a
+        stack of rows at a time. Rows whose terms have the same width
+        share one stacked eigendecomposition and one (row, lambda) table
+        of RSS, EDF and GCV.
+        """
+        j = self.p - 1
+        if self.groups[-1] != (j,):
+            raise ArgumentError("the last predictor column must form a group of its own")
+        cols = self._row_stack(columns, "columns")
+        y = self._row_stack(responses, "responses")
+        if y.shape != cols.shape:
+            raise ArgumentError(f"responses {y.shape} and columns {cols.shape} must match")
+        kf = self.n_columns - self._term_cols[-1].shape[1]
+        kept = self.design[:, :kf]
+        q_kept, r_kept = np.linalg.qr(kept)
+        fixed = (kept, q_kept, r_kept, self._penalty(self.n_columns)[:kf, :kf], np.sum(kept**2))
+        m = y.shape[0]
+        fits = RowFits(np.empty_like(y), np.empty(m), np.empty(m), np.empty(m))
+        for at in range(0, m, _STACK):
+            for rows, lt, pens in self._last_terms(cols[at : at + _STACK]):
+                rows = rows + at
+                fits.fitted[rows], fits.edf[rows], fits.lam[rows], fits.gcv[rows] = (
+                    self._fit_stack(fixed, lt, pens, y[rows])
+                )
+        return fits
+
+    def _row_stack(self, a, name: str) -> np.ndarray:
+        v = np.asarray(a, dtype=float)
+        if v.ndim != 2 or v.shape[1] != self.n:
+            raise ArgumentError(f"{name} must have shape (m, {self.n}), got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ArgumentError(f"{name} contain non-finite values")
+        return v
+
+    def _last_terms(self, cols: np.ndarray):
+        """The last term rebuilt on each row of ``cols``: (rows, transposed
+        design columns (m, k_term, n), penalties) for each set of rows
+        whose terms share a width once near-equal breaks are dropped."""
+        order = self.settings.order
+        breaks = self._breaks(np.sort(cols, axis=1), self._dims((self.p - 1,))[0])[2]
+        by_size: dict[int, list[int]] = {}
+        for i, row in enumerate(breaks):
+            by_size.setdefault(len(row), []).append(i)
+        for rows in by_size.values():
+            bps = np.array([breaks[i] for i in rows])
+            knots = np.hstack(
+                [np.repeat(bps[:, :1], order - 1, 1), bps, np.repeat(bps[:, -1:], order - 1, 1)]
+            )
+            marg = stacked_basis_values(knots, order, cols[rows]).transpose(0, 2, 1)
+            z = _sum_to_zero_bases(marg.sum(axis=2))
+            lt = z.transpose(0, 2, 1) @ marg
+            del marg  # not held while the caller fits the stack
+            yield np.array(rows), lt, _shrunk_penalties(z, stacked_derivative_gram(knots, order, 2))
+
+    def _fit_stack(self, fixed, lt, pens, y):
+        """(fitted (m, n), EDF, lambda, GCV) of the rows of ``y`` on the
+        designs [kept, L_i] with L_i^T = lt[i] and last penalty pens[i]."""
+        kept, q_kept, r_kept, kept_pen, sq_kept = fixed
+        m, kl, n = lt.shape
+        kf = r_kept.shape[0]
+        k = kf + kl
+        _check_width(k, n)
+        eps = _RIDGE_REL * ((sq_kept + np.einsum("ijk,ijk->i", lt, lt)) / k)
+        # [kept, L] = [Q, Q_L] [[R, C], [0, R_L]] with C = Q^T L; the ridge
+        # rows then enter through a QR of the small stacked triangle. Both
+        # QRs run in place on transposed (Fortran-order) rows.
+        ct = lt @ q_kept
+        resid_t = ct @ q_kept.T
+        np.subtract(lt, resid_t, out=resid_t)
+        r_l = np.empty((m, kl, kl))
+        for i in range(m):
+            r_l[i] = _packed_r(resid_t[i].T)[:kl]
+        del resid_t
+        r_l *= _upper(kl)
+        stacked_t = np.zeros((m, k, 2 * k))  # row i transposed: [[R, C], [0, R_L], [sqrt(eps) I]]
+        stacked_t[:, :kf, :kf] = r_kept.T
+        stacked_t[:, kf:, :kf] = ct
+        stacked_t[:, kf:, kf:k] = r_l.transpose(0, 2, 1)
+        diag = np.arange(k)
+        stacked_t[:, diag, k + diag] = np.sqrt(eps)[:, None]
+        r_inv = np.empty((m, k, k))
+        for i in range(m):
+            r_inv[i], info = dtrtri(_packed_r(stacked_t[i].T)[:k])
+            if info != 0:
+                raise DegenerateDesignError("ridged smoother design lost full rank")
+        r_inv *= _upper(k)
+        del stacked_t
+        s = np.zeros((m, k, k))
+        s[:, :kf, :kf] = kept_pen
+        s[:, kf:, kf:] = pens
+        s = r_inv.transpose(0, 2, 1) @ s @ r_inv
+        s += s.transpose(0, 2, 1)
+        s *= 0.5
+        lam_eig, u = np.linalg.eigh(s)
+        del s
+        # as in __init__: v = R^{-1} U; EDF weights 1 - eps diag(V^T V)
+        v = r_inv @ u
+        edf_weights = 1.0 - eps[:, None] * np.einsum("ijk,ijk->ik", v, v)
+
+        xty = np.empty((m, k))
+        xty[:, :kf] = (y[:, None, :] @ kept)[:, 0]
+        xty[:, kf:] = (lt @ y[:, :, None])[:, :, 0]
+        z = (xty[:, None, :] @ v)[:, 0]
+        # the (row, lambda) table of fit_values, in place: shrinkage d,
+        # EDF, then dz = d z for RSS = yTy - 2 dzT z + dzT (I - eps C) dz,
+        # C = V^T V the ridge correction
+        lam, eig = self.lambda_grid, np.clip(lam_eig, 0.0, None)
+        d = lam[:, None] * eig[:, None, :]  # (m, L, k)
+        d += 1.0
+        np.divide(1.0, d, out=d)
+        edf = (d @ edf_weights[:, :, None])[:, :, 0]
+        dz = np.multiply(d, z[:, None, :], out=d)
+        unridge = np.eye(k) - eps[:, None, None] * (v.transpose(0, 2, 1) @ v)
+        rss = np.einsum("ilk,ilk->il", dz @ unridge, dz)
+        rss -= 2.0 * (dz @ z[:, :, None])[:, :, 0]
+        rss += np.einsum("ij,ij->i", y, y)[:, None]
+        rss = np.clip(rss, 0.0, None)
+        gcv = rss / (n - edf) ** 2
+        pick = lam.size - 1 - np.argmin(gcv[:, ::-1], axis=1)  # ties -> largest lambda
+        at = np.arange(m)
+        beta = (v @ (z / (1.0 + lam[pick][:, None] * eig))[:, :, None])[:, :, 0]
+        fitted = (beta[:, None, :kf] @ kept.T)[:, 0]
+        fitted += (beta[:, None, kf:] @ lt)[:, 0]
+        return fitted, edf[at, pick], lam[pick], gcv[at, pick]
+
+
 @dataclass(frozen=True)
 class SmootherFit:
     coefficients: np.ndarray
@@ -550,56 +609,13 @@ class ColumnFits:
     gcv: np.ndarray
 
 
-@dataclass
-class ScatterSmoother:
-    """Fitted scatter smoother: carries its design for new predictions."""
+@dataclass(frozen=True)
+class RowFits:
+    """Per-row fits of :meth:`AdditiveSmootherDesign.fit_last_columns`:
+    row i of ``fitted`` and entry i of ``edf``, ``lam`` and ``gcv`` belong
+    to response row i on its own design."""
 
-    design: AdditiveSmootherDesign = field(repr=False)
-    coefficients: np.ndarray = field(repr=False)
-    fitted: np.ndarray = field(repr=False)
-    edf: float = 0.0
-    lam: float = 0.0
-    gcv: float = 0.0
-
-    def predict(self, predictors) -> np.ndarray:
-        """Evaluate the fitted surface at new predictor rows."""
-        return self.design.design_for(predictors) @ self.coefficients
-
-
-def fit_scatter_smoother(
-    predictors,
-    responses,
-    settings: Optional[SmootherSettings] = None,
-    groups: Optional[list[tuple[int, ...]]] = None,
-) -> ScatterSmoother:
-    """Fit the GCV scatter smoother to (x, y) data.
-
-    Parameters
-    ----------
-    predictors : array (n,) or (n, p)
-    responses : array (n,) or (n, m)
-        Multiple response columns share one design and one GCV-chosen
-        smoothing weight.
-    settings : SmootherSettings, optional
-        The default fit is additive across predictor columns; set
-        ``interaction=True`` for one joint tensor-product surface.
-    groups : list of column-index tuples, optional
-        Explicit partition of the predictor columns into smooth terms,
-        overriding the additive/interaction default.
-
-    Raises
-    ------
-    DegenerateDesignError
-        For constant predictors (the fit would reduce to the mean) or a
-        design with more columns than the data can support.
-    """
-    design = AdditiveSmootherDesign(predictors, settings, groups=groups)
-    fit = design.fit_values(responses)
-    return ScatterSmoother(
-        design=design,
-        coefficients=fit.coefficients,
-        fitted=fit.fitted,
-        edf=fit.edf,
-        lam=fit.lam,
-        gcv=fit.gcv,
-    )
+    fitted: np.ndarray  # (m, n)
+    edf: np.ndarray
+    lam: np.ndarray
+    gcv: np.ndarray

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -20,7 +19,7 @@ from scipy.interpolate import BSpline
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ArgumentError, RankError
-from .systems import TimeSeries, _frozen
+from .systems import _frozen
 
 
 @dataclass(frozen=True)
@@ -199,17 +198,23 @@ def _cox_de_boor(knots: np.ndarray, order: int, q: int, t: np.ndarray) -> np.nda
     # belongs to the last nonempty one
     span = np.array([np.searchsorted(k, x, side="right") for k, x in zip(knots, t)]) - 1
     np.clip(span, order - 1, nk - order - 1, out=span)
-    base = np.arange(m)[:, None] * nk + span
-    win = knots.ravel()[base + np.arange(1 - p, p + 1)[:, None, None]]  # k_{i-p+1} .. k_{i+p}
-    left = t - win[p - 1 :: -1] if p else None  # row j - 1: t - k_{i+1-j}
-    right = win[p:] - t  # row j - 1: k_{i+j} - t
-    vals = np.ones((1, m, n))  # row r: the r-th order-j function nonzero at t
+    at = span + (np.arange(m) * nk)[:, None]
+    left = np.empty((p, m, n))  # row j - 1: t - k_{i+1-j}
+    right = np.empty((p, m, n))  # row j - 1: k_{i+j} - t
+    vals = np.empty((q, m, n))  # row r: the r-th order-j function nonzero at t
+    vals[0] = 1.0
     for j in range(1, p + 1):
-        lj = left[j - 1 :: -1]
-        temp = vals / (right[:j] + lj)
-        vals = np.zeros((j + 1, m, n))
-        vals[:j] = right[:j] * temp
-        vals[1:] += lj * temp
+        # in place, so a stack of bases holds few (m, n) temporaries
+        np.subtract(t, knots.ravel()[at + (1 - j)], out=left[j - 1])
+        np.subtract(knots.ravel()[at + j], t, out=right[j - 1])
+        saved = 0.0
+        for r in range(j):
+            temp = vals[r] / (right[r] + left[j - 1 - r])
+            np.multiply(right[r], temp, out=vals[r])
+            vals[r] += saved
+            saved = temp
+            saved *= left[j - 1 - r]
+        vals[j] = saved
     out = np.zeros((m, n, nk - q))
     first = (np.arange(m * n).reshape(m, n)) * (nk - q) + span - p
     out.ravel()[first + np.arange(q)[:, None, None]] = vals
@@ -323,28 +328,3 @@ class SmoothingOperator:
         if not np.all(np.isfinite(coef)):
             raise RankError("smoothing produced non-finite coefficients")
         return SplineFunction(self.basis, coef[:, 0] if one_d else coef)
-
-
-def smooth_timeseries(
-    series: Union[TimeSeries, tuple], basis: BSplineBasis, penalty: float
-) -> SplineFunction:
-    """Fit penalized least-squares spline coordinates to observed values.
-
-    Minimizes ``sum_i ||y_i - s(t_i)||^2 + penalty * integral ||s''||^2``
-    per output coordinate, all coordinates sharing the basis and penalty.
-    The penalty weight is fixed by the caller; there is no automatic
-    selection here.
-
-    Raises
-    ------
-    RankError
-        If the normal equations are singular (e.g. penalty 0 with more
-        basis functions than observations).
-    """
-    if isinstance(series, TimeSeries):
-        times, values = series.times, series.values
-    else:
-        times, values = series
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-    return SmoothingOperator(times, basis, penalty).fit(values)

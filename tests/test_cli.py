@@ -175,6 +175,26 @@ class TestPowerStudy:
         assert len(reps) == 1
 
 
+class TestOverrides:
+    def test_seed_override_echoes_like_the_file(self, tmp_path):
+        via_cli, via_file = tmp_path / "cli", tmp_path / "file"
+        cfg = write_config(tmp_path / "c.json")
+        cfg99 = write_config(tmp_path / "c99.json", master_seed=99)
+        args = ["diagnose", "--config", str(cfg), "--seed", "99", "--out", str(via_cli)]
+        assert cli.main(args) == 0
+        assert cli.main(["diagnose", "--config", str(cfg99), "--out", str(via_file)]) == 0
+        for name in ("config.json", "report_case2.json"):
+            assert (via_cli / name).read_bytes() == (via_file / name).read_bytes(), name
+
+    def test_zero_replicates_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json")
+        args = ["power-study", "--config", str(cfg), "--replicates", "0"]
+        assert cli.main(args + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: replicates" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestExportPlots:
     def test_writes_plot_tables(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")

@@ -471,20 +471,45 @@ class TestCase3LagUpdate:
         design0 = AdditiveSmootherDesign(states, stat.settings)
         h0 = design0.fit_values(g)
         rng = np.random.default_rng(3)
-        g_ks = [h0.fitted + block_permute(g - h0.fitted, block_len, rng) for _ in range(50)]
-        updates = stat.lag_design(states, g).with_last_columns([stat._lagged(x) for x in g_ks])
+        g_ks = np.array(
+            [h0.fitted + block_permute(g - h0.fitted, block_len, rng) for _ in range(50)]
+        )
         rows = stat.valid
-        for g_k, update in zip(g_ks, updates):
+        fits = stat.lag_design(states, g).fit_last_columns(
+            [stat._lagged(x) for x in g_ks], g_ks[:, rows]
+        )
+        for g_k, fast, lam, edf in zip(g_ks, fits.fitted, fits.lam, fits.edf):
             h0_k = design0.fit_values(g_k).fitted[rows]
             fresh = stat.lag_design(states, g_k).fit_values(g_k[rows])
-            fast = update.fit_values(g_k[rows])
-            assert fast.lam == fresh.lam
-            assert fast.edf == pytest.approx(fresh.edf, rel=1e-10)
+            assert lam == fresh.lam
+            assert edf == pytest.approx(fresh.edf, rel=1e-10)
             scale = np.max(np.abs(fresh.fitted))
-            assert_allclose(fast.fitted, fresh.fitted, rtol=0, atol=1e-10 * scale)
-            f_fast = f_stat_case3(g_k[rows], h0_k, fast.fitted).value
+            assert_allclose(fast, fresh.fitted, rtol=0, atol=1e-10 * scale)
+            f_fast = f_stat_case3(g_k[rows], h0_k, fast).value
             f_fresh = f_stat_case3(g_k[rows], h0_k, fresh.fitted).value
             assert f_fast == pytest.approx(f_fresh, rel=1e-10)
+
+    def test_degenerate_lag_fit_fails_its_replicate(self, vdp_series, monkeypatch):
+        # a constant lag column in the null raises DegenerateDesignError,
+        # which costs that bootstrap replicate and not the test
+        original = AdditiveSmootherDesign.fit_last_columns
+        calls = []
+
+        def constant_first_lag(self, columns, responses):
+            calls.append(None)
+            columns = np.array(columns)
+            if len(calls) == 1:
+                columns[0] = 1.0
+            return original(self, columns, responses)
+
+        monkeypatch.setattr(AdditiveSmootherDesign, "fit_last_columns", constant_first_lag)
+        report = case3_test(
+            vdp_series, builtin_system("vanderpol"), TestConfig(seed=109, b1=3, b2=19, max_failed_fraction=0.5)
+        )
+        assert report.n_failed == 1
+        assert len(report.p_values) == 2
+        assert "replicate 0" in report.failure_messages[0]
+        assert "constant predictor" in report.failure_messages[0]
 
     @pytest.mark.parametrize(
         "system, p_values",

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from odelof import (
-    ArgumentError,
-    DegenerateDesignError,
-    SmootherSettings,
-    block_permute,
-    fit_scatter_smoother,
-)
+from odelof import ArgumentError, DegenerateDesignError, SmootherSettings, block_permute
 from odelof.smoothers import AdditiveSmootherDesign
+
+
+def smooth(predictors, responses, settings=None, groups=None):
+    """A design on the predictors and its GCV fit of the responses."""
+    design = AdditiveSmootherDesign(predictors, settings, groups=groups)
+    return design, design.fit_values(responses)
 
 
 @pytest.fixture
@@ -23,14 +23,14 @@ def sine_data():
 class TestGcvFit:
     def test_sine_recovery(self, sine_data):
         x, y = sine_data
-        sm = fit_scatter_smoother(x, y)
+        _, sm = smooth(x, y)
         assert np.mean((sm.fitted - np.sin(x)) ** 2) <= 5e-3
         assert 4 < sm.edf < 60
 
     def test_pure_noise_shrinks_to_mean(self):
         rng = np.random.default_rng(3)
         x = np.linspace(0, 1, 200)
-        sm = fit_scatter_smoother(x, np.zeros(200))
+        _, sm = smooth(x, np.zeros(200))
         assert sm.edf == pytest.approx(1.0, abs=0.05)
         assert sm.lam == pytest.approx(1e8)
         assert_allclose(sm.fitted, 0.0, atol=1e-8)
@@ -38,7 +38,7 @@ class TestGcvFit:
     def test_linear_data_reproduced(self):
         x = np.linspace(0, 1, 150)
         y = 2.0 - 3.0 * x
-        sm = fit_scatter_smoother(x, y)
+        _, sm = smooth(x, y)
         assert_allclose(sm.fitted, y, atol=1e-6)
 
     def test_additive_two_predictor_truth(self):
@@ -46,7 +46,7 @@ class TestGcvFit:
         x1 = np.linspace(0, 10, 400)
         x2 = rng.uniform(-2, 2, 400)
         truth = np.sin(x1) + x2**2
-        sm = fit_scatter_smoother(np.column_stack([x1, x2]), truth + 0.05 * rng.standard_normal(400))
+        _, sm = smooth(np.column_stack([x1, x2]), truth + 0.05 * rng.standard_normal(400))
         assert np.mean((sm.fitted - truth) ** 2) <= 2e-3
 
     def test_matches_dense_solve_on_grid(self, sine_data):
@@ -85,8 +85,8 @@ class TestGcvFit:
 
     def test_deterministic(self, sine_data):
         x, y = sine_data
-        a = fit_scatter_smoother(x, y)
-        b = fit_scatter_smoother(x, y)
+        _, a = smooth(x, y)
+        _, b = smooth(x, y)
         assert np.array_equal(a.fitted, b.fitted)
         assert a.lam == b.lam
 
@@ -140,35 +140,35 @@ class TestFitMany:
 class TestPredict:
     def test_predict_matches_fitted_at_training_points(self, sine_data):
         x, y = sine_data
-        sm = fit_scatter_smoother(x, y)
-        assert_allclose(sm.predict(x), sm.fitted, atol=1e-12)
+        design, sm = smooth(x, y)
+        assert_allclose(design.design_for(x) @ sm.coefficients, sm.fitted, atol=1e-12)
 
     def test_predictions_clamp_outside_training_range(self, sine_data):
         x, y = sine_data
-        sm = fit_scatter_smoother(x, y)
-        inside = sm.predict(np.array([x.max()]))
-        outside = sm.predict(np.array([x.max() + 5.0]))
+        design, sm = smooth(x, y)
+        inside = design.design_for(np.array([x.max()])) @ sm.coefficients
+        outside = design.design_for(np.array([x.max() + 5.0])) @ sm.coefficients
         assert_allclose(outside, inside, atol=1e-12)
 
 
 class TestDegenerate:
     def test_constant_predictor_rejected(self):
         with pytest.raises(DegenerateDesignError, match="constant predictor"):
-            fit_scatter_smoother(np.ones(50), np.random.default_rng(0).normal(size=50))
+            smooth(np.ones(50), np.random.default_rng(0).normal(size=50))
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ArgumentError, match="at least 8"):
-            fit_scatter_smoother(np.arange(5.0), np.arange(5.0))
+            smooth(np.arange(5.0), np.arange(5.0))
 
     def test_design_wider_than_data_rejected(self):
         settings = SmootherSettings(total_dim=40, min_term_dim=40)
         with pytest.raises(DegenerateDesignError, match="columns"):
-            fit_scatter_smoother(np.linspace(0, 1, 12), np.zeros(12), settings)
+            smooth(np.linspace(0, 1, 12), np.zeros(12), settings)
 
     def test_non_finite_rejected(self):
         x = np.linspace(0, 1, 20)
         with pytest.raises(ArgumentError):
-            fit_scatter_smoother(x, np.r_[np.nan, np.zeros(19)])
+            smooth(x, np.r_[np.nan, np.zeros(19)])
 
 
 @pytest.fixture
@@ -182,37 +182,37 @@ def crossed_data():
 class TestInteraction:
     def test_default_is_additive(self, crossed_data):
         x, _, y = crossed_data
-        sm = fit_scatter_smoother(x, y)
-        assert sm.design.groups == ((0,), (1,))
+        design, _ = smooth(x, y)
+        assert design.groups == ((0,), (1,))
 
     def test_interaction_joins_all_columns(self, crossed_data):
         x, _, y = crossed_data
-        sm = fit_scatter_smoother(x, y, SmootherSettings(interaction=True))
-        assert sm.design.groups == ((0, 1),)
+        design, _ = smooth(x, y, SmootherSettings(interaction=True))
+        assert design.groups == ((0, 1),)
 
     def test_joint_fits_crossed_surface_where_additive_cannot(self, crossed_data):
         x, truth, y = crossed_data
-        add = fit_scatter_smoother(x, y)
-        joint = fit_scatter_smoother(x, y, SmootherSettings(interaction=True))
+        _, add = smooth(x, y)
+        _, joint = smooth(x, y, SmootherSettings(interaction=True))
         assert np.mean((add.fitted - truth) ** 2) > 0.1
         assert np.mean((joint.fitted - truth) ** 2) <= 2e-3
 
     def test_joint_pure_noise_shrinks_to_mean(self, crossed_data):
         x, _, _ = crossed_data
         noise = np.random.default_rng(5).standard_normal(x.shape[0])
-        sm = fit_scatter_smoother(x, noise, SmootherSettings(interaction=True))
+        _, sm = smooth(x, noise, SmootherSettings(interaction=True))
         assert sm.edf == pytest.approx(1.0, abs=0.05)
 
     def test_joint_reproduces_bilinear_exactly(self, crossed_data):
         x, _, _ = crossed_data
         y = 1.0 + 0.5 * x[:, 0] - x[:, 1] + 2.0 * x[:, 0] * x[:, 1]
-        sm = fit_scatter_smoother(x, y, SmootherSettings(interaction=True))
+        _, sm = smooth(x, y, SmootherSettings(interaction=True))
         assert_allclose(sm.fitted, y, atol=1e-6)
 
     def test_joint_predict_matches_fitted(self, crossed_data):
         x, _, y = crossed_data
-        sm = fit_scatter_smoother(x, y, SmootherSettings(interaction=True))
-        assert_allclose(sm.predict(x), sm.fitted, atol=1e-12)
+        design, sm = smooth(x, y, SmootherSettings(interaction=True))
+        assert_allclose(design.design_for(x) @ sm.coefficients, sm.fitted, atol=1e-12)
 
     def test_joint_gcv_matches_dense_solve(self, crossed_data):
         x, _, y = crossed_data
@@ -237,20 +237,18 @@ class TestInteraction:
     def test_explicit_groups_partition(self, crossed_data):
         x, _, y = crossed_data
         extra = np.random.default_rng(9).uniform(0, 1, x.shape[0])
-        sm = fit_scatter_smoother(
-            np.column_stack([x, extra]), y, groups=[(0, 1), (2,)]
-        )
-        assert sm.design.groups == ((0, 1), (2,))
+        design, _ = smooth(np.column_stack([x, extra]), y, groups=[(0, 1), (2,)])
+        assert design.groups == ((0, 1), (2,))
 
     def test_groups_must_partition_columns(self, crossed_data):
         x, _, _ = crossed_data
         y = np.zeros(x.shape[0])
         with pytest.raises(ArgumentError, match="two groups"):
-            fit_scatter_smoother(x, y, groups=[(0, 1), (1,)])
+            smooth(x, y, groups=[(0, 1), (1,)])
         with pytest.raises(ArgumentError, match="every predictor column"):
-            fit_scatter_smoother(x, y, groups=[(0,)])
+            smooth(x, y, groups=[(0,)])
         with pytest.raises(ArgumentError, match="outside predictor range"):
-            fit_scatter_smoother(x, y, groups=[(0,), (2,)])
+            smooth(x, y, groups=[(0,), (2,)])
 
     def test_last_column_update_reproduces_full_build(self, crossed_data):
         x, _, y = crossed_data
@@ -261,44 +259,31 @@ class TestInteraction:
         )
         swapped = np.column_stack([x, rng.uniform(0, 1, x.shape[0])])
         assert_same_fit(
-            updated(template, swapped[:, 2]), AdditiveSmootherDesign(swapped, groups=groups), y
+            template, swapped[:, 2], AdditiveSmootherDesign(swapped, groups=groups), y
         )
 
 
-def updated(design, column):
-    return next(design.with_last_columns([column]))
-
-
-def fit_gaps(a, b, y):
-    """Relative gaps between two designs' fits of y: fitted values, EDF
-    and GCV; and whether they picked the same lambda."""
-    fit_a, fit_b = a.fit_values(y), b.fit_values(y)
-    scale = np.max(np.abs(fit_a.fitted))
+def row_gaps(fits, i, fresh, y):
+    """Relative gaps between row i of ``fit_last_columns`` and a full
+    build's fit of y: fitted values, EDF and GCV; and whether the two
+    picked the same lambda."""
+    one = fresh.fit_values(y)
+    scale = np.max(np.abs(one.fitted))
     gaps = (
-        np.max(np.abs(fit_b.fitted - fit_a.fitted)) / scale,
-        abs(fit_b.edf - fit_a.edf) / fit_a.edf,
-        abs(fit_b.gcv - fit_a.gcv) / fit_a.gcv,
+        np.max(np.abs(fits.fitted[i] - one.fitted)) / scale,
+        abs(fits.edf[i] - one.edf) / one.edf,
+        abs(fits.gcv[i] - one.gcv) / one.gcv,
     )
-    return gaps, fit_a.lam == fit_b.lam
+    return gaps, fits.lam[i] == one.lam
 
 
-def assert_same_fit(update, fresh, y, rtol=1e-10):
-    """The update agrees with a full build: the same knots and lambda, and
-    fitted values, EDF and GCV up to rounding."""
-    assert update.groups == fresh.groups
-    assert np.array_equal(
-        update.terms[-1].bases[0].breakpoints, fresh.terms[-1].bases[0].breakpoints
-    )
-    gaps, same_lam = fit_gaps(fresh, update, y)
+def assert_same_fit(template, column, fresh, y, rtol=1e-10):
+    """Replacing the template's last column agrees with a full build: the
+    same lambda, and fitted values, EDF and GCV up to rounding."""
+    fits = template.fit_last_columns(column[None], y[None])
+    gaps, same_lam = row_gaps(fits, 0, fresh, y)
     assert same_lam
     assert max(gaps) <= rtol
-    fit = update.fit_values(y)
-    assert_allclose(
-        update.design_for(fresh.predictors) @ fit.coefficients,
-        fit.fitted,
-        rtol=0,
-        atol=1e-9 * np.max(np.abs(fit.fitted)),
-    )
 
 
 class TestLastColumnUpdate:
@@ -307,26 +292,24 @@ class TestLastColumnUpdate:
         rng = np.random.default_rng(7)
         template = AdditiveSmootherDesign(np.column_stack([x, rng.uniform(0, 1, x.size)]))
         swapped = np.column_stack([x, rng.uniform(0, 1, x.size)])
-        assert_same_fit(updated(template, swapped[:, 1]), AdditiveSmootherDesign(swapped), y)
-
-    def test_updates_chain_from_an_update(self, sine_data):
-        x, y = sine_data
-        rng = np.random.default_rng(8)
-        template = AdditiveSmootherDesign(np.column_stack([x, rng.uniform(0, 1, x.size)]))
-        first = updated(template, rng.uniform(0, 1, x.size))
-        column = rng.normal(size=x.size)
-        assert_same_fit(
-            updated(first, column), AdditiveSmootherDesign(np.column_stack([x, column])), y
-        )
+        assert_same_fit(template, swapped[:, 1], AdditiveSmootherDesign(swapped), y)
 
     def test_rows_match_one_at_a_time(self, sine_data):
+        # a row's fit does not depend on the rows stacked with it
         x, y = sine_data
         rng = np.random.default_rng(9)
         template = AdditiveSmootherDesign(np.column_stack([x, rng.uniform(0, 1, x.size)]))
-        columns = rng.normal(size=(3, x.size))
-        for column, design in zip(columns, template.with_last_columns(columns)):
-            a, b = design.fit_values(y), updated(template, column).fit_values(y)
-            assert np.array_equal(a.fitted, b.fitted)
+        columns = rng.normal(size=(11, x.size))
+        responses = y + 0.1 * rng.normal(size=columns.shape)
+        responses[3] = 0.0
+        fits = template.fit_last_columns(columns, responses)
+        assert fits.fitted.shape == columns.shape
+        # an all-zero response ties GCV on the whole grid: the largest lambda
+        assert fits.lam[3] == template.lambda_grid[-1]
+        for i in range(columns.shape[0]):
+            one = template.fit_last_columns(columns[i : i + 1], responses[i : i + 1])
+            assert np.array_equal(fits.fitted[i], one.fitted[0])
+            assert (fits.edf[i], fits.lam[i], fits.gcv[i]) == (one.edf[0], one.lam[0], one.gcv[0])
 
     @pytest.mark.parametrize("interaction", [True, False])
     @pytest.mark.parametrize("n_states", [1, 2])
@@ -335,7 +318,8 @@ class TestLastColumnUpdate:
         # response whose blocks are permuted. On this synthetic data GCV
         # often picks the top of the lambda grid, where two full builds of
         # the same design with its rows reversed already differ by up to
-        # ~1e-9; the update must stay within a small multiple of that gap.
+        # ~1e-9; the batched fits must stay within a small multiple of that
+        # gap.
         rng = np.random.default_rng(20 + n_states)
         t = np.linspace(0.0, 40.0, 360)
         states = np.column_stack([np.sin(t), np.cos(0.7 * t)])[:, :n_states]
@@ -347,20 +331,17 @@ class TestLastColumnUpdate:
         template = AdditiveSmootherDesign(
             np.column_stack([states[rows], g[:-lag]]), settings, groups=groups
         )
-        g_ks = [block_permute(g, 20, rng) for _ in range(50)]
-        updates = template.with_last_columns([g_k[:-lag] for g_k in g_ks])
-        update_gap = reversal_gap = 0.0
-        for g_k, update in zip(g_ks, updates):
+        g_ks = np.array([block_permute(g, 20, rng) for _ in range(50)])
+        fits = template.fit_last_columns(g_ks[:, :-lag], g_ks[:, rows])
+        fit_gap = reversal_gap = 0.0
+        for i, g_k in enumerate(g_ks):
             x = np.column_stack([states[rows], g_k[:-lag]])
             fresh = AdditiveSmootherDesign(x, settings, groups=groups)
             reversed_rows = AdditiveSmootherDesign(x[::-1], settings, groups=groups)
             y = g_k[rows]
-            assert np.array_equal(
-                update.terms[-1].bases[0].breakpoints, fresh.terms[-1].bases[0].breakpoints
-            )
-            gaps, same_lam = fit_gaps(fresh, update, y)
+            gaps, same_lam = row_gaps(fits, i, fresh, y)
             assert same_lam
-            update_gap = max(update_gap, *gaps)
+            fit_gap = max(fit_gap, *gaps)
             fit_r = reversed_rows.fit_values(y[::-1])
             fit_f = fresh.fit_values(y)
             reversal_gap = max(
@@ -368,20 +349,46 @@ class TestLastColumnUpdate:
                 np.max(np.abs(fit_r.fitted[::-1] - fit_f.fitted)) / np.max(np.abs(fit_f.fitted)),
                 abs(fit_r.edf - fit_f.edf) / fit_f.edf,
             )
-        assert update_gap <= max(10.0 * reversal_gap, 1e-12)
+        assert fit_gap <= max(10.0 * reversal_gap, 1e-12)
+
+    def test_rows_with_two_term_widths(self, sine_data):
+        # a column with few distinct values loses tied quantile breaks, so
+        # its last term is narrower than a continuous column's; the stack
+        # fits the two widths as separate groups, each as a full build does
+        x, y = sine_data
+        rng = np.random.default_rng(10)
+        smooth_col = rng.uniform(0, 1, x.size)
+        tied_col = np.round(rng.uniform(0, 1, x.size) ** 4, 1)
+        columns = np.array([tied_col, smooth_col, tied_col[::-1], smooth_col[::-1]])
+        template = AdditiveSmootherDesign(np.column_stack([x, smooth_col]))
+        fits = template.fit_last_columns(columns, np.tile(y, (4, 1)))
+        widths = set()
+        for i, column in enumerate(columns):
+            fresh = AdditiveSmootherDesign(np.column_stack([x, column]))
+            widths.add(fresh.n_columns)
+            gaps, same_lam = row_gaps(fits, i, fresh, y)
+            assert same_lam
+            assert max(gaps) <= 1e-10
+        assert len(widths) == 2
 
     def test_last_group_must_be_the_column_alone(self, crossed_data):
-        x, _, _ = crossed_data
+        x, _, y = crossed_data
         joint = AdditiveSmootherDesign(x, SmootherSettings(interaction=True))
         with pytest.raises(ArgumentError, match="group of its own"):
-            joint.with_last_columns([x[:, 1]])
+            joint.fit_last_columns(x[:, 1][None], y[None])
 
     def test_columns_are_checked(self, sine_data):
-        x, _ = sine_data
+        x, y = sine_data
         design = AdditiveSmootherDesign(np.column_stack([x, np.cos(x)]))
         with pytest.raises(ArgumentError, match="shape"):
-            design.with_last_columns([x[:-1]])
+            design.fit_last_columns([x[:-1]], [y[:-1]])
+        with pytest.raises(ArgumentError, match="shape"):
+            design.fit_last_columns(x, y)
+        with pytest.raises(ArgumentError, match="must match"):
+            design.fit_last_columns([x, x], [y])
         with pytest.raises(ArgumentError, match="non-finite"):
-            design.with_last_columns([np.r_[np.nan, x[1:]]])
+            design.fit_last_columns([np.r_[np.nan, x[1:]]], [y])
+        with pytest.raises(ArgumentError, match="non-finite"):
+            design.fit_last_columns([x], [np.r_[y[:-1], np.inf]])
         with pytest.raises(DegenerateDesignError, match="constant"):
-            design.with_last_columns([x, np.ones_like(x)])
+            design.fit_last_columns([x, np.ones_like(x)], [y, y])

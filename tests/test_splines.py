@@ -14,7 +14,6 @@ from odelof import (
     SplineFunction,
     TimeSeries,
     make_basis,
-    smooth_timeseries,
 )
 from odelof.splines import stacked_basis_values, stacked_derivative_gram
 
@@ -175,11 +174,11 @@ class TestSmoothingOperator:
         with pytest.raises(RankError):
             SmoothingOperator(t, basis, 0.0)
 
-    def test_smooth_timeseries_wrapper(self):
+    def test_timeseries_values_give_one_column(self):
         t = np.linspace(0.0, 5.0, 100)
         series = TimeSeries(t, np.sin(t))
         basis = make_basis(4, (0.0, 5.0), 0.5)
-        fit = smooth_timeseries(series, basis, 0.01)
+        fit = SmoothingOperator(series.times, basis, 0.01).fit(series.values)
         # TimeSeries values are always 2-D, so the smooth has one column
         assert np.asarray(fit(t)).shape == (100, 1)
 
