@@ -19,12 +19,12 @@ of the p_b falls below alpha.
 The B2 permutations of a replicate run as one batch: their block orders
 come from the replicate's generator in the order of B2
 :func:`block_permute` calls (:func:`block_permutation_indices`), the
-permuted responses are fitted together with per-column GCV
-(:meth:`~odelof.smoothers.AdditiveSmootherDesign.fit_many`), and their F
-values come from the column kernels that :func:`f_stat_case2` and
-:func:`f_stat_case3` wrap. In case 3 each permutation also has its own
-lag column, so its own h1 design; those fits run together too, a stack
-of lag-replaced designs at a time
+permuted responses, one per row, are fitted together, each with its own
+GCV lambda (:meth:`~odelof.smoothers.AdditiveSmootherDesign.fit_many`),
+and their F values come from the column kernels that
+:func:`f_stat_case2` and :func:`f_stat_case3` wrap. In case 3 each
+permutation also has its own lag column, so its own h1 design; those
+fits run together too, a stack of lag-replaced designs at a time
 (:meth:`~odelof.smoothers.AdditiveSmootherDesign.fit_last_columns`).
 """
 
@@ -425,12 +425,6 @@ class _PermutationStat:
         return (f0, p_b) + edfs
 
 
-def _rows(fit) -> np.ndarray:
-    # the (n, m) fitted columns of fit_many as contiguous rows (m, n), the
-    # layout the F kernels sum in
-    return np.ascontiguousarray(fit.fitted.T)
-
-
 class _Case2Stat(_PermutationStat):
     def __init__(self, smoother_settings):
         self.settings = smoother_settings
@@ -441,7 +435,7 @@ class _Case2Stat(_PermutationStat):
 
         def null(idx):
             g_k = g_trim[idx]  # (m, n): one permutation per row
-            h_k = _rows(design.fit_many(g_k.T))
+            h_k = design.fit_many(g_k).fitted
             return _case2_columns(g_k[:, :, None], h_k[:, :, None])[0]
 
         return f_stat_case2(g_trim, fit.fitted), (fit.edf, None), null
@@ -489,7 +483,7 @@ class _Case3Stat(_PermutationStat):
             # the null keeps h0(x_hat) and block-permutes eta = g - h0
             g_k = eta[idx]  # (m, n): one permutation per row
             g_k += h0.fitted
-            h0_k = _rows(design0.fit_many(g_k.T))
+            h0_k = design0.fit_many(g_k).fitted
             # each permutation has its own lag column, so its own h1 design;
             # the states are fixed within a replicate, so only the lag term
             # is rebuilt
@@ -590,7 +584,7 @@ def _run_test(kind, series, system, config, pipeline):
         "quad_per_spacing": settings.quad_per_spacing,
         "second_order": settings.second_order,
         "smoother_total_dim": settings.smoother.total_dim,
-        "smoother_n_lambda": settings.smoother.n_lambda,
+        "smoother_n_lambda": AdditiveSmootherDesign.lambda_grid.size,
         "smoother_interaction": settings.smoother.interaction,
     }
     return DiagnosticReport(

@@ -1,11 +1,13 @@
 """B-spline bases, penalized smoothing, and spline-valued functions.
 
-Basis evaluation is delegated to scipy's BSpline; penalty Grams are built
-here by per-span Gauss-Legendre quadrature, which is exact because the
-integrands are piecewise polynomials. For loops that rebuild a basis per
-call, :func:`stacked_basis_values` and :func:`stacked_derivative_gram` do
-the same for a stack of bases at once, by the Cox-de Boor recursion and
-closed-form Grams, equal up to rounding.
+:class:`BSplineBasis`, which the estimation pipeline uses, evaluates
+through scipy's BSpline; its penalty Grams are built here by per-span
+Gauss-Legendre quadrature, which is exact because the integrands are
+piecewise polynomials. :func:`stacked_basis_values` and
+:func:`stacked_derivative_gram` do the same for a stack of bases at once,
+by the Cox-de Boor recursion and closed-form Grams, equal up to rounding;
+every term of the GCV smoother (:mod:`odelof.smoothers`) is built with
+them.
 """
 
 from __future__ import annotations
@@ -131,9 +133,8 @@ def stacked_basis_values(knots: np.ndarray, order: int, t: np.ndarray) -> np.nda
     ``t`` (m, n) holds points inside that basis's domain. Returns (m, n, K),
     the K = nk - order basis functions of row i at its points. Agrees with
     :meth:`BSplineBasis.design_matrix` up to rounding, without a scipy
-    ``BSpline`` with identity coefficients per basis, so loops that rebuild
-    a basis per call can evaluate many at once. ``design_matrix`` stays the
-    evaluator of record wherever archived output depends on its exact bits.
+    ``BSpline`` with identity coefficients per basis, so many bases can be
+    evaluated at once.
     """
     return _cox_de_boor(knots, order, order, t)
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import eigh, null_space
 
 from odelof import ArgumentError, DegenerateDesignError, SmootherSettings, block_permute
 from odelof.smoothers import AdditiveSmootherDesign
+from odelof.splines import BSplineBasis
 
 
 def smooth(predictors, responses, settings=None, groups=None):
@@ -53,14 +55,8 @@ class TestGcvFit:
         x, y = sine_data
         design = AdditiveSmootherDesign(x)
         fit = design.fit_values(y)
-        X = design.design
+        X, S = design.design, design.penalty
         n, k = X.shape
-        S = np.zeros((k, k))
-        at = 1
-        for cols, pen in zip(design._term_cols, design._term_pens):
-            kj = cols.shape[1]
-            S[at : at + kj, at : at + kj] = pen
-            at += kj
         best = None
         for lam in design.lambda_grid:
             A = X.T @ X + design.eps * np.eye(k) + lam * S
@@ -74,14 +70,13 @@ class TestGcvFit:
         assert fit.edf == pytest.approx(best[2], rel=1e-6)
         assert fit.gcv == pytest.approx(best[0], rel=1e-6)
 
-    def test_multicolumn_responses_share_one_lambda(self, sine_data):
+    def test_gcv_scores_the_fitted_values(self, sine_data):
+        # the table's RSS is that of the returned fit: the ridge's share of
+        # it is taken out (without that, 7e-9 relative here)
         x, y = sine_data
-        design = AdditiveSmootherDesign(x)
-        ys = np.column_stack([y, 2 * y, np.zeros_like(y)])
-        fit = design.fit_values(ys)
-        assert fit.fitted.shape == (400, 3)
-        assert np.isscalar(fit.lam) or np.ndim(fit.lam) == 0
-        assert_allclose(fit.fitted[:, 1], 2 * fit.fitted[:, 0], atol=1e-10)
+        design, sm = smooth(x, y)
+        rss = np.sum((y - sm.fitted) ** 2)
+        assert sm.gcv * (design.n - sm.edf) ** 2 == pytest.approx(rss, rel=1e-10)
 
     def test_deterministic(self, sine_data):
         x, y = sine_data
@@ -97,21 +92,20 @@ class TestFitMany:
         x, truth, y = crossed_data
         rng = np.random.default_rng(2)
         design = AdditiveSmootherDesign(x, SmootherSettings(interaction=interaction))
-        ys = np.column_stack(
+        ys = np.array(
             [y, truth, 3.0 * truth + 1.0, np.zeros_like(y), np.full_like(y, 2.5)]
             + [block_permute(y, 20, rng) for _ in range(30)]
             + [rng.standard_normal(y.size) for _ in range(5)]
         )
         fits = design.fit_many(ys)
         assert fits.fitted.shape == ys.shape
-        assert fits.coefficients.shape == (design.n_columns, ys.shape[1])
-        for j in range(ys.shape[1]):
-            one = design.fit_values(ys[:, j])
+        for j in range(ys.shape[0]):
+            one = design.fit_values(ys[j])
             assert fits.lam[j] == one.lam
             assert fits.edf[j] == one.edf
             assert fits.gcv[j] == pytest.approx(one.gcv, rel=1e-10, abs=1e-300)
             scale = max(np.max(np.abs(one.fitted)), 1.0)
-            assert_allclose(fits.fitted[:, j], one.fitted, rtol=0, atol=1e-12 * scale)
+            assert_allclose(fits.fitted[j], one.fitted, rtol=0, atol=1e-12 * scale)
         # an all-zero response ties GCV on the whole grid: the largest lambda
         assert fits.lam[3] == design.lambda_grid[-1]
         # each column has its own lambda
@@ -120,21 +114,23 @@ class TestFitMany:
     def test_one_column(self, sine_data):
         x, y = sine_data
         design = AdditiveSmootherDesign(x)
-        fits, one = design.fit_many(y[:, None]), design.fit_values(y)
+        fits, one = design.fit_many(y[None]), design.fit_values(y)
         assert fits.lam[0] == one.lam and fits.edf[0] == one.edf
-        assert_allclose(fits.fitted[:, 0], one.fitted, rtol=0, atol=1e-12)
+        assert_allclose(fits.fitted[0], one.fitted, rtol=0, atol=1e-12)
 
     def test_responses_are_checked(self, sine_data):
         x, y = sine_data
         design = AdditiveSmootherDesign(x)
-        with pytest.raises(ArgumentError, match="2-D"):
+        with pytest.raises(ArgumentError, match="shape"):
             design.fit_many(y)
-        with pytest.raises(ArgumentError, match="rows"):
-            design.fit_many(np.zeros((10, 3)))
-        bad = np.column_stack([y, y])
-        bad[4, 1] = np.inf
+        with pytest.raises(ArgumentError, match="shape"):
+            design.fit_many(np.zeros((3, 10)))
+        bad = np.array([y, y])
+        bad[1, 4] = np.inf
         with pytest.raises(ArgumentError, match="non-finite"):
             design.fit_many(bad)
+        with pytest.raises(ArgumentError, match="shape"):
+            design.fit_values(bad)
 
 
 class TestPredict:
@@ -150,6 +146,16 @@ class TestPredict:
         outside = design.design_for(np.array([x.max() + 5.0])) @ sm.coefficients
         assert_allclose(outside, inside, atol=1e-12)
 
+    def test_design_for_checks_predictors(self, sine_data):
+        x, y = sine_data
+        design, _ = smooth(x, y)
+        with pytest.raises(ArgumentError, match="non-finite"):
+            design.design_for([np.nan, 5.0])
+        with pytest.raises(ArgumentError, match="1-D or 2-D"):
+            design.design_for(np.zeros((2, 1, 1)))
+        with pytest.raises(ArgumentError, match="predictor columns"):
+            design.design_for(np.zeros((2, 2)))
+
 
 class TestDegenerate:
     def test_constant_predictor_rejected(self):
@@ -161,9 +167,10 @@ class TestDegenerate:
             smooth(np.arange(5.0), np.arange(5.0))
 
     def test_design_wider_than_data_rejected(self):
-        settings = SmootherSettings(total_dim=40, min_term_dim=40)
+        # two 6-function terms on 12 rows: 11 columns leave no residual room
+        x = np.column_stack([np.linspace(0, 1, 12), np.cos(np.arange(12.0))])
         with pytest.raises(DegenerateDesignError, match="columns"):
-            smooth(np.linspace(0, 1, 12), np.zeros(12), settings)
+            smooth(x, np.zeros(12))
 
     def test_non_finite_rejected(self):
         x = np.linspace(0, 1, 20)
@@ -214,14 +221,20 @@ class TestInteraction:
         design, sm = smooth(x, y, SmootherSettings(interaction=True))
         assert_allclose(design.design_for(x) @ sm.coefficients, sm.fitted, atol=1e-12)
 
+    def test_joint_predictions_clamp_outside_training_box(self, crossed_data):
+        x, _, y = crossed_data
+        design, _ = smooth(x, y, SmootherSettings(interaction=True))
+        lo, hi = x.min(axis=0), x.max(axis=0)
+        edge = np.array([[lo[0], hi[1]], [hi[0], hi[1]], [hi[0], 0.3], [0.2, lo[1]]])
+        beyond = edge + np.array([[-2.0, 3.0], [1.0, 5.0], [4.0, 0.0], [0.0, -1.5]])
+        assert_allclose(design.design_for(beyond), design.design_for(edge), rtol=0, atol=1e-12)
+
     def test_joint_gcv_matches_dense_solve(self, crossed_data):
         x, _, y = crossed_data
         design = AdditiveSmootherDesign(x, SmootherSettings(interaction=True))
         fit = design.fit_values(y)
-        X = design.design
+        X, S = design.design, design.penalty
         n, k = X.shape
-        S = np.zeros((k, k))
-        S[1:, 1:] = design._term_pens[0]
         best = None
         for lam in design.lambda_grid:
             A = X.T @ X + design.eps * np.eye(k) + lam * S
@@ -392,3 +405,53 @@ class TestLastColumnUpdate:
             design.fit_last_columns([x], [np.r_[y[:-1], np.inf]])
         with pytest.raises(DegenerateDesignError, match="constant"):
             design.fit_last_columns([x, np.ones_like(x)], [y, y])
+
+
+def reference_term(x, dims):
+    """Columns and penalty of one term over the columns of ``x``, built
+    from scipy's B-splines (``BSplineBasis``), quadrature Grams and an SVD
+    null-space sum-to-zero basis; ``dims`` are the per-direction basis
+    sizes."""
+    bases, block = [], None
+    for xj, dim in zip(x.T, dims):
+        basis = BSplineBasis(4, np.quantile(xj, np.linspace(0.0, 1.0, dim - 2)))
+        marg = basis.design_matrix(xj)
+        if block is not None:
+            marg = (block[:, :, None] * marg[:, None, :]).reshape(xj.size, -1)
+        block = marg
+        bases.append(basis)
+    z = null_space(block.mean(axis=0)[None, :])
+    pen = 0.0
+    for d in range(len(bases)):
+        kron = np.ones((1, 1))
+        for e, basis in enumerate(bases):
+            kron = np.kron(kron, basis.penalty_gram(2 if e == d else 0))
+        pen = pen + kron / np.linalg.norm(kron)
+    curv = z.T @ pen @ z
+    curv = 0.5 * (curv + curv.T)
+    curv /= np.linalg.norm(curv)
+    w, v = eigh(curv)
+    null = v[:, w <= 1e-10 * max(w.max(), 1.0)]
+    return block @ z, curv + null @ null.T
+
+
+@pytest.mark.parametrize(
+    "interaction, dims",
+    # 440 rows: one column gets all of total_dim (40); a tensor over two
+    # gets 6 per direction, the largest with 6 ** 2 <= 40
+    [(False, [40]), (True, [6, 6])],
+)
+def test_terms_match_reference_build(crossed_data, interaction, dims):
+    x, _, _ = crossed_data
+    x = x[:, : len(dims)]
+    design = AdditiveSmootherDesign(x, SmootherSettings(interaction=interaction))
+    cols, pen = design.design[:, 1:], design.penalty[1:, 1:]
+    ref_cols, ref_pen = reference_term(x, dims)
+    assert cols.shape == ref_cols.shape
+    # the same column span: cols = ref_cols Q for an orthogonal Q, the two
+    # sum-to-zero bases differing by a rotation
+    q = np.linalg.lstsq(ref_cols, cols, rcond=None)[0]
+    assert np.max(np.abs(ref_cols @ q - cols)) <= 1e-12 * np.max(np.abs(cols))
+    assert_allclose(q.T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-12)
+    # the same penalty in that basis
+    assert_allclose(q.T @ ref_pen @ q, pen, rtol=0, atol=1e-9)
