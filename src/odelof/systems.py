@@ -8,6 +8,13 @@ equation, or replacing one parameter). Rate callables take
 ``g is None`` means unforced. Additive injection is applied centrally by
 :func:`forced_rate`, so additive systems may ignore their ``g`` argument;
 parameter-replacement systems consume it themselves.
+
+The fixed-step simulators (:func:`integrate`, :func:`simulate_sde`) hold
+the state as Python floats and call the rate once per stage on a fresh
+float64 array of shape (d,): on 2- and 3-element arrays, numpy's dispatch
+costs more than the arithmetic. The rate still gets an array, not floats,
+because float and numpy-scalar ``x**3`` differ from the array ufunc in the
+last bit on a few percent of inputs.
 """
 
 from __future__ import annotations
@@ -236,8 +243,41 @@ def rate_values(
     return out
 
 
-def _forcing_value(forcing, t: float) -> float:
-    return float(forcing(t))
+def _drift(system: DynamicalSystem, th: np.ndarray, xs: list, t: float, g=None) -> list:
+    """One evaluation of the forced rate at the float state ``xs``, as floats.
+
+    The rate receives a fresh float64 array of shape (d,), so a rate that
+    writes into its argument cannot touch the stepper's state.
+    """
+    x = np.array(xs, dtype=float)
+    out = np.asarray(forced_rate(system, x, t, th, g), dtype=float)
+    if out.shape != x.shape:
+        out = np.broadcast_to(out, x.shape)
+    return out.tolist()
+
+
+def _check_start(system: DynamicalSystem, x0) -> list:
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (system.dim,):
+        raise ArgumentError(f"x0 has shape {x.shape}, expected ({system.dim},)")
+    if not np.all(np.isfinite(x)):
+        raise ArgumentError("x0 contains non-finite values")
+    return x.tolist()
+
+
+def _check_step(value, what: str) -> float:
+    h = float(value)
+    if not (h > 0 and math.isfinite(h)):
+        raise ArgumentError(f"{what} must be positive and finite, got {value}")
+    return h
+
+
+def _diverged(xs: list) -> bool:
+    # the negated comparison is also true for NaN
+    for v in xs:
+        if not -BLOWUP_LIMIT <= v <= BLOWUP_LIMIT:
+            return True
+    return False
 
 
 def integrate(
@@ -270,38 +310,34 @@ def integrate(
     """
     th = _check_theta(system, theta)
     t_grid = _check_times(np.asarray(times, dtype=float), "integration times")
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (system.dim,):
-        raise ArgumentError(f"x0 has shape {x.shape}, expected ({system.dim},)")
-    if not np.all(np.isfinite(x)):
-        raise ArgumentError("x0 contains non-finite values")
+    xs = _check_start(system, x0)
     spacing = np.diff(t_grid)
-    h_max = spacing.min() if substep is None else float(substep)
-    if h_max <= 0:
-        raise ArgumentError(f"substep must be positive, got {h_max}")
+    h_max = _check_step(spacing.min() if substep is None else substep, "substep")
 
-    def f(xv, tv):
-        if forcing is None:
-            return np.asarray(system.rate(xv, tv, th, None), dtype=float)
-        return np.asarray(forced_rate(system, xv, tv, th, _forcing_value(forcing, tv)), dtype=float)
+    def f(x, t):
+        g = None if forcing is None else float(forcing(t))
+        return _drift(system, th, x, t, g)
 
     out = np.empty((t_grid.size, system.dim))
-    out[0] = x
+    out[0] = xs
     for i in range(t_grid.size - 1):
-        dt = spacing[i]
+        dt = float(spacing[i])
         n_sub = max(1, math.ceil(dt / h_max - 1e-12))
         h = dt / n_sub
-        t = t_grid[i]
+        t = float(t_grid[i])
         for _ in range(n_sub):
-            k1 = f(x, t)
-            k2 = f(x + 0.5 * h * k1, t + 0.5 * h)
-            k3 = f(x + 0.5 * h * k2, t + 0.5 * h)
-            k4 = f(x + h * k3, t + h)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1 = f(xs, t)
+            k2 = f([x + 0.5 * h * k for x, k in zip(xs, k1)], t + 0.5 * h)
+            k3 = f([x + 0.5 * h * k for x, k in zip(xs, k2)], t + 0.5 * h)
+            k4 = f([x + h * k for x, k in zip(xs, k3)], t + h)
+            xs = [
+                x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                for x, a, b, c, d in zip(xs, k1, k2, k3, k4)
+            ]
             t += h
-            if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > BLOWUP_LIMIT:
+            if _diverged(xs):
                 raise BlowupError(f"integration of {system.name} diverged at t={t:.6g}", t)
-        out[i + 1] = x
+        out[i + 1] = xs
     return Trajectory(t_grid, out)
 
 
@@ -330,35 +366,31 @@ def simulate_sde(
     """
     th = _check_theta(system, theta)
     t_grid = _check_times(np.asarray(times, dtype=float), "simulation times")
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (system.dim,):
-        raise ArgumentError(f"x0 has shape {x.shape}, expected ({system.dim},)")
+    xs = _check_start(system, x0)
     s2 = np.broadcast_to(np.asarray(sigma2, dtype=float), (system.dim,)).copy()
     if np.any(s2 < 0) or not np.all(np.isfinite(s2)):
         raise ArgumentError(f"sigma2 must be nonnegative and finite, got {sigma2!r}")
-    if step <= 0:
-        raise ArgumentError(f"step must be positive, got {step}")
+    step = _check_step(step, "step")
     if seed is None:
         raise ArgumentError("simulate_sde requires an explicit seed")
     rng = rng_from(seed)
 
     out = np.empty((t_grid.size, system.dim))
-    out[0] = x
+    out[0] = xs
     for i in range(t_grid.size - 1):
-        dt = t_grid[i + 1] - t_grid[i]
+        dt = float(t_grid[i + 1] - t_grid[i])
         n_sub = max(1, math.ceil(dt / step - 1e-12))
         h = dt / n_sub
         # one draw per interval: the same stream as one draw per substep
-        noise = np.sqrt(s2 * h) * rng.standard_normal((n_sub, system.dim))
-        t = t_grid[i]
+        noise = (np.sqrt(s2 * h) * rng.standard_normal((n_sub, system.dim))).tolist()
+        t = float(t_grid[i])
         for dw in noise:
-            drift = np.asarray(system.rate(x, t, th, None), dtype=float)
-            x = x + drift * h + dw
+            drift = _drift(system, th, xs, t)
+            xs = [x + f * h + w for x, f, w in zip(xs, drift, dw)]
             t += h
-            # also true for NaN and inf
-            if not np.abs(x).max() <= BLOWUP_LIMIT:
+            if _diverged(xs):
                 raise BlowupError(f"SDE simulation of {system.name} diverged at t={t:.6g}", t)
-        out[i + 1] = x
+        out[i + 1] = xs
     return Trajectory(t_grid, out)
 
 
@@ -414,39 +446,35 @@ def scale_rate(system: DynamicalSystem, factor: float) -> DynamicalSystem:
 
 def _linear2d_rate(x, t, th, g):
     x1, x2 = x[..., 0], x[..., 1]
-    return np.stack([th[0] * x1 + th[1] * x2, th[2] * x1 + th[3] * x2], axis=-1)
+    return np.array([th[0] * x1 + th[1] * x2, th[2] * x1 + th[3] * x2]).T
 
 
 def _vanderpol_rate(x, t, th, g):
     x1, x2 = x[..., 0], x[..., 1]
-    a, b = th
-    return np.stack([a * x2, b * (x2 - x1 - x2**3 / 3.0)], axis=-1)
+    return np.array([th[0] * x2, th[1] * (x2 - x1 - x2**3 / 3.0)]).T
 
 
 def _rossler_rate(x, t, th, g):
     x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    a, b, c = th
-    return np.stack([-x2 - x3, x1 + a * x2, b + x3 * (x1 - c)], axis=-1)
+    return np.array([-x2 - x3, x1 + th[0] * x2, th[1] + x3 * (x1 - th[2])]).T
 
 
 def _rm_log_rate(x, t, th, g):
-    # State is (log C, log B); p is replaced by g(t) when forcing is active.
-    r, k_c, big_g, k_b, chi, delta, p = th
-    if g is not None:
-        p = g
+    # State is (log C, log B); theta is (r, K_C, G, K_B, chi, delta, p), and
+    # p is replaced by g(t) when forcing is active.
+    p = th[6] if g is None else g
     c = np.exp(x[..., 0])
     b = np.exp(x[..., 1])
-    uptake = p * big_g / (k_b + p * c)
-    return np.stack([r * (1.0 - c / k_c) - uptake * b, chi * uptake * c - delta], axis=-1)
+    uptake = p * th[2] / (th[3] + p * c)
+    return np.array([th[0] * (1.0 - c / th[1]) - uptake * b, th[4] * uptake * c - th[5]]).T
 
 
 def _vanderpol_order2_rate(x, t, th, g):
     # Second-order scalar model in companion form: state (x, dx/dt).
     x1, x2 = x[..., 0], x[..., 1]
-    a, b, c, d, e = th
-    return np.stack(
-        [x2, a + b * x2 + c * x1 + d * x1**2 + e * x1 * x2**2], axis=-1
-    )
+    return np.array(
+        [x2, th[0] + th[1] * x2 + th[2] * x1 + th[3] * x1**2 + th[4] * x1 * x2**2]
+    ).T
 
 
 _BUILTINS = {

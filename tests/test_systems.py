@@ -99,6 +99,12 @@ class TestIntegrate:
         with pytest.raises(ArgumentError):
             integrate(sys, sys.theta_default, (1.0, 0.0, 0.0), [0.0, 1.0])
 
+    @pytest.mark.parametrize("substep", [np.nan, np.inf, 0.0, -0.1])
+    def test_rejects_bad_substep(self, substep):
+        sys = circle_system()
+        with pytest.raises(ArgumentError, match="substep"):
+            integrate(sys, sys.theta_default, (1.0, 0.0), [0.0, 1.0], substep=substep)
+
 
 class TestSde:
     def test_zero_noise_first_order_convergence(self):
@@ -145,6 +151,18 @@ class TestSde:
         sys = builtin_system("vanderpol")
         with pytest.raises(ArgumentError, match="seed"):
             simulate_sde(sys, (0.25, 4.0), 0.01, (0.0, 2.0), [0.0, 1.0])
+
+    @pytest.mark.parametrize("x0", [(np.nan, 2.0), (0.0, np.inf)])
+    def test_rejects_non_finite_x0(self, x0):
+        sys = builtin_system("vanderpol")
+        with pytest.raises(ArgumentError, match="x0"):
+            simulate_sde(sys, (0.25, 4.0), 0.01, x0, [0.0, 1.0], seed=1)
+
+    @pytest.mark.parametrize("step", [np.nan, np.inf, 0.0])
+    def test_rejects_bad_step(self, step):
+        sys = builtin_system("vanderpol")
+        with pytest.raises(ArgumentError, match="step"):
+            simulate_sde(sys, (0.25, 4.0), 0.01, (0.0, 2.0), [0.0, 1.0], step=step, seed=1)
 
 
 def sde_reference(system, theta, sigma2, x0, times, step, seed):
@@ -199,6 +217,98 @@ class TestSdeReference:
         with pytest.raises(BlowupError) as exc:
             simulate_sde(sys, (1.0,), 0.01, (1.0, 1.0), times, step=0.01, seed=8)
         assert exc.value.time == ref.value.time
+
+
+def rk4_reference(system, theta, x0, times, substep, forcing=None):
+    """Classical RK4 on numpy arrays, one step at a time: the path integrate
+    must reproduce bit for bit."""
+    th = np.asarray(theta, dtype=float)
+
+    def f(x, t):
+        g = None if forcing is None else float(forcing(t))
+        return np.asarray(forced_rate(system, x, t, th, g), dtype=float)
+
+    x = np.asarray(x0, dtype=float)
+    out = [x]
+    for a, b in zip(times[:-1], times[1:]):
+        n_sub = max(1, int(np.ceil((b - a) / substep - 1e-12)))
+        h = (b - a) / n_sub
+        t = a
+        for _ in range(n_sub):
+            k1 = f(x, t)
+            k2 = f(x + 0.5 * h * k1, t + 0.5 * h)
+            k3 = f(x + 0.5 * h * k2, t + 0.5 * h)
+            k4 = f(x + h * k3, t + h)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+            if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > BLOWUP_LIMIT:
+                raise BlowupError("diverged", t)
+        out.append(x)
+    return np.array(out)
+
+
+class TestRk4Reference:
+    @pytest.mark.parametrize(
+        "name, x0, forcing",
+        [
+            ("vanderpol", (0.0, 2.0), None),
+            ("rossler", (1.0, 1.0, 0.0), None),
+            ("rosenzweig_macarthur_log", (0.0, -0.7), None),
+            ("vanderpol", (0.0, 2.0), np.cos),  # additive
+            ("rosenzweig_macarthur_log", (0.0, -0.7), lambda t: 1.0 + 0.2 * np.sin(t)),
+        ],
+        ids=["vanderpol", "rossler", "rmlog", "vanderpol-forced", "rmlog-forced"],
+    )
+    def test_path_matches_per_step_rk4(self, name, x0, forcing):
+        sys = builtin_system(name)
+        # uneven spacing: the substep count differs between intervals
+        times = np.cumsum(np.r_[0.0, np.random.default_rng(4).uniform(0.01, 0.2, 60)])
+        traj = integrate(sys, sys.theta_default, x0, times, forcing=forcing, substep=0.03)
+        ref = rk4_reference(sys, sys.theta_default, x0, times, 0.03, forcing)
+        assert traj.states.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "rate",
+        [
+            lambda x, t, th, g: th[0] * x,  # grows past the limit
+            lambda x, t, th, g: np.full(2, np.nan) if t > 0.3 else -x,  # NaN
+            lambda x, t, th, g: np.full(2, np.inf) if t > 0.3 else -x,  # inf
+        ],
+        ids=["limit", "nan", "inf"],
+    )
+    def test_blowup_time_matches_per_step_rk4(self, rate):
+        sys = DynamicalSystem(name="diverging", dim=2, n_params=1, rate=rate)
+        times = np.linspace(0.0, 40.0, 81)
+        with pytest.raises(BlowupError) as ref:
+            rk4_reference(sys, (1.0,), (1.0, 1.0), times, 0.01)
+        with pytest.raises(BlowupError) as exc:
+            integrate(sys, (1.0,), (1.0, 1.0), times, substep=0.01)
+        assert exc.value.time == ref.value.time
+
+
+class TestRateOutputShape:
+    def test_scalar_rate_broadcasts_in_one_dimension(self):
+        def scalar(x, t, th, g):
+            return th[0] * x[0]
+
+        def array(x, t, th, g):
+            return th[0] * x
+
+        times = np.linspace(0.0, 1.0, 11)
+        systems = [DynamicalSystem(name="s", dim=1, n_params=1, rate=r) for r in (scalar, array)]
+        ode = [integrate(s, (-0.5,), (1.0,), times, substep=0.01).states for s in systems]
+        sde = [simulate_sde(s, (-0.5,), 0.1, (1.0,), times, seed=3).states for s in systems]
+        assert ode[0].tobytes() == ode[1].tobytes()
+        assert sde[0].tobytes() == sde[1].tobytes()
+
+    def test_wrong_length_is_not_truncated(self):
+        sys = DynamicalSystem(
+            name="long", dim=2, n_params=1, rate=lambda x, t, th, g: np.r_[x, 0.0]
+        )
+        with pytest.raises(ValueError):
+            integrate(sys, (1.0,), (1.0, 1.0), [0.0, 1.0])
+        with pytest.raises(ValueError):
+            simulate_sde(sys, (1.0,), 0.01, (1.0, 1.0), [0.0, 1.0], seed=1)
 
 
 class TestObserve:
@@ -266,6 +376,27 @@ class TestForcingPlumbing:
         batch = rate_values(sys, x, t, theta)
         rows = np.stack([np.asarray(sys.rate(x[i], t[i], theta, None)) for i in range(10)])
         assert_allclose(batch, rows)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_builtin_rate_batches_match_rows(name):
+    sys = builtin_system(name)
+    theta = np.asarray(sys.theta_default)
+    rng = np.random.default_rng(6)
+    x = 0.5 * rng.normal(size=(7, sys.dim))
+    t = np.linspace(0.0, 1.0, 7)
+    gs = [None]
+    if sys.forcing.mode == "parameter_replacement":
+        gs.append(rng.uniform(0.5, 2.0, 7))
+    for g in gs:
+        batch = np.asarray(sys.rate(x, t, theta, g))
+        assert batch.shape == (7, sys.dim)
+        rows = []
+        for i in range(7):
+            row = np.asarray(sys.rate(x[i], t[i], theta, None if g is None else g[i]))
+            assert row.shape == (sys.dim,)
+            rows.append(row)
+        assert_allclose(batch, rows, rtol=1e-13, atol=1e-13)
 
 
 @settings(max_examples=30, deadline=None)
