@@ -35,6 +35,7 @@ from .systems import (
 )
 from .seriesio import read_timeseries_csv, series_csv_text, write_series_csv
 from .splines import (
+    BasisGrid,
     BSplineBasis,
     SmoothingOperator,
     SplineFunction,
@@ -102,6 +103,7 @@ __all__ = [
     "read_timeseries_csv",
     "series_csv_text",
     "write_series_csv",
+    "BasisGrid",
     "BSplineBasis",
     "SmoothingOperator",
     "SplineFunction",

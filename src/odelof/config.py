@@ -471,6 +471,20 @@ def _validate(cfg: dict, source: str) -> None:
     for key in ("h_interaction", "second_order"):
         if not isinstance(sm[key], bool):
             _fail(source, f"smoothing.{key}", "must be true or false")
+    # a curvature penalty, and the second-order model's d2x/dt2, take
+    # second derivatives: splines of order 3 (quadratic) and up
+    needs = (
+        ("x_order", "smoothing.x_penalty > 0", sm["x_penalty"] > 0),
+        ("x_order", "smoothing.second_order", sm["second_order"]),
+        ("g_order", "smoothing.g_penalty > 0", sm["g_penalty"] > 0),
+    )
+    for key, why, applies in needs:
+        if applies and sm[key] < 3:
+            _fail(
+                source,
+                f"smoothing.{key}",
+                f"must be >= 3 with {why}, which takes second derivatives; got {sm[key]}",
+            )
     if sm["theta_init"] is not None and not (
         isinstance(sm["theta_init"], list) and all(_is_num(x) for x in sm["theta_init"])
     ):

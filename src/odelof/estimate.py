@@ -29,7 +29,7 @@ from scipy.linalg import cho_factor, cho_solve, solveh_banded
 
 from .errors import ArgumentError, ConvergenceError, RankError
 from .rng import SeedLike, rng_from
-from .splines import BSplineBasis, SplineFunction
+from .splines import BasisGrid, BSplineBasis, SplineFunction
 from .systems import DynamicalSystem, rate_values
 
 _GN_MAX_ITER = 100
@@ -334,8 +334,9 @@ class ForcingOperator:
 
     Everything that depends only on (system, g_basis, times, penalty) is
     built once, so bootstrap replicates that share the observation grid
-    reuse one instance: the quadrature nodes and weights and the design
-    Psi of g at the nodes.
+    reuse one instance: the quadrature nodes and weights, the g basis
+    values at the nodes (a :class:`~odelof.splines.BasisGrid`) and the
+    design Psi built from them.
 
     Additive mode solves the penalized least-squares problem in closed
     form from a Cholesky factor of ``Psi^T W Psi + penalty * P`` (P the
@@ -374,12 +375,13 @@ class ForcingOperator:
         self.system = system
         self.basis = g_basis
         self.nodes, self.weights = quad_grid(times, quad_per_spacing)
-        self.psi = g_basis.design_matrix(self.nodes)
+        grid = BasisGrid(g_basis, self.nodes)
+        self.psi = g_basis.design_matrix(grid)
         pen = penalty * g_basis.penalty_gram(2) if penalty > 0 else None
         if system.forcing.mode == "additive":
             self._factor_additive(pen)
         else:
-            self._band_replacement(pen)
+            self._band_replacement(grid, pen)
 
     def _factor_additive(self, pen: Optional[np.ndarray]):
         gram = self.psi.T @ (self.weights[:, None] * self.psi)
@@ -392,13 +394,13 @@ class ForcingOperator:
                 "forcing design is singular; refine the quadrature or add a penalty"
             ) from None
 
-    def _band_replacement(self, pen: Optional[np.ndarray]):
+    def _band_replacement(self, grid: BasisGrid, pen: Optional[np.ndarray]):
         order, size = self.basis.order, self.basis.size
         self._sqrt_w = np.sqrt(self.weights)
-        # the nonzeros of row q of Psi sit in columns first_q .. first_q + order - 1
-        first = np.searchsorted(self.basis.breakpoints, self.nodes, side="right") - 1
-        self._cols = np.clip(first, 0, size - order)[:, None] + np.arange(order)
-        self._vals = np.take_along_axis(self.psi, self._cols, axis=1)
+        # g at the nodes for coefficients D, and the nonzeros of row q of
+        # Psi: columns _cols[q], values _vals[q]
+        self._grid = grid
+        self._cols, self._vals = grid.nonzero()
         # entry (i, j), i <= j, of a symmetric banded matrix sits at
         # [order - 1 + i - j, j] of its upper band; flat band indices and
         # the Psi products of every pair (i, j) of one row's nonzeros
@@ -456,9 +458,6 @@ class ForcingOperator:
             n_iter=1,
         )
 
-    def _g_values(self, coef: np.ndarray) -> np.ndarray:
-        return np.einsum("qk,qk->q", self._vals, coef[self._cols])
-
     def _step(self, coef: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Gauss-Newton step for residual rows ``r`` (nq, d) whose Jacobian
         row (q, d) is ``a[q, d] * psi_q``, with the penalty rows when the
@@ -502,7 +501,7 @@ class ForcingOperator:
         system, nodes, sw = self.system, self.nodes, self._sqrt_w
 
         def residual(coef):
-            g = self._g_values(coef)
+            g = self._grid.combine(coef)
             r = sw[:, None] * (dx - rate_values(system, x, nodes, theta, g))
             flat = r.reshape(-1)
             obj = float(flat @ flat)

@@ -1,10 +1,13 @@
 """Shared smooth -> gradient-match -> forcing pipeline.
 
 The diagnostic tests refit this pipeline on every bootstrap replicate, so
-the pieces that depend only on the observation grid (smoothing design and
-factorization, and the :class:`~odelof.estimate.ForcingOperator` with its
-quadrature, forcing design and factor or penalty band) are built once by
-:class:`PipelineRunner` and reused.
+the pieces that depend only on the observation grid are built once by
+:class:`PipelineRunner` and reused: the smoothing design and
+factorization, the :class:`~odelof.estimate.ForcingOperator` with its
+quadrature, forcing design and factor or penalty band, and the
+:class:`~odelof.splines.BasisGrid` values of the x and g bases on the
+quadrature nodes and the observation times, where every refit evaluates
+its smooth, the smooth's derivatives and the forcing.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .estimate import (
     gradient_match_order2,
 )
 from .smoothers import SmootherSettings
-from .splines import SmoothingOperator, SplineFunction, make_basis
+from .splines import BasisGrid, SmoothingOperator, SplineFunction, make_basis
 from .systems import DynamicalSystem, builtin_system
 
 
@@ -72,15 +75,31 @@ class PipelineFit:
 
 
 class CompanionState:
-    """Adapter presenting a scalar smooth as the state (x, dx/dt)."""
+    """Adapter presenting a scalar smooth ``spline(t, deriv)`` as the state
+    (x, dx/dt)."""
 
-    def __init__(self, spline: SplineFunction):
+    def __init__(self, spline):
         self.spline = spline
 
     def __call__(self, t, deriv: int = 0):
         return np.stack(
             [self.spline(t, deriv), self.spline(t, deriv + 1)], axis=-1
         )
+
+
+class _OnGrids:
+    """A smooth as ``x_hat(t, deriv)`` that evaluates through a basis grid
+    when ``t`` holds that grid's points, and at ``t`` otherwise."""
+
+    def __init__(self, spline: SplineFunction, grids: tuple[BasisGrid, ...]):
+        self.spline = spline
+        self.grids = grids
+
+    def __call__(self, t, deriv: int = 0):
+        for grid in self.grids:
+            if t is grid.points or np.array_equal(t, grid.points):
+                return self.spline(grid, deriv)
+        return self.spline(t, deriv)
 
 
 class PipelineRunner:
@@ -117,6 +136,15 @@ class PipelineRunner:
         self._forcing_op = ForcingOperator(
             self.system, self.g_basis, t, s.g_penalty, s.quad_per_spacing
         )
+        # matching and forcing take x_hat and dx_hat on the quadrature
+        # nodes (and d2x_hat for the second-order model, whose state is
+        # (x, dx)); the fit reports the state and g_hat at the times
+        max_deriv = 2 if s.second_order else 1
+        self._x_grids = (
+            BasisGrid(self.x_basis, self._forcing_op.nodes, max_deriv),
+            BasisGrid(self.x_basis, t, max_deriv - 1),
+        )
+        self._g_grid = BasisGrid(self.g_basis, t)
 
     def run(self, values) -> PipelineFit:
         """Smooth the data, match theta, and estimate the forcing."""
@@ -131,7 +159,6 @@ class PipelineRunner:
                         f"second-order pipeline needs one observed coordinate, got {y.shape[1]}"
                     )
                 xhat = self.smoother.fit(y[:, 0])
-                state = CompanionState(xhat)
             else:
                 if y.shape[1] != self.system.dim:
                     raise ArgumentError(
@@ -139,13 +166,14 @@ class PipelineRunner:
                         f"data has {y.shape[1]} columns"
                     )
                 xhat = self.smoother.fit(y)
-                state = xhat
         except OdelofError as exc:
             raise PipelineError(f"smoothing failed: {exc}", stage="smooth") from exc
+        smooth = _OnGrids(xhat, self._x_grids)
+        state = CompanionState(smooth) if s.second_order else smooth
 
         try:
             if s.second_order:
-                match = gradient_match_order2(xhat, self.times, s.quad_per_spacing)
+                match = gradient_match_order2(smooth, self.times, s.quad_per_spacing)
             else:
                 theta_init = None if s.theta_init is None else np.asarray(s.theta_init)
                 free = None if s.theta_free is None else np.asarray(s.theta_free, dtype=bool)
@@ -165,14 +193,14 @@ class PipelineRunner:
         except OdelofError as exc:
             raise PipelineError(f"forcing estimation failed: {exc}", stage="forcing") from exc
 
-        fitted_obs = np.asarray(xhat(self.times))
+        fitted_obs = np.asarray(smooth(self.times))
         if fitted_obs.ndim == 1:
             fitted_obs = fitted_obs[:, None]
         if s.second_order:
             state_obs = np.asarray(state(self.times))
         else:
             state_obs = fitted_obs
-        g_obs = np.asarray(forcing.g(self.times))
+        g_obs = np.asarray(forcing.g(self._g_grid))
         return PipelineFit(
             xhat=xhat,
             match=match,

@@ -1,13 +1,28 @@
 """B-spline bases, penalized smoothing, and spline-valued functions.
 
-:class:`BSplineBasis`, which the estimation pipeline uses, evaluates
-through scipy's BSpline; its penalty Grams are built here by per-span
-Gauss-Legendre quadrature, which is exact because the integrands are
-piecewise polynomials. :func:`stacked_basis_values` and
-:func:`stacked_derivative_gram` do the same for a stack of bases at once,
-by the Cox-de Boor recursion and closed-form Grams, equal up to rounding;
-every term of the GCV smoother (:mod:`odelof.smoothers`) is built with
-them.
+Every B-spline value in the package comes from one routine: the
+Cox-de Boor recursion (de Boor 1978, *A Practical Guide to Splines*),
+vectorized over a stack of clamped bases and their points. A single
+basis is a stack of one.
+
+* :meth:`BSplineBasis.design_matrix` and :meth:`SplineFunction.__call__`
+  evaluate through it. The derivative of order d of a spline is a spline
+  of order ``order - d`` on the inner knots, with coefficients that are
+  scaled differences of the original ones. Differences and sums take
+  scipy's ``BSpline`` arithmetic. The recursion's denominators are
+  ``(k_b - t) + (t - k_a)`` where scipy takes ``k_b - k_a``, so values
+  can differ from scipy's in the last bit, where those round apart.
+* :class:`BasisGrid` keeps a basis's nonzero values at fixed points. Any
+  number of splines on that basis are then evaluated there by a short
+  gather and sum per point; the pipeline's refits use this.
+* :func:`stacked_basis_values` evaluates a stack of bases at once and
+  :func:`stacked_derivative_gram` gives their penalty Grams in closed
+  form; every term of the GCV smoother (:mod:`odelof.smoothers`) is built
+  with them.
+
+The penalty Grams of one basis are built by per-span Gauss-Legendre
+quadrature, which is exact because the integrands are piecewise
+polynomials.
 """
 
 from __future__ import annotations
@@ -17,16 +32,17 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import BSpline
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ArgumentError, RankError
 from .systems import _frozen
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BSplineBasis:
     """Clamped B-spline basis of a given order on a breakpoint grid.
+
+    Two bases are equal when their orders and breakpoints are.
 
     Parameters
     ----------
@@ -51,6 +67,14 @@ class BSplineBasis:
             raise ArgumentError("breakpoints must be strictly increasing")
         object.__setattr__(self, "order", int(self.order))
         object.__setattr__(self, "breakpoints", _frozen(bp))
+
+    def __eq__(self, other):
+        if not isinstance(other, BSplineBasis):
+            return NotImplemented
+        return self.order == other.order and np.array_equal(self.breakpoints, other.breakpoints)
+
+    def __hash__(self):
+        return hash((self.order, self.breakpoints.tobytes()))
 
     @property
     def degree(self) -> int:
@@ -91,14 +115,9 @@ class BSplineBasis:
         return np.clip(t, lo, hi)
 
     def design_matrix(self, t, deriv: int = 0) -> np.ndarray:
-        """Evaluate all basis functions (or a derivative) at points ``t``."""
-        if deriv < 0 or deriv >= self.order:
-            raise ArgumentError(f"deriv must be in 0..{self.order - 1}, got {deriv}")
-        t = self._check_inside(np.atleast_1d(np.asarray(t, dtype=float)))
-        b = BSpline(self.knots, np.eye(self.size), self.degree, extrapolate=True)
-        if deriv:
-            b = b.derivative(deriv)
-        return b(t)
+        """Evaluate all basis functions (or a derivative) at points ``t``,
+        or at the points of a :class:`BasisGrid` of this basis."""
+        return _grid_for(self, t, deriv).combine(np.eye(self.size), deriv)
 
     def penalty_gram(self, deriv: int = 2) -> np.ndarray:
         """Exact Gram matrix of derivative inner products.
@@ -106,8 +125,7 @@ class BSplineBasis:
         ``P[i, j] = integral of B_i^(deriv) * B_j^(deriv)`` over the domain,
         computed span by span with a Gauss-Legendre rule of the exact degree.
         """
-        if deriv < 0 or deriv >= self.order:
-            raise ArgumentError(f"deriv must be in 0..{self.order - 1}, got {deriv}")
+        _check_deriv(self, deriv)
         q = self.order - deriv
         xi, wi = _gauss_rule(q)
         a = self.breakpoints[:-1]
@@ -131,12 +149,11 @@ def stacked_basis_values(knots: np.ndarray, order: int, t: np.ndarray) -> np.nda
     Row i of ``knots`` (m, nk) is the full knot vector of one clamped basis
     of the given order, as :attr:`BSplineBasis.knots` builds it; row i of
     ``t`` (m, n) holds points inside that basis's domain. Returns (m, n, K),
-    the K = nk - order basis functions of row i at its points. Agrees with
-    :meth:`BSplineBasis.design_matrix` up to rounding, without a scipy
-    ``BSpline`` with identity coefficients per basis, so many bases can be
-    evaluated at once.
+    the K = nk - order basis functions of row i at its points: row i's
+    :meth:`BSplineBasis.design_matrix`, for many bases at once.
     """
-    return _cox_de_boor(knots, order, order, t)
+    span, (vals,) = _cox_de_boor(knots, order, order, t)
+    return _dense(span, vals, knots.shape[1] - order)
 
 
 def stacked_derivative_gram(knots: np.ndarray, order: int, deriv: int = 2) -> np.ndarray:
@@ -170,7 +187,8 @@ def stacked_derivative_gram(knots: np.ndarray, order: int, deriv: int = 2) -> np
         mid = 0.5 * (breaks[:, 1:] + breaks[:, :-1])
         nodes = (mid[:, :, None] + half[:, :, None] * xi).reshape(m, -1)
         weights = (half[:, :, None] * wi).reshape(m, -1)
-        vals = _cox_de_boor(knots, order, q, nodes)
+        span, (vals,) = _cox_de_boor(knots, order, q, nodes)
+        vals = _dense(span, vals, size)
         gram = vals.transpose(0, 2, 1) @ (weights[:, :, None] * vals)
     for mm in range(q + 1, order + 1):
         # d/dt B_{a,mm} = (mm - 1) (B_{a,mm-1} / (k_{a+mm-1} - k_a)
@@ -186,28 +204,37 @@ def stacked_derivative_gram(knots: np.ndarray, order: int, deriv: int = 2) -> np
     return 0.5 * (gram + gram.transpose(0, 2, 1))
 
 
-def _cox_de_boor(knots: np.ndarray, order: int, q: int, t: np.ndarray) -> np.ndarray:
-    # Values of the order-q B-splines on each row of a stack of knot
-    # vectors of order-`order` clamped bases, by the triangular Cox-de Boor
-    # scheme vectorized over bases and points (Piegl & Tiller, The NURBS
-    # Book, A2.2). Each point sits in a nonempty span, so no denominator
-    # is zero.
+def _cox_de_boor(
+    knots: np.ndarray, order: int, q: int, t: np.ndarray, lowest: int | None = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    # The nonzero B-splines of orders `lowest` (default q) to q at points
+    # inside a stack of clamped bases of the given order: row i of knots
+    # (m, nk) and of t (m, n) as in stacked_basis_values. Returns each
+    # point's span i (m, n), with k_i <= t < k_{i+1} and the right end of
+    # the domain in the last nonempty span, and per order p an array
+    # (p, m, n) whose row r is the order-p B-spline i - p + 1 + r at the
+    # point. The triangular scheme vectorized over bases and points
+    # (Piegl & Tiller, The NURBS Book, A2.2). Each point sits in a nonempty
+    # span, so no denominator is zero.
+    lowest = q if lowest is None else lowest
     p = q - 1
     m, n = t.shape
     nk = knots.shape[1]
-    # each point's span i (k_i <= t < k_{i+1}); the right end of the domain
-    # belongs to the last nonempty one
     span = np.array([np.searchsorted(k, x, side="right") for k, x in zip(knots, t)]) - 1
     np.clip(span, order - 1, nk - order - 1, out=span)
     at = span + (np.arange(m) * nk)[:, None]
+    flat = knots.ravel()
     left = np.empty((p, m, n))  # row j - 1: t - k_{i+1-j}
     right = np.empty((p, m, n))  # row j - 1: k_{i+j} - t
     vals = np.empty((q, m, n))  # row r: the r-th order-j function nonzero at t
     vals[0] = 1.0
+    kept = []
     for j in range(1, p + 1):
+        if j >= lowest:
+            kept.append(vals[:j].copy())  # the order-j values
         # in place, so a stack of bases holds few (m, n) temporaries
-        np.subtract(t, knots.ravel()[at + (1 - j)], out=left[j - 1])
-        np.subtract(knots.ravel()[at + j], t, out=right[j - 1])
+        np.subtract(t, flat[at + (1 - j)], out=left[j - 1])
+        np.subtract(flat[at + j], t, out=right[j - 1])
         saved = 0.0
         for r in range(j):
             temp = vals[r] / (right[r] + left[j - 1 - r])
@@ -216,10 +243,101 @@ def _cox_de_boor(knots: np.ndarray, order: int, q: int, t: np.ndarray) -> np.nda
             saved = temp
             saved *= left[j - 1 - r]
         vals[j] = saved
-    out = np.zeros((m, n, nk - q))
-    first = (np.arange(m * n).reshape(m, n)) * (nk - q) + span - p
+    kept.append(vals)
+    return span, kept
+
+
+def _dense(span: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
+    # (m, n, size) design from _cox_de_boor's span and one order's values
+    q, m, n = vals.shape
+    out = np.zeros((m, n, size))
+    first = np.arange(m * n).reshape(m, n) * size + span - (q - 1)
     out.ravel()[first + np.arange(q)[:, None, None]] = vals
     return out
+
+
+_SLAB = 1 << 13  # entries of one gathered term in BasisGrid.combine
+
+
+def _check_deriv(basis: BSplineBasis, deriv: int) -> None:
+    if deriv < 0 or deriv >= basis.order:
+        raise ArgumentError(f"deriv must be in 0..{basis.order - 1}, got {deriv}")
+
+
+class BasisGrid:
+    """Nonzero values of one basis, and of its derivatives, at fixed points.
+
+    Pass a grid in place of the points to :meth:`BSplineBasis.design_matrix`
+    or to :meth:`SplineFunction.__call__` of a spline on ``basis``. The
+    recursion then runs once, when the grid is built, and each evaluation
+    is a sum over the few basis functions nonzero at each point, in the
+    order of an evaluation at the points themselves, so the values are
+    the same to the last bit. Derivatives up to ``max_deriv`` are kept.
+    """
+
+    def __init__(self, basis: BSplineBasis, points, max_deriv: int = 0):
+        _check_deriv(basis, max_deriv)
+        self.basis = basis
+        self.points = np.atleast_1d(np.asarray(points, dtype=float))
+        self.max_deriv = max_deriv
+        t = basis._check_inside(self.points).reshape(1, -1)
+        order = basis.order
+        span, vals = _cox_de_boor(basis.knots[None], order, order, t, order - max_deriv)
+        # derivative d is a spline of order - d on the inner knots; its
+        # functions nonzero at a point carry the same first index,
+        # span - degree, in the differenced coefficients
+        self._at = span[0] - basis.degree + np.arange(order)[:, None]
+        self._vals = [v[:, 0] for v in reversed(vals)]  # by derivative
+        # the knot gaps t_{i+k+1} - t_{i+1} of each order lowered
+        knots, k = basis.knots, basis.degree
+        self._gaps = []
+        for _ in range(max_deriv):
+            self._gaps.append(knots[k + 1 : -1] - knots[1 : -k - 1])
+            knots, k = knots[1:-1], k - 1
+
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
+        """Columns and values (n, order) of the basis functions nonzero at
+        each point."""
+        return np.ascontiguousarray(self._at.T), np.ascontiguousarray(self._vals[0].T)
+
+    def combine(self, coefficients: np.ndarray, deriv: int = 0) -> np.ndarray:
+        """Derivative ``deriv`` at the points of the spline with these
+        coefficients, (K,) or (K, m)."""
+        if not 0 <= deriv <= self.max_deriv:
+            raise ArgumentError(f"deriv must be in 0..{self.max_deriv} on this grid, got {deriv}")
+        c = np.asarray(coefficients, dtype=float)
+        for d, gap in enumerate(self._gaps[:deriv]):
+            # the derivative, one order lower on the inner knots:
+            # c_i <- (c_{i+1} - c_i) k / (t_{i+k+1} - t_{i+1}) (de Boor 1978,
+            # ch. X), in the arithmetic of scipy's splder
+            k = self.basis.degree - d
+            c = (c[1:] - c[:-1]) * k / (gap if c.ndim == 1 else gap[:, None])
+        vals = self._vals[deriv]
+        if c.ndim == 2:
+            vals = vals[:, :, None]
+        at = self._at[: vals.shape[0]]
+        out = np.empty(at.shape[1:] + c.shape[1:])
+        # points in slabs, so the gathered terms of a wide coefficient
+        # array (a design matrix's identity) stay small
+        step = max(1, _SLAB // c[0].size)
+        for lo in range(0, out.shape[0], step):
+            terms = np.take(c, at[:, lo : lo + step], axis=0)
+            terms *= vals[:, lo : lo + step]
+            part = out[lo : lo + step]
+            # summed from 0.0, as scipy sums: -0.0 becomes 0.0
+            np.add(terms[0], 0.0, out=part)
+            for term in terms[1:]:
+                part += term
+        return out.reshape(self.points.shape + c.shape[1:])
+
+
+def _grid_for(basis: BSplineBasis, t, deriv: int) -> BasisGrid:
+    # t itself if it is a grid of this basis, else a grid at the points t
+    if not isinstance(t, BasisGrid):
+        return BasisGrid(basis, t, deriv)
+    if t.basis is not basis and t.basis != basis:
+        raise ArgumentError("the grid was built for another basis")
+    return t
 
 
 def make_basis(order: int, domain: tuple[float, float], knot_spacing: float) -> BSplineBasis:
@@ -263,16 +381,10 @@ class SplineFunction:
         return 1 if self.coefficients.ndim == 1 else self.coefficients.shape[1]
 
     def __call__(self, t, deriv: int = 0):
-        """Evaluate the spline or one of its derivatives at ``t``."""
-        if deriv < 0 or deriv >= self.basis.order:
-            raise ArgumentError(f"deriv must be in 0..{self.basis.order - 1}, got {deriv}")
-        scalar_in = np.isscalar(t) or np.ndim(t) == 0
-        tt = self.basis._check_inside(np.atleast_1d(np.asarray(t, dtype=float)))
-        b = BSpline(self.basis.knots, self.coefficients, self.basis.degree, extrapolate=True)
-        if deriv:
-            b = b.derivative(deriv)
-        out = b(tt)
-        return out[0] if scalar_in else out
+        """Evaluate the spline or one of its derivatives at ``t``: points,
+        or a :class:`BasisGrid` of this spline's basis."""
+        out = _grid_for(self.basis, t, deriv).combine(self.coefficients, deriv)
+        return out[0] if not isinstance(t, BasisGrid) and np.ndim(t) == 0 else out
 
     def to_dict(self) -> dict:
         """JSON-ready representation; exact float round trip."""

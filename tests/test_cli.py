@@ -294,6 +294,31 @@ class TestArgumentHandling:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "smoothing, message",
+        [
+            ({"x_order": 2}, "smoothing.x_order must be >= 3 with smoothing.x_penalty > 0"),
+            (
+                {"g_order": 2, "g_penalty": 0.1},
+                "smoothing.g_order must be >= 3 with smoothing.g_penalty > 0",
+            ),
+        ],
+    )
+    def test_spline_orders_are_checked_against_the_penalties(
+        self, tmp_path, capsys, smoothing, message
+    ):
+        cfg = write_config(tmp_path / "c.json", smoothing=smoothing)
+        code = cli.main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_order_2_splines_without_penalties_run(self, tmp_path):
+        smoothing = {"x_order": 2, "x_penalty": 0.0, "x_knot_spacing": 1.0, "g_order": 2}
+        cfg = write_config(tmp_path / "c.json", smoothing=smoothing)
+        assert cli.main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "report_case2.json").exists()
+
 
 class TestCsvDataSource:
     def test_csv_config_diagnoses_the_simulated_file(self, tmp_path):

@@ -91,6 +91,31 @@ class TestRejection:
         with pytest.raises(ConfigError, match=fragment):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "smoothing, fragment",
+        [
+            ({"x_order": 2}, r"smoothing\.x_order must be >= 3 with smoothing\.x_penalty > 0"),
+            (
+                {"x_order": 2, "x_penalty": 0.0, "second_order": True},
+                r"smoothing\.x_order must be >= 3 with smoothing\.second_order",
+            ),
+            (
+                {"g_order": 2, "g_penalty": 0.5},
+                r"smoothing\.g_order must be >= 3 with smoothing\.g_penalty > 0",
+            ),
+        ],
+    )
+    def test_second_derivatives_need_order_3(self, smoothing, fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            config_from_dict({"system": "linear2d", "smoothing": smoothing})
+
+    def test_order_2_without_a_penalty_is_valid(self):
+        cfg = config_from_dict(
+            {"system": "linear2d", "smoothing": {"x_order": 2, "x_penalty": 0.0, "g_order": 2}}
+        )
+        settings = cfg.pipeline_settings()
+        assert (settings.x_order, settings.g_order) == (2, 2)
+
     def test_messages_carry_the_source(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text('{"system": "linear2d", "noise_var": -1}')

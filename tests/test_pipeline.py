@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from odelof import (
     ArgumentError,
@@ -8,6 +8,8 @@ from odelof import (
     PipelineRunner,
     PipelineSettings,
     builtin_system,
+    estimate_forcing,
+    gradient_match,
     integrate,
     observe,
 )
@@ -64,6 +66,18 @@ class TestRunner:
         assert_allclose(fit.fitted_obs, fit.xhat(times))
         assert_allclose(fit.g_obs, fit.forcing.g(times))
 
+    def test_grid_refit_equals_evaluation_at_the_points(self, linear_run):
+        # the runner evaluates x_hat, dx_hat and g_hat through basis values
+        # built once; matching and forcing from the bare smooth agree bit for bit
+        fit, times = linear_run
+        system = builtin_system("linear2d")
+        assert_array_equal(fit.fitted_obs, fit.xhat(times))
+        assert_array_equal(fit.g_obs, fit.forcing.g(times))
+        match = gradient_match(fit.xhat, system, times)
+        assert_array_equal(match.theta, fit.match.theta)
+        forcing = estimate_forcing(fit.xhat, system, match.theta, fit.forcing.g.basis, times)
+        assert_array_equal(forcing.g.coefficients, fit.forcing.g.coefficients)
+
     def test_needs_enough_times(self):
         with pytest.raises(ArgumentError, match="at least 4"):
             PipelineRunner(np.array([0.0, 1.0, 2.0]), builtin_system("linear2d"))
@@ -109,6 +123,7 @@ class TestSecondOrder:
         assert fit.state_obs.shape == (440, 2)
         assert_allclose(fit.state_obs[:, 0], fit.xhat(times))
         assert_allclose(fit.state_obs[:, 1], fit.xhat(times, 1))
+        assert_array_equal(fit.state_obs, CompanionState(fit.xhat)(times))
 
 
 class TestCompanionState:

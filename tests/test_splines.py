@@ -1,11 +1,17 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.polynomial.legendre import leggauss
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy.interpolate import BSpline
 
+import odelof
 from odelof import (
     ArgumentError,
     BSplineBasis,
@@ -14,8 +20,27 @@ from odelof import (
     SplineFunction,
     TimeSeries,
     make_basis,
+    quad_grid,
 )
-from odelof.splines import stacked_basis_values, stacked_derivative_gram
+from odelof.splines import BasisGrid, stacked_basis_values, stacked_derivative_gram
+
+
+def scipy_values(basis, coef, t, deriv=0):
+    """Reference values from scipy's BSpline, independent of odelof's
+    recursion; identity coefficients give the design matrix."""
+    spline = BSpline(basis.knots, coef, basis.degree, extrapolate=True)
+    return (spline.derivative(deriv) if deriv else spline)(t)
+
+
+def scipy_gram(basis, deriv):
+    """Gram of the basis's derivatives by a Gauss rule of exact degree on
+    each span, with values from scipy's BSpline."""
+    xi, wi = leggauss(basis.order)
+    a, b = basis.breakpoints[:-1], basis.breakpoints[1:]
+    nodes = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * xi).ravel()
+    weights = (0.5 * (b - a)[:, None] * wi).ravel()
+    d = scipy_values(basis, np.eye(basis.size), nodes, deriv)
+    return d.T @ (weights[:, None] * d)
 
 
 class TestBasis:
@@ -64,6 +89,14 @@ class TestBasis:
         coef, *_ = np.linalg.lstsq(basis.design_matrix(t), t, rcond=None)
         assert coef @ basis.penalty_gram(1) @ coef == pytest.approx(2.0, rel=1e-9)
 
+    def test_bases_compare_by_order_and_breakpoints(self):
+        basis = make_basis(4, (0.0, 2.0), 0.5)
+        same = BSplineBasis(4, np.linspace(0.0, 2.0, 5))
+        assert basis == same and hash(basis) == hash(same)
+        assert basis != make_basis(3, (0.0, 2.0), 0.5)
+        assert basis != make_basis(4, (0.0, 2.0), 0.4)
+        assert basis != "basis"
+
     def test_evaluation_outside_domain_rejected(self):
         basis = make_basis(4, (0.0, 1.0), 0.5)
         with pytest.raises(ArgumentError, match="lie in"):
@@ -97,7 +130,8 @@ class TestStackedBases:
         bases, knots, points = stack(order)
         values = stacked_basis_values(knots, order, points)
         for basis, t, v in zip(bases, points, values):
-            assert_allclose(v, basis.design_matrix(t), rtol=0, atol=1e-13)
+            reference = scipy_values(basis, np.eye(basis.size), t)
+            assert_allclose(v, reference, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5])
     def test_grams_match_penalty_gram(self, stack, order):
@@ -105,8 +139,146 @@ class TestStackedBases:
         for deriv in range(order):
             grams = stacked_derivative_gram(knots, order, deriv)
             for basis, gram in zip(bases, grams):
-                exact = basis.penalty_gram(deriv)
+                exact = scipy_gram(basis, deriv)
                 assert_allclose(gram, exact, rtol=0, atol=1e-12 * np.abs(exact).max())
+                assert_allclose(
+                    basis.penalty_gram(deriv), exact, rtol=0, atol=1e-12 * np.abs(exact).max()
+                )
+
+
+class TestAgainstScipy:
+    """The recursion, derivatives and sums against scipy's BSpline."""
+
+    @pytest.fixture
+    def uneven(self):
+        rng = np.random.default_rng(9)
+
+        def make(order):
+            basis = BSplineBasis(order, np.sort(np.r_[-1.0, rng.uniform(-1.0, 2.5, 9), 2.5]))
+            t = np.r_[basis.breakpoints, rng.uniform(-1.0, 2.5, 60)]
+            return basis, t, rng
+
+        return make
+
+    @staticmethod
+    def close(got, ref):
+        # the recursion's denominators round apart from scipy's by an ulp
+        assert got.shape == ref.shape
+        assert_allclose(got, ref, rtol=0, atol=1e-13 * max(1.0, np.abs(ref).max()))
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+    def test_design_matrix_and_every_derivative(self, uneven, order):
+        basis, t, _ = uneven(order)
+        for deriv in range(order):
+            ref = scipy_values(basis, np.eye(basis.size), t, deriv)
+            self.close(basis.design_matrix(t, deriv), ref)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("outputs", [None, 1, 3])
+    def test_spline_values_and_every_derivative(self, uneven, order, outputs):
+        basis, t, rng = uneven(order)
+        shape = (basis.size,) if outputs is None else (basis.size, outputs)
+        coef = rng.normal(size=shape)
+        f = SplineFunction(basis, coef)
+        for deriv in range(order):
+            ref = scipy_values(basis, coef, t, deriv)
+            self.close(f(t, deriv), ref)
+            # one point in, one value (or row) out
+            self.close(np.asarray(f(t[3], deriv)), ref[3])
+
+    def test_right_end_and_clipping_tolerance(self):
+        basis = make_basis(4, (0.0, 2.0), 0.5)
+        coef = np.random.default_rng(2).normal(size=(basis.size, 2))
+        f = SplineFunction(basis, coef)
+        lo, hi = basis.domain
+        tol = 1e-9 * (hi - lo)
+        for deriv in range(4):
+            # the right end lies in the last span, as in scipy; points
+            # within the tolerance outside the domain take the end values
+            ends = scipy_values(basis, coef, np.array([lo, hi]), deriv)
+            self.close(f(np.array([hi]), deriv), ends[1:])
+            self.close(f(np.array([lo - 0.5 * tol, hi + 0.5 * tol]), deriv), ends)
+            self.close(
+                basis.design_matrix(np.array([hi + 0.5 * tol]), deriv),
+                scipy_values(basis, np.eye(basis.size), np.array([hi]), deriv),
+            )
+        with pytest.raises(ArgumentError, match="lie in"):
+            f(np.array([hi + 2 * tol]))
+        with pytest.raises(ArgumentError, match="lie in"):
+            basis.design_matrix(np.array([lo - 2 * tol]))
+
+    @pytest.mark.parametrize(
+        "domain, n_points, spacing, order",
+        [
+            # x and g bases of the builtin experiments, at their grids
+            ((0.0, 55.0), 440, 0.25, 4),
+            ((0.0, 55.0), 440, 1.0, 4),
+            ((0.0, 110.0), 440, 0.5, 4),
+            ((0.0, 110.0), 440, 3.0, 4),
+            ((0.0, 6.0), 440, 0.025, 4),
+            ((0.0, 6.0), 440, 0.11, 4),
+        ],
+    )
+    def test_pipeline_bases_at_their_grids(self, domain, n_points, spacing, order):
+        basis = make_basis(order, domain, spacing)
+        times = np.linspace(*domain, n_points)
+        nodes, _ = quad_grid(times, 4)
+        coef = np.random.default_rng(n_points).normal(size=(basis.size, 2))
+        f = SplineFunction(basis, coef)
+        for t in (times, nodes):
+            grid = BasisGrid(basis, t, order - 1)
+            for deriv in range(order):
+                ref = scipy_values(basis, coef, t, deriv)
+                self.close(f(t, deriv), ref)
+                # through a grid: the same sums, bit for bit
+                assert_array_equal(f(grid, deriv), f(t, deriv))
+            self.close(basis.design_matrix(grid), scipy_values(basis, np.eye(basis.size), t))
+
+
+class TestBasisGrid:
+    def test_grid_values_equal_direct_values(self):
+        basis = make_basis(4, (0.0, 3.0), 0.4)
+        t = np.linspace(0.0, 3.0, 37)
+        grid = BasisGrid(basis, t, 2)
+        f = SplineFunction(basis, np.random.default_rng(5).normal(size=basis.size))
+        for deriv in range(3):
+            assert_array_equal(f(grid, deriv), f(t, deriv))
+            assert_array_equal(basis.design_matrix(grid, deriv), basis.design_matrix(t, deriv))
+        cols, vals = grid.nonzero()
+        dense = basis.design_matrix(t)
+        assert_array_equal(np.take_along_axis(dense, cols, axis=1), vals)
+        assert np.count_nonzero(dense) == np.count_nonzero(vals)
+
+    def test_grid_checks_basis_and_derivative(self):
+        basis = make_basis(4, (0.0, 3.0), 0.4)
+        grid = BasisGrid(basis, np.linspace(0.0, 3.0, 7), 1)
+        with pytest.raises(ArgumentError, match="deriv must be in 0..1 on this grid"):
+            SplineFunction(basis, np.ones(basis.size))(grid, 2)
+        other = make_basis(4, (0.0, 3.0), 0.5)
+        with pytest.raises(ArgumentError, match="another basis"):
+            SplineFunction(other, np.ones(other.size))(grid)
+        with pytest.raises(ArgumentError, match="deriv must be in 0..3"):
+            BasisGrid(basis, [1.0], 4)
+
+
+def test_import_leaves_scipy_interpolate_out():
+    # the package loads numpy and scipy.linalg only; scipy.interpolate
+    # (and the scipy.special and scipy.optimize it pulls in) would add
+    # about 0.4 s to every start
+    src = str(Path(odelof.__file__).resolve().parents[1])
+    code = (
+        "import sys; import odelof, odelof.cli; "
+        "print(sorted(m for m in ('scipy.interpolate', 'scipy.special', 'scipy.optimize') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestSplineFunction:
