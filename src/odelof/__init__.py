@@ -46,9 +46,7 @@ from .estimate import (
     ForcingEstimate,
     ForcingOperator,
     GradientMatchFit,
-    estimate_forcing,
     gradient_match,
-    gradient_match_order2,
     quad_grid,
 )
 from .pipeline import PipelineFit, PipelineRunner, PipelineSettings
@@ -113,9 +111,7 @@ __all__ = [
     "ForcingEstimate",
     "ForcingOperator",
     "GradientMatchFit",
-    "estimate_forcing",
     "gradient_match",
-    "gradient_match_order2",
     "quad_grid",
     "PipelineFit",
     "PipelineRunner",

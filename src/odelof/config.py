@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Union
 
 from .errors import ConfigError
-from .pipeline import PipelineSettings
+from .pipeline import PipelineSettings, low_spline_orders
 from .smoothers import SmootherSettings
 from .systems import (
     DynamicalSystem,
@@ -471,20 +471,12 @@ def _validate(cfg: dict, source: str) -> None:
     for key in ("h_interaction", "second_order"):
         if not isinstance(sm[key], bool):
             _fail(source, f"smoothing.{key}", "must be true or false")
-    # a curvature penalty, and the second-order model's d2x/dt2, take
-    # second derivatives: splines of order 3 (quadratic) and up
-    needs = (
-        ("x_order", "smoothing.x_penalty > 0", sm["x_penalty"] > 0),
-        ("x_order", "smoothing.second_order", sm["second_order"]),
-        ("g_order", "smoothing.g_penalty > 0", sm["g_penalty"] > 0),
-    )
-    for key, why, applies in needs:
-        if applies and sm[key] < 3:
-            _fail(
-                source,
-                f"smoothing.{key}",
-                f"must be >= 3 with {why}, which takes second derivatives; got {sm[key]}",
-            )
+    for key, why in low_spline_orders(sm):
+        _fail(
+            source,
+            f"smoothing.{key}",
+            f"must be >= 3 with smoothing.{why}, which takes second derivatives; got {sm[key]}",
+        )
     if sm["theta_init"] is not None and not (
         isinstance(sm["theta_init"], list) and all(_is_num(x) for x in sm["theta_init"])
     ):
@@ -496,6 +488,13 @@ def _validate(cfg: dict, source: str) -> None:
         _fail(source, "smoothing.theta_free", "must be a list of booleans")
     if model is not None:
         proposed = builtin_system(model)
+        if sm["second_order"] and proposed.dim != 2:
+            _fail(
+                source,
+                "smoothing.second_order",
+                f"fits the state (x, dx/dt) of a two-dimensional model; {model} has "
+                f"dimension {proposed.dim}",
+            )
         if forcing is not None:
             mode = forcing["mode"]
             size, what = (

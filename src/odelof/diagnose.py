@@ -13,8 +13,10 @@ Its structure is then classified by two nested tests:
 
 Both are wrapped in a residual bootstrap over the data smoothing, giving
 one permutation p-value p_b per bootstrap replicate:
-``p_b = (1 + #{F_kb >= F_0b}) / (B2 + 1)``; the test rejects when the mean
-of the p_b falls below alpha.
+``p_b = (1 + #{F_kb >= F_0b}) / (B2 + 1)``, where an F_kb within a
+relative 1.5e-8 below F_0b counts as a tie (the two come from fits that
+agree only to rounding); the test rejects when the mean of the p_b falls
+below alpha.
 
 The B2 permutations of a replicate run as one batch: their block orders
 come from the replicate's generator in the order of B2
@@ -401,6 +403,14 @@ def case3_test(
 # small next to the rest of a replicate's memory.
 _PERM_BLOCK = 64
 
+# A null F value counts as reaching F0 from F0 * (1 - _TIE_REL) up (about
+# sqrt(eps), as R vegan's permutest): F0 and the null come from different
+# fitting paths (fit_values against fit_many / fit_last_columns) that
+# agree only to rounding, so a permutation that reproduces the observed
+# order must not count by rounding luck. F >= 0, so 0 and inf count as
+# exact comparisons do.
+_TIE_REL = 1.5e-8
+
 
 class _PermutationStat:
     """A test statistic with its block-permutation null.
@@ -409,7 +419,8 @@ class _PermutationStat:
     generator, it then draws all ``b2`` block permutations into one index
     matrix and passes its columns, a block at a time, to the null of
     :meth:`_observed`, which fits them together and returns their F
-    values; the count of those at or above F0 gives the p-value.
+    values; the count of those at or above F0, up to a relative
+    ``_TIE_REL`` for rounding, gives the p-value.
     """
 
     def evaluate(self, states_trim, g_trim, perm_rng=None, b2=0, block_len=0):
@@ -417,8 +428,9 @@ class _PermutationStat:
         p_b = None
         if perm_rng is not None:
             idx = block_permutation_indices(g_trim.shape[0], block_len, b2, perm_rng)
+            reach = f0.value * (1.0 - _TIE_REL)
             count = sum(
-                int(np.count_nonzero(null(idx[:, at : at + _PERM_BLOCK].T) >= f0.value))
+                int(np.count_nonzero(null(idx[:, at : at + _PERM_BLOCK].T) >= reach))
                 for at in range(0, b2, _PERM_BLOCK)
             )
             p_b = (1 + count) / (b2 + 1)

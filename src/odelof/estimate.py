@@ -13,16 +13,24 @@ functions here match model rates to the smooth's derivative:
   built once, and a replacement-mode Gauss-Newton step solves K x K banded
   normal equations (K basis functions, bandwidth the g order) instead of
   a least-squares problem over every quadrature row.
-  :func:`estimate_forcing` is a one-off operator.
+
+Both Gauss-Newton fits run one damped loop, :func:`_descend`; they differ
+only in the step (a finite-difference theta Jacobian solved by least
+squares, or the banded g step). Their ``converged`` flag says the loop
+stopped before its iteration cap: the objective stalled to within ``tol``,
+or no shortened step kept it from growing.
 
 ``x_hat`` arguments are callables ``x_hat(t, deriv)`` returning state values
-or their time derivative; a SplineFunction qualifies.
+or their time derivative; a SplineFunction qualifies. A second-order scalar
+model is a first-order system on the state (x, dx/dt): pass the smooth as
+:class:`~odelof.pipeline.CompanionState` and a system of dimension 2 whose
+first rate is the second coordinate (builtin ``vanderpol_order2``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solveh_banded
@@ -65,7 +73,9 @@ class GradientMatchFit:
     """Result of matching model rates to a smoothed trajectory.
 
     ``objective`` is the total weighted squared mismatch; ``objectives``
-    breaks it down per state coordinate.
+    breaks it down per state coordinate. ``converged`` is True for the
+    closed form and, for Gauss-Newton, says the loop stopped before
+    ``max_iter``; ``n_iter`` counts its iterations (1 for the closed form).
     """
 
     theta: np.ndarray
@@ -152,16 +162,29 @@ def gradient_match(
     nodes, w = quad_grid(times, quad_per_spacing)
     x, dx = _state_on_grid(xhat, nodes, system.dim)
     mask, base = _resolve_mask(system, theta_init, free_mask)
+    free_idx = np.nonzero(mask)[0]
     sw = np.sqrt(w)
 
+    def fit_at(theta, objective, converged, n_iter):
+        resid = dx - rate_values(system, x, nodes, theta)
+        per_coord = np.einsum("q,qd->d", w, resid**2)
+        return GradientMatchFit(
+            theta=theta,
+            objective=float(per_coord.sum()) if objective is None else objective,
+            objectives=per_coord,
+            converged=converged,
+            n_iter=n_iter,
+            quad_times=nodes,
+            quad_weights=w,
+        )
+
     if system.linear_in_params:
-        theta0 = base.copy()
-        theta0[mask] = 0.0
-        c = rate_values(system, x, nodes, theta0)
-        free_idx = np.nonzero(mask)[0]
+        theta = base.copy()
+        theta[mask] = 0.0
+        c = rate_values(system, x, nodes, theta)
         cols = np.empty((nodes.size, system.dim, free_idx.size))
         for k, j in enumerate(free_idx):
-            tj = theta0.copy()
+            tj = theta.copy()
             tj[j] = 1.0
             cols[:, :, k] = rate_values(system, x, nodes, tj) - c
         a = (sw[:, None, None] * cols).reshape(-1, free_idx.size)
@@ -172,26 +195,28 @@ def gradient_match(
                 f"gradient-matching design is rank deficient ({rank} < {free_idx.size}); "
                 "the trajectory does not excite every parameter"
             )
-        theta = theta0
         theta[free_idx] = sol
-        resid = dx - rate_values(system, x, nodes, theta)
-        per_coord = np.einsum("q,qd->d", w, resid**2)
-        return GradientMatchFit(
-            theta=theta,
-            objective=float(per_coord.sum()),
-            objectives=per_coord,
-            converged=True,
-            n_iter=1,
-            quad_times=nodes,
-            quad_weights=w,
-        )
+        return fit_at(theta, None, True, 1)
 
-    free_idx = np.nonzero(mask)[0]
+    def residual(theta):
+        r = (sw[:, None] * (dx - rate_values(system, x, nodes, theta))).reshape(-1)
+        return r, float(r @ r), None
 
-    def objective_parts(theta):
-        resid = dx - rate_values(system, x, nodes, theta)
-        per_coord = np.einsum("q,qd->d", w, resid**2)
-        return (sw[:, None] * resid).reshape(-1), per_coord
+    def jacobian_step(theta, r, _):
+        # central differences in each free parameter; the fixed ones stay
+        jac = np.empty((r.size, free_idx.size))
+        for k, j in enumerate(free_idx):
+            h = 1e-6 * max(1.0, abs(theta[j]))
+            tp = theta.copy()
+            tp[j] += h
+            tm = theta.copy()
+            tm[j] -= h
+            jac[:, k] = (residual(tp)[0] - residual(tm)[0]) / (2.0 * h)
+        if not np.all(np.isfinite(jac)):
+            return None
+        step = np.zeros(theta.size)
+        step[free_idx] = np.linalg.lstsq(jac, r, rcond=None)[0]
+        return step
 
     if theta_init is not None:
         starts = [base.copy()]
@@ -204,110 +229,63 @@ def gradient_match(
 
     best = None
     for start in starts:
-        result = _gauss_newton(objective_parts, start, free_idx, max_iter, tol)
-        if result is None:
-            continue
-        if best is None or result[1] < best[1]:
+        result = _descend(residual, jacobian_step, start, max_iter, tol)
+        if result is not None and (best is None or result.objective < best.objective):
             best = result
     if best is None:
         raise ConvergenceError(
             f"gradient matching for {system.name} found no finite objective "
             f"from {len(starts)} start(s)"
         )
-    theta, obj, per_coord, converged, n_iter = best
-    return GradientMatchFit(
-        theta=theta,
-        objective=float(obj),
-        objectives=per_coord,
-        converged=converged,
-        n_iter=n_iter,
-        quad_times=nodes,
-        quad_weights=w,
-    )
+    return fit_at(best.x, best.objective, best.converged, best.n_iter)
 
 
-def _gauss_newton(objective_parts, theta0, free_idx, max_iter, tol):
-    """Damped Gauss-Newton over theta[free_idx]; returns None if the start
-    never reaches a finite objective."""
-    theta = np.asarray(theta0, dtype=float).copy()
-    r, per_coord = objective_parts(theta)
+class _Descent(NamedTuple):
+    x: np.ndarray
+    objective: float
+    start_objective: float
+    converged: bool
+    n_iter: int
+
+
+def _descend(residual, step, x, max_iter, tol) -> Optional[_Descent]:
+    """Damped Gauss-Newton from ``x``.
+
+    ``residual(x)`` returns ``(r, objective, state)``: the residuals, whose
+    finiteness is checked, the objective to decrease and anything
+    ``step(x, r, state)`` needs to return the Gauss-Newton step (x moves to
+    ``x - step``), or None when no step can be formed. Each iteration
+    halves the step until the objective does not grow, down to 1e-4 of
+    it. The loop ends when the objective changes by at most ``tol``
+    relative, when no trial keeps it from growing, or after ``max_iter``
+    iterations; ``converged`` says it ended before that cap. Returns None
+    if the start's residuals or a step are not finite.
+    """
+    r, obj, state = residual(x)
     if not np.all(np.isfinite(r)):
         return None
-    obj = float(r @ r)
+    start_obj = obj
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        jac = np.empty((r.size, free_idx.size))
-        for k, j in enumerate(free_idx):
-            h = 1e-6 * max(1.0, abs(theta[j]))
-            tp = theta.copy()
-            tp[j] += h
-            tm = theta.copy()
-            tm[j] -= h
-            rp, _ = objective_parts(tp)
-            rm, _ = objective_parts(tm)
-            jac[:, k] = (rp - rm) / (2.0 * h)
-        if not np.all(np.isfinite(jac)):
+        d = step(x, r, state)
+        if d is None:
             return None
-        step, *_ = np.linalg.lstsq(jac, r, rcond=None)
         scale = 1.0
         improved = False
         while scale > 1e-4:
-            trial = theta.copy()
-            trial[free_idx] -= scale * step
-            r_t, pc_t = objective_parts(trial)
-            if np.all(np.isfinite(r_t)):
-                obj_t = float(r_t @ r_t)
-                if obj_t <= obj:
-                    theta, r, per_coord = trial, r_t, pc_t
-                    improved = obj_t < obj
-                    if abs(obj - obj_t) <= tol * max(obj, 1e-300):
-                        obj = obj_t
-                        converged = True
-                    else:
-                        obj = obj_t
-                    break
+            trial = x - scale * d
+            r_t, obj_t, state_t = residual(trial)
+            if np.all(np.isfinite(r_t)) and obj_t <= obj:
+                converged = abs(obj - obj_t) <= tol * max(obj, 1e-300)
+                x, r, obj, state = trial, r_t, obj_t, state_t
+                improved = True
+                break
             scale *= 0.5
         if converged or not improved:
-            converged = converged or not improved
+            converged = True
             break
-    return theta, obj, per_coord, converged, it
-
-
-def gradient_match_order2(xhat, times, quad_per_spacing: int = 4) -> GradientMatchFit:
-    """Fit the second-order model x'' = a + b x' + c x + d x^2 + e x (x')^2.
-
-    ``xhat`` must be a scalar smooth; its first and second derivatives are
-    evaluated on the quadrature grid and the coefficients come from one
-    weighted linear regression. Returns theta = (a, b, c, d, e).
-    """
-    nodes, w = quad_grid(times, quad_per_spacing)
-    x = np.asarray(xhat(nodes, 0), dtype=float)
-    if x.ndim != 1:
-        x = np.squeeze(x)
-    if x.shape != (nodes.size,):
-        raise ArgumentError("gradient_match_order2 needs a scalar smooth")
-    xd = np.squeeze(np.asarray(xhat(nodes, 1), dtype=float))
-    xdd = np.squeeze(np.asarray(xhat(nodes, 2), dtype=float))
-    design = np.column_stack([np.ones_like(x), xd, x, x * x, x * xd * xd])
-    sw = np.sqrt(w)
-    sol, _, rank, _ = np.linalg.lstsq(sw[:, None] * design, sw * xdd, rcond=None)
-    if rank < 5:
-        raise RankError(
-            f"second-order design is rank deficient (rank {rank} < 5); "
-            "the trajectory does not separate the regressors"
-        )
-    resid = xdd - design @ sol
-    obj = float(w @ resid**2)
-    return GradientMatchFit(
-        theta=sol,
-        objective=obj,
-        objectives=np.array([obj]),
-        converged=True,
-        n_iter=1,
-        quad_times=nodes,
-        quad_weights=w,
-    )
+    return _Descent(x, obj, start_obj, converged, it)
 
 
 @dataclass(frozen=True)
@@ -317,7 +295,10 @@ class ForcingEstimate:
     ``objective`` is the weighted squared mismatch of the forced model on
     the rows g touches (the target coordinate in additive mode, all
     coordinates in replacement mode); ``objective_unforced`` is the same
-    quantity at g's neutral value, for before/after comparison.
+    quantity at g's neutral value, for before/after comparison. In
+    replacement mode ``converged`` says the Gauss-Newton loop stopped
+    before ``max_iter`` and ``n_iter`` counts its iterations; the
+    additive closed form reports True and 1.
     """
 
     g: SplineFunction
@@ -507,60 +488,25 @@ class ForcingOperator:
             obj = float(flat @ flat)
             if self._pen is not None:
                 obj += float(coef @ (self._pen @ coef))
-            return r, g, obj
+            return r, obj, g
 
-        replaced = theta[system.forcing.target - 1]
-        coef = np.full(self.basis.size, replaced, dtype=float)  # partition of unity
-        r, g, obj = residual(coef)
-        if not np.all(np.isfinite(r)):
-            raise ConvergenceError("replacement forcing start produced non-finite residuals")
-        obj_unforced = obj
-        converged = False
-        it = 0
-        for it in range(1, max_iter + 1):
+        def banded_step(coef, r, g):
             dgh = 1e-6 * max(1.0, float(np.abs(g).max()))
             fp = rate_values(system, x, nodes, theta, g + dgh)
             fm = rate_values(system, x, nodes, theta, g - dgh)
-            a = -sw[:, None] * ((fp - fm) / (2.0 * dgh))
-            step = self._step(coef, a, r)
-            scale = 1.0
-            improved = False
-            while scale > 1e-4:
-                trial = coef - scale * step
-                r_t, g_t, obj_t = residual(trial)
-                if np.all(np.isfinite(r_t)) and obj_t <= obj:
-                    if abs(obj - obj_t) <= tol * max(obj, 1e-300):
-                        converged = True
-                    coef, r, g, obj = trial, r_t, g_t, obj_t
-                    improved = True
-                    break
-                scale *= 0.5
-            if converged or not improved:
-                converged = converged or not improved
-                break
+            return self._step(coef, -sw[:, None] * ((fp - fm) / (2.0 * dgh)), r)
+
+        replaced = theta[system.forcing.target - 1]
+        start = np.full(self.basis.size, replaced, dtype=float)  # partition of unity
+        fit = _descend(residual, banded_step, start, max_iter, tol)
+        if fit is None:
+            raise ConvergenceError("replacement forcing start produced non-finite residuals")
         return ForcingEstimate(
-            g=SplineFunction(self.basis, coef),
+            g=SplineFunction(self.basis, fit.x),
             mode="parameter_replacement",
             target=system.forcing.target,
-            objective=obj,
-            objective_unforced=obj_unforced,
-            converged=converged,
-            n_iter=it,
+            objective=fit.objective,
+            objective_unforced=fit.start_objective,
+            converged=fit.converged,
+            n_iter=fit.n_iter,
         )
-
-
-def estimate_forcing(
-    xhat,
-    system: DynamicalSystem,
-    theta,
-    g_basis: BSplineBasis,
-    times,
-    penalty: float = 0.0,
-    quad_per_spacing: int = 4,
-    max_iter: int = _GN_MAX_ITER,
-    tol: float = _GN_TOL,
-) -> ForcingEstimate:
-    """Estimate the empirical forcing for a fitted model: a one-off
-    :class:`ForcingOperator` (see there for both modes)."""
-    op = ForcingOperator(system, g_basis, times, penalty, quad_per_spacing)
-    return op.fit(xhat, theta, max_iter, tol)

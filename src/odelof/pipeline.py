@@ -18,21 +18,21 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, OdelofError, PipelineError
-from .estimate import (
-    ForcingEstimate,
-    ForcingOperator,
-    GradientMatchFit,
-    gradient_match,
-    gradient_match_order2,
-)
+from .estimate import ForcingEstimate, ForcingOperator, GradientMatchFit, gradient_match
 from .smoothers import SmootherSettings
 from .splines import BasisGrid, SmoothingOperator, SplineFunction, make_basis
-from .systems import DynamicalSystem, builtin_system
+from .systems import DynamicalSystem
 
 
 @dataclass(frozen=True)
 class PipelineSettings:
-    """Smoothing, quadrature, and estimation knobs for one experiment."""
+    """Smoothing, quadrature, and estimation knobs for one experiment.
+
+    ``second_order`` fits one observed coordinate x as the state (x, dx/dt)
+    of the runner's two-dimensional system. A curvature penalty and the
+    second-order state take second derivatives of a spline, so they need
+    its order to be 3 (quadratic) or more (:func:`low_spline_orders`).
+    """
 
     x_order: int = 4
     x_knot_spacing: float = 0.25
@@ -59,6 +59,23 @@ class PipelineSettings:
                 raise ArgumentError(f"{name} must be nonnegative, got {v!r}")
         if self.quad_per_spacing < 1:
             raise ArgumentError("quad_per_spacing must be >= 1")
+        for name, why in low_spline_orders(vars(self)):
+            raise ArgumentError(
+                f"{name} must be >= 3 with {why}, which takes second derivatives; "
+                f"got {getattr(self, name)}"
+            )
+
+
+def low_spline_orders(s) -> list[tuple[str, str]]:
+    """The spline orders below 3 that settings ``s`` (a mapping of
+    PipelineSettings fields) take second derivatives of, as (order field,
+    reason) pairs: a curvature penalty, or the second-order state."""
+    needs = (
+        ("x_order", "x_penalty > 0", s["x_penalty"] > 0),
+        ("x_order", "second_order", s["second_order"]),
+        ("g_order", "g_penalty > 0", s["g_penalty"] > 0),
+    )
+    return [(name, why) for name, why, applies in needs if applies and s[name] < 3]
 
 
 @dataclass(frozen=True)
@@ -110,10 +127,16 @@ class PipelineRunner:
     times : array
         Observation grid shared by every data set this runner will fit.
     system : DynamicalSystem
-        Proposed model, including its ForcingSpec (required). Ignored for
-        the second-order pipeline, which always fits the five-regressor
-        model x'' = a + b x' + c x + d x^2 + e x (x')^2 with an additive
-        forcing.
+        Proposed model, including its ForcingSpec (required). With
+        ``settings.second_order`` the data are one coordinate x and the
+        system (of dimension 2) is fitted on the state (x, dx/dt) of its
+        smooth, for example builtin ``vanderpol_order2``, the model
+        x'' = a + b x' + c x + d x^2 + e x (x')^2 in that form.
+
+    Every refit runs :func:`~odelof.estimate.gradient_match` and the
+    runner's :class:`~odelof.estimate.ForcingOperator`. Their fits report
+    ``converged``, which says that a Gauss-Newton loop stopped before its
+    iteration cap; the closed forms always report True.
     """
 
     def __init__(self, times, system: DynamicalSystem, settings: Optional[PipelineSettings] = None):
@@ -127,12 +150,14 @@ class PipelineRunner:
         self.x_basis = make_basis(s.x_order, domain, s.x_knot_spacing)
         self.g_basis = make_basis(s.g_order, domain, s.g_knot_spacing)
         self.smoother = SmoothingOperator(t, self.x_basis, s.x_penalty)
-        if s.second_order:
-            self.system = builtin_system("vanderpol_order2")
-        else:
-            self.system = system
-            if self.system is None:
-                raise ArgumentError("a proposed model system is required")
+        if system is None:
+            raise ArgumentError("a proposed model system is required")
+        if s.second_order and system.dim != 2:
+            raise ArgumentError(
+                f"second-order pipeline fits the state (x, dx/dt); model {system.name} "
+                f"has dim {system.dim}"
+            )
+        self.system = system
         self._forcing_op = ForcingOperator(
             self.system, self.g_basis, t, s.g_penalty, s.quad_per_spacing
         )
@@ -172,19 +197,14 @@ class PipelineRunner:
         state = CompanionState(smooth) if s.second_order else smooth
 
         try:
-            if s.second_order:
-                match = gradient_match_order2(smooth, self.times, s.quad_per_spacing)
-            else:
-                theta_init = None if s.theta_init is None else np.asarray(s.theta_init)
-                free = None if s.theta_free is None else np.asarray(s.theta_free, dtype=bool)
-                match = gradient_match(
-                    state,
-                    self.system,
-                    self.times,
-                    theta_init=theta_init,
-                    free_mask=free,
-                    quad_per_spacing=s.quad_per_spacing,
-                )
+            match = gradient_match(
+                state,
+                self.system,
+                self.times,
+                theta_init=None if s.theta_init is None else np.asarray(s.theta_init),
+                free_mask=None if s.theta_free is None else np.asarray(s.theta_free, dtype=bool),
+                quad_per_spacing=s.quad_per_spacing,
+            )
         except OdelofError as exc:
             raise PipelineError(f"gradient matching failed: {exc}", stage="match") from exc
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .diagnose import DiagnosticReport, _Case3Stat
 from .errors import ArgumentError, BlowupError
+from .pipeline import CompanionState
 from .smoothers import AdditiveSmootherDesign, SmootherSettings
 from .splines import SplineFunction
 from .systems import DynamicalSystem, TimeSeries, builtin_system, integrate, rate_values
@@ -70,10 +71,9 @@ def export_diagnostic_plots(
     x_obs = np.asarray(xhat(times))
     if x_obs.ndim == 1:
         x_obs = x_obs[:, None]
-    if second_order:
-        states = np.column_stack([xhat(times), xhat(times, 1)])
-    else:
-        states = x_obs
+    # the model's state: the smooth, or (x, dx/dt) for a second-order model
+    state = CompanionState(xhat) if second_order else xhat
+    states = np.asarray(state(times)).reshape(n, -1)
     g_obs = np.asarray(g(times))
     paths = []
 
@@ -86,13 +86,7 @@ def export_diagnostic_plots(
     _write_csv(path, header, cols)
     paths.append(path)
 
-    dx_obs = np.asarray(xhat(times, 1))
-    if dx_obs.ndim == 1:
-        dx_obs = dx_obs[:, None]
-    if second_order:
-        dstates = np.column_stack([xhat(times, 1), xhat(times, 2)])
-    else:
-        dstates = dx_obs
+    dstates = np.asarray(state(times, 1)).reshape(n, -1)
     f_obs = rate_values(system, states, times, theta, g_obs)
     d = dstates.shape[1]
     header = ["time"] + [f"dxdt{j + 1}" for j in range(d)] + [f"f{j + 1}" for j in range(d)]
@@ -102,7 +96,7 @@ def export_diagnostic_plots(
     paths.append(path)
 
     paths.append(_export_h(report, out, t_trim, s_trim, g_trim))
-    paths.append(_export_series_overlay(report, out, series, xhat, x_obs, system, theta, second_order))
+    paths.append(_export_series_overlay(out, series, x_obs, states[0], system, theta))
     return paths
 
 
@@ -153,14 +147,11 @@ def _export_h(report, out, t_trim, s_trim, g_trim) -> Path:
     return path
 
 
-def _export_series_overlay(
-    report, out, series, xhat, x_obs, system, theta, second_order
-) -> Path:
+def _export_series_overlay(out, series, x_obs, x0, system, theta) -> Path:
+    """Data, smooth and the bare model solution from the state ``x0``; the
+    solution's first columns are the observed ones (the only one, x, for a
+    second-order model)."""
     times = series.times
-    if second_order:
-        x0 = np.array([float(xhat(times[0])), float(xhat(times[0], 1))])
-    else:
-        x0 = x_obs[0]
     spacing = float(np.median(np.diff(times)))
     sol = np.full((times.size, system.dim), np.nan)
     try:
@@ -175,7 +166,7 @@ def _export_series_overlay(
             except BlowupError:
                 pass
     m = series.values.shape[1]
-    sol_obs = sol[:, :m] if not second_order else sol[:, :1]
+    sol_obs = sol[:, :m]
     header = (
         ["time"]
         + [f"y{j + 1}" for j in range(m)]

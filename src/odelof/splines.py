@@ -355,12 +355,13 @@ def make_basis(order: int, domain: tuple[float, float], knot_spacing: float) -> 
     return BSplineBasis(order, np.linspace(lo, hi, n_spans + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplineFunction:
     """A spline (possibly vector-valued) as basis plus coefficients.
 
     ``coefficients`` has shape (K,) for a scalar function or (K, m) for m
-    outputs sharing one basis.
+    outputs sharing one basis. Two splines are equal when their bases and
+    coefficients are.
     """
 
     basis: BSplineBasis
@@ -375,6 +376,11 @@ class SplineFunction:
         if not np.all(np.isfinite(c)):
             raise ArgumentError("coefficients contain non-finite values")
         object.__setattr__(self, "coefficients", _frozen(c))
+
+    def __eq__(self, other):
+        if not isinstance(other, SplineFunction):
+            return NotImplemented
+        return self.basis == other.basis and np.array_equal(self.coefficients, other.coefficients)
 
     @property
     def n_outputs(self) -> int:

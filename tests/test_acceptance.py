@@ -15,6 +15,7 @@ import pytest
 from scipy import stats
 
 from odelof import (
+    ForcingOperator,
     ForcingSpec,
     PipelineRunner,
     PipelineSettings,
@@ -22,11 +23,9 @@ from odelof import (
     SmootherSettings,
     builtin_system,
     config_from_dict,
-    estimate_forcing,
     f_stat_case2,
     f_stat_case3,
     gradient_match,
-    gradient_match_order2,
     integrate,
     load_config,
     make_basis,
@@ -36,6 +35,7 @@ from odelof import (
     with_forcing,
 )
 from odelof.diagnose import _Case2Stat
+from odelof.pipeline import CompanionState
 from odelof.rng import rng_from
 
 TIER = os.environ.get("ODELOF_ACCEPTANCE", "smoke").lower()
@@ -246,8 +246,8 @@ class TestCriterion5Recovery:
         )
         basis = make_basis(4, (0.0, 55.0), 0.25)
         xhat = SmoothingOperator(times, basis, 0.01).fit(path.states)
-        est = estimate_forcing(
-            xhat, forced, LINEAR_THETA, make_basis(4, (0.0, 55.0), 1.0), times
+        est = ForcingOperator(forced, make_basis(4, (0.0, 55.0), 1.0), times).fit(
+            xhat, LINEAR_THETA
         )
         interior = np.linspace(4.0, 51.0, 400)
         sin_err = float(np.abs(est.g(interior) - np.sin(interior)).max())
@@ -259,7 +259,9 @@ class TestCriterion5Recovery:
             sol.states[:, 0]
         )
         o2_err = float(
-            np.abs(gradient_match_order2(smooth, t6).theta - order2.theta_default).max()
+            np.abs(
+                gradient_match(CompanionState(smooth), order2, t6).theta - order2.theta_default
+            ).max()
         )
 
         ok = theta_err <= 1e-6 and sin_err <= 0.05 and o2_err <= 1e-3

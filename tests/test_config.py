@@ -109,6 +109,12 @@ class TestRejection:
         with pytest.raises(ConfigError, match=fragment):
             config_from_dict({"system": "linear2d", "smoothing": smoothing})
 
+    def test_second_order_needs_a_two_dimensional_model(self):
+        with pytest.raises(ConfigError, match=r"smoothing\.second_order .* rossler has dimension 3"):
+            config_from_dict(
+                {"system": "rossler", "model": "rossler", "smoothing": {"second_order": True}}
+            )
+
     def test_order_2_without_a_penalty_is_valid(self):
         cfg = config_from_dict(
             {"system": "linear2d", "smoothing": {"x_order": 2, "x_penalty": 0.0, "g_order": 2}}

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from odelof import (
     ArgumentError,
     DiagnosticReport,
+    FStatResult,
     TestAbortedError,
     TestConfig,
     block_permute,
@@ -28,6 +29,7 @@ from odelof.diagnose import (
     _FLAGS,
     _Case2Stat,
     _Case3Stat,
+    _PermutationStat,
     _case2_columns,
     _case3_columns,
     _from_json_float,
@@ -566,6 +568,36 @@ class TestCase2Batched:
         )
         assert f0 == (0.0, "zero_over_zero")
         assert p_b == 1.0
+
+
+class StubNull(_PermutationStat):
+    """A statistic whose F0 and null F values are given."""
+
+    def __init__(self, f0, null_values):
+        self.f0 = f0
+        self.null_values = np.asarray(null_values, dtype=float)
+
+    def _observed(self, states_trim, g_trim):
+        return FStatResult(self.f0, None), (0.0, None), lambda idx: self.null_values[: len(idx)]
+
+
+class TestPermutationTies:
+    def evaluate(self, f0, null_values):
+        stat = StubNull(f0, null_values)
+        return stat.evaluate(
+            np.zeros((40, 1)), np.zeros(40), perm_rng=np.random.default_rng(0),
+            b2=len(null_values), block_len=4,
+        )[1]
+
+    def test_rounding_below_f0_counts_as_a_tie(self):
+        # the identity order refits F0 along another path, off by rounding
+        f0 = 80.60143969173889
+        assert self.evaluate(f0, [80.60143969162252, f0 * (1 - 1e-9), f0 * (1 - 1e-6), 0.0]) == 3 / 5
+
+    def test_far_values_count_as_exact_comparisons(self):
+        assert self.evaluate(2.0, [2.0, 2.5, 1.9, 1.0]) == 3 / 5
+        assert self.evaluate(0.0, [0.0, 0.0, 1.0]) == 1.0
+        assert self.evaluate(math.inf, [math.inf, 1e300, 0.0]) == 2 / 4
 
 
 class TestReplacementForcingFixture:

@@ -16,9 +16,7 @@ from odelof import (
     SmoothingOperator,
     builtin_system,
     config_from_dict,
-    estimate_forcing,
     gradient_match,
-    gradient_match_order2,
     integrate,
     make_basis,
     observe,
@@ -26,6 +24,8 @@ from odelof import (
     with_forcing,
 )
 from odelof.diagnose import residual_bootstrap_resample
+from odelof.estimate import _descend
+from odelof.pipeline import CompanionState
 from odelof.power import diagnose_series, simulate_series
 from odelof.rng import rng_from
 from odelof.systems import rate_values
@@ -174,21 +174,74 @@ class TestGradientMatch:
             gradient_match(Flat(), linear_system, TIMES)
 
 
+class TestDescend:
+    """The damped Gauss-Newton loop both estimators run."""
+
+    @staticmethod
+    def residual(x):
+        r = np.asarray(x, dtype=float)
+        return r, float(r @ r), None
+
+    def test_exact_step_converges_on_an_equal_objective(self):
+        fit = _descend(self.residual, lambda x, r, _: r, np.array([3.0, -4.0]), 100, 1e-10)
+        assert np.array_equal(fit.x, [0.0, 0.0])
+        assert (fit.objective, fit.start_objective) == (0.0, 25.0)
+        # the second step leaves the objective equal: converged
+        assert fit.converged and fit.n_iter == 2
+
+    def test_no_shortened_step_improves(self):
+        start = np.array([1.0, 2.0])
+        fit = _descend(self.residual, lambda x, r, _: -r, start, 100, 1e-10)
+        assert np.array_equal(fit.x, start)
+        assert fit.converged and fit.n_iter == 1
+
+    def test_iteration_cap(self):
+        fit = _descend(self.residual, lambda x, r, _: 0.5 * r, np.array([8.0]), 3, 1e-10)
+        assert np.array_equal(fit.x, [1.0])
+        assert not fit.converged and fit.n_iter == 3
+
+    def test_non_finite_trials_are_shortened(self):
+        def residual(x):
+            r = np.where(np.abs(x) < 1.0, x, np.inf)
+            return r, float(r @ r), None
+
+        fit = _descend(residual, lambda x, r, _: np.array([2.4]), np.array([0.5]), 1, 1e-10)
+        # the full step leaves |x| < 1, half of it grows the objective, a
+        # quarter lands on -0.1
+        assert fit.x == pytest.approx([-0.1])
+        assert fit.n_iter == 1 and not fit.converged
+
+    def test_non_finite_start_or_step(self):
+        assert _descend(self.residual, lambda x, r, _: r, np.array([np.nan]), 100, 1e-10) is None
+        assert _descend(self.residual, lambda x, r, _: None, np.array([1.0]), 100, 1e-10) is None
+
+
 class TestSecondOrderMatch:
-    def test_noiseless_tight_step_recovery(self):
+    @pytest.fixture(scope="class")
+    def order2(self):
         system = builtin_system("vanderpol_order2")
-        truth = system.theta_default
         t = np.linspace(0.0, 6.0, 440)
-        path = integrate(system, truth, np.array([0.2, 0.0]), t, substep=1e-3)
+        path = integrate(system, system.theta_default, np.array([0.2, 0.0]), t, substep=1e-3)
         basis = make_basis(4, (0.0, 6.0), 0.025)
         xhat = SmoothingOperator(t, basis, 1e-8).fit(path.states[:, 0])
-        fit = gradient_match_order2(xhat, t)
-        assert np.abs(fit.theta - truth).max() <= 1e-3
+        return system, t, xhat, gradient_match(CompanionState(xhat), system, t)
 
-    def test_rejects_vector_smooth(self):
-        t = np.linspace(0.0, 6.0, 100)
-        with pytest.raises(ArgumentError, match="scalar"):
-            gradient_match_order2(ExactCircle(), t)
+    def test_noiseless_tight_step_recovery(self, order2):
+        system, _, _, fit = order2
+        assert np.abs(fit.theta - system.theta_default).max() <= 1e-3
+
+    def test_is_the_regression_of_the_second_derivative(self, order2):
+        # the first rate is dx/dt itself, so only x'' = a + b x' + c x +
+        # d x^2 + e x (x')^2 is fitted: one weighted linear regression
+        _, t, xhat, fit = order2
+        nodes, w = quad_grid(t)
+        x, xd, xdd = (xhat(nodes, k) for k in range(3))
+        design = np.column_stack([np.ones_like(x), xd, x, x * x, x * xd * xd])
+        sw = np.sqrt(w)
+        coef = np.linalg.lstsq(sw[:, None] * design, sw * xdd, rcond=None)[0]
+        assert_allclose(fit.theta, coef, rtol=0, atol=1e-12 * np.abs(coef).max())
+        assert fit.objectives[0] == 0.0
+        assert fit.objective == pytest.approx(float(w @ (xdd - design @ coef) ** 2), rel=1e-9)
 
 
 class TestEstimateForcing:
@@ -205,17 +258,17 @@ class TestEstimateForcing:
         basis = make_basis(4, (0.0, 55.0), 0.25)
         xhat = SmoothingOperator(TIMES, basis, 0.01).fit(path.states)
         g_basis = make_basis(4, (0.0, 55.0), 1.0)
-        est = estimate_forcing(xhat, forced, LINEAR_THETA, g_basis, TIMES)
+        est = ForcingOperator(forced, g_basis, TIMES).fit(xhat, LINEAR_THETA)
         interior = np.linspace(4.0, 51.0, 400)
         assert np.abs(est.g(interior) - np.sin(interior)).max() <= 0.05
         assert est.objective <= est.objective_unforced
         assert est.mode == "additive" and est.target == 2
 
-    def test_requires_forcing_spec(self, linear_system, linear_smooth):
+    def test_requires_forcing_spec(self, linear_system):
         bare = dataclasses.replace(linear_system, forcing=None)
         g_basis = make_basis(4, (0.0, 55.0), 1.0)
         with pytest.raises(ArgumentError, match="forcing"):
-            estimate_forcing(linear_smooth, bare, LINEAR_THETA, g_basis, TIMES)
+            ForcingOperator(bare, g_basis, TIMES)
 
     def test_replacement_mode_recovers_constant(self):
         system = builtin_system("rosenzweig_macarthur_log")

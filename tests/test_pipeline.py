@@ -4,11 +4,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from odelof import (
     ArgumentError,
+    ForcingOperator,
     PipelineError,
     PipelineRunner,
     PipelineSettings,
     builtin_system,
-    estimate_forcing,
     gradient_match,
     integrate,
     observe,
@@ -53,6 +53,22 @@ class TestSettings:
         with pytest.raises(ArgumentError):
             PipelineSettings(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"x_order": 2}, "x_order"),  # default x_penalty 0.01
+            ({"x_order": 2, "x_penalty": 0.0, "second_order": True}, "x_order"),
+            ({"g_order": 2, "g_penalty": 1.0}, "g_order"),
+        ],
+    )
+    def test_second_derivatives_need_order_three(self, kwargs, field):
+        with pytest.raises(ArgumentError, match=rf"^{field} must be >= 3"):
+            PipelineSettings(**kwargs)
+
+    def test_order_two_without_second_derivatives(self):
+        s = PipelineSettings(x_order=2, x_penalty=0.0, g_order=2)
+        assert (s.x_order, s.g_order) == (2, 2)
+
 
 class TestRunner:
     def test_fit_fields(self, linear_run):
@@ -75,7 +91,7 @@ class TestRunner:
         assert_array_equal(fit.g_obs, fit.forcing.g(times))
         match = gradient_match(fit.xhat, system, times)
         assert_array_equal(match.theta, fit.match.theta)
-        forcing = estimate_forcing(fit.xhat, system, match.theta, fit.forcing.g.basis, times)
+        forcing = ForcingOperator(system, fit.forcing.g.basis, times).fit(fit.xhat, match.theta)
         assert_array_equal(forcing.g.coefficients, fit.forcing.g.coefficients)
 
     def test_needs_enough_times(self):
@@ -103,21 +119,27 @@ class TestSecondOrder:
     SETTINGS = PipelineSettings(
         x_knot_spacing=0.025, g_knot_spacing=0.11, second_order=True
     )
+    SYSTEM = builtin_system("vanderpol_order2")
 
     def test_needs_one_column(self):
-        runner = PipelineRunner(np.linspace(0, 6, 200), None, self.SETTINGS)
+        runner = PipelineRunner(np.linspace(0, 6, 200), self.SYSTEM, self.SETTINGS)
         with pytest.raises(PipelineError, match="one observed") as err:
             runner.run(np.zeros((200, 2)))
         assert err.value.stage == "smooth"
 
+    def test_needs_a_two_dimensional_model(self):
+        with pytest.raises(ArgumentError, match="rossler has dim 3"):
+            PipelineRunner(np.linspace(0, 6, 200), builtin_system("rossler"), self.SETTINGS)
+
     def test_recovers_coefficients_from_low_noise_data(self):
-        system = builtin_system("vanderpol_order2")
+        system = self.SYSTEM
         truth = system.theta_default
         times = np.linspace(0.0, 6.0, 440)
         path = integrate(system, truth, np.array([0.2, 0.0]), times, substep=1e-3)
         series = observe(path, 1e-4, seed=9, observed=[1])
-        runner = PipelineRunner(times, None, self.SETTINGS)
+        runner = PipelineRunner(times, system, self.SETTINGS)
         fit = runner.run(series.values)
+        assert runner.system is system
         assert np.abs(fit.match.theta - truth).max() < 0.15
         # state carries the smooth and its derivative for the lag smoother
         assert fit.state_obs.shape == (440, 2)

@@ -311,6 +311,20 @@ class TestSplineFunction:
         t = np.linspace(0, 2, 50)
         assert_allclose(g(t), f(t), rtol=0, atol=0)
         assert g.basis.order == f.basis.order
+        assert g == f
+
+    def test_splines_compare_by_basis_and_coefficients(self):
+        f = SplineFunction(make_basis(4, (0.0, 1.0), 0.25), np.ones(7))
+        same = SplineFunction(BSplineBasis(4, np.linspace(0.0, 1.0, 5)), np.ones(7))
+        assert f is not same
+        assert f == same
+        other_coef = np.ones(7)
+        other_coef[3] = 2.0
+        assert f != SplineFunction(f.basis, other_coef)
+        for basis in (make_basis(4, (0.0, 1.0), 0.5), make_basis(3, (0.0, 1.0), 0.2)):
+            assert f != SplineFunction(basis, np.ones(basis.size))
+        assert f != SplineFunction(f.basis, np.ones((7, 1)))
+        assert f != "spline"
 
 
 class TestSmoothingOperator:
