@@ -517,6 +517,14 @@ def _validate(cfg: dict, source: str) -> None:
                     f"smoothing.{key}",
                     f"has {len(v)} entries, {model} expects {proposed.n_params}",
                 )
+    if sm["second_order"] and isinstance(system, str):
+        n_obs = len(obs) if obs is not None else builtin_system(system).dim
+        if n_obs != 1:
+            _fail(
+                source,
+                "smoothing.second_order",
+                f"fits one observed coordinate; {system} observes {n_obs}",
+            )
 
     t = cfg["test"]
     for key in ("b1", "b2"):

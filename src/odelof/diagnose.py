@@ -6,10 +6,15 @@ Its structure is then classified by two nested tests:
 * case 2 ("is g a function of the state?"): F compares the variance
   explained by a smooth h(x_hat) to the residual around it. The null of
   exchangeable g blocks is simulated by permuting blocks of g values.
-* case 3 ("does lagged g add information beyond the state?"): F compares
-  h1(x_hat, g(t - delta)) against h0(x_hat). The null keeps the state
+* case 3 ("does the state's past add information beyond its present?"):
+  F compares h1(x_hat(t), x_hat(t - delta)) against h0(x_hat(t)). A
+  state the model omits is a function of delay coordinates of the
+  observed ones (Takens 1981; Sauer, Yorke & Casdagli 1991), so g then
+  depends on the lagged states as well. The null keeps the state
   relationship and permutes blocks of the residuals eta = g - h0(x_hat),
-  reconstructing g* = h0(x_hat) + eta*.
+  reconstructing g* = h0(x_hat) + eta*. The lag delta defaults to one
+  block span, which just exceeds the g-basis support: at a shorter lag
+  the lagged states would share smoothing error with g(t).
 
 Both are wrapped in a residual bootstrap over the data smoothing, giving
 one permutation p-value p_b per bootstrap replicate:
@@ -24,10 +29,8 @@ come from the replicate's generator in the order of B2
 permuted responses, one per row, are fitted together, each with its own
 GCV lambda (:meth:`~odelof.smoothers.AdditiveSmootherDesign.fit_many`),
 and their F values come from the column kernels that
-:func:`f_stat_case2` and :func:`f_stat_case3` wrap. In case 3 each
-permutation also has its own lag column, so its own h1 design; those
-fits run together too, a stack of lag-replaced designs at a time
-(:meth:`~odelof.smoothers.AdditiveSmootherDesign.fit_last_columns`).
+:func:`f_stat_case2` and :func:`f_stat_case3` wrap. A permutation changes
+only the response: the h0 and h1 designs are built once per replicate.
 """
 
 from __future__ import annotations
@@ -193,7 +196,7 @@ class TestConfig:
     ``seed`` is required: the whole test is a deterministic function of it.
     ``block_len`` defaults to the smallest number of samples whose span
     strictly exceeds the g-basis support width; ``end_trim`` to half a
-    block per end; ``delta`` to twice the block span.
+    block per end; ``delta`` (the case-3 lag) to one block span.
     """
 
     __test__ = False  # keep pytest from collecting the Test* name
@@ -394,7 +397,8 @@ def case3_test(
     config: TestConfig,
     pipeline: Optional[PipelineSettings] = None,
 ) -> DiagnosticReport:
-    """Test whether lagged forcing values add information beyond the state."""
+    """Test whether the fitted states at t - delta add information about
+    the forcing beyond the states at t: a sign of an omitted state."""
     return _run_test("case3", series, system, config, pipeline)
 
 
@@ -405,10 +409,9 @@ _PERM_BLOCK = 64
 
 # A null F value counts as reaching F0 from F0 * (1 - _TIE_REL) up (about
 # sqrt(eps), as R vegan's permutest): F0 and the null come from different
-# fitting paths (fit_values against fit_many / fit_last_columns) that
-# agree only to rounding, so a permutation that reproduces the observed
-# order must not count by rounding luck. F >= 0, so 0 and inf count as
-# exact comparisons do.
+# fitting paths (fit_values against fit_many) that agree only to rounding,
+# so a permutation that reproduces the observed order must not count by
+# rounding luck. F >= 0, so 0 and inf count as exact comparisons do.
 _TIE_REL = 1.5e-8
 
 
@@ -469,24 +472,20 @@ class _Case3Stat(_PermutationStat):
         self.valid = slice(first, None)
         self.lag_times = lag_t[self.valid]
 
-    def _lagged(self, g):
-        return np.interp(self.lag_times, self.times, g)
-
-    def lag_design(self, states_trim, g_trim) -> AdditiveSmootherDesign:
-        """The h1 design on the lag-valid rows: the state smooth plus a
-        term in g(t - delta), which is always its last group of its own."""
-        x1 = np.column_stack([states_trim[self.valid], self._lagged(g_trim)])
-        m = x1.shape[1] - 1
-        # the lagged-g term enters additively next to the state smooth
-        # even when the states form one joint interaction term
-        groups = [tuple(range(m)), (m,)] if self.settings.interaction else None
+    def lag_design(self, states_trim) -> AdditiveSmootherDesign:
+        """The h1 design on the lag-valid rows: the state term plus one
+        term in the states at t - delta, linearly interpolated."""
+        m = states_trim.shape[1]
+        lagged = [np.interp(self.lag_times, self.times, s) for s in states_trim.T]
+        x1 = np.column_stack([states_trim[self.valid]] + lagged)
+        groups = [tuple(range(m)), tuple(range(m, 2 * m))] if self.settings.interaction else None
         return AdditiveSmootherDesign(x1, self.settings, groups=groups)
 
     def _observed(self, states_trim, g_trim):
         rows = self.valid
         design0 = AdditiveSmootherDesign(states_trim, self.settings)
         h0 = design0.fit_values(g_trim)
-        design1 = self.lag_design(states_trim, g_trim)
+        design1 = self.lag_design(states_trim)
         h1 = design1.fit_values(g_trim[rows])
         f0 = f_stat_case3(g_trim[rows], h0.fitted[rows], h1.fitted)
         eta = g_trim - h0.fitted
@@ -496,11 +495,7 @@ class _Case3Stat(_PermutationStat):
             g_k = eta[idx]  # (m, n): one permutation per row
             g_k += h0.fitted
             h0_k = design0.fit_many(g_k).fitted
-            # each permutation has its own lag column, so its own h1 design;
-            # the states are fixed within a replicate, so only the lag term
-            # is rebuilt
-            lags = np.array([self._lagged(g) for g in g_k])
-            h1_k = design1.fit_last_columns(lags, g_k[:, rows]).fitted
+            h1_k = design1.fit_many(g_k[:, rows]).fitted
             return _case3_columns(g_k[:, rows, None], h0_k[:, rows, None], h1_k[:, :, None])[0]
 
         return f0, (h0.edf, h1.edf), null
@@ -531,7 +526,7 @@ def _run_test(kind, series, system, config, pipeline):
     t_trim = times[sl]
     delta = None
     if kind == "case3":
-        delta = config.delta if config.delta is not None else 2.0 * block_len * spacing
+        delta = config.delta if config.delta is not None else block_len * spacing
 
     if kind == "case2":
         stat = _Case2Stat(settings.smoother)

@@ -132,12 +132,12 @@ def _export_h(report, out, t_trim, s_trim, g_trim) -> Path:
         _write_csv(path, ["s1", "s2", "h"], [pts[:, 0], pts[:, 1], h])
         return path
 
-    # case 3: h0 and h1 predictions on the lag-valid rows, h1 on the same
-    # lag design as the test's unpermuted fit
+    # case 3: h0 and h1 predictions on the lag-valid rows, h1 on the
+    # test's own lag design (the states and the states at t - delta)
     stat = _Case3Stat(t_trim, settings, report.delta)
     h0 = AdditiveSmootherDesign(s_trim, settings).fit_values(g_trim)
     rows = stat.valid
-    h1 = stat.lag_design(s_trim, g_trim).fit_values(g_trim[rows])
+    h1 = stat.lag_design(s_trim).fit_values(g_trim[rows])
     path = out / "h_lag.csv"
     _write_csv(
         path,

@@ -18,23 +18,17 @@ response-only refit costs O(n k): the nested bootstrap/permutation loops
 depend on this. :meth:`AdditiveSmootherDesign.fit_values` fits one
 response; :meth:`AdditiveSmootherDesign.fit_many` fits the rows of a
 response matrix, such as the B2 block permutations of one replicate,
-each with its own GCV lambda.
+each with its own GCV lambda. Both permutation tests swap only the
+response within a replicate (case 3's lagged predictors are lagged
+states, fixed with the states), so one factorized design serves every
+permutation.
 
-Case-3 permutations change one predictor as well: the lagged response,
-the design's last column. :meth:`AdditiveSmootherDesign.fit_last_columns`
-fits a stack of responses, each on this design with its own last column.
-It keeps the intercept and the state terms with a QR factor of their
-block and rebuilds only the last term of each row. Each row's factor
-follows from LAPACK QRs of its residual block and of a small stacked
-triangle.
-
-There is one way to build and fit a design, for a stack of rows at a
-time; a full build is a stack of one. Terms are built as arrays: knots,
-B-spline columns by the Cox-de Boor recursion, a Householder sum-to-zero
-basis and closed-form penalty Grams (:func:`_terms`). One routine turns
-triangular factors and penalties into the eigenbasis the GCV search
-needs (:func:`_factor`), and one (row, lambda) table of RSS, EDF and GCV
-picks each row's lambda (:func:`_gcv_table`).
+A term is built as arrays: knots, B-spline columns by the Cox-de Boor
+recursion, a Householder sum-to-zero basis and closed-form penalty Grams
+(:func:`_term`). One routine turns the design's triangular factor and
+penalty into the eigenbasis the GCV search needs (:func:`_factor`), and
+one (row, lambda) table of RSS, EDF and GCV picks each response row's
+lambda (:func:`_gcv_table`).
 """
 
 from __future__ import annotations
@@ -55,9 +49,9 @@ _ORDER = 4  # cubic B-splines
 _MIN_TERM_DIM = 6
 _LAMBDAS = np.logspace(-8.0, 8.0, 61)  # the GCV grid
 _LAMBDAS.flags.writeable = False  # shared by every design
-# rows whose terms are built, or whose (row, lambda) GCV table is filled,
-# together: enough to batch the LAPACK calls and matrix products, few
-# enough that the (rows, n, k) and (rows, lambda, k) arrays stay small
+# response rows whose (row, lambda) GCV table is filled together: enough
+# to batch the matrix products, few enough that the (rows, lambda, k)
+# arrays stay small
 _STACK = 16
 
 
@@ -89,35 +83,29 @@ def _quantile_positions(n: int, n_breaks: int) -> tuple[np.ndarray, np.ndarray]:
     return below, gamma
 
 
-def _breaks(xs: np.ndarray, dim: int) -> list[list[float]]:
-    """Spline breakpoints for each row of ``xs`` (m, n), sorted along rows:
-    the ends plus interior quantiles, dropping any closer than a tolerance
-    to the last break kept."""
-    lo, hi = xs[:, 0], xs[:, -1]
+def _breaks(xs: np.ndarray, dim: int) -> list[float]:
+    """Spline breakpoints of the sorted predictor ``xs``: the ends plus
+    interior quantiles, dropping any closer than a tolerance to the last
+    break kept."""
+    lo, hi = float(xs[0]), float(xs[-1])
     width = hi - lo
-    if np.any((width <= 0) | (width < 1e-12 * np.maximum(1.0, np.abs(hi)))):
+    if width <= 0 or width < 1e-12 * max(1.0, abs(hi)):
         raise DegenerateDesignError(
             "constant predictor: its smooth term would reduce to the mean"
         )
     n_breaks = max(2, dim - _ORDER + 2)
-    below, gamma = _quantile_positions(xs.shape[1], n_breaks)
-    a, b = xs[:, below], xs[:, below + 1]
+    below, gamma = _quantile_positions(xs.size, n_breaks)
+    a, b = xs[below], xs[below + 1]
     gap = b - a
     inner = np.where(gamma >= 0.5, b - gap * (1 - gamma), a + gap * gamma)
-    breaks = []
-    for row_lo, row_inner, row_hi, tol in zip(
-        lo.tolist(), inner.tolist(), hi.tolist(), (1e-10 * width).tolist()
-    ):
-        row = [row_lo]
-        for q in row_inner + [row_hi]:
-            if q - row[-1] > tol:
-                row.append(q)
-        if len(row) < 2:
-            raise DegenerateDesignError(
-                "predictor has too few distinct values for a spline term"
-            )
-        breaks.append(row)
-    return breaks
+    tol = 1e-10 * width
+    row = [lo]
+    for q in inner.tolist() + [hi]:
+        if q - row[-1] > tol:
+            row.append(q)
+    if len(row) < 2:
+        raise DegenerateDesignError("predictor has too few distinct values for a spline term")
+    return row
 
 
 def _basis_values(knots: list[np.ndarray], xs: list[np.ndarray]) -> np.ndarray:
@@ -184,31 +172,23 @@ def _shrunk_penalties(knots: list[np.ndarray], z: np.ndarray) -> np.ndarray:
     return curv + (v * null[:, None, :]) @ v.transpose(0, 2, 1)
 
 
-def _terms(xs: list[np.ndarray], dims: list[int]):
-    """One term per row of a stack of predictor sets: ``xs`` holds one (m,
-    n) array per direction of the term, row i of each the i-th set's
-    column, and ``dims`` the per-direction basis sizes.
+def _term(xs: list[np.ndarray], dims: list[int]):
+    """One term over the predictor columns ``xs``, one (n,) array per
+    direction, with per-direction basis sizes ``dims``.
 
-    Yields (rows, knots, z, lt, penalties) for each set of rows whose terms
-    share a width once near-equal breaks are dropped: per-direction
-    clamped knots (r, nk_d), sum-to-zero bases z (r, K, k), transposed
-    design columns lt (r, k, n) and shrunk penalties (r, k, k).
+    Returns, each as a stack of one for the stacked helpers: clamped
+    knots (1, nk_d) per direction, the sum-to-zero basis z (1, K, k), the
+    transposed design columns lt (1, k, n) and the shrunk penalty (1, k, k).
     """
-    breaks = [_breaks(np.sort(x, axis=1), dim) for x, dim in zip(xs, dims)]
-    by_size: dict[tuple[int, ...], list[int]] = {}
-    for i, rows in enumerate(zip(*breaks)):
-        by_size.setdefault(tuple(len(row) for row in rows), []).append(i)
-    for rows in by_size.values():
-        # clamped: each end break repeated to multiplicity _ORDER
-        knots = [
-            np.pad(np.array([bps[i] for i in rows]), ((0, 0), (_ORDER - 1,) * 2), mode="edge")
-            for bps in breaks
-        ]
-        block = _basis_values(knots, [x[rows] for x in xs]).transpose(0, 2, 1)
-        z = _sum_to_zero_bases(block.sum(axis=2))
-        lt = z.transpose(0, 2, 1) @ block
-        del block  # not held while the caller fits the stack
-        yield np.array(rows), knots, z, lt, _shrunk_penalties(knots, z)
+    # clamped: each end break repeated to multiplicity _ORDER
+    knots = [
+        np.pad(np.array([_breaks(np.sort(x), dim)]), ((0, 0), (_ORDER - 1,) * 2), mode="edge")
+        for x, dim in zip(xs, dims)
+    ]
+    block = _basis_values(knots, [x[None] for x in xs]).transpose(0, 2, 1)
+    z = _sum_to_zero_bases(block.sum(axis=2))
+    lt = z.transpose(0, 2, 1) @ block
+    return knots, z, lt, _shrunk_penalties(knots, z)
 
 
 def _packed_r(a: np.ndarray) -> np.ndarray:
@@ -260,45 +240,34 @@ def _factor(r_inv: np.ndarray, penalties: np.ndarray, eps: np.ndarray):
     return v, d, (d @ edf_weights[:, :, None])[:, :, 0], c
 
 
-def _gcv_table(z: np.ndarray, yy: np.ndarray, n: int, factor, eps: np.ndarray):
+def _gcv_table(z: np.ndarray, yy: np.ndarray, n: int, factor, eps: float):
     """GCV over the lambda grid for each row of ``z`` (m, k), the
-    projection V^T X^T y of a response with squared norm ``yy``.
+    projection V^T X^T y of a response with squared norm ``yy``, on one
+    design with ``factor`` (from :func:`_factor`, a stack of one) and
+    ridge ``eps``.
 
-    ``factor`` (from :func:`_factor`) and ``eps`` have a leading axis of m,
-    one design per row, or of 1, one design for all rows. With shrinkage
-    d, the RSS is yTy - 2 d.z^2 + d^2.z^2 - eps (dz)^T C (dz), the last
-    term undoing the ridge; it is built a chunk of rows at a time, which
-    bounds the (rows, lambda, k) temporaries. Returns, per row, the pick
-    (ties to the largest lambda), its EDF and GCV, and the shrunk
-    projection d z at the pick.
+    With shrinkage d, the RSS is yTy - 2 d.z^2 + d^2.z^2 - eps (dz)^T C
+    (dz), the last term undoing the ridge; it is built a chunk of rows at
+    a time, which bounds the (rows, lambda, k) temporaries. Returns, per
+    row, the pick (ties to the largest lambda), its EDF and GCV, and the
+    shrunk projection d z at the pick.
     """
     _, d, edf, c = factor
     m = z.shape[0]
     quad = (d - 2.0) * d
-    per_row = d.shape[0] > 1
     rss = np.empty((m, _LAMBDAS.size))
     for at in range(0, m, _STACK):
         rows = slice(at, at + _STACK)
-        own = rows if per_row else slice(None)
         zr = z[rows]
         # (dz)^T C (dz) = d^T W d with W = C o z z^T
         w = zr[:, :, None] * zr[:, None, :]
-        w *= c[own]
-        ridge = np.einsum("...lk,...lk->...l", d[own] @ w, d[own])
-        rss[rows] = (quad[own] @ (zr * zr)[:, :, None])[:, :, 0] - eps[own, None] * ridge
+        w *= c
+        ridge = np.einsum("...lk,...lk->...l", d @ w, d)
+        rss[rows] = (quad @ (zr * zr)[:, :, None])[:, :, 0] - eps * ridge
     rss += yy[:, None]
     gcv = np.clip(rss, 0.0, None, out=rss) / (n - edf) ** 2
     pick = _LAMBDAS.size - 1 - np.argmin(gcv[:, ::-1], axis=1)  # ties -> largest lambda
-    at = np.arange(m)
-    own = at if per_row else 0
-    return pick, edf[own, pick], gcv[at, pick], d[own, pick] * z
-
-
-def _check_width(k: int, n: int) -> None:
-    if k + 2 > n:
-        raise DegenerateDesignError(
-            f"additive design has {k} columns for {n} rows; reduce total_dim"
-        )
+    return pick, edf[0, pick], gcv[np.arange(m), pick], d[0, pick] * z
 
 
 def _predictor_matrix(predictors) -> np.ndarray:
@@ -344,14 +313,17 @@ class AdditiveSmootherDesign:
         self._bases = []  # per group: its columns, knots and sum-to-zero basis
         blocks, pens = [np.ones((n, 1))], [np.zeros((1, 1))]
         for grp in self.groups:
-            [(_, knots, z, lt, pen)] = _terms([x[None, :, j] for j in grp], self._dims(grp))
+            knots, z, lt, pen = _term([x[:, j] for j in grp], self._dims(grp))
             self._bases.append((grp, knots, z))
             blocks.append(lt[0].T)
             pens.append(pen[0])
 
         design = np.hstack(blocks)
         k = design.shape[1]
-        _check_width(k, n)
+        if k + 2 > n:
+            raise DegenerateDesignError(
+                f"additive design has {k} columns for {n} rows; reduce total_dim"
+            )
         # Tiny fixed ridge keeps R invertible under accidental collinearity;
         # its effect on RSS/EDF is corrected exactly in the GCV table.
         eps = _RIDGE_REL * (np.sum(design**2) / k)
@@ -424,7 +396,7 @@ class AdditiveSmootherDesign:
         y = np.asarray(responses, dtype=float)
         if y.shape != (self.n,):
             raise ArgumentError(f"responses must have shape ({self.n},), got {y.shape}")
-        beta, fit = self._fit_rows(self._row_stack(y[None], "responses"))
+        beta, fit = self._fit_rows(self._row_stack(y[None]))
         return SmootherFit(
             coefficients=beta[0],
             fitted=fit.fitted[0],
@@ -437,106 +409,24 @@ class AdditiveSmootherDesign:
         """GCV-smoothed fits of the rows of ``responses`` (m, n), each with
         its own lambda: row i gets the fit ``fit_values`` gives it alone,
         up to rounding."""
-        return self._fit_rows(self._row_stack(responses, "responses"))[1]
+        return self._fit_rows(self._row_stack(responses))[1]
 
     def _fit_rows(self, y: np.ndarray) -> tuple[np.ndarray, "RowFits"]:
         v = self._factor[0][0]
         z = (y @ self.design) @ v
         pick, edf, gcv, shrunk = _gcv_table(
-            z, np.einsum("ij,ij->i", y, y), self.n, self._factor, np.array([self.eps])
+            z, np.einsum("ij,ij->i", y, y), self.n, self._factor, self.eps
         )
         beta = shrunk @ v.T
         return beta, RowFits(beta @ self.design.T, edf, self.lambda_grid[pick], gcv)
 
-    def fit_last_columns(self, columns, responses) -> "RowFits":
-        """GCV-smoothed fit of each row of ``responses`` (m, n) on this
-        design with its last predictor column replaced by the same row of
-        ``columns`` (m, n): row i gets the fit ``fit_values`` gives on a
-        full build with that column, up to rounding.
-
-        The last group must be that column alone. The intercept and the
-        other terms are kept, with a thin QR of their block; each row's
-        last term is rebuilt by the rules of a full build (quantile knots,
-        sum-to-zero constraint, curvature penalty with null-space
-        shrinkage, ridge from the row's own Frobenius norm), a stack of
-        rows at a time. Rows whose terms have the same width share one
-        stacked eigendecomposition.
-        """
-        j = self.p - 1
-        if self.groups[-1] != (j,):
-            raise ArgumentError("the last predictor column must form a group of its own")
-        cols = self._row_stack(columns, "columns")
-        y = self._row_stack(responses, "responses")
-        if y.shape != cols.shape:
-            raise ArgumentError(f"responses {y.shape} and columns {cols.shape} must match")
-        _, _, z_last = self._bases[-1]
-        kf = self.n_columns - z_last.shape[2]
-        kept = self.design[:, :kf]
-        q_kept, r_kept = np.linalg.qr(kept)
-        fixed = (kept, q_kept, r_kept, self.penalty[:kf, :kf], np.sum(kept**2))
-        dims = self._dims((j,))
-        m = y.shape[0]
-        fits = RowFits(np.empty_like(y), np.empty(m), np.empty(m), np.empty(m))
-        for at in range(0, m, _STACK):
-            for rows, _, _, lt, pens in _terms([cols[at : at + _STACK]], dims):
-                rows = rows + at
-                fits.fitted[rows], fits.edf[rows], fits.lam[rows], fits.gcv[rows] = (
-                    self._fit_stack(fixed, lt, pens, y[rows])
-                )
-        return fits
-
-    def _row_stack(self, a, name: str) -> np.ndarray:
+    def _row_stack(self, a) -> np.ndarray:
         v = np.asarray(a, dtype=float)
         if v.ndim != 2 or v.shape[1] != self.n:
-            raise ArgumentError(f"{name} must have shape (m, {self.n}), got {v.shape}")
+            raise ArgumentError(f"responses must have shape (m, {self.n}), got {v.shape}")
         if not np.all(np.isfinite(v)):
-            raise ArgumentError(f"{name} contain non-finite values")
+            raise ArgumentError("responses contain non-finite values")
         return v
-
-    def _fit_stack(self, fixed, lt, pens, y):
-        """(fitted (m, n), EDF, lambda, GCV) of the rows of ``y`` on the
-        designs [kept, L_i] with L_i^T = lt[i] and last penalty pens[i]."""
-        kept, q_kept, r_kept, kept_pen, sq_kept = fixed
-        m, kl, n = lt.shape
-        kf = r_kept.shape[0]
-        k = kf + kl
-        _check_width(k, n)
-        eps = _RIDGE_REL * ((sq_kept + np.einsum("ijk,ijk->i", lt, lt)) / k)
-        # [kept, L] = [Q, Q_L] [[R, C], [0, R_L]] with C = Q^T L; the ridge
-        # rows then enter through a QR of the small stacked triangle. Both
-        # QRs run in place on transposed (Fortran-order) rows.
-        ct = lt @ q_kept
-        resid_t = ct @ q_kept.T
-        np.subtract(lt, resid_t, out=resid_t)
-        r_l = np.empty((m, kl, kl))
-        for i in range(m):
-            r_l[i] = _packed_r(resid_t[i].T)[:kl]
-        del resid_t
-        r_l *= _upper(kl)
-        stacked_t = np.zeros((m, k, 2 * k))  # row i transposed: [[R, C], [0, R_L], [sqrt(eps) I]]
-        stacked_t[:, :kf, :kf] = r_kept.T
-        stacked_t[:, kf:, :kf] = ct
-        stacked_t[:, kf:, kf:k] = r_l.transpose(0, 2, 1)
-        diag = np.arange(k)
-        stacked_t[:, diag, k + diag] = np.sqrt(eps)[:, None]
-        r_inv = np.array([_r_inverse(_packed_r(row.T)) for row in stacked_t])
-        del stacked_t
-        s = np.zeros((m, k, k))
-        s[:, :kf, :kf] = kept_pen
-        s[:, kf:, kf:] = pens
-        factor = _factor(r_inv, s, eps)
-        del s
-        v = factor[0]
-
-        xty = np.empty((m, k))
-        xty[:, :kf] = (y[:, None, :] @ kept)[:, 0]
-        xty[:, kf:] = (lt @ y[:, :, None])[:, :, 0]
-        z = (xty[:, None, :] @ v)[:, 0]
-        pick, edf, gcv, shrunk = _gcv_table(z, np.einsum("ij,ij->i", y, y), n, factor, eps)
-        beta = (v @ shrunk[:, :, None])[:, :, 0]
-        fitted = (beta[:, None, :kf] @ kept.T)[:, 0]
-        fitted += (beta[:, None, kf:] @ lt)[:, 0]
-        return fitted, edf, self.lambda_grid[pick], gcv
 
 
 @dataclass(frozen=True)
@@ -550,10 +440,9 @@ class SmootherFit:
 
 @dataclass(frozen=True)
 class RowFits:
-    """Per-row fits of :meth:`AdditiveSmootherDesign.fit_many` and
-    :meth:`AdditiveSmootherDesign.fit_last_columns`: row i of ``fitted``
-    and entry i of ``edf``, ``lam`` and ``gcv`` belong to response row
-    i."""
+    """Per-row fits of :meth:`AdditiveSmootherDesign.fit_many`: row i of
+    ``fitted`` and entry i of ``edf``, ``lam`` and ``gcv`` belong to
+    response row i."""
 
     fitted: np.ndarray  # (m, n)
     edf: np.ndarray

@@ -3,8 +3,8 @@
 Each criterion prints one line with the measured values next to its
 bound, so a log shows at a glance what the build achieves. Tier comes
 from ODELOF_ACCEPTANCE: "smoke" (default, finishes in minutes) runs the
-reduced budgets; "desk" runs the full 50-replicate studies and takes a
-few hours on one core.
+reduced budgets; "desk" runs the full 50-replicate studies and takes
+under 20 minutes on one core.
 """
 
 import dataclasses
@@ -34,7 +34,7 @@ from odelof import (
     run_power_study,
     with_forcing,
 )
-from odelof.diagnose import _Case2Stat
+from odelof.diagnose import _Case2Stat, _Case3Stat
 from odelof.pipeline import CompanionState
 from odelof.rng import rng_from
 
@@ -66,7 +66,8 @@ def power_results(tmp_path_factory):
         budget = {"replicates": 10, "test": {"b1": 20, "b2": 99}}
         cells = [
             {"system": "linear2d", "tests": ["case2"]},
-            {"system": "vanderpol", "tests": ["case2"]},
+            {"system": "vanderpol", "tests": ["case2", "case3"]},
+            {"system": "rossler_chaotic", "tests": ["case3"]},
         ]
     cfg = config_from_dict({"master_seed": 20260814, **budget, "cells": cells})
     out = tmp_path_factory.mktemp("power")
@@ -103,6 +104,8 @@ class TestCriterion1PowerTable:
             checks = [
                 ("vanderpol", "ode", "case2", ">=", 0.8),
                 ("linear2d", "ode", "case2", "<=", 0.3),
+                ("vanderpol", "ode", "case3", "<=", 0.3),
+                ("rossler_chaotic", "ode", "case3", ">=", 0.7),
             ]
         check_rates(power_results, capsys, 1, checks)
 
@@ -123,34 +126,66 @@ class TestCriterion2SdeRows:
         )
 
 
+def uniform_null_pvalues(stat, states, make_g, n_rep=500):
+    """p_b of ``stat`` over ``n_rep`` synthetic responses ``make_g(rng)``,
+    each permuted (B2 = 99, blocks of 32) by the stream that drew it."""
+    pvals = np.empty(n_rep)
+    for i, child in enumerate(np.random.SeedSequence(2718).spawn(n_rep)):
+        g_rng = rng_from(child)
+        _, pvals[i], _, _ = stat.evaluate(
+            states, make_g(g_rng), perm_rng=g_rng, b2=99, block_len=32
+        )
+    return pvals
+
+
 class TestCriterion3Level:
-    def test_null_pvalues_are_uniform(self, capsys):
+    @pytest.fixture(scope="class")
+    def linear_fit(self):
         system = builtin_system("linear2d")
         times = np.linspace(0.0, 55.0, 440)
         path = integrate(system, LINEAR_THETA, np.array([1.0, 0.0]), times)
         series = observe(path, 0.25, seed=314)
         fit = PipelineRunner(times, system, PipelineSettings()).run(series.values)
-        block_len, trim = 32, 16
-        sl = slice(trim, times.size - trim)
-        stat = _Case2Stat(SmootherSettings())
-        states = fit.state_obs[sl]
+        sl = slice(16, times.size - 16)  # block_len 32, half a block per end
+        return times[sl], fit.state_obs[sl]
 
-        root = np.random.SeedSequence(2718)
-        n_rep = 500
-        pvals = np.empty(n_rep)
-        for i, child in enumerate(root.spawn(n_rep)):
-            g_rng = rng_from(child)
-            g = g_rng.standard_normal(states.shape[0])
-            _, pvals[i], _, _ = stat.evaluate(
-                states, g, perm_rng=g_rng, b2=99, block_len=block_len
-            )
+    def test_null_pvalues_are_uniform(self, linear_fit, capsys):
+        _, states = linear_fit
+        pvals = uniform_null_pvalues(
+            _Case2Stat(SmootherSettings()), states, lambda rng: rng.standard_normal(states.shape[0])
+        )
         ks = stats.kstest(pvals, "uniform")
         ok = ks.pvalue > 0.01
         emit(
             capsys,
             3,
             f"KS uniformity of p_b under synthetic null: D = {ks.statistic:.4f}, "
-            f"p = {ks.pvalue:.3f} > 0.01 over {n_rep} replicates",
+            f"p = {ks.pvalue:.3f} > 0.01 over {pvals.size} replicates",
+            ok,
+        )
+        assert ok, f"KS p-value {ks.pvalue}"
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="case-3 p_b is only approximately uniform when h is not 0: the "
+        "residual-permutation null refits GCV-tuned smooths (see ROADMAP)",
+    )
+    def test_case3_null_pvalues_are_uniform(self, linear_fit, capsys):
+        # g = a smooth function of the state plus noise independent across
+        # blocks: the lagged states carry nothing more
+        times, states = linear_fit
+        stat = _Case3Stat(times, SmootherSettings(interaction=True), 32 * (times[1] - times[0]))
+        h = np.sin(2.0 * states[:, 0]) + states[:, 1] ** 2
+        pvals = uniform_null_pvalues(
+            stat, states, lambda rng: h + 0.5 * rng.standard_normal(states.shape[0])
+        )
+        ks = stats.kstest(pvals, "uniform")
+        ok = ks.pvalue > 0.01
+        emit(
+            capsys,
+            3,
+            f"case3 KS uniformity of p_b with g = h(x_hat) + noise: D = {ks.statistic:.4f}, "
+            f"p = {ks.pvalue:.3f} > 0.01 over {pvals.size} replicates",
             ok,
         )
         assert ok, f"KS p-value {ks.pvalue}"

@@ -282,6 +282,10 @@ class TestArgumentHandling:
                 {"system": "vanderpol", "smoothing": {"theta_free": [True, False]}},
                 "smoothing.theta_free has 2 entries, linear2d expects 4",
             ),
+            (
+                {"system": "vanderpol_order2", "observed": [1, 2]},
+                "smoothing.second_order fits one observed coordinate; vanderpol_order2 observes 2",
+            ),
         ],
     )
     def test_model_settings_are_checked_against_the_model(

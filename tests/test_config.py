@@ -115,6 +115,14 @@ class TestRejection:
                 {"system": "rossler", "model": "rossler", "smoothing": {"second_order": True}}
             )
 
+    def test_second_order_needs_one_observed_coordinate(self):
+        with pytest.raises(ConfigError, match=r"smoothing\.second_order .* vanderpol_order2 observes 2"):
+            config_from_dict({"system": "vanderpol_order2", "observed": [1, 2], "master_seed": 1})
+        with pytest.raises(ConfigError, match=r"smoothing\.second_order .* vanderpol observes 2"):
+            config_from_dict(
+                {"system": "vanderpol", "model": "vanderpol", "smoothing": {"second_order": True}}
+            )
+
     def test_order_2_without_a_penalty_is_valid(self):
         cfg = config_from_dict(
             {"system": "linear2d", "smoothing": {"x_order": 2, "x_penalty": 0.0, "g_order": 2}}

@@ -103,6 +103,6 @@ class TestCase3Exports:
             interaction=report.settings["smoother_interaction"],
         )
         stat = _Case3Stat(times, settings, report.delta)
-        h1 = stat.lag_design(states, g).fit_values(g[stat.valid]).fitted
+        h1 = stat.lag_design(states).fit_values(g[stat.valid]).fitted
         np.testing.assert_array_equal(exported[:, 0], times[stat.valid])
         np.testing.assert_array_equal(exported[:, 3], h1)

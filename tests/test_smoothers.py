@@ -264,149 +264,6 @@ class TestInteraction:
         with pytest.raises(ArgumentError, match="outside predictor range"):
             smooth(x, y, groups=[(0,), (2,)])
 
-    def test_last_column_update_reproduces_full_build(self, crossed_data):
-        x, _, y = crossed_data
-        rng = np.random.default_rng(13)
-        groups = [(0, 1), (2,)]
-        template = AdditiveSmootherDesign(
-            np.column_stack([x, rng.uniform(0, 1, x.shape[0])]), groups=groups
-        )
-        swapped = np.column_stack([x, rng.uniform(0, 1, x.shape[0])])
-        assert_same_fit(
-            template, swapped[:, 2], AdditiveSmootherDesign(swapped, groups=groups), y
-        )
-
-
-def row_gaps(fits, i, fresh, y):
-    """Relative gaps between row i of ``fit_last_columns`` and a full
-    build's fit of y: fitted values, EDF and GCV; and whether the two
-    picked the same lambda."""
-    one = fresh.fit_values(y)
-    scale = np.max(np.abs(one.fitted))
-    gaps = (
-        np.max(np.abs(fits.fitted[i] - one.fitted)) / scale,
-        abs(fits.edf[i] - one.edf) / one.edf,
-        abs(fits.gcv[i] - one.gcv) / one.gcv,
-    )
-    return gaps, fits.lam[i] == one.lam
-
-
-def assert_same_fit(template, column, fresh, y, rtol=1e-10):
-    """Replacing the template's last column agrees with a full build: the
-    same lambda, and fitted values, EDF and GCV up to rounding."""
-    fits = template.fit_last_columns(column[None], y[None])
-    gaps, same_lam = row_gaps(fits, 0, fresh, y)
-    assert same_lam
-    assert max(gaps) <= rtol
-
-
-class TestLastColumnUpdate:
-    def test_update_reproduces_full_build(self, sine_data):
-        x, y = sine_data
-        rng = np.random.default_rng(7)
-        template = AdditiveSmootherDesign(np.column_stack([x, rng.uniform(0, 1, x.size)]))
-        swapped = np.column_stack([x, rng.uniform(0, 1, x.size)])
-        assert_same_fit(template, swapped[:, 1], AdditiveSmootherDesign(swapped), y)
-
-    def test_rows_match_one_at_a_time(self, sine_data):
-        # a row's fit does not depend on the rows stacked with it
-        x, y = sine_data
-        rng = np.random.default_rng(9)
-        template = AdditiveSmootherDesign(np.column_stack([x, rng.uniform(0, 1, x.size)]))
-        columns = rng.normal(size=(11, x.size))
-        responses = y + 0.1 * rng.normal(size=columns.shape)
-        responses[3] = 0.0
-        fits = template.fit_last_columns(columns, responses)
-        assert fits.fitted.shape == columns.shape
-        # an all-zero response ties GCV on the whole grid: the largest lambda
-        assert fits.lam[3] == template.lambda_grid[-1]
-        for i in range(columns.shape[0]):
-            one = template.fit_last_columns(columns[i : i + 1], responses[i : i + 1])
-            assert np.array_equal(fits.fitted[i], one.fitted[0])
-            assert (fits.edf[i], fits.lam[i], fits.gcv[i]) == (one.edf[0], one.lam[0], one.gcv[0])
-
-    @pytest.mark.parametrize("interaction", [True, False])
-    @pytest.mark.parametrize("n_states", [1, 2])
-    def test_block_permuted_lags_match_full_builds(self, interaction, n_states):
-        # The case-3 use: the states fixed, the last column a lagged
-        # response whose blocks are permuted. On this synthetic data GCV
-        # often picks the top of the lambda grid, where two full builds of
-        # the same design with its rows reversed already differ by up to
-        # ~1e-9; the batched fits must stay within a small multiple of that
-        # gap.
-        rng = np.random.default_rng(20 + n_states)
-        t = np.linspace(0.0, 40.0, 360)
-        states = np.column_stack([np.sin(t), np.cos(0.7 * t)])[:, :n_states]
-        g = states @ np.ones(n_states) + 0.3 * rng.standard_normal(t.size)
-        settings = SmootherSettings(interaction=interaction)
-        groups = [tuple(range(n_states)), (n_states,)] if interaction else None
-        lag = 24
-        rows = slice(lag, None)
-        template = AdditiveSmootherDesign(
-            np.column_stack([states[rows], g[:-lag]]), settings, groups=groups
-        )
-        g_ks = np.array([block_permute(g, 20, rng) for _ in range(50)])
-        fits = template.fit_last_columns(g_ks[:, :-lag], g_ks[:, rows])
-        fit_gap = reversal_gap = 0.0
-        for i, g_k in enumerate(g_ks):
-            x = np.column_stack([states[rows], g_k[:-lag]])
-            fresh = AdditiveSmootherDesign(x, settings, groups=groups)
-            reversed_rows = AdditiveSmootherDesign(x[::-1], settings, groups=groups)
-            y = g_k[rows]
-            gaps, same_lam = row_gaps(fits, i, fresh, y)
-            assert same_lam
-            fit_gap = max(fit_gap, *gaps)
-            fit_r = reversed_rows.fit_values(y[::-1])
-            fit_f = fresh.fit_values(y)
-            reversal_gap = max(
-                reversal_gap,
-                np.max(np.abs(fit_r.fitted[::-1] - fit_f.fitted)) / np.max(np.abs(fit_f.fitted)),
-                abs(fit_r.edf - fit_f.edf) / fit_f.edf,
-            )
-        assert fit_gap <= max(10.0 * reversal_gap, 1e-12)
-
-    def test_rows_with_two_term_widths(self, sine_data):
-        # a column with few distinct values loses tied quantile breaks, so
-        # its last term is narrower than a continuous column's; the stack
-        # fits the two widths as separate groups, each as a full build does
-        x, y = sine_data
-        rng = np.random.default_rng(10)
-        smooth_col = rng.uniform(0, 1, x.size)
-        tied_col = np.round(rng.uniform(0, 1, x.size) ** 4, 1)
-        columns = np.array([tied_col, smooth_col, tied_col[::-1], smooth_col[::-1]])
-        template = AdditiveSmootherDesign(np.column_stack([x, smooth_col]))
-        fits = template.fit_last_columns(columns, np.tile(y, (4, 1)))
-        widths = set()
-        for i, column in enumerate(columns):
-            fresh = AdditiveSmootherDesign(np.column_stack([x, column]))
-            widths.add(fresh.n_columns)
-            gaps, same_lam = row_gaps(fits, i, fresh, y)
-            assert same_lam
-            assert max(gaps) <= 1e-10
-        assert len(widths) == 2
-
-    def test_last_group_must_be_the_column_alone(self, crossed_data):
-        x, _, y = crossed_data
-        joint = AdditiveSmootherDesign(x, SmootherSettings(interaction=True))
-        with pytest.raises(ArgumentError, match="group of its own"):
-            joint.fit_last_columns(x[:, 1][None], y[None])
-
-    def test_columns_are_checked(self, sine_data):
-        x, y = sine_data
-        design = AdditiveSmootherDesign(np.column_stack([x, np.cos(x)]))
-        with pytest.raises(ArgumentError, match="shape"):
-            design.fit_last_columns([x[:-1]], [y[:-1]])
-        with pytest.raises(ArgumentError, match="shape"):
-            design.fit_last_columns(x, y)
-        with pytest.raises(ArgumentError, match="must match"):
-            design.fit_last_columns([x, x], [y])
-        with pytest.raises(ArgumentError, match="non-finite"):
-            design.fit_last_columns([np.r_[np.nan, x[1:]]], [y])
-        with pytest.raises(ArgumentError, match="non-finite"):
-            design.fit_last_columns([x], [np.r_[y[:-1], np.inf]])
-        with pytest.raises(DegenerateDesignError, match="constant"):
-            design.fit_last_columns([x, np.ones_like(x)], [y, y])
-
 
 def reference_term(x, dims):
     """Columns and penalty of one term over the columns of ``x``, built
