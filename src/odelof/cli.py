@@ -1,6 +1,7 @@
 """Command line entry point.
 
-Exit codes: 0 success, 2 bad configuration or arguments, 3 runtime
+Exit codes: 0 success, 2 bad configuration or arguments, including a
+file named on the command line that cannot be read or parsed, 3 runtime
 failure inside the pipeline, 4 test aborted (too many bootstrap
 replicates failed on this dataset).
 """
@@ -80,6 +81,20 @@ def _override(config: ExperimentConfig, key: str, value) -> ExperimentConfig:
     return config_from_dict({**config.raw, key: value}, config.source)
 
 
+def _read(reader, path: str, what: str):
+    """``reader(path)``; a file that cannot be read or parsed is a bad
+    argument (exit 2)."""
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read {what}: {exc.strerror or exc}") from None
+    except KeyError as exc:
+        raise ConfigError(f"{path}: {what} lacks the field {exc}") from None
+    except (TypeError, ValueError) as exc:  # the CSV reader's messages name the file
+        msg = str(exc)
+        raise ConfigError(msg if msg.startswith(path) else f"{path}: bad {what}: {msg}") from None
+
+
 def _cmd_simulate(args) -> int:
     config = _load(args)
     series = run_simulate(config, args.out)
@@ -90,7 +105,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_diagnose(args) -> int:
     config = _load(args)
     data = args.data or config.data_csv
-    series = read_timeseries_csv(data) if data else None
+    series = _read(read_timeseries_csv, data, "data CSV") if data else None
     out_dir = args.out or config.out_dir
     reports = run_diagnose(config, out_dir, series)
     for r in reports:
@@ -123,8 +138,8 @@ def _cmd_power_study(args) -> int:
 
 
 def _cmd_export_plots(args) -> int:
-    report = DiagnosticReport.load(args.report)
-    series = read_timeseries_csv(args.data)
+    report = _read(DiagnosticReport.load, args.report, "report")
+    series = _read(read_timeseries_csv, args.data, "data CSV")
     system = None
     if args.config is not None:
         system = load_config(args.config).model_system()

@@ -418,11 +418,24 @@ def _validate(cfg: dict, source: str) -> None:
         isinstance(obs, list) and obs and all(_is_int(x) and x >= 1 for x in obs)
     ):
         _fail(source, "observed", "must be a list of 1-based coordinate indices")
+    sde = cfg["sde"]
+    s2 = sde["sigma2"]
+    ok = (_is_num(s2) and s2 >= 0) or (
+        isinstance(s2, list) and s2 and all(_is_num(x) and x >= 0 for x in s2)
+    )
+    if not ok:
+        _fail(source, "sde.sigma2", "must be a nonnegative number or list")
     if isinstance(system, str):
         generator = builtin_system(system)
-        for key, size in (("theta", generator.n_params), ("x0", generator.dim)):
-            if cfg[key] is not None and len(cfg[key]) != size:
-                _fail(source, key, f"has {len(cfg[key])} entries, {system} expects {size}")
+        n_obs = len(obs) if obs is not None else generator.dim
+        for key, v, size in (
+            ("theta", cfg["theta"], generator.n_params),
+            ("x0", cfg["x0"], generator.dim),
+            ("noise_var", nv, n_obs),
+            ("sde.sigma2", s2, generator.dim),
+        ):
+            if isinstance(v, list) and len(v) != size:
+                _fail(source, key, f"has {len(v)} entries, {system} expects {size}")
         if obs is not None and max(obs) > generator.dim:
             _fail(source, "observed", f"indices must lie in 1..{generator.dim} for {system}")
 
@@ -431,13 +444,6 @@ def _validate(cfg: dict, source: str) -> None:
         _fail(source, "ode.rate_scale", "must be a nonzero finite number")
     if ode["substep"] is not None and not _is_pos(ode["substep"]):
         _fail(source, "ode.substep", "must be a positive number or null")
-    sde = cfg["sde"]
-    s2 = sde["sigma2"]
-    ok = (_is_num(s2) and s2 >= 0) or (
-        isinstance(s2, list) and s2 and all(_is_num(x) and x >= 0 for x in s2)
-    )
-    if not ok:
-        _fail(source, "sde.sigma2", "must be a nonnegative number or list")
     if not _is_pos(sde["step"]):
         _fail(source, "sde.step", "must be a positive number")
 
@@ -518,7 +524,6 @@ def _validate(cfg: dict, source: str) -> None:
                     f"has {len(v)} entries, {model} expects {proposed.n_params}",
                 )
     if sm["second_order"] and isinstance(system, str):
-        n_obs = len(obs) if obs is not None else builtin_system(system).dim
         if n_obs != 1:
             _fail(
                 source,

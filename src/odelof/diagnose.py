@@ -227,16 +227,9 @@ class TestConfig:
             )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DiagnosticReport:
-    """Everything needed to reproduce, inspect, and plot one test run.
-
-    ``g_spline`` and ``xhat_spline`` are spline dicts (``order``,
-    ``breakpoints``, ``coefficients``, as :meth:`SplineFunction.from_dict`
-    reads them) that hold read-only arrays: about a sixth of the memory of float
-    lists, for callers that keep many reports. :meth:`to_dict` gives the
-    lists. Reports are equal when their dicts are.
-    """
+    """Everything needed to reproduce, inspect, and plot one test run."""
 
     kind: str
     reject: bool
@@ -261,13 +254,13 @@ class DiagnosticReport:
     theta: tuple
     edf_h: float
     edf_h_alt: Optional[float]
-    g_spline: dict = field(repr=False)
-    xhat_spline: dict = field(repr=False)
+    g_spline: SplineFunction = field(repr=False)
+    xhat_spline: SplineFunction = field(repr=False)
     settings: dict = field(repr=False)
     version: str = __version__
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "kind": self.kind,
             "reject": self.reject,
             "p_mean": self.p_mean,
@@ -291,12 +284,11 @@ class DiagnosticReport:
             "theta": list(self.theta),
             "edf_h": self.edf_h,
             "edf_h_alt": self.edf_h_alt,
-            "g_spline": _json_spline(self.g_spline),
-            "xhat_spline": _json_spline(self.xhat_spline),
+            "g_spline": self.g_spline.to_dict(),
+            "xhat_spline": self.xhat_spline.to_dict(),
             "settings": self.settings,
             "version": self.version,
         }
-        return d
 
     @staticmethod
     def from_dict(d: dict) -> "DiagnosticReport":
@@ -324,16 +316,11 @@ class DiagnosticReport:
             theta=tuple(d["theta"]),
             edf_h=float(d["edf_h"]),
             edf_h_alt=None if d["edf_h_alt"] is None else float(d["edf_h_alt"]),
-            g_spline=_spline_arrays(SplineFunction.from_dict(d["g_spline"])),
-            xhat_spline=_spline_arrays(SplineFunction.from_dict(d["xhat_spline"])),
+            g_spline=SplineFunction.from_dict(d["g_spline"]),
+            xhat_spline=SplineFunction.from_dict(d["xhat_spline"]),
             settings=d["settings"],
             version=d.get("version", __version__),
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiagnosticReport):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
 
     def save(self, path: Union[str, os.PathLike]) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -347,19 +334,6 @@ class DiagnosticReport:
 
 def report_json(report: DiagnosticReport) -> str:
     return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-
-
-def _spline_arrays(spline: SplineFunction) -> dict:
-    # SplineFunction.to_dict with the (read-only) arrays in place of lists
-    return {
-        "order": spline.basis.order,
-        "breakpoints": spline.basis.breakpoints,
-        "coefficients": spline.coefficients,
-    }
-
-
-def _json_spline(d: dict) -> dict:
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in d.items()}
 
 
 def _json_float(v: float):
@@ -408,10 +382,13 @@ def case3_test(
 _PERM_BLOCK = 64
 
 # A null F value counts as reaching F0 from F0 * (1 - _TIE_REL) up (about
-# sqrt(eps), as R vegan's permutest): F0 and the null come from different
-# fitting paths (fit_values against fit_many) that agree only to rounding,
-# so a permutation that reproduces the observed order must not count by
-# rounding luck. F >= 0, so 0 and inf count as exact comparisons do.
+# sqrt(eps), as R vegan's permutest): F0 is a one-row fit_many call, the
+# null a batch of up to _PERM_BLOCK rows, and a row's fit rounds
+# differently with the batch size (the identity permutation's case-3 F in
+# a 64-row batch is off F0 by 1e-14 relative on a vanderpol fixture, 4e-12
+# on vanderpol_order2), so a permutation that reproduces the observed
+# order must not count by rounding luck. F >= 0, so 0 and inf count as
+# exact comparisons do.
 _TIE_REL = 1.5e-8
 
 
@@ -446,14 +423,14 @@ class _Case2Stat(_PermutationStat):
 
     def _observed(self, states_trim, g_trim):
         design = AdditiveSmootherDesign(states_trim, self.settings)
-        fit = design.fit_values(g_trim)
+        fit = design.fit_many(g_trim[None])
 
         def null(idx):
             g_k = g_trim[idx]  # (m, n): one permutation per row
             h_k = design.fit_many(g_k).fitted
             return _case2_columns(g_k[:, :, None], h_k[:, :, None])[0]
 
-        return f_stat_case2(g_trim, fit.fitted), (fit.edf, None), null
+        return f_stat_case2(g_trim, fit.fitted[0]), (fit.edf[0], None), null
 
 
 class _Case3Stat(_PermutationStat):
@@ -484,21 +461,21 @@ class _Case3Stat(_PermutationStat):
     def _observed(self, states_trim, g_trim):
         rows = self.valid
         design0 = AdditiveSmootherDesign(states_trim, self.settings)
-        h0 = design0.fit_values(g_trim)
+        h0 = design0.fit_many(g_trim[None])
         design1 = self.lag_design(states_trim)
-        h1 = design1.fit_values(g_trim[rows])
-        f0 = f_stat_case3(g_trim[rows], h0.fitted[rows], h1.fitted)
-        eta = g_trim - h0.fitted
+        h1 = design1.fit_many(g_trim[None, rows])
+        f0 = f_stat_case3(g_trim[rows], h0.fitted[0, rows], h1.fitted[0])
+        eta = g_trim - h0.fitted[0]
 
         def null(idx):
             # the null keeps h0(x_hat) and block-permutes eta = g - h0
             g_k = eta[idx]  # (m, n): one permutation per row
-            g_k += h0.fitted
+            g_k += h0.fitted[0]
             h0_k = design0.fit_many(g_k).fitted
             h1_k = design1.fit_many(g_k[:, rows]).fitted
             return _case3_columns(g_k[:, rows, None], h0_k[:, rows, None], h1_k[:, :, None])[0]
 
-        return f0, (h0.edf, h1.edf), null
+        return f0, (h0.edf[0], h1.edf[0]), null
 
 
 def _run_test(kind, series, system, config, pipeline):
@@ -622,8 +599,8 @@ def _run_test(kind, series, system, config, pipeline):
         theta=tuple(float(v) for v in theta),
         edf_h=float(edf_h),
         edf_h_alt=None if edf_alt is None else float(edf_alt),
-        g_spline=_spline_arrays(fit0.forcing.g),
-        xhat_spline=_spline_arrays(fit0.xhat),
+        g_spline=fit0.forcing.g,
+        xhat_spline=fit0.xhat,
         settings=settings_echo,
         version=__version__,
     )

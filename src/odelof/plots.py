@@ -17,7 +17,6 @@ from .diagnose import DiagnosticReport, _Case3Stat
 from .errors import ArgumentError, BlowupError
 from .pipeline import CompanionState
 from .smoothers import AdditiveSmootherDesign, SmootherSettings
-from .splines import SplineFunction
 from .systems import DynamicalSystem, TimeSeries, builtin_system, integrate, rate_values
 
 _SURFACE_SIDE = 41
@@ -60,8 +59,8 @@ def export_diagnostic_plots(
         system = builtin_system(report.model)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    xhat = SplineFunction.from_dict(report.xhat_spline)
-    g = SplineFunction.from_dict(report.g_spline)
+    xhat = report.xhat_spline
+    g = report.g_spline
     theta = np.asarray(report.theta, dtype=float)
     second_order = bool(report.settings.get("second_order"))
 
@@ -100,23 +99,15 @@ def export_diagnostic_plots(
     return paths
 
 
-def _smoother_settings(report: DiagnosticReport) -> SmootherSettings:
-    return SmootherSettings(
-        total_dim=int(report.settings.get("smoother_total_dim", 40)),
-        interaction=bool(report.settings.get("smoother_interaction", True)),
-    )
-
-
 def _export_h(report, out, t_trim, s_trim, g_trim) -> Path:
-    settings = _smoother_settings(report)
+    echo = report.settings
+    settings = SmootherSettings(echo["smoother_total_dim"], echo["smoother_interaction"])
     if report.kind == "case2":
         design = AdditiveSmootherDesign(s_trim, settings)
-        fit = design.fit_values(g_trim)
-        smoother = design
-        coef = fit.coefficients
+        coef = design.fit_many(g_trim[None]).coefficients[0]
         if s_trim.shape[1] == 1:
             grid = np.linspace(s_trim[:, 0].min(), s_trim[:, 0].max(), _CURVE_POINTS)
-            h = smoother.design_for(grid[:, None]) @ coef
+            h = design.design_for(grid[:, None]) @ coef
             path = out / "h_surface.csv"
             _write_csv(path, ["s1", "h"], [grid, h])
             return path
@@ -127,7 +118,7 @@ def _export_h(report, out, t_trim, s_trim, g_trim) -> Path:
         if s_trim.shape[1] > 2:
             med = np.median(s_trim[:, 2:], axis=0)
             pts = np.column_stack([pts, np.tile(med, (pts.shape[0], 1))])
-        h = smoother.design_for(pts) @ coef
+        h = design.design_for(pts) @ coef
         path = out / "h_surface.csv"
         _write_csv(path, ["s1", "s2", "h"], [pts[:, 0], pts[:, 1], h])
         return path
@@ -135,15 +126,11 @@ def _export_h(report, out, t_trim, s_trim, g_trim) -> Path:
     # case 3: h0 and h1 predictions on the lag-valid rows, h1 on the
     # test's own lag design (the states and the states at t - delta)
     stat = _Case3Stat(t_trim, settings, report.delta)
-    h0 = AdditiveSmootherDesign(s_trim, settings).fit_values(g_trim)
+    h0 = AdditiveSmootherDesign(s_trim, settings).fit_many(g_trim[None]).fitted[0]
     rows = stat.valid
-    h1 = stat.lag_design(s_trim).fit_values(g_trim[rows])
+    h1 = stat.lag_design(s_trim).fit_many(g_trim[None, rows]).fitted[0]
     path = out / "h_lag.csv"
-    _write_csv(
-        path,
-        ["time", "g", "h0", "h1"],
-        [t_trim[rows], g_trim[rows], h0.fitted[rows], h1.fitted],
-    )
+    _write_csv(path, ["time", "g", "h0", "h1"], [t_trim[rows], g_trim[rows], h0[rows], h1])
     return path
 
 

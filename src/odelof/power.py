@@ -244,6 +244,7 @@ def run_simulate(config: ExperimentConfig, out_path: str) -> TimeSeries:
     config.require_seed()
     root = as_seed_sequence(config.master_seed)
     series = simulate_series(config, root.spawn(1)[0])
+    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     write_series_csv(out_path, series)
     return series
 

@@ -36,10 +36,3 @@ def as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
 def rng_from(seed: SeedLike) -> np.random.Generator:
     """Build a PCG64 generator from any accepted seed form."""
     return np.random.Generator(np.random.PCG64(as_seed_sequence(seed)))
-
-
-def spawn_seeds(seed: SeedLike, n: int) -> list[np.random.SeedSequence]:
-    """Derive ``n`` independent child seeds from ``seed``."""
-    if n < 0:
-        raise ArgumentError(f"cannot spawn {n} seeds")
-    return as_seed_sequence(seed).spawn(n)

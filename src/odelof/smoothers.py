@@ -15,13 +15,14 @@ whole term away (EDF -> 1 for pure-noise responses).
 The design is factorized once (QR of the ridged design, then an
 eigendecomposition of the reparameterized penalty), after which each
 response-only refit costs O(n k): the nested bootstrap/permutation loops
-depend on this. :meth:`AdditiveSmootherDesign.fit_values` fits one
-response; :meth:`AdditiveSmootherDesign.fit_many` fits the rows of a
-response matrix, such as the B2 block permutations of one replicate,
-each with its own GCV lambda. Both permutation tests swap only the
-response within a replicate (case 3's lagged predictors are lagged
-states, fixed with the states), so one factorized design serves every
-permutation.
+depend on this. :meth:`AdditiveSmootherDesign.fit_many` is the one fit:
+it fits the rows of a response matrix, such as the B2 block permutations
+of one replicate, each with its own GCV lambda; one response is the
+one-row matrix ``y[None]``. A row's fit depends on the batch size through
+rounding, so the permutation tests count near-ties as ties. Both
+permutation tests swap only the response within a replicate (case 3's
+lagged predictors are lagged states, fixed with the states), so one
+factorized design serves every permutation.
 
 A term is built as arrays: knots, B-spline columns by the Cox-de Boor
 recursion, a Householder sum-to-zero basis and closed-form penalty Grams
@@ -284,8 +285,8 @@ def _predictor_matrix(predictors) -> np.ndarray:
 class AdditiveSmootherDesign:
     """Factorized smoother design for one predictor matrix.
 
-    Build once per predictor set; call :meth:`fit_values` for every new
-    response sharing those predictors. ``groups`` partitions the
+    Build once per predictor set; call :meth:`fit_many` for every new
+    stack of responses sharing those predictors. ``groups`` partitions the
     predictor columns into terms: singleton groups get univariate spline
     terms, larger groups get joint tensor-product terms. By default the
     fit is additive (all singletons) unless ``settings.interaction``
@@ -376,10 +377,6 @@ class AdditiveSmootherDesign:
             dim += 1
         return [dim] * q
 
-    @property
-    def n_columns(self) -> int:
-        return self.design.shape[1]
-
     def design_for(self, predictors) -> np.ndarray:
         """Design rows at new predictor values; each term holds its
         boundary value beyond the training range of its columns."""
@@ -391,59 +388,30 @@ class AdditiveSmootherDesign:
             blocks.append(_basis_values(knots, [x[None, :, j] for j in grp])[0] @ z[0])
         return np.hstack(blocks)
 
-    def fit_values(self, responses) -> "SmootherFit":
-        """GCV-smoothed fit of one response on the precomputed design."""
-        y = np.asarray(responses, dtype=float)
-        if y.shape != (self.n,):
-            raise ArgumentError(f"responses must have shape ({self.n},), got {y.shape}")
-        beta, fit = self._fit_rows(self._row_stack(y[None]))
-        return SmootherFit(
-            coefficients=beta[0],
-            fitted=fit.fitted[0],
-            edf=float(fit.edf[0]),
-            lam=float(fit.lam[0]),
-            gcv=float(fit.gcv[0]),
-        )
-
     def fit_many(self, responses) -> "RowFits":
         """GCV-smoothed fits of the rows of ``responses`` (m, n), each with
-        its own lambda: row i gets the fit ``fit_values`` gives it alone,
-        up to rounding."""
-        return self._fit_rows(self._row_stack(responses))[1]
-
-    def _fit_rows(self, y: np.ndarray) -> tuple[np.ndarray, "RowFits"]:
+        its own lambda; one response is the one-row stack ``y[None]``."""
+        y = np.asarray(responses, dtype=float)
+        if y.ndim != 2 or y.shape[1] != self.n:
+            raise ArgumentError(f"responses must have shape (m, {self.n}), got {y.shape}")
+        if not np.all(np.isfinite(y)):
+            raise ArgumentError("responses contain non-finite values")
         v = self._factor[0][0]
         z = (y @ self.design) @ v
         pick, edf, gcv, shrunk = _gcv_table(
             z, np.einsum("ij,ij->i", y, y), self.n, self._factor, self.eps
         )
         beta = shrunk @ v.T
-        return beta, RowFits(beta @ self.design.T, edf, self.lambda_grid[pick], gcv)
-
-    def _row_stack(self, a) -> np.ndarray:
-        v = np.asarray(a, dtype=float)
-        if v.ndim != 2 or v.shape[1] != self.n:
-            raise ArgumentError(f"responses must have shape (m, {self.n}), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ArgumentError("responses contain non-finite values")
-        return v
-
-
-@dataclass(frozen=True)
-class SmootherFit:
-    coefficients: np.ndarray
-    fitted: np.ndarray
-    edf: float
-    lam: float
-    gcv: float
+        return RowFits(beta, beta @ self.design.T, edf, self.lambda_grid[pick], gcv)
 
 
 @dataclass(frozen=True)
 class RowFits:
     """Per-row fits of :meth:`AdditiveSmootherDesign.fit_many`: row i of
-    ``fitted`` and entry i of ``edf``, ``lam`` and ``gcv`` belong to
-    response row i."""
+    ``coefficients`` and ``fitted`` and entry i of ``edf``, ``lam`` and
+    ``gcv`` belong to response row i."""
 
+    coefficients: np.ndarray  # (m, k)
     fitted: np.ndarray  # (m, n)
     edf: np.ndarray
     lam: np.ndarray

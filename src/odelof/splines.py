@@ -382,10 +382,6 @@ class SplineFunction:
             return NotImplemented
         return self.basis == other.basis and np.array_equal(self.coefficients, other.coefficients)
 
-    @property
-    def n_outputs(self) -> int:
-        return 1 if self.coefficients.ndim == 1 else self.coefficients.shape[1]
-
     def __call__(self, t, deriv: int = 0):
         """Evaluate the spline or one of its derivatives at ``t``: points,
         or a :class:`BasisGrid` of this spline's basis."""

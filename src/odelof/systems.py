@@ -265,6 +265,16 @@ def _check_start(system: DynamicalSystem, x0) -> list:
     return x.tolist()
 
 
+def _check_variances(value, size: int, what: str) -> np.ndarray:
+    # a scalar, or one nonnegative variance per coordinate
+    v = np.asarray(value, dtype=float)
+    if v.ndim and v.shape != (size,):
+        raise ArgumentError(f"{what} has shape {v.shape}, expected a scalar or ({size},)")
+    if np.any(v < 0) or not np.all(np.isfinite(v)):
+        raise ArgumentError(f"{what} must be nonnegative and finite, got {value!r}")
+    return np.broadcast_to(v, (size,))
+
+
 def _check_step(value, what: str) -> float:
     h = float(value)
     if not (h > 0 and math.isfinite(h)):
@@ -367,9 +377,7 @@ def simulate_sde(
     th = _check_theta(system, theta)
     t_grid = _check_times(np.asarray(times, dtype=float), "simulation times")
     xs = _check_start(system, x0)
-    s2 = np.broadcast_to(np.asarray(sigma2, dtype=float), (system.dim,)).copy()
-    if np.any(s2 < 0) or not np.all(np.isfinite(s2)):
-        raise ArgumentError(f"sigma2 must be nonnegative and finite, got {sigma2!r}")
+    s2 = _check_variances(sigma2, system.dim, "sigma2")
     step = _check_step(step, "step")
     if seed is None:
         raise ArgumentError("simulate_sde requires an explicit seed")
@@ -420,9 +428,7 @@ def observe(
             raise ArgumentError(
                 f"observed indices must lie in 1..{trajectory.dim}, got {list(observed)}"
             )
-    v = np.broadcast_to(np.asarray(noise_var, dtype=float), (idx.size,))
-    if np.any(v < 0) or not np.all(np.isfinite(v)):
-        raise ArgumentError(f"noise_var must be nonnegative and finite, got {noise_var!r}")
+    v = _check_variances(noise_var, idx.size, "noise_var")
     rng = rng_from(seed)
     clean = trajectory.states[:, idx]
     noisy = clean + np.sqrt(v) * rng.standard_normal(clean.shape)

@@ -251,6 +251,11 @@ class TestArgumentHandling:
             ({"theta": [1, 2, 3]}, "theta has 3 entries, vanderpol expects 2"),
             ({"x0": [0.0, 2.0, 1.0]}, "x0 has 3 entries, vanderpol expects 2"),
             ({"observed": [1, 3]}, "observed indices must lie in 1..2 for vanderpol"),
+            ({"noise_var": [0.1, 0.2, 0.3]}, "noise_var has 3 entries, vanderpol expects 2"),
+            (
+                {"generator": "sde", "sde": {"sigma2": [0.01, 0.02, 0.03]}},
+                "sde.sigma2 has 3 entries, vanderpol expects 2",
+            ),
         ],
     )
     def test_lengths_are_checked_against_the_system(self, tmp_path, capsys, override, message):
@@ -316,6 +321,54 @@ class TestArgumentHandling:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read data CSV"),
+            ("time,y1\n0,1\n1,2\n", "columns must be named"),
+            ("time,x1\n0,1\n1,oops\n", ":3: could not convert"),
+        ],
+        ids=["missing", "bad-header", "bad-float"],
+    )
+    def test_unreadable_data_is_an_argument_error(self, tmp_path, capsys, text, message):
+        data = tmp_path / "data.csv"
+        if text is not None:
+            data.write_text(text)
+        cfg = write_config(tmp_path / "c.json")
+        argv = ["diagnose", "--config", str(cfg), "--data", str(data)]
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(data) in err and message in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read report"),
+            ("{not json", "bad report: Expecting property name"),
+            ('{"kind": "case2"}', "report lacks the field 'reject'"),
+            ("[1, 2]", "bad report"),
+        ],
+        ids=["missing", "not-json", "missing-field", "not-an-object"],
+    )
+    def test_unreadable_report_is_an_argument_error(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path / "c.json")
+        data = tmp_path / "data.csv"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+        report = tmp_path / "report.json"
+        if text is not None:
+            report.write_text(text)
+        argv = ["export-plots", "--report", str(report), "--data", str(data)]
+        assert cli.main(argv + ["--out", str(tmp_path / "plots")]) == 2
+        err = capsys.readouterr().err
+        assert str(report) in err and message in err
+        assert not (tmp_path / "plots").exists()
+
+    def test_simulate_creates_the_output_directory(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "new" / "dir" / "data.csv"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_text().startswith("time,x1,x2\n")
 
     def test_order_2_splines_without_penalties_run(self, tmp_path):
         smoothing = {"x_order": 2, "x_penalty": 0.0, "x_knot_spacing": 1.0, "g_order": 2}

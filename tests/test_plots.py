@@ -4,7 +4,6 @@ import pytest
 from odelof import (
     ArgumentError,
     SmootherSettings,
-    SplineFunction,
     TestConfig,
     builtin_system,
     case2_test,
@@ -96,13 +95,13 @@ class TestCase3Exports:
 
         rows = slice(report.end_trim, series.times.size - report.end_trim)
         times = series.times[rows]
-        states = SplineFunction.from_dict(report.xhat_spline)(times)
-        g = SplineFunction.from_dict(report.g_spline)(times)
+        states = report.xhat_spline(times)
+        g = report.g_spline(times)
         settings = SmootherSettings(
             total_dim=report.settings["smoother_total_dim"],
             interaction=report.settings["smoother_interaction"],
         )
         stat = _Case3Stat(times, settings, report.delta)
-        h1 = stat.lag_design(states).fit_values(g[stat.valid]).fitted
+        h1 = stat.lag_design(states).fit_many(g[None, stat.valid]).fitted[0]
         np.testing.assert_array_equal(exported[:, 0], times[stat.valid])
         np.testing.assert_array_equal(exported[:, 3], h1)

@@ -164,6 +164,12 @@ class TestSde:
         with pytest.raises(ArgumentError, match="step"):
             simulate_sde(sys, (0.25, 4.0), 0.01, (0.0, 2.0), [0.0, 1.0], step=step, seed=1)
 
+    @pytest.mark.parametrize("sigma2", [[0.01, 0.02, 0.03], [0.01], [[0.01, 0.02]]])
+    def test_rejects_sigma2_of_the_wrong_length(self, sigma2):
+        sys = builtin_system("vanderpol")
+        with pytest.raises(ArgumentError, match="sigma2 has shape"):
+            simulate_sde(sys, (0.25, 4.0), sigma2, (0.0, 2.0), [0.0, 1.0], seed=1)
+
 
 def sde_reference(system, theta, sigma2, x0, times, step, seed):
     """Euler-Maruyama with one normal draw per substep, the path
@@ -333,6 +339,13 @@ class TestObserve:
             observe(traj, 0.1, seed=1, observed=(0,))
         with pytest.raises(ArgumentError):
             observe(traj, 0.1, seed=1, observed=(3,))
+
+    def test_noise_var_per_observed_coordinate(self):
+        traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 3)))
+        assert observe(traj, [0.0, 0.0], seed=1, observed=(3, 1)).values.shape == (2, 2)
+        for noise_var in ([0.1, 0.2, 0.3], [0.1]):
+            with pytest.raises(ArgumentError, match="noise_var has shape"):
+                observe(traj, noise_var, seed=1, observed=(3, 1))
 
 
 class TestForcingPlumbing:
