@@ -1,9 +1,9 @@
 """Command line entry point.
 
 Exit codes: 0 success, 2 bad configuration or arguments, including a
-file named on the command line that cannot be read or parsed, 3 runtime
-failure inside the pipeline, 4 test aborted (too many bootstrap
-replicates failed on this dataset).
+file named on the command line that cannot be read, parsed or written,
+3 runtime failure inside the pipeline, 4 test aborted (too many
+bootstrap replicates failed on this dataset).
 """
 
 from __future__ import annotations
@@ -95,9 +95,20 @@ def _read(reader, path: str, what: str):
         raise ConfigError(msg if msg.startswith(path) else f"{path}: bad {what}: {msg}") from None
 
 
+def _write(writer, *args):
+    """``writer(*args)``; an output path that cannot be written is a bad
+    argument (exit 2)."""
+    try:
+        return writer(*args)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise ConfigError(f"{exc.filename}: cannot write: {exc.strerror or exc}") from None
+
+
 def _cmd_simulate(args) -> int:
     config = _load(args)
-    series = run_simulate(config, args.out)
+    series = _write(run_simulate, config, args.out)
     print(f"wrote {series.times.size} x {series.dim} series to {args.out}")
     return 0
 
@@ -107,7 +118,7 @@ def _cmd_diagnose(args) -> int:
     data = args.data or config.data_csv
     series = _read(read_timeseries_csv, data, "data CSV") if data else None
     out_dir = args.out or config.out_dir
-    reports = run_diagnose(config, out_dir, series)
+    reports = _write(run_diagnose, config, out_dir, series)
     for r in reports:
         verdict = "reject" if r.reject else "retain"
         print(
@@ -126,7 +137,7 @@ def _cmd_power_study(args) -> int:
     if jobs < 1:
         raise ConfigError(f"--jobs must be a positive integer, got {jobs}")
     out_dir = args.out or config.out_dir
-    summaries = run_power_study(config, out_dir, jobs=jobs)
+    summaries = _write(run_power_study, config, out_dir, jobs)
     for s in summaries:
         print(
             f"{s.cell} {s.kind}: power {s.power:.3f} "
@@ -143,7 +154,7 @@ def _cmd_export_plots(args) -> int:
     system = None
     if args.config is not None:
         system = load_config(args.config).model_system()
-    paths = export_diagnostic_plots(report, series, args.out, system=system)
+    paths = _write(export_diagnostic_plots, report, series, args.out, system)
     for p in paths:
         print(f"wrote {p}")
     return 0

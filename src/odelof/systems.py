@@ -10,11 +10,14 @@ equation, or replacing one parameter). Rate callables take
 parameter-replacement systems consume it themselves.
 
 The fixed-step simulators (:func:`integrate`, :func:`simulate_sde`) hold
-the state as Python floats and call the rate once per stage on a fresh
-float64 array of shape (d,): on 2- and 3-element arrays, numpy's dispatch
-costs more than the arithmetic. The rate still gets an array, not floats,
-because float and numpy-scalar ``x**3`` differ from the array ufunc in the
-last bit on a few percent of inputs.
+the state as Python floats: on 2- and 3-element arrays, numpy's dispatch
+costs more than the arithmetic. The builtins are :class:`CoordinateRate`
+instances, written once as a function of coordinates and parameters; the
+estimators call it on array columns and the simulators on Python floats,
+and both round alike because powers and exponentials stay numpy ufuncs
+(Python's float pow and ``math.exp`` differ from the array loops in the
+last bit on a few percent of inputs). Any other rate gets a fresh float64
+array of shape (d,) per stage, so it cannot write into the stepper's state.
 """
 
 from __future__ import annotations
@@ -203,6 +206,40 @@ def _check_theta(system: DynamicalSystem, theta) -> np.ndarray:
     return th
 
 
+@dataclass(frozen=True)
+class CoordinateRate:
+    """A rate written once, as a function of coordinates and parameters.
+
+    ``coords(x1, ..., xd, theta1, ..., thetap)`` returns the d rate
+    coordinates. Called as a rate, ``(x, t, theta, g)``, it passes the
+    columns ``x[..., j]`` and stacks the results, so it broadcasts over a
+    batch; the simulators call ``coords`` on Python floats instead.
+
+    Parameters
+    ----------
+    coords : callable
+        The coordinate function; it must not depend on t.
+    replaced : int, optional
+        1-based index of the parameter that a forcing g takes the place of.
+        Without one the rate ignores g.
+    """
+
+    coords: Callable[..., Sequence]
+    replaced: Optional[int] = None
+
+    def params(self, theta: Sequence, g=None) -> Sequence:
+        """The parameters ``coords`` receives: theta, with g in its place."""
+        if g is None or self.replaced is None:
+            return theta
+        params = list(theta)
+        params[self.replaced - 1] = g
+        return params
+
+    def __call__(self, x, t, theta, g):
+        cols = [x[..., j] for j in range(x.shape[-1])]
+        return np.array(self.coords(*cols, *self.params(theta, g))).T
+
+
 def forced_rate(system: DynamicalSystem, x: np.ndarray, t, theta: np.ndarray, g=None) -> np.ndarray:
     """Rate with the forcing applied according to the system's ForcingSpec."""
     if g is None or system.forcing is None:
@@ -254,6 +291,39 @@ def _drift(system: DynamicalSystem, th: np.ndarray, xs: list, t: float, g=None) 
     if out.shape != x.shape:
         out = np.broadcast_to(out, x.shape)
     return out.tolist()
+
+
+def float_drift(system: DynamicalSystem, th: np.ndarray) -> Callable:
+    """The forced rate as ``drift(xs, t, g=None)`` on a list of floats.
+
+    Resolved once per simulation. A :class:`CoordinateRate` runs on Python
+    floats, with theta converted once and the forcing applied as
+    :func:`forced_rate` applies it: additive g added to the target
+    coordinate, or g in place of the replaced parameter. Any other rate
+    goes through :func:`_drift`.
+    """
+    rate = system.rate
+    if not isinstance(rate, CoordinateRate):
+        return lambda xs, t, g=None: _drift(system, th, xs, t, g)
+    coords = rate.coords
+    params = th.tolist()
+    forcing = system.forcing
+    target = None if forcing is None else forcing.target - 1
+
+    def drift(xs, t, g=None):
+        try:
+            if g is None or forcing is None:
+                return coords(*xs, *params)
+            if forcing.mode == "additive":
+                out = list(coords(*xs, *params))
+                out[target] += g
+                return out
+            return coords(*xs, *rate.params(params, g))
+        except ZeroDivisionError:
+            # a float division by zero raises where an array's gives inf or nan
+            return _drift(system, th, xs, t, g)
+
+    return drift
 
 
 def _check_start(system: DynamicalSystem, x0) -> list:
@@ -323,10 +393,10 @@ def integrate(
     xs = _check_start(system, x0)
     spacing = np.diff(t_grid)
     h_max = _check_step(spacing.min() if substep is None else substep, "substep")
+    drift = float_drift(system, th)
 
     def f(x, t):
-        g = None if forcing is None else float(forcing(t))
-        return _drift(system, th, x, t, g)
+        return drift(x, t, None if forcing is None else float(forcing(t)))
 
     out = np.empty((t_grid.size, system.dim))
     out[0] = xs
@@ -382,6 +452,7 @@ def simulate_sde(
     if seed is None:
         raise ArgumentError("simulate_sde requires an explicit seed")
     rng = rng_from(seed)
+    drift = float_drift(system, th)
 
     out = np.empty((t_grid.size, system.dim))
     out[0] = xs
@@ -393,8 +464,7 @@ def simulate_sde(
         noise = (np.sqrt(s2 * h) * rng.standard_normal((n_sub, system.dim))).tolist()
         t = float(t_grid[i])
         for dw in noise:
-            drift = _drift(system, th, xs, t)
-            xs = [x + f * h + w for x, f, w in zip(xs, drift, dw)]
+            xs = [x + v * h + w for x, v, w in zip(xs, drift(xs, t), dw)]
             t += h
             if _diverged(xs):
                 raise BlowupError(f"SDE simulation of {system.name} diverged at t={t:.6g}", t)
@@ -440,54 +510,72 @@ def scale_rate(system: DynamicalSystem, factor: float) -> DynamicalSystem:
     if not np.isfinite(factor) or factor == 0:
         raise ArgumentError(f"scale factor must be finite and nonzero, got {factor}")
     base = system.rate
+    if isinstance(base, CoordinateRate):
+        # each coordinate times factor: the bits of factor * base(...)
+        def coords(*args):
+            return [factor * v for v in base.coords(*args)]
 
-    def scaled(x, t, theta, g):
-        return factor * np.asarray(base(x, t, theta, g), dtype=float)
+        scaled = dataclasses.replace(base, coords=coords)
+    else:
+
+        def scaled(x, t, theta, g):
+            return factor * np.asarray(base(x, t, theta, g), dtype=float)
 
     return dataclasses.replace(system, name=f"{system.name}_x{factor:g}", rate=scaled)
 
 
 # --- builtin systems -------------------------------------------------------
+#
+# Each builtin rate is written once, coordinate-wise, as a CoordinateRate: the
+# same arithmetic runs on array columns (estimators) and on Python floats
+# (simulators), and must round alike. Squares are written as products, since
+# an array's x**2 is a multiply and a float's is C pow. Cubes and exponentials
+# go through numpy's ufunc loops, since Python's float pow and math.exp round
+# differently from those on a few percent of inputs.
 
 
-def _linear2d_rate(x, t, th, g):
-    x1, x2 = x[..., 0], x[..., 1]
-    return np.array([th[0] * x1 + th[1] * x2, th[2] * x1 + th[3] * x2]).T
+def _cube(x):
+    """np.power(x, 3); a Python float for a scalar, so a step stays in floats."""
+    y = np.power(x, 3)
+    return y if isinstance(x, np.ndarray) else float(y)
 
 
-def _vanderpol_rate(x, t, th, g):
-    x1, x2 = x[..., 0], x[..., 1]
-    return np.array([th[0] * x2, th[1] * (x2 - x1 - x2**3 / 3.0)]).T
+def _exp(x):
+    """np.exp(x); a Python float for a scalar, so a step stays in floats."""
+    y = np.exp(x)
+    return y if isinstance(x, np.ndarray) else float(y)
 
 
-def _rossler_rate(x, t, th, g):
-    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    return np.array([-x2 - x3, x1 + th[0] * x2, th[1] + x3 * (x1 - th[2])]).T
+def _linear2d(x1, x2, a11, a12, a21, a22):
+    return a11 * x1 + a12 * x2, a21 * x1 + a22 * x2
 
 
-def _rm_log_rate(x, t, th, g):
-    # State is (log C, log B); theta is (r, K_C, G, K_B, chi, delta, p), and
-    # p is replaced by g(t) when forcing is active.
-    p = th[6] if g is None else g
-    c = np.exp(x[..., 0])
-    b = np.exp(x[..., 1])
-    uptake = p * th[2] / (th[3] + p * c)
-    return np.array([th[0] * (1.0 - c / th[1]) - uptake * b, th[4] * uptake * c - th[5]]).T
+def _vanderpol(x1, x2, c, d):
+    return c * x2, d * (x2 - x1 - _cube(x2) / 3.0)
 
 
-def _vanderpol_order2_rate(x, t, th, g):
+def _rossler(x1, x2, x3, a, b, c):
+    return -x2 - x3, x1 + a * x2, b + x3 * (x1 - c)
+
+
+def _rm_log(log_c, log_b, r, k_c, g_max, k_b, chi, delta, p):
+    # State is (log C, log B); p is replaced by g(t) when forcing is active.
+    c = _exp(log_c)
+    b = _exp(log_b)
+    uptake = p * g_max / (k_b + p * c)
+    return r * (1.0 - c / k_c) - uptake * b, chi * uptake * c - delta
+
+
+def _vanderpol_order2(x1, x2, a0, a1, a2, a3, a4):
     # Second-order scalar model in companion form: state (x, dx/dt).
-    x1, x2 = x[..., 0], x[..., 1]
-    return np.array(
-        [x2, th[0] + th[1] * x2 + th[2] * x1 + th[3] * x1**2 + th[4] * x1 * x2**2]
-    ).T
+    return x2, a0 + a1 * x2 + a2 * x1 + a3 * (x1 * x1) + a4 * x1 * (x2 * x2)
 
 
 _BUILTINS = {
     "linear2d": dict(
         dim=2,
         n_params=4,
-        rate=_linear2d_rate,
+        rate=CoordinateRate(_linear2d),
         linear_in_params=True,
         forcing=ForcingSpec("additive", 2),
         theta_default=(0.0, -1.0, 1.0, 0.0),
@@ -495,7 +583,7 @@ _BUILTINS = {
     "vanderpol": dict(
         dim=2,
         n_params=2,
-        rate=_vanderpol_rate,
+        rate=CoordinateRate(_vanderpol),
         linear_in_params=True,
         forcing=ForcingSpec("additive", 2),
         theta_default=(0.25, 4.0),
@@ -503,7 +591,7 @@ _BUILTINS = {
     "rossler": dict(
         dim=3,
         n_params=3,
-        rate=_rossler_rate,
+        rate=CoordinateRate(_rossler),
         linear_in_params=True,
         forcing=ForcingSpec("additive", 1),
         theta_default=(0.2, 0.2, 3.0),
@@ -511,7 +599,7 @@ _BUILTINS = {
     "rossler_chaotic": dict(
         dim=3,
         n_params=3,
-        rate=_rossler_rate,
+        rate=CoordinateRate(_rossler),
         linear_in_params=True,
         forcing=ForcingSpec("additive", 1),
         theta_default=(0.2, 0.2, 5.7),
@@ -519,7 +607,7 @@ _BUILTINS = {
     "rosenzweig_macarthur_log": dict(
         dim=2,
         n_params=7,
-        rate=_rm_log_rate,
+        rate=CoordinateRate(_rm_log, replaced=7),
         linear_in_params=False,
         forcing=ForcingSpec("parameter_replacement", 7),
         theta_default=(1.0, 6.0, 1.0, 2.0, 0.5, 0.2, 1.0),
@@ -527,7 +615,7 @@ _BUILTINS = {
     "vanderpol_order2": dict(
         dim=2,
         n_params=5,
-        rate=_vanderpol_order2_rate,
+        rate=CoordinateRate(_vanderpol_order2),
         linear_in_params=True,
         forcing=ForcingSpec("additive", 2),
         theta_default=(0.0, 1.0, -1.0, 0.0, -1.0),

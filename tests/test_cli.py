@@ -364,6 +364,35 @@ class TestArgumentHandling:
         assert str(report) in err and message in err
         assert not (tmp_path / "plots").exists()
 
+    @pytest.mark.parametrize(
+        "command, out, culprit",
+        [
+            ("simulate", ".", "."),
+            ("simulate", "afile/x.csv", "afile"),
+            ("diagnose", "afile", "afile"),
+            ("power-study", "afile", "afile"),
+            ("export-plots", "afile", "afile"),
+        ],
+        ids=["simulate-dir", "simulate-under-file", "diagnose", "power-study", "export-plots"],
+    )
+    def test_unwritable_output_is_an_argument_error(
+        self, tmp_path, capsys, monkeypatch, command, out, culprit
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", replicates=1)
+        (tmp_path / "afile").write_text("in the way\n")
+        argv = [command, "--config", str(cfg)]
+        if command == "export-plots":
+            run = tmp_path / "run"
+            assert cli.main(["diagnose", "--config", str(cfg), "--out", str(run)]) == 0
+            argv += ["--report", str(run / "report_case2.json"), "--data", str(run / "data.csv")]
+        capsys.readouterr()
+        assert cli.main(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {culprit}") and "cannot write" in err
+        assert "Traceback" not in err
+        assert (tmp_path / "afile").read_text() == "in the way\n"
+
     def test_simulate_creates_the_output_directory(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         out = tmp_path / "new" / "dir" / "data.csv"

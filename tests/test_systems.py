@@ -20,7 +20,7 @@ from odelof import (
     with_forcing,
 )
 from odelof.rng import rng_from
-from odelof.systems import BLOWUP_LIMIT, DynamicalSystem, forced_rate
+from odelof.systems import BLOWUP_LIMIT, CoordinateRate, DynamicalSystem, float_drift, forced_rate
 
 # independently computed reference: Rossler (a, b, c) = (0.2, 0.2, 3),
 # x0 = (1, 1, 0), state at t = 10
@@ -36,6 +36,31 @@ VDP_SDE_VAR = 0.004306
 
 def circle_system():
     return builtin_system("linear2d")
+
+
+# a start per builtin from which its default-parameter path stays bounded
+START = {
+    "linear2d": (1.0, 0.0),
+    "vanderpol": (0.0, 2.0),
+    "rossler": (1.0, 1.0, 0.0),
+    "rossler_chaotic": (1.0, 1.0, 0.0),
+    "rosenzweig_macarthur_log": (0.0, -0.7),
+    "vanderpol_order2": (0.2, 0.0),
+}
+
+
+def reference_systems():
+    """Every builtin and two scale_rate systems, each with its start."""
+    cases = [pytest.param(builtin_system(n), START[n], id=n) for n in builtin_names()]
+    for name, factor in (("vanderpol", 1.7), ("rosenzweig_macarthur_log", 0.8)):
+        scaled = scale_rate(builtin_system(name), factor)
+        cases.append(pytest.param(scaled, START[name], id=scaled.name))
+    return cases
+
+
+def uneven_times():
+    # uneven spacing: the substep count differs between intervals
+    return np.cumsum(np.r_[0.0, np.random.default_rng(4).uniform(0.01, 0.2, 60)])
 
 
 class TestIntegrate:
@@ -206,6 +231,13 @@ class TestSdeReference:
         ref = sde_reference(sys, sys.theta_default, sigma2, x0, times, 0.007, 21)
         assert traj.states.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("sys, x0", reference_systems())
+    def test_every_builtin_matches_per_step_draws(self, sys, x0):
+        times = uneven_times()
+        traj = simulate_sde(sys, sys.theta_default, 0.01, x0, times, step=0.007, seed=21)
+        ref = sde_reference(sys, sys.theta_default, 0.01, x0, times, 0.007, 21)
+        assert traj.states.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize(
         "rate",
         [
@@ -273,6 +305,28 @@ class TestRk4Reference:
         ref = rk4_reference(sys, sys.theta_default, x0, times, 0.03, forcing)
         assert traj.states.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    @pytest.mark.parametrize("sys, x0", reference_systems())
+    def test_every_builtin_matches_per_step_rk4(self, sys, x0, forced):
+        forcing = (lambda t: 0.9 + 0.2 * np.sin(t)) if forced else None
+        times = uneven_times()
+        traj = integrate(sys, sys.theta_default, x0, times, forcing=forcing, substep=0.03)
+        ref = rk4_reference(sys, sys.theta_default, x0, times, 0.03, forcing)
+        assert traj.states.tobytes() == ref.tobytes()
+
+    def test_float_division_by_zero_diverges_like_arrays(self):
+        # K_C = 0: c / K_C raises on floats and is inf on arrays
+        sys = builtin_system("rosenzweig_macarthur_log")
+        theta = np.array(sys.theta_default)
+        theta[1] = 0.0
+        times = np.linspace(0.0, 5.0, 11)
+        with np.errstate(all="ignore"):
+            with pytest.raises(BlowupError) as ref:
+                rk4_reference(sys, theta, (0.0, -0.7), times, 0.1)
+            with pytest.raises(BlowupError) as exc:
+                integrate(sys, theta, (0.0, -0.7), times, substep=0.1)
+        assert exc.value.time == ref.value.time
+
     @pytest.mark.parametrize(
         "rate",
         [
@@ -306,6 +360,23 @@ class TestRateOutputShape:
         sde = [simulate_sde(s, (-0.5,), 0.1, (1.0,), times, seed=3).states for s in systems]
         assert ode[0].tobytes() == ode[1].tobytes()
         assert sde[0].tobytes() == sde[1].tobytes()
+
+    def test_rate_that_writes_into_its_argument_cannot_move_the_state(self):
+        def clean(x, t, th, g):
+            return th[0] * x
+
+        def vandal(x, t, th, g):
+            out = th[0] * x
+            x[:] = 1e6
+            return out
+
+        times = np.linspace(0.0, 1.0, 11)
+        a, b = (DynamicalSystem(name="s", dim=2, n_params=1, rate=r) for r in (clean, vandal))
+        for run in (
+            lambda s: integrate(s, (-0.5,), (1.0, 2.0), times, substep=0.01),
+            lambda s: simulate_sde(s, (-0.5,), 0.1, (1.0, 2.0), times, seed=3),
+        ):
+            assert run(a).states.tobytes() == run(b).states.tobytes()
 
     def test_wrong_length_is_not_truncated(self):
         sys = DynamicalSystem(
@@ -381,6 +452,19 @@ class TestForcingPlumbing:
         assert_allclose(sys.rate(x, 0.0, theta, None), 2.0 * np.asarray(base))
         assert sys.name.endswith("_x2")
 
+    def test_scale_rate_keeps_the_float_path(self):
+        base = builtin_system("rosenzweig_macarthur_log")
+        sys = scale_rate(base, 0.3)
+        assert isinstance(sys.rate, CoordinateRate)
+        x = np.random.default_rng(5).normal(size=(9, 2))
+        theta = np.asarray(sys.theta_default)
+        for g in (None, np.linspace(0.5, 2.0, 9)):
+            expect = 0.3 * np.asarray(base.rate(x, 0.0, theta, g), dtype=float)
+            assert sys.rate(x, 0.0, theta, g).tobytes() == expect.tobytes()
+            drift = float_drift(sys, theta)
+            rows = [drift(x[i].tolist(), 0.0, None if g is None else float(g[i])) for i in range(9)]
+            assert np.array(rows, dtype=float).tobytes() == expect.tobytes()
+
     def test_rate_values_batches_rows(self):
         sys = builtin_system("rossler")
         x = np.random.default_rng(3).normal(size=(10, 3))
@@ -410,6 +494,47 @@ def test_builtin_rate_batches_match_rows(name):
             assert row.shape == (sys.dim,)
             rows.append(row)
         assert_allclose(batch, rows, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_float_drift_matches_array_rate_bitwise(name, data):
+    base = builtin_system(name)
+    floats = lambda lo, hi, n: st.lists(st.floats(lo, hi), min_size=n, max_size=n)
+    xs = data.draw(floats(-3, 3, base.dim), label="x")
+    theta = base.theta_default + np.array(data.draw(floats(-0.5, 0.5, base.n_params)))
+    g = data.draw(st.floats(0.2, 3.0), label="g")
+    factor = data.draw(st.floats(0.1, 4.0), label="factor")
+    t = 0.5
+    batch = np.array([xs, np.zeros(base.dim), xs])
+    for sys in (base, scale_rate(base, factor)):
+        for forcing in (
+            ForcingSpec("additive", base.dim),
+            ForcingSpec("parameter_replacement", base.n_params),
+            None,
+        ):
+            forced = with_forcing(sys, forcing)
+            drift = float_drift(forced, theta)
+            for gi in (None, g):
+                got = np.array(drift(list(xs), t, gi), dtype=float).tobytes()
+                one = np.asarray(forced_rate(forced, np.array(xs), t, theta, gi), dtype=float)
+                rows = rate_values(forced, batch, np.full(3, t), theta, gi)
+                assert got == one.tobytes() == rows[0].tobytes() == rows[2].tobytes()
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_float_drift_matches_array_rate_on_many_states(name):
+    # float pow and the array loop disagree on well under 1% of inputs,
+    # too rarely for a few dozen examples to show
+    sys = builtin_system(name)
+    rng = np.random.default_rng(9)
+    # off the defaults, where vanderpol_order2's x1**2 coefficient is 0
+    theta = sys.theta_default + rng.uniform(-0.5, 0.5, sys.n_params)
+    x = 1.5 * rng.normal(size=(20000, sys.dim))
+    drift = float_drift(sys, theta)
+    rows = np.array([drift(xs, 0.0) for xs in x.tolist()], dtype=float)
+    assert rows.tobytes() == rate_values(sys, x, np.zeros(len(x)), theta).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
