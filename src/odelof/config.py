@@ -515,6 +515,17 @@ def _validate(cfg: dict, source: str) -> None:
                     f"must lie in 1..{size} ({model} has {size} {what} for {mode} forcing), "
                     f"got {forcing['target']}",
                 )
+            replaced = proposed.rate.replaced
+            if mode == "parameter_replacement" and forcing["target"] != replaced:
+                _fail(
+                    source,
+                    "forcing.target",
+                    f"has no parameter_replacement value: {model} has no parameter that g "
+                    f"can replace, got {forcing['target']}"
+                    if replaced is None
+                    else f"must be {replaced} for parameter_replacement forcing ({model} puts "
+                    f"g in place of parameter {replaced}), got {forcing['target']}",
+                )
         for key in ("theta_init", "theta_free"):
             v = sm[key]
             if v is not None and len(v) != proposed.n_params:

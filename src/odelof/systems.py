@@ -11,18 +11,24 @@ parameter-replacement systems consume it themselves.
 
 The fixed-step simulators (:func:`integrate`, :func:`simulate_sde`) hold
 the state as Python floats: on 2- and 3-element arrays, numpy's dispatch
-costs more than the arithmetic. The builtins are :class:`CoordinateRate`
-instances, written once as a function of coordinates and parameters; the
-estimators call it on array columns and the simulators on Python floats,
-and both round alike because powers and exponentials stay numpy ufuncs
-(Python's float pow and ``math.exp`` differ from the array loops in the
-last bit on a few percent of inputs). Any other rate gets a fresh float64
-array of shape (d,) per stage, so it cannot write into the stepper's state.
+costs more than the arithmetic. Their substeps run in one kernel per scheme
+and state dimension, generated from the dimension alone and cached, which
+keeps the state in the local floats x1 ... xd. The builtins are
+:class:`CoordinateRate` instances, written once as a function of
+coordinates and parameters; the estimators call it on array columns and
+the kernels on Python floats, and both round alike because powers and
+exponentials stay numpy ufuncs (Python's float pow and ``math.exp`` differ
+from the array loops in the last bit on a few percent of inputs). A forced
+or user rate goes through the :func:`float_drift` adapter; a user rate gets
+a fresh float64 array of shape (d,) per stage, so it cannot write into the
+stepper's state.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import linecache
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -51,7 +57,9 @@ class ForcingSpec:
         ``"parameter_replacement"``: g(t) replaces one scalar parameter.
     target : int
         1-based index of the affected coordinate (additive) or of the
-        replaced parameter (replacement).
+        replaced parameter (replacement). A :class:`CoordinateRate` alone
+        decides where g goes, so a system with one accepts replacement only
+        at the rate's ``replaced`` parameter.
     """
 
     mode: str
@@ -113,6 +121,17 @@ class DynamicalSystem:
                 raise ArgumentError(
                     f"replaced parameter index {self.forcing.target} exceeds "
                     f"n_params {self.n_params}"
+                )
+            if isinstance(self.rate, CoordinateRate) and self.forcing.target != self.rate.replaced:
+                # the rate alone decides where g goes
+                where = (
+                    "has no parameter that g can replace"
+                    if self.rate.replaced is None
+                    else f"replaces parameter {self.rate.replaced}"
+                )
+                raise ArgumentError(
+                    f"{self.name}: parameter_replacement forcing targets parameter "
+                    f"{self.forcing.target}, but its rate {where}"
                 )
         if self.theta_default is not None:
             th = np.asarray(self.theta_default, dtype=float)
@@ -280,7 +299,7 @@ def rate_values(
     return out
 
 
-def _drift(system: DynamicalSystem, th: np.ndarray, xs: list, t: float, g=None) -> list:
+def _drift(system: DynamicalSystem, th: np.ndarray, xs: Sequence, t: float, g=None) -> list:
     """One evaluation of the forced rate at the float state ``xs``, as floats.
 
     The rate receives a fresh float64 array of shape (d,), so a rate that
@@ -293,37 +312,139 @@ def _drift(system: DynamicalSystem, th: np.ndarray, xs: list, t: float, g=None) 
     return out.tolist()
 
 
-def float_drift(system: DynamicalSystem, th: np.ndarray) -> Callable:
-    """The forced rate as ``drift(xs, t, g=None)`` on a list of floats.
+def float_drift(
+    system: DynamicalSystem, th: np.ndarray, forcing: Optional[Callable[[float], float]] = None
+) -> Callable:
+    """The forced rate as ``drift(t, x1, ..., xd)`` on Python floats.
 
-    Resolved once per simulation. A :class:`CoordinateRate` runs on Python
-    floats, with theta converted once and the forcing applied as
-    :func:`forced_rate` applies it: additive g added to the target
-    coordinate, or g in place of the replaced parameter. Any other rate
-    goes through :func:`_drift`.
+    The simulators' adapter for a rate they do not call directly: a forced
+    or a user rate. ``forcing`` gives g(t), taken at each call's t (the RK4
+    stage times included) and applied as :func:`forced_rate` applies it:
+    additive g added to the target coordinate, or g in place of the
+    replaced parameter. A :class:`CoordinateRate` runs on Python floats,
+    with theta converted once; any other rate, and a float division by
+    zero (which raises where an array's gives inf or nan), goes through
+    :func:`_drift`.
     """
     rate = system.rate
+    spec = system.forcing
+
+    def gval(t):
+        return None if forcing is None else float(forcing(t))
+
     if not isinstance(rate, CoordinateRate):
-        return lambda xs, t, g=None: _drift(system, th, xs, t, g)
+        return lambda t, *xs: _drift(system, th, xs, t, gval(t))
     coords = rate.coords
     params = th.tolist()
-    forcing = system.forcing
-    target = None if forcing is None else forcing.target - 1
+    target = None if spec is None else spec.target - 1
 
-    def drift(xs, t, g=None):
+    def drift(t, *xs):
+        g = gval(t)
         try:
-            if g is None or forcing is None:
+            if g is None or spec is None:
                 return coords(*xs, *params)
-            if forcing.mode == "additive":
+            if spec.mode == "additive":
                 out = list(coords(*xs, *params))
                 out[target] += g
                 return out
             return coords(*xs, *rate.params(params, g))
         except ZeroDivisionError:
-            # a float division by zero raises where an array's gives inf or nan
             return _drift(system, th, xs, t, g)
 
     return drift
+
+
+def _kernel_source(scheme: str, d: int) -> str:
+    """Source of the substep loop of ``scheme`` ("rk4" or "em") in dimension d.
+
+    ``kernel(f, p, t, h, steps, what, x1, ..., xd)`` runs one substep per
+    item of ``steps`` (a range for RK4, the rows of Brownian increments for
+    Euler-Maruyama) from the state x at time t and returns the end state.
+    The rate is ``f(x1, ..., xd, *p)``, or ``f(t, x1, ..., xd)`` when p is
+    None. It raises BlowupError at the first substep that leaves
+    |x| <= BLOWUP_LIMIT; the negated comparison is also true for NaN.
+    """
+    js = range(1, d + 1)
+
+    def row(fmt: str) -> str:
+        return ", ".join(fmt.format(j) for j in js)
+
+    def tup(fmt: str) -> str:
+        # a tuple also when d = 1
+        return row(fmt) + ","
+
+    x = tup("x{0}")
+
+    def loop(direct: bool) -> list:
+        def rate(time: str, state: str) -> str:
+            return f"f({row(state)}, *p)" if direct else f"f({time}, {row(state)})"
+
+        if scheme == "rk4":
+            var = "_"
+            body = [
+                f"{tup('a{0}')} = {rate('t', 'x{0}')}",
+                f"{tup('b{0}')} = {rate('t + h2', 'x{0} + h2 * a{0}')}",
+                f"{tup('c{0}')} = {rate('t + h2', 'x{0} + h2 * b{0}')}",
+                f"{tup('d{0}')} = {rate('t + h', 'x{0} + h * c{0}')}",
+                f"{x} = {tup('x{0} + h6 * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})')}",
+            ]
+        else:
+            var = tup("w{0}")
+            body = [f"{tup('a{0}')} = {rate('t', 'x{0}')}", f"{x} = {tup('x{0} + a{0} * h + w{0}')}"]
+        inside = " and ".join(f"lo <= x{j} <= hi" for j in js)
+        body += [
+            "t += h",
+            f"if not ({inside}):",
+            '    raise BlowupError(f"{what} diverged at t={t:.6g}", t)',
+        ]
+        return [f"for {var} in steps:"] + ["    " + line for line in body]
+
+    lines = ["lo, hi = -BLOWUP_LIMIT, BLOWUP_LIMIT"]
+    if scheme == "rk4":
+        lines += ["h2 = 0.5 * h", "h6 = h / 6.0"]
+    lines += ["if p is None:"] + ["    " + line for line in loop(direct=False)]
+    lines += ["else:"] + ["    " + line for line in loop(direct=True)]
+    lines += [f"return {x}"]
+    head = f"def kernel(f, p, t, h, steps, what, {row('x{0}')}):"
+    return "\n".join([head] + ["    " + line for line in lines]) + "\n"
+
+
+@functools.cache
+def _kernel(scheme: str, d: int) -> Callable:
+    """The compiled :func:`_kernel_source`, built once per scheme and d."""
+    namespace = {"BlowupError": BlowupError, "BLOWUP_LIMIT": BLOWUP_LIMIT}
+    source = _kernel_source(scheme, d)
+    filename = f"<odelof {scheme} kernel, d={d}>"
+    # so that tracebacks through the kernel show its lines
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _stepper(scheme: str, system: DynamicalSystem, th: np.ndarray, what: str, forcing=None):
+    """``advance(t, h, steps, xs)``: the state at the end of one grid interval.
+
+    An unforced :class:`CoordinateRate` is called directly, on theta's
+    floats; any other rate through the :func:`float_drift` adapter.
+    """
+    kernel = _kernel(scheme, system.dim)
+    adapter = float_drift(system, th, forcing)
+    if forcing is None and isinstance(system.rate, CoordinateRate):
+        f, p = system.rate.coords, tuple(th.tolist())
+    else:
+        f, p = adapter, None
+
+    def advance(t, h, steps, xs):
+        try:
+            return kernel(f, p, t, h, steps, what, *xs)
+        except ZeroDivisionError:
+            if p is None:
+                raise
+            # a float division by zero raises where an array's gives inf or
+            # nan: redo the interval through the adapter, which falls back
+            return kernel(adapter, None, t, h, steps, what, *xs)
+
+    return advance
 
 
 def _check_start(system: DynamicalSystem, x0) -> list:
@@ -352,14 +473,6 @@ def _check_step(value, what: str) -> float:
     return h
 
 
-def _diverged(xs: list) -> bool:
-    # the negated comparison is also true for NaN
-    for v in xs:
-        if not -BLOWUP_LIMIT <= v <= BLOWUP_LIMIT:
-            return True
-    return False
-
-
 def integrate(
     system: DynamicalSystem,
     theta,
@@ -372,13 +485,15 @@ def integrate(
 
     Uses a fixed internal substep no larger than the smallest grid spacing;
     each grid interval is tiled by the largest uniform substep that divides
-    it, so results are deterministic for a given grid and substep.
+    it, so results are deterministic for a given grid and substep. The
+    substeps run in the generated RK4 kernel of the system's dimension, on
+    Python floats.
 
     Parameters
     ----------
     forcing : callable, optional
-        g(t), applied per the system's ForcingSpec. Must be defined on the
-        whole time range.
+        g(t), applied per the system's ForcingSpec at every stage time. Must
+        be defined on the whole time range.
     substep : float, optional
         Upper bound on the internal step. Defaults to the smallest grid
         spacing (one step per interval).
@@ -386,37 +501,22 @@ def integrate(
     Raises
     ------
     BlowupError
-        If the state leaves |x| <= 1e8 or becomes non-finite.
+        If the state leaves |x| <= 1e8 or becomes non-finite; its ``time``
+        is the end of the first substep that does.
     """
     th = _check_theta(system, theta)
     t_grid = _check_times(np.asarray(times, dtype=float), "integration times")
     xs = _check_start(system, x0)
     spacing = np.diff(t_grid)
     h_max = _check_step(spacing.min() if substep is None else substep, "substep")
-    drift = float_drift(system, th)
-
-    def f(x, t):
-        return drift(x, t, None if forcing is None else float(forcing(t)))
+    advance = _stepper("rk4", system, th, f"integration of {system.name}", forcing)
 
     out = np.empty((t_grid.size, system.dim))
     out[0] = xs
     for i in range(t_grid.size - 1):
         dt = float(spacing[i])
         n_sub = max(1, math.ceil(dt / h_max - 1e-12))
-        h = dt / n_sub
-        t = float(t_grid[i])
-        for _ in range(n_sub):
-            k1 = f(xs, t)
-            k2 = f([x + 0.5 * h * k for x, k in zip(xs, k1)], t + 0.5 * h)
-            k3 = f([x + 0.5 * h * k for x, k in zip(xs, k2)], t + 0.5 * h)
-            k4 = f([x + h * k for x, k in zip(xs, k3)], t + h)
-            xs = [
-                x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-                for x, a, b, c, d in zip(xs, k1, k2, k3, k4)
-            ]
-            t += h
-            if _diverged(xs):
-                raise BlowupError(f"integration of {system.name} diverged at t={t:.6g}", t)
+        xs = advance(float(t_grid[i]), dt / n_sub, range(n_sub), xs)
         out[i + 1] = xs
     return Trajectory(t_grid, out)
 
@@ -435,7 +535,9 @@ def simulate_sde(
     ``step`` is an upper bound: each grid interval is tiled by the largest
     uniform substep <= step that divides it exactly, so the number of noise
     draws is a deterministic function of the grid and the same seed always
-    reproduces the same path.
+    reproduces the same path. Each interval draws its increments at once
+    and steps through them in the generated Euler-Maruyama kernel of the
+    system's dimension, on Python floats.
 
     Parameters
     ----------
@@ -443,6 +545,12 @@ def simulate_sde(
         Diffusion variance per unit time, scalar or one value per coordinate.
     seed : int or SeedSequence
         Required; drives the Brownian increments.
+
+    Raises
+    ------
+    BlowupError
+        If the state leaves |x| <= 1e8 or becomes non-finite; its ``time``
+        is the end of the first substep that does.
     """
     th = _check_theta(system, theta)
     t_grid = _check_times(np.asarray(times, dtype=float), "simulation times")
@@ -452,7 +560,7 @@ def simulate_sde(
     if seed is None:
         raise ArgumentError("simulate_sde requires an explicit seed")
     rng = rng_from(seed)
-    drift = float_drift(system, th)
+    advance = _stepper("em", system, th, f"SDE simulation of {system.name}")
 
     out = np.empty((t_grid.size, system.dim))
     out[0] = xs
@@ -462,12 +570,7 @@ def simulate_sde(
         h = dt / n_sub
         # one draw per interval: the same stream as one draw per substep
         noise = (np.sqrt(s2 * h) * rng.standard_normal((n_sub, system.dim))).tolist()
-        t = float(t_grid[i])
-        for dw in noise:
-            xs = [x + v * h + w for x, v, w in zip(xs, drift(xs, t), dw)]
-            t += h
-            if _diverged(xs):
-                raise BlowupError(f"SDE simulation of {system.name} diverged at t={t:.6g}", t)
+        xs = advance(float(t_grid[i]), h, noise, xs)
         out[i + 1] = xs
     return Trajectory(t_grid, out)
 
@@ -534,9 +637,15 @@ def scale_rate(system: DynamicalSystem, factor: float) -> DynamicalSystem:
 # differently from those on a few percent of inputs.
 
 
+# A float64 exponent spares a Python float base numpy's weak-scalar promotion
+# and rounds alike; as a 0-d array it is also cheaper than np.float64(3.0).
+_THREE = np.array(3.0)
+_THREE.flags.writeable = False
+
+
 def _cube(x):
     """np.power(x, 3); a Python float for a scalar, so a step stays in floats."""
-    y = np.power(x, 3)
+    y = np.power(x, _THREE)
     return y if isinstance(x, np.ndarray) else float(y)
 
 

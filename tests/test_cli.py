@@ -291,6 +291,18 @@ class TestArgumentHandling:
                 {"system": "vanderpol_order2", "observed": [1, 2]},
                 "smoothing.second_order fits one observed coordinate; vanderpol_order2 observes 2",
             ),
+            (
+                {
+                    "system": "rosenzweig_macarthur_log",
+                    "forcing": {"mode": "parameter_replacement", "target": 3},
+                },
+                "forcing.target must be 7 for parameter_replacement forcing "
+                "(rosenzweig_macarthur_log puts g in place of parameter 7), got 3",
+            ),
+            (
+                {"system": "vanderpol", "forcing": {"mode": "parameter_replacement", "target": 1}},
+                "forcing.target has no parameter_replacement value: linear2d has no parameter",
+            ),
         ],
     )
     def test_model_settings_are_checked_against_the_model(

@@ -186,6 +186,22 @@ class TestAccessors:
         assert model.forcing.mode == "parameter_replacement"
         assert model.forcing.target == 7
 
+    @pytest.mark.parametrize(
+        "model, target, fragment",
+        [
+            ("rosenzweig_macarthur_log", 3, r"forcing\.target must be 7 for parameter_replacement"),
+            ("linear2d", 1, r"forcing\.target has no parameter_replacement value: linear2d"),
+        ],
+    )
+    def test_replacement_target_is_the_models_replaced_parameter(self, model, target, fragment):
+        raw = {
+            "system": "rosenzweig_macarthur_log",
+            "model": model,
+            "forcing": {"mode": "parameter_replacement", "target": target},
+        }
+        with pytest.raises(ConfigError, match=fragment):
+            config_from_dict(raw)
+
     def test_pipeline_settings_reflect_smoothing_block(self):
         cfg = config_from_dict(
             {"system": "vanderpol_order2", "smoothing": {"x_penalty": 1e-6}}

@@ -20,7 +20,14 @@ from odelof import (
     with_forcing,
 )
 from odelof.rng import rng_from
-from odelof.systems import BLOWUP_LIMIT, CoordinateRate, DynamicalSystem, float_drift, forced_rate
+from odelof.systems import (
+    BLOWUP_LIMIT,
+    CoordinateRate,
+    DynamicalSystem,
+    _cube,
+    float_drift,
+    forced_rate,
+)
 
 # independently computed reference: Rossler (a, b, c) = (0.2, 0.2, 3),
 # x0 = (1, 1, 0), state at t = 10
@@ -50,12 +57,43 @@ START = {
 
 
 def reference_systems():
-    """Every builtin and two scale_rate systems, each with its start."""
+    """Every builtin, three scale_rate systems and two rates that are not
+    CoordinateRates, each with its start."""
     cases = [pytest.param(builtin_system(n), START[n], id=n) for n in builtin_names()]
-    for name, factor in (("vanderpol", 1.7), ("rosenzweig_macarthur_log", 0.8)):
+    for name, factor in (("vanderpol", 1.7), ("rosenzweig_macarthur_log", 0.8), ("rossler", 0.6)):
         scaled = scale_rate(builtin_system(name), factor)
         cases.append(pytest.param(scaled, START[name], id=scaled.name))
+    # the kernels are generated per dimension; the builtins have 2 and 3
+    one = DynamicalSystem(
+        name="user1",
+        dim=1,
+        n_params=2,
+        rate=lambda x, t, th, g: th[0] * np.cos(t) * x - th[1] * x**3,
+        theta_default=(0.9, 0.4),
+    )
+    four = DynamicalSystem(
+        name="user4",
+        dim=4,
+        n_params=2,
+        rate=lambda x, t, th, g: th[0] * np.roll(x, 1, axis=-1) - th[1] * x + np.sin(t),
+        forcing=ForcingSpec("additive", 3),
+        theta_default=(0.9, 0.4),
+    )
+    cases += [
+        pytest.param(one, (0.8,), id="user1"),
+        pytest.param(four, (1.0, -0.5, 0.3, 0.0), id="user4"),
+    ]
     return cases
+
+
+def growing_system(dim):
+    # x(t) = exp(t**2 / 2) x0: crosses BLOWUP_LIMIT near t = 6.07
+    return DynamicalSystem(name="growing", dim=dim, n_params=1, rate=lambda x, t, th, g: th[0] * t * x)
+
+
+def inside_an_interval(time, times):
+    k = np.searchsorted(times, time)
+    return 0 < k < times.size and times[k - 1] < time < times[k]
 
 
 def uneven_times():
@@ -219,6 +257,17 @@ def sde_reference(system, theta, sigma2, x0, times, step, seed):
 
 
 class TestSdeReference:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_blowup_inside_an_interval_matches_per_step_draws(self, dim):
+        sys = growing_system(dim)
+        times = np.linspace(0.0, 10.0, 21)
+        with pytest.raises(BlowupError) as ref:
+            sde_reference(sys, (1.0,), 0.01, np.ones(dim), times, 0.01, 8)
+        with pytest.raises(BlowupError) as exc:
+            simulate_sde(sys, (1.0,), 0.01, np.ones(dim), times, step=0.01, seed=8)
+        assert exc.value.time == ref.value.time
+        assert inside_an_interval(exc.value.time, times)
+
     @pytest.mark.parametrize(
         "name, x0, sigma2",
         [("vanderpol", (0.0, 2.0), 0.01), ("rossler", (1.0, 1.0, 0.0), (0.02, 0.01, 0.0))],
@@ -286,6 +335,17 @@ def rk4_reference(system, theta, x0, times, substep, forcing=None):
 
 
 class TestRk4Reference:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_blowup_inside_an_interval_matches_per_step_rk4(self, dim):
+        sys = growing_system(dim)
+        times = np.linspace(0.0, 10.0, 21)
+        with pytest.raises(BlowupError) as ref:
+            rk4_reference(sys, (1.0,), np.ones(dim), times, 0.01)
+        with pytest.raises(BlowupError) as exc:
+            integrate(sys, (1.0,), np.ones(dim), times, substep=0.01)
+        assert exc.value.time == ref.value.time
+        assert inside_an_interval(exc.value.time, times)
+
     @pytest.mark.parametrize(
         "name, x0, forcing",
         [
@@ -440,6 +500,31 @@ class TestForcingPlumbing:
         via_g = forced_rate(sys, x, 0.0, theta, g=2.5)
         assert_allclose(via_g, direct)
 
+    def test_replacement_target_is_the_rates_replaced_parameter(self):
+        rm = builtin_system("rosenzweig_macarthur_log")
+        assert with_forcing(rm, ForcingSpec("parameter_replacement", 7)).forcing.target == 7
+        with pytest.raises(ArgumentError, match="targets parameter 3, but its rate replaces parameter 7"):
+            with_forcing(rm, ForcingSpec("parameter_replacement", 3))
+        with pytest.raises(ArgumentError, match="has no parameter that g can replace"):
+            with_forcing(builtin_system("linear2d"), ForcingSpec("parameter_replacement", 1))
+        with pytest.raises(ArgumentError, match="replaces parameter 7"):
+            DynamicalSystem(
+                name="scaled",
+                dim=2,
+                n_params=7,
+                rate=scale_rate(rm, 2.0).rate,
+                forcing=ForcingSpec("parameter_replacement", 6),
+            )
+        # a rate that is not a CoordinateRate places g itself
+        user = DynamicalSystem(
+            name="user",
+            dim=1,
+            n_params=2,
+            rate=lambda x, t, th, g: (th[1] if g is None else g) * x,
+            forcing=ForcingSpec("parameter_replacement", 1),
+        )
+        assert user.forcing.target == 1
+
     def test_with_forcing_replaces_spec(self):
         sys = with_forcing(circle_system(), ForcingSpec("additive", 1))
         assert sys.forcing.target == 1
@@ -461,8 +546,10 @@ class TestForcingPlumbing:
         for g in (None, np.linspace(0.5, 2.0, 9)):
             expect = 0.3 * np.asarray(base.rate(x, 0.0, theta, g), dtype=float)
             assert sys.rate(x, 0.0, theta, g).tobytes() == expect.tobytes()
-            drift = float_drift(sys, theta)
-            rows = [drift(x[i].tolist(), 0.0, None if g is None else float(g[i])) for i in range(9)]
+            rows = [
+                float_drift(sys, theta, None if g is None else (lambda t, gi=g[i]: gi))(0.0, *row)
+                for i, row in enumerate(x.tolist())
+            ]
             assert np.array(rows, dtype=float).tobytes() == expect.tobytes()
 
     def test_rate_values_batches_rows(self):
@@ -509,15 +596,14 @@ def test_float_drift_matches_array_rate_bitwise(name, data):
     t = 0.5
     batch = np.array([xs, np.zeros(base.dim), xs])
     for sys in (base, scale_rate(base, factor)):
-        for forcing in (
-            ForcingSpec("additive", base.dim),
-            ForcingSpec("parameter_replacement", base.n_params),
-            None,
-        ):
+        specs = [ForcingSpec("additive", base.dim), None]
+        if base.rate.replaced is not None:
+            specs.append(ForcingSpec("parameter_replacement", base.rate.replaced))
+        for forcing in specs:
             forced = with_forcing(sys, forcing)
-            drift = float_drift(forced, theta)
             for gi in (None, g):
-                got = np.array(drift(list(xs), t, gi), dtype=float).tobytes()
+                drift = float_drift(forced, theta, None if gi is None else (lambda s: g))
+                got = np.array(drift(t, *xs), dtype=float).tobytes()
                 one = np.asarray(forced_rate(forced, np.array(xs), t, theta, gi), dtype=float)
                 rows = rate_values(forced, batch, np.full(3, t), theta, gi)
                 assert got == one.tobytes() == rows[0].tobytes() == rows[2].tobytes()
@@ -533,8 +619,12 @@ def test_float_drift_matches_array_rate_on_many_states(name):
     theta = sys.theta_default + rng.uniform(-0.5, 0.5, sys.n_params)
     x = 1.5 * rng.normal(size=(20000, sys.dim))
     drift = float_drift(sys, theta)
-    rows = np.array([drift(xs, 0.0) for xs in x.tolist()], dtype=float)
+    rows = np.array([drift(0.0, *xs) for xs in x.tolist()], dtype=float)
     assert rows.tobytes() == rate_values(sys, x, np.zeros(len(x)), theta).tobytes()
+    # the float64 exponent of _cube rounds as the integer one
+    cubes = np.array([_cube(v) for v in x.ravel().tolist()])
+    assert cubes.tobytes() == np.array([float(np.power(v, 3)) for v in x.ravel().tolist()]).tobytes()
+    assert _cube(x).tobytes() == np.power(x, 3).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
