@@ -83,8 +83,6 @@ class GradientMatchFit:
     objectives: np.ndarray
     converged: bool
     n_iter: int
-    quad_times: np.ndarray
-    quad_weights: np.ndarray
 
 
 def _state_on_grid(xhat, nodes: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -174,8 +172,6 @@ def gradient_match(
             objectives=per_coord,
             converged=converged,
             n_iter=n_iter,
-            quad_times=nodes,
-            quad_weights=w,
         )
 
     if system.linear_in_params:

@@ -4,7 +4,8 @@ A :class:`DynamicalSystem` bundles a rate function dx/dt = f(x; t, theta)
 with metadata the estimators need: parameter count, whether f is affine in
 theta, and where an empirical forcing g(t) enters (added to one coordinate's
 equation, or replacing one parameter). Rate callables take
-``(x, t, theta, g)`` and must broadcast over a leading batch axis of ``x``;
+``(x, t, theta, g)`` and must broadcast over a leading batch axis of ``x``,
+since :func:`rate_values` evaluates them on all states in one call;
 ``g is None`` means unforced. Additive injection is applied centrally by
 :func:`forced_rate`, so additive systems may ignore their ``g`` argument;
 parameter-replacement systems consume it themselves.
@@ -18,10 +19,11 @@ keeps the state in the local floats x1 ... xd. The builtins are
 coordinates and parameters; the estimators call it on array columns and
 the kernels on Python floats, and both round alike because powers and
 exponentials stay numpy ufuncs (Python's float pow and ``math.exp`` differ
-from the array loops in the last bit on a few percent of inputs). A forced
-or user rate goes through the :func:`float_drift` adapter; a user rate gets
-a fresh float64 array of shape (d,) per stage, so it cannot write into the
-stepper's state.
+from the array loops in the last bit on a few percent of inputs). That
+direct call is the kernels' only fast path. Every other rate, forced or
+user, steps through :func:`forced_rate` on a fresh float64 array of shape
+(d,) per stage, so forcing is applied by one rule everywhere and a rate
+cannot write into the stepper's state.
 """
 
 from __future__ import annotations
@@ -246,17 +248,12 @@ class CoordinateRate:
     coords: Callable[..., Sequence]
     replaced: Optional[int] = None
 
-    def params(self, theta: Sequence, g=None) -> Sequence:
-        """The parameters ``coords`` receives: theta, with g in its place."""
-        if g is None or self.replaced is None:
-            return theta
-        params = list(theta)
-        params[self.replaced - 1] = g
-        return params
-
     def __call__(self, x, t, theta, g):
         cols = [x[..., j] for j in range(x.shape[-1])]
-        return np.array(self.coords(*cols, *self.params(theta, g))).T
+        params = list(theta)
+        if g is not None and self.replaced is not None:
+            params[self.replaced - 1] = g
+        return np.array(self.coords(*cols, *params)).T
 
 
 def forced_rate(system: DynamicalSystem, x: np.ndarray, t, theta: np.ndarray, g=None) -> np.ndarray:
@@ -277,81 +274,25 @@ def rate_values(
     theta: np.ndarray,
     g=None,
 ) -> np.ndarray:
-    """Evaluate the (forced) rate on a batch of states.
+    """Evaluate the (forced) rate on a batch of states, in one call.
 
-    Tries one vectorized call first; falls back to a row loop for user
-    systems whose rate does not broadcast.
+    Raises
+    ------
+    ArgumentError
+        If the rate's output does not have the states' shape: a rate must
+        broadcast over a leading batch axis.
     """
     states = np.asarray(states, dtype=float)
     times = np.asarray(times, dtype=float)
     if states.ndim != 2 or states.shape[1] != system.dim:
         raise ArgumentError(f"states must have shape (n, {system.dim})")
-    try:
-        out = np.asarray(forced_rate(system, states, times, theta, g), dtype=float)
-        if out.shape == states.shape:
-            return out
-    except (ValueError, IndexError, TypeError):
-        pass
-    out = np.empty_like(states)
-    for i in range(states.shape[0]):
-        gi = None if g is None else (g if np.isscalar(g) else g[i])
-        out[i] = forced_rate(system, states[i], float(times[i]), theta, gi)
+    out = np.asarray(forced_rate(system, states, times, theta, g), dtype=float)
+    if out.shape != states.shape:
+        raise ArgumentError(
+            f"{system.name}: the rate returned shape {out.shape} for states of shape "
+            f"{states.shape}; a rate must broadcast over a batch of states"
+        )
     return out
-
-
-def _drift(system: DynamicalSystem, th: np.ndarray, xs: Sequence, t: float, g=None) -> list:
-    """One evaluation of the forced rate at the float state ``xs``, as floats.
-
-    The rate receives a fresh float64 array of shape (d,), so a rate that
-    writes into its argument cannot touch the stepper's state.
-    """
-    x = np.array(xs, dtype=float)
-    out = np.asarray(forced_rate(system, x, t, th, g), dtype=float)
-    if out.shape != x.shape:
-        out = np.broadcast_to(out, x.shape)
-    return out.tolist()
-
-
-def float_drift(
-    system: DynamicalSystem, th: np.ndarray, forcing: Optional[Callable[[float], float]] = None
-) -> Callable:
-    """The forced rate as ``drift(t, x1, ..., xd)`` on Python floats.
-
-    The simulators' adapter for a rate they do not call directly: a forced
-    or a user rate. ``forcing`` gives g(t), taken at each call's t (the RK4
-    stage times included) and applied as :func:`forced_rate` applies it:
-    additive g added to the target coordinate, or g in place of the
-    replaced parameter. A :class:`CoordinateRate` runs on Python floats,
-    with theta converted once; any other rate, and a float division by
-    zero (which raises where an array's gives inf or nan), goes through
-    :func:`_drift`.
-    """
-    rate = system.rate
-    spec = system.forcing
-
-    def gval(t):
-        return None if forcing is None else float(forcing(t))
-
-    if not isinstance(rate, CoordinateRate):
-        return lambda t, *xs: _drift(system, th, xs, t, gval(t))
-    coords = rate.coords
-    params = th.tolist()
-    target = None if spec is None else spec.target - 1
-
-    def drift(t, *xs):
-        g = gval(t)
-        try:
-            if g is None or spec is None:
-                return coords(*xs, *params)
-            if spec.mode == "additive":
-                out = list(coords(*xs, *params))
-                out[target] += g
-                return out
-            return coords(*xs, *rate.params(params, g))
-        except ZeroDivisionError:
-            return _drift(system, th, xs, t, g)
-
-    return drift
 
 
 def _kernel_source(scheme: str, d: int) -> str:
@@ -425,10 +366,23 @@ def _stepper(scheme: str, system: DynamicalSystem, th: np.ndarray, what: str, fo
     """``advance(t, h, steps, xs)``: the state at the end of one grid interval.
 
     An unforced :class:`CoordinateRate` is called directly, on theta's
-    floats; any other rate through the :func:`float_drift` adapter.
+    floats. Any other rate, forced or user, steps through
+    :func:`forced_rate` on a (d,) array, with g(t) taken at each stage time.
     """
+    if forcing is not None and system.forcing is None:
+        raise ArgumentError(f"{system.name} has no forcing entry point, but a forcing was given")
     kernel = _kernel(scheme, system.dim)
-    adapter = float_drift(system, th, forcing)
+
+    def adapter(t, *xs):
+        # a fresh array, so a rate that writes into its argument cannot
+        # touch the kernel's state
+        x = np.array(xs, dtype=float)
+        g = None if forcing is None else float(forcing(t))
+        out = np.asarray(forced_rate(system, x, t, th, g), dtype=float)
+        if out.shape != x.shape:
+            out = np.broadcast_to(out, x.shape)
+        return out.tolist()
+
     if forcing is None and isinstance(system.rate, CoordinateRate):
         f, p = system.rate.coords, tuple(th.tolist())
     else:
@@ -441,7 +395,7 @@ def _stepper(scheme: str, system: DynamicalSystem, th: np.ndarray, what: str, fo
             if p is None:
                 raise
             # a float division by zero raises where an array's gives inf or
-            # nan: redo the interval through the adapter, which falls back
+            # nan: redo the interval on arrays
             return kernel(adapter, None, t, h, steps, what, *xs)
 
     return advance
@@ -487,19 +441,23 @@ def integrate(
     each grid interval is tiled by the largest uniform substep that divides
     it, so results are deterministic for a given grid and substep. The
     substeps run in the generated RK4 kernel of the system's dimension, on
-    Python floats.
+    Python floats. A forced or user rate is evaluated by :func:`forced_rate`
+    on a (d,) array at each stage.
 
     Parameters
     ----------
     forcing : callable, optional
         g(t), applied per the system's ForcingSpec at every stage time. Must
-        be defined on the whole time range.
+        be defined on the whole time range, and the system must have a
+        ForcingSpec.
     substep : float, optional
         Upper bound on the internal step. Defaults to the smallest grid
         spacing (one step per interval).
 
     Raises
     ------
+    ArgumentError
+        If ``forcing`` is given for a system without a ForcingSpec.
     BlowupError
         If the state leaves |x| <= 1e8 or becomes non-finite; its ``time``
         is the end of the first substep that does.

@@ -194,6 +194,13 @@ class TestOverrides:
         assert f"{cfg}: replicates" in err
         assert not (tmp_path / "out").exists()
 
+    def test_zero_jobs_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json")
+        args = ["power-study", "--config", str(cfg), "--jobs", "0"]
+        assert cli.main(args + ["--out", str(tmp_path / "out")]) == 2
+        assert "--jobs must be a positive integer, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestExportPlots:
     def test_writes_plot_tables(self, tmp_path):

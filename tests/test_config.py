@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -51,6 +53,11 @@ class TestDefaults:
         assert r["smoothing"]["x_knot_spacing"] == 0.25
 
 
+def key_path(key, override, id=None):
+    """A rejection row whose message must name ``key`` as its full key path."""
+    return pytest.param(override, rf"^config: {re.escape(key)} ", id=id or key)
+
+
 class TestRejection:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown key 'systm'"):
@@ -83,6 +90,38 @@ class TestRejection:
             ({"test": {"alpha": 2.0}}, "alpha"),
             ({"observed": [0]}, "observed"),
             ({"forcing": {"mode": "multiplicative", "target": 1}}, "forcing"),
+            key_path("system", {"system": {"csv": 3}}, id="system-object"),
+            key_path("system", {"system": 5}, id="system-type"),
+            key_path("theta", {"theta": [1.0, "a"]}),
+            key_path("x0", {"x0": []}),
+            key_path("sde.sigma2", {"sde": {"sigma2": -0.1}}),
+            key_path("ode.rate_scale", {"ode": {"rate_scale": 0}}),
+            key_path("ode.substep", {"ode": {"substep": -0.01}}),
+            key_path("sde.step", {"sde": {"step": 0}}),
+            key_path("model", {"model": "lorenz"}),
+            key_path("forcing", {"forcing": "additive"}),
+            key_path("forcing.target", {"forcing": {"mode": "additive", "target": 1.5}}),
+            key_path("smoothing.x_knot_spacing", {"smoothing": {"x_knot_spacing": 0}}),
+            key_path("smoothing.g_knot_spacing", {"smoothing": {"g_knot_spacing": -1.0}}),
+            key_path("smoothing.x_penalty", {"smoothing": {"x_penalty": -1.0}}),
+            key_path("smoothing.g_penalty", {"smoothing": {"g_penalty": "0"}}),
+            key_path("smoothing.x_order", {"smoothing": {"x_order": 9}}),
+            key_path("smoothing.g_order", {"smoothing": {"g_order": 3.5}}),
+            key_path("smoothing.quad_per_spacing", {"smoothing": {"quad_per_spacing": 0}}),
+            key_path("smoothing.smoother_dim", {"smoothing": {"smoother_dim": 7}}),
+            key_path("smoothing.h_interaction", {"smoothing": {"h_interaction": 1}}),
+            key_path("smoothing.second_order", {"smoothing": {"second_order": "no"}}),
+            key_path("smoothing.theta_init", {"smoothing": {"theta_init": [0.0, "b"]}}),
+            key_path("smoothing.theta_free", {"smoothing": {"theta_free": [1, 0, 1, 0]}}),
+            key_path("test.b1", {"test": {"b1": 0}}),
+            key_path("test.b2", {"test": {"b2": 2.5}}),
+            key_path("test.block_len", {"test": {"block_len": 1}}),
+            key_path("test.delta", {"test": {"delta": -1.0}}),
+            key_path("test.end_trim", {"test": {"end_trim": -1}}),
+            key_path("test.max_failed_fraction", {"test": {"max_failed_fraction": 1.0}}),
+            key_path("master_seed", {"master_seed": -1}),
+            key_path("out_dir", {"out_dir": ""}),
+            key_path("cells", {"cells": []}),
         ],
     )
     def test_semantic_checks(self, override, fragment):

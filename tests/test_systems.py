@@ -25,7 +25,6 @@ from odelof.systems import (
     CoordinateRate,
     DynamicalSystem,
     _cube,
-    float_drift,
     forced_rate,
 )
 
@@ -370,6 +369,11 @@ class TestRk4Reference:
     def test_every_builtin_matches_per_step_rk4(self, sys, x0, forced):
         forcing = (lambda t: 0.9 + 0.2 * np.sin(t)) if forced else None
         times = uneven_times()
+        if forced and sys.forcing is None:
+            # g has nowhere to enter
+            with pytest.raises(ArgumentError, match="has no forcing entry point"):
+                integrate(sys, sys.theta_default, x0, times, forcing=forcing, substep=0.03)
+            return
         traj = integrate(sys, sys.theta_default, x0, times, forcing=forcing, substep=0.03)
         ref = rk4_reference(sys, sys.theta_default, x0, times, 0.03, forcing)
         assert traj.states.tobytes() == ref.tobytes()
@@ -546,11 +550,33 @@ class TestForcingPlumbing:
         for g in (None, np.linspace(0.5, 2.0, 9)):
             expect = 0.3 * np.asarray(base.rate(x, 0.0, theta, g), dtype=float)
             assert sys.rate(x, 0.0, theta, g).tobytes() == expect.tobytes()
-            rows = [
-                float_drift(sys, theta, None if g is None else (lambda t, gi=g[i]: gi))(0.0, *row)
-                for i, row in enumerate(x.tolist())
-            ]
-            assert np.array(rows, dtype=float).tobytes() == expect.tobytes()
+        # the simulators' direct call, on Python floats
+        rows = [sys.rate.coords(*row, *theta.tolist()) for row in x.tolist()]
+        expect = 0.3 * np.asarray(base.rate(x, 0.0, theta, None), dtype=float)
+        assert np.array(rows, dtype=float).tobytes() == expect.tobytes()
+
+    def test_scale_rate_of_a_user_rate(self):
+        def user(x, t, th, g):
+            return th[0] * np.sin(x) - t * x
+
+        base = DynamicalSystem(name="user", dim=3, n_params=1, rate=user)
+        sys = scale_rate(base, 0.7)
+        assert not isinstance(sys.rate, CoordinateRate)
+        x = np.random.default_rng(8).normal(size=(11, 3))
+        t = np.linspace(0.0, 2.0, 11)[:, None]
+        theta = np.array([1.3])
+        expect = 0.7 * user(x, t, theta, None)
+        assert sys.rate(x, t, theta, None).tobytes() == expect.tobytes()
+
+    def test_rate_that_does_not_broadcast_is_rejected(self):
+        def first_row(x, t, th, g):
+            # ignores the batch axis: the rate of the first state only
+            return th[0] * np.atleast_2d(x)[0]
+
+        sys = DynamicalSystem(name="first_row", dim=2, n_params=1, rate=first_row)
+        x = np.random.default_rng(3).normal(size=(5, 2))
+        with pytest.raises(ArgumentError, match=r"first_row: the rate returned shape \(2,\)"):
+            rate_values(sys, x, np.zeros(5), np.array([2.0]))
 
     def test_rate_values_batches_rows(self):
         sys = builtin_system("rossler")
@@ -583,6 +609,10 @@ def test_builtin_rate_batches_match_rows(name):
         assert_allclose(batch, rows, rtol=1e-13, atol=1e-13)
 
 
+# The simulators call an unforced builtin's coords on Python floats, and
+# the estimators call the rate on array columns: the two must round alike.
+
+
 @pytest.mark.parametrize("name", builtin_names())
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -591,36 +621,29 @@ def test_float_drift_matches_array_rate_bitwise(name, data):
     floats = lambda lo, hi, n: st.lists(st.floats(lo, hi), min_size=n, max_size=n)
     xs = data.draw(floats(-3, 3, base.dim), label="x")
     theta = base.theta_default + np.array(data.draw(floats(-0.5, 0.5, base.n_params)))
-    g = data.draw(st.floats(0.2, 3.0), label="g")
     factor = data.draw(st.floats(0.1, 4.0), label="factor")
     t = 0.5
     batch = np.array([xs, np.zeros(base.dim), xs])
     for sys in (base, scale_rate(base, factor)):
-        specs = [ForcingSpec("additive", base.dim), None]
-        if base.rate.replaced is not None:
-            specs.append(ForcingSpec("parameter_replacement", base.rate.replaced))
-        for forcing in specs:
-            forced = with_forcing(sys, forcing)
-            for gi in (None, g):
-                drift = float_drift(forced, theta, None if gi is None else (lambda s: g))
-                got = np.array(drift(t, *xs), dtype=float).tobytes()
-                one = np.asarray(forced_rate(forced, np.array(xs), t, theta, gi), dtype=float)
-                rows = rate_values(forced, batch, np.full(3, t), theta, gi)
-                assert got == one.tobytes() == rows[0].tobytes() == rows[2].tobytes()
+        got = np.array(sys.rate.coords(*xs, *theta.tolist()), dtype=float).tobytes()
+        one = np.asarray(forced_rate(sys, np.array(xs), t, theta), dtype=float)
+        rows = rate_values(sys, batch, np.full(3, t), theta)
+        assert got == one.tobytes() == rows[0].tobytes() == rows[2].tobytes()
 
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_float_drift_matches_array_rate_on_many_states(name):
     # float pow and the array loop disagree on well under 1% of inputs,
     # too rarely for a few dozen examples to show
-    sys = builtin_system(name)
+    base = builtin_system(name)
     rng = np.random.default_rng(9)
     # off the defaults, where vanderpol_order2's x1**2 coefficient is 0
-    theta = sys.theta_default + rng.uniform(-0.5, 0.5, sys.n_params)
-    x = 1.5 * rng.normal(size=(20000, sys.dim))
-    drift = float_drift(sys, theta)
-    rows = np.array([drift(0.0, *xs) for xs in x.tolist()], dtype=float)
-    assert rows.tobytes() == rate_values(sys, x, np.zeros(len(x)), theta).tobytes()
+    theta = base.theta_default + rng.uniform(-0.5, 0.5, base.n_params)
+    x = 1.5 * rng.normal(size=(20000, base.dim))
+    params = theta.tolist()
+    for sys in (base, scale_rate(base, 1.7)):
+        rows = np.array([sys.rate.coords(*xs, *params) for xs in x.tolist()], dtype=float)
+        assert rows.tobytes() == rate_values(sys, x, np.zeros(len(x)), theta).tobytes()
     # the float64 exponent of _cube rounds as the integer one
     cubes = np.array([_cube(v) for v in x.ravel().tolist()])
     assert cubes.tobytes() == np.array([float(np.power(v, 3)) for v in x.ravel().tolist()]).tobytes()
