@@ -13,10 +13,11 @@ import copy
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Optional, Union
 
-from .errors import ConfigError
+from .diagnose import TestConfig
+from .errors import ArgumentError, ConfigError
 from .pipeline import PipelineSettings, low_spline_orders
 from .smoothers import SmootherSettings
 from .systems import (
@@ -28,6 +29,27 @@ from .systems import (
     with_forcing,
 )
 
+# smoothing-block keys of the SmootherSettings fields, by field name
+_SMOOTHER_KEYS = {"total_dim": "smoother_dim", "interaction": "h_interaction"}
+
+
+def _smoothing_block(settings: PipelineSettings) -> dict:
+    """The smoothing block of ``settings``."""
+    block = asdict(settings)
+    smoother = block.pop("smoother")
+    block.update((_SMOOTHER_KEYS[name], v) for name, v in smoother.items())
+    return block
+
+
+def _pipeline_settings(block: dict) -> PipelineSettings:
+    """The PipelineSettings of a smoothing block; its lists become tuples."""
+    kw = {key: tuple(v) if isinstance(v, list) else v for key, v in block.items()}
+    smoother = SmootherSettings(**{name: kw.pop(key) for name, key in _SMOOTHER_KEYS.items()})
+    return PipelineSettings(smoother=smoother, **kw)
+
+
+# The smoothing and test blocks default to PipelineSettings and TestConfig,
+# which also state their ranges.
 _GENERIC: dict[str, Any] = {
     "system": None,
     "theta": None,
@@ -41,29 +63,8 @@ _GENERIC: dict[str, Any] = {
     "observed": None,
     "model": None,
     "forcing": None,
-    "smoothing": {
-        "x_order": 4,
-        "x_knot_spacing": 0.25,
-        "x_penalty": 0.01,
-        "g_order": 4,
-        "g_knot_spacing": 1.0,
-        "g_penalty": 0.0,
-        "quad_per_spacing": 4,
-        "smoother_dim": 40,
-        "h_interaction": True,
-        "second_order": False,
-        "theta_init": None,
-        "theta_free": None,
-    },
-    "test": {
-        "b1": 100,
-        "b2": 199,
-        "block_len": None,
-        "delta": None,
-        "alpha": 0.05,
-        "end_trim": None,
-        "max_failed_fraction": 0.1,
-    },
+    "smoothing": _smoothing_block(PipelineSettings()),
+    "test": {f.name: f.default for f in fields(TestConfig) if f.name != "seed"},
     "tests": ["case2", "case3"],
     "replicates": 50,
     "jobs": 1,
@@ -168,7 +169,9 @@ def _check_keys(source: str, d: dict, allowed: dict, prefix: str = ""):
         if key not in allowed:
             path = f"{prefix}{key}"
             raise ConfigError(f"{source}: unknown key {path!r}")
-        if isinstance(allowed[key], dict) and isinstance(d[key], dict):
+        if isinstance(allowed[key], dict):
+            if not isinstance(d[key], dict):
+                raise ConfigError(f"{source}: {prefix}{key} must be an object, got {d[key]!r}")
             _check_keys(source, d[key], allowed[key], prefix=f"{prefix}{key}.")
 
 
@@ -182,6 +185,47 @@ def _is_pos(v) -> bool:
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_bool(v) -> bool:
+    return isinstance(v, bool)
+
+
+def _list_of(is_item, what: str):
+    return (lambda v: isinstance(v, list) and all(map(is_item, v)), f"a list of {what}")
+
+
+_INT = (_is_int, "an integer")
+_NUM = (_is_num, "a finite number")
+_BOOL = (_is_bool, "true or false")
+
+# JSON types of the smoothing and test keys; a key that defaults to null
+# may be null
+_BLOCK_TYPES = {
+    "smoothing": {
+        "x_order": _INT,
+        "x_knot_spacing": _NUM,
+        "x_penalty": _NUM,
+        "g_order": _INT,
+        "g_knot_spacing": _NUM,
+        "g_penalty": _NUM,
+        "quad_per_spacing": _INT,
+        "smoother_dim": _INT,
+        "h_interaction": _BOOL,
+        "second_order": _BOOL,
+        "theta_init": _list_of(_is_num, "numbers"),
+        "theta_free": _list_of(_is_bool, "booleans"),
+    },
+    "test": {
+        "b1": _INT,
+        "b2": _INT,
+        "block_len": _INT,
+        "delta": _NUM,
+        "alpha": _NUM,
+        "end_trim": _INT,
+        "max_failed_fraction": _NUM,
+    },
+}
 
 
 @dataclass
@@ -279,34 +323,10 @@ class ExperimentConfig:
         return sys
 
     def pipeline_settings(self) -> PipelineSettings:
-        s = self.resolved["smoothing"]
-        return PipelineSettings(
-            x_order=s["x_order"],
-            x_knot_spacing=s["x_knot_spacing"],
-            x_penalty=s["x_penalty"],
-            g_order=s["g_order"],
-            g_knot_spacing=s["g_knot_spacing"],
-            g_penalty=s["g_penalty"],
-            quad_per_spacing=s["quad_per_spacing"],
-            smoother=SmootherSettings(
-                total_dim=s["smoother_dim"], interaction=s["h_interaction"]
-            ),
-            second_order=s["second_order"],
-            theta_init=None if s["theta_init"] is None else tuple(s["theta_init"]),
-            theta_free=None if s["theta_free"] is None else tuple(s["theta_free"]),
-        )
+        return _pipeline_settings(self.resolved["smoothing"])
 
     def test_kwargs(self) -> dict:
-        t = self.resolved["test"]
-        return {
-            "b1": t["b1"],
-            "b2": t["b2"],
-            "block_len": t["block_len"],
-            "delta": t["delta"],
-            "alpha": t["alpha"],
-            "end_trim": t["end_trim"],
-            "max_failed_fraction": t["max_failed_fraction"],
-        }
+        return dict(self.resolved["test"])
 
     def cells(self) -> list["ExperimentConfig"]:
         """Per-cell configs for a power study (self if no cells given)."""
@@ -362,9 +382,7 @@ def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
 
 
 def _resolve(raw: dict, source: str) -> dict:
-    allowed = copy.deepcopy(_GENERIC)
-    allowed["cells"] = None
-    _check_keys(source, raw, allowed)
+    _check_keys(source, raw, _GENERIC)
 
     system = raw.get("system")
     base = copy.deepcopy(_GENERIC)
@@ -460,38 +478,28 @@ def _validate(cfg: dict, source: str) -> None:
         if not (_is_int(forcing.get("target")) and forcing["target"] >= 1):
             _fail(source, "forcing.target", "must be a 1-based integer index")
 
+    for block, types in _BLOCK_TYPES.items():
+        for key, (is_type, what) in types.items():
+            v = cfg[block][key]
+            nullable = _GENERIC[block][key] is None
+            if not (is_type(v) or (nullable and v is None)):
+                what += " or null" if nullable else ""
+                _fail(source, f"{block}.{key}", f"must be {what}, got {v!r}")
     sm = cfg["smoothing"]
-    for key in ("x_knot_spacing", "g_knot_spacing"):
-        if not _is_pos(sm[key]):
-            _fail(source, f"smoothing.{key}", f"must be positive, got {sm[key]!r}")
-    for key in ("x_penalty", "g_penalty"):
-        if not (_is_num(sm[key]) and sm[key] >= 0):
-            _fail(source, f"smoothing.{key}", f"must be nonnegative, got {sm[key]!r}")
-    for key in ("x_order", "g_order"):
-        if not (_is_int(sm[key]) and 2 <= sm[key] <= 8):
-            _fail(source, f"smoothing.{key}", f"must be an integer in 2..8, got {sm[key]!r}")
-    if not (_is_int(sm["quad_per_spacing"]) and sm["quad_per_spacing"] >= 1):
-        _fail(source, "smoothing.quad_per_spacing", "must be a positive integer")
-    if not (_is_int(sm["smoother_dim"]) and sm["smoother_dim"] >= 8):
-        _fail(source, "smoothing.smoother_dim", "must be an integer >= 8")
-    for key in ("h_interaction", "second_order"):
-        if not isinstance(sm[key], bool):
-            _fail(source, f"smoothing.{key}", "must be true or false")
     for key, why in low_spline_orders(sm):
         _fail(
             source,
             f"smoothing.{key}",
             f"must be >= 3 with smoothing.{why}, which takes second derivatives; got {sm[key]}",
         )
-    if sm["theta_init"] is not None and not (
-        isinstance(sm["theta_init"], list) and all(_is_num(x) for x in sm["theta_init"])
-    ):
-        _fail(source, "smoothing.theta_init", "must be a list of numbers")
-    if sm["theta_free"] is not None and not (
-        isinstance(sm["theta_free"], list)
-        and all(isinstance(x, bool) for x in sm["theta_free"])
-    ):
-        _fail(source, "smoothing.theta_free", "must be a list of booleans")
+    try:
+        _pipeline_settings(sm)
+        TestConfig(seed=0, **cfg["test"])
+    except ArgumentError as exc:
+        # the message starts with the field it names
+        name, _, why = str(exc).partition(" ")
+        block = "test" if name in cfg["test"] else "smoothing"
+        _fail(source, f"{block}.{_SMOOTHER_KEYS.get(name, name)}", why)
     if model is not None:
         proposed = builtin_system(model)
         if sm["second_order"] and proposed.dim != 2:
@@ -541,21 +549,6 @@ def _validate(cfg: dict, source: str) -> None:
                 "smoothing.second_order",
                 f"fits one observed coordinate; {system} observes {n_obs}",
             )
-
-    t = cfg["test"]
-    for key in ("b1", "b2"):
-        if not (_is_int(t[key]) and t[key] >= 1):
-            _fail(source, f"test.{key}", f"must be a positive integer, got {t[key]!r}")
-    if t["block_len"] is not None and not (_is_int(t["block_len"]) and t["block_len"] >= 2):
-        _fail(source, "test.block_len", "must be an integer >= 2 or null")
-    if t["delta"] is not None and not _is_pos(t["delta"]):
-        _fail(source, "test.delta", "must be a positive number or null")
-    if not (_is_num(t["alpha"]) and 0 < t["alpha"] < 1):
-        _fail(source, "test.alpha", f"must be in (0, 1), got {t['alpha']!r}")
-    if t["end_trim"] is not None and not (_is_int(t["end_trim"]) and t["end_trim"] >= 0):
-        _fail(source, "test.end_trim", "must be a nonnegative integer or null")
-    if not (_is_num(t["max_failed_fraction"]) and 0 <= t["max_failed_fraction"] < 1):
-        _fail(source, "test.max_failed_fraction", "must be in [0, 1)")
 
     tests = cfg["tests"]
     if not (

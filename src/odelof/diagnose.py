@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, field, fields
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -211,8 +211,9 @@ class TestConfig:
     max_failed_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.b1 < 1 or self.b2 < 1:
-            raise ArgumentError(f"b1 and b2 must be >= 1, got {self.b1}, {self.b2}")
+        for name in ("b1", "b2"):
+            if getattr(self, name) < 1:
+                raise ArgumentError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.alpha < 1.0:
             raise ArgumentError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.block_len is not None and self.block_len < 2:
@@ -260,66 +261,13 @@ class DiagnosticReport:
     version: str = __version__
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "reject": self.reject,
-            "p_mean": self.p_mean,
-            "alpha": self.alpha,
-            "p_values": list(self.p_values),
-            "f0": _json_float(self.f0),
-            "f0_flag": self.f0_flag,
-            "f0_boot": [_json_float(v) for v in self.f0_boot],
-            "n_degenerate": self.n_degenerate,
-            "b1": self.b1,
-            "b2": self.b2,
-            "block_len": self.block_len,
-            "end_trim": self.end_trim,
-            "delta": self.delta,
-            "spacing": self.spacing,
-            "n_obs": self.n_obs,
-            "n_failed": self.n_failed,
-            "failure_messages": list(self.failure_messages),
-            "seed_entropy": self.seed_entropy,
-            "model": self.model,
-            "theta": list(self.theta),
-            "edf_h": self.edf_h,
-            "edf_h_alt": self.edf_h_alt,
-            "g_spline": self.g_spline.to_dict(),
-            "xhat_spline": self.xhat_spline.to_dict(),
-            "settings": self.settings,
-            "version": self.version,
-        }
+        return {f.name: _codec(f)[0](getattr(self, f.name)) for f in fields(self)}
 
     @staticmethod
     def from_dict(d: dict) -> "DiagnosticReport":
+        d = {"f0_flag": None, "version": __version__, **d}  # keys older reports lack
         return DiagnosticReport(
-            kind=d["kind"],
-            reject=bool(d["reject"]),
-            p_mean=float(d["p_mean"]),
-            alpha=float(d["alpha"]),
-            p_values=tuple(d["p_values"]),
-            f0=_from_json_float(d["f0"]),
-            f0_flag=d.get("f0_flag"),
-            f0_boot=tuple(_from_json_float(v) for v in d["f0_boot"]),
-            n_degenerate=int(d["n_degenerate"]),
-            b1=int(d["b1"]),
-            b2=int(d["b2"]),
-            block_len=int(d["block_len"]),
-            end_trim=int(d["end_trim"]),
-            delta=None if d["delta"] is None else float(d["delta"]),
-            spacing=float(d["spacing"]),
-            n_obs=int(d["n_obs"]),
-            n_failed=int(d["n_failed"]),
-            failure_messages=tuple(d["failure_messages"]),
-            seed_entropy=d["seed_entropy"],
-            model=d["model"],
-            theta=tuple(d["theta"]),
-            edf_h=float(d["edf_h"]),
-            edf_h_alt=None if d["edf_h_alt"] is None else float(d["edf_h_alt"]),
-            g_spline=SplineFunction.from_dict(d["g_spline"]),
-            xhat_spline=SplineFunction.from_dict(d["xhat_spline"]),
-            settings=d["settings"],
-            version=d.get("version", __version__),
+            **{f.name: _codec(f)[1](d[f.name]) for f in fields(DiagnosticReport)}
         )
 
     def save(self, path: Union[str, os.PathLike]) -> None:
@@ -346,6 +294,39 @@ def _json_float(v: float):
 def _from_json_float(v) -> float:
     # float() reads the "inf" / "-inf" strings of _json_float too
     return float(v)
+
+
+def _same(v):
+    return v
+
+
+def _optional_float(v) -> Optional[float]:
+    return None if v is None else float(v)
+
+
+# How a report field crosses JSON, as (to JSON, from JSON): by name for the
+# F values, which can be infinite, and by annotated type (a string, as
+# annotations are postponed here) for the rest; any other field is stored
+# as it is.
+_FIELD_CODECS = {
+    "f0": (_json_float, _from_json_float),
+    "f0_boot": (
+        lambda v: [_json_float(x) for x in v],
+        lambda v: tuple(_from_json_float(x) for x in v),
+    ),
+}
+_TYPE_CODECS = {
+    "bool": (_same, bool),
+    "int": (_same, int),
+    "float": (_same, float),
+    "Optional[float]": (_same, _optional_float),
+    "tuple": (list, tuple),
+    "SplineFunction": (SplineFunction.to_dict, SplineFunction.from_dict),
+}
+
+
+def _codec(f: Field):
+    return _FIELD_CODECS.get(f.name) or _TYPE_CODECS.get(f.type, (_same, _same))
 
 
 def default_block_len(support_width: float, spacing: float) -> int:

@@ -49,6 +49,10 @@ class PipelineSettings:
     theta_free: Optional[tuple] = None
 
     def __post_init__(self):
+        for name in ("x_order", "g_order"):
+            v = getattr(self, name)
+            if not 2 <= v <= 8:
+                raise ArgumentError(f"{name} must be in 2..8, got {v!r}")
         for name in ("x_knot_spacing", "g_knot_spacing"):
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0:
@@ -58,7 +62,7 @@ class PipelineSettings:
             if not np.isfinite(v) or v < 0:
                 raise ArgumentError(f"{name} must be nonnegative, got {v!r}")
         if self.quad_per_spacing < 1:
-            raise ArgumentError("quad_per_spacing must be >= 1")
+            raise ArgumentError(f"quad_per_spacing must be >= 1, got {self.quad_per_spacing!r}")
         for name, why in low_spline_orders(vars(self)):
             raise ArgumentError(
                 f"{name} must be >= 3 with {why}, which takes second derivatives; "

@@ -66,10 +66,17 @@ class SmootherSettings:
     uses the largest per-direction dimension d with d**q inside its
     share, never below 4. With ``interaction`` all predictor columns
     form one joint tensor term instead of separate additive terms.
+    The ``interaction=False`` default is the bare smoother's: the
+    pipeline (:class:`~odelof.pipeline.PipelineSettings`) and the config
+    default to True.
     """
 
     total_dim: int = 40
     interaction: bool = False
+
+    def __post_init__(self):
+        if self.total_dim < 8:
+            raise ArgumentError(f"total_dim must be >= 8, got {self.total_dim}")
 
 
 @lru_cache(maxsize=32)

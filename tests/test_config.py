@@ -1,10 +1,18 @@
+import hashlib
+import json
 import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from odelof import ConfigError, config_from_dict, load_config
+from odelof import (
+    ConfigError,
+    PipelineSettings,
+    TestConfig,
+    config_from_dict,
+    load_config,
+)
 
 
 class TestDefaults:
@@ -80,16 +88,21 @@ class TestRejection:
     @pytest.mark.parametrize(
         "override, fragment",
         [
-            ({"noise_var": -1.0}, "noise_var"),
-            ({"n_points": 3}, "n_points"),
-            ({"t_span": [5.0, 1.0]}, "t_span"),
-            ({"generator": "pde"}, "generator"),
-            ({"tests": ["case4"]}, "tests"),
-            ({"replicates": 0}, "replicates"),
-            ({"jobs": 0}, "jobs"),
-            ({"test": {"alpha": 2.0}}, "alpha"),
-            ({"observed": [0]}, "observed"),
-            ({"forcing": {"mode": "multiplicative", "target": 1}}, "forcing"),
+            # these rows keep the ids they were first collected under
+            key_path("noise_var", {"noise_var": -1.0}, id="override0-noise_var"),
+            key_path("n_points", {"n_points": 3}, id="override1-n_points"),
+            key_path("t_span", {"t_span": [5.0, 1.0]}, id="override2-t_span"),
+            key_path("generator", {"generator": "pde"}, id="override3-generator"),
+            key_path("tests", {"tests": ["case4"]}, id="override4-tests"),
+            key_path("replicates", {"replicates": 0}, id="override5-replicates"),
+            key_path("jobs", {"jobs": 0}, id="override6-jobs"),
+            key_path("test.alpha", {"test": {"alpha": 2.0}}, id="override7-alpha"),
+            key_path("observed", {"observed": [0]}, id="override8-observed"),
+            key_path(
+                "forcing.mode",
+                {"forcing": {"mode": "multiplicative", "target": 1}},
+                id="override9-forcing",
+            ),
             key_path("system", {"system": {"csv": 3}}, id="system-object"),
             key_path("system", {"system": 5}, id="system-type"),
             key_path("theta", {"theta": [1.0, "a"]}),
@@ -122,6 +135,8 @@ class TestRejection:
             key_path("master_seed", {"master_seed": -1}),
             key_path("out_dir", {"out_dir": ""}),
             key_path("cells", {"cells": []}),
+            key_path("smoothing", {"smoothing": 5}),
+            key_path("ode", {"ode": None}),
         ],
     )
     def test_semantic_checks(self, override, fragment):
@@ -315,10 +330,35 @@ class TestEcho:
         cfg = config_from_dict({"system": "linear2d", "master_seed": 3})
         text = cfg.echo_json()
         assert text.endswith("\n")
-        import json
-
         d = json.loads(text)
         assert d["master_seed"] == 3
         assert config_from_dict(
             {k: v for k, v in d.items() if k != "cells"}
         ).echo_json() == text
+
+    # sha256 prefixes of the echo of {"system": name, "generator": generator}
+    @pytest.mark.parametrize(
+        "system, generator, digest",
+        [
+            ("linear2d", "ode", "420e6dd134a3b55e"),
+            ("linear2d", "sde", "7ef1d11d51e9ea21"),
+            ("rosenzweig_macarthur_log", "ode", "d00f7f4e3ff3dced"),
+            ("rosenzweig_macarthur_log", "sde", "4fe4f9b4c7d3ec28"),
+            ("rossler", "ode", "1a250e4dfe146e7f"),
+            ("rossler", "sde", "d2cf4952e55cadaa"),
+            ("rossler_chaotic", "ode", "6e88490b2b5a880e"),
+            ("rossler_chaotic", "sde", "af94c61774e7d349"),
+            ("vanderpol", "ode", "e8ea3b3475020e85"),
+            ("vanderpol", "sde", "228ce6255924f5de"),
+            ("vanderpol_order2", "ode", "a5c2072fa1c1981b"),
+            ("vanderpol_order2", "sde", "5218fc02b014dddb"),
+        ],
+    )
+    def test_echo_is_pinned(self, system, generator, digest):
+        text = config_from_dict({"system": system, "generator": generator}).echo_json()
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+    def test_defaults_are_the_apis(self):
+        cfg = config_from_dict({"system": "linear2d"})
+        assert cfg.pipeline_settings() == PipelineSettings()
+        assert TestConfig(seed=0, **cfg.test_kwargs()) == TestConfig(seed=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -354,18 +355,22 @@ class TestCase2EndToEnd:
         assert report_json(a) != report_json(c)
 
     def test_round_trip(self, vdp_series, tmp_path):
-        report = case2_test(
-            vdp_series, builtin_system("linear2d"), TestConfig(seed=104, b1=3, b2=19)
-        )
-        path = tmp_path / "report.json"
-        report.save(path)
-        loaded = DiagnosticReport.load(path)
-        assert report_json(loaded) == report_json(report)
-        assert loaded == report
-        # the archived splines evaluate identically
-        t = np.linspace(5.0, 50.0, 7)
-        assert np.array_equal(loaded.g_spline(t), report.g_spline(t))
-        assert np.array_equal(loaded.xhat_spline(t), report.xhat_spline(t))
+        config = TestConfig(seed=104, b1=3, b2=19)
+        case2 = case2_test(vdp_series, builtin_system("linear2d"), config)
+        case3 = case3_test(vdp_series, builtin_system("linear2d"), config)
+        assert case3.delta is not None and case3.edf_h_alt is not None
+        infinite = dataclasses.replace(case2, f0=math.inf, f0_boot=(math.inf,) + case2.f0_boot[1:])
+        for i, report in enumerate((case2, case3, infinite)):
+            path = tmp_path / f"report{i}.json"
+            report.save(path)
+            loaded = DiagnosticReport.load(path)
+            assert report_json(loaded) == report_json(report)
+            assert loaded == report
+            # the archived splines evaluate identically
+            t = np.linspace(5.0, 50.0, 7)
+            assert np.array_equal(loaded.g_spline(t), report.g_spline(t))
+            assert np.array_equal(loaded.xhat_spline(t), report.xhat_spline(t))
+        assert '"f0": "inf"' in report_json(infinite)
 
 
 class TestCase3EndToEnd:

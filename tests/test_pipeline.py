@@ -8,6 +8,8 @@ from odelof import (
     PipelineError,
     PipelineRunner,
     PipelineSettings,
+    SmootherSettings,
+    TestConfig,
     builtin_system,
     gradient_match,
     integrate,
@@ -47,11 +49,27 @@ class TestSettings:
             {"x_penalty": -0.01},
             {"g_penalty": float("nan")},
             {"quad_per_spacing": 0},
+            {"x_order": 9},
+            {"g_order": 1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ArgumentError):
             PipelineSettings(**kwargs)
+
+    # the config turns these messages into errors at the field's key path
+    @pytest.mark.parametrize(
+        "cls, kwargs, field",
+        [
+            (PipelineSettings, {"x_order": 9}, "x_order"),
+            (SmootherSettings, {"total_dim": 7}, "total_dim"),
+            (TestConfig, {"seed": 0, "b2": 0}, "b2"),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else None,
+    )
+    def test_messages_start_with_the_field(self, cls, kwargs, field):
+        with pytest.raises(ArgumentError, match=rf"^{field} "):
+            cls(**kwargs)
 
     @pytest.mark.parametrize(
         "kwargs, field",
