@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from . import __version__
-from .errors import ArgumentError, OdelofError, TestAbortedError
+from .errors import ArgumentError, OdelofError, TestAbortedError, check_kinds
 from .pipeline import PipelineRunner, PipelineSettings
 from .rng import SeedLike, as_seed_sequence, rng_from
 from .smoothers import AdditiveSmootherDesign
@@ -211,6 +211,8 @@ class TestConfig:
     max_failed_fraction: float = 0.1
 
     def __post_init__(self):
+        optional = [name for name in ("block_len", "end_trim") if getattr(self, name) is not None]
+        check_kinds(self, counts=("b1", "b2", *optional))
         for name in ("b1", "b2"):
             if getattr(self, name) < 1:
                 raise ArgumentError(f"{name} must be >= 1, got {getattr(self, name)}")

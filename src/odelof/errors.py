@@ -6,6 +6,10 @@ Everything raised on purpose derives from :class:`OdelofError` so callers
 
 from __future__ import annotations
 
+import numbers
+
+import numpy as np
+
 
 class OdelofError(Exception):
     """Base class for all errors raised by this package."""
@@ -13,6 +17,20 @@ class OdelofError(Exception):
 
 class ArgumentError(OdelofError, ValueError):
     """Invalid argument: bad shape, non-finite value, out-of-domain input."""
+
+
+def check_kinds(obj, counts=(), flags=()) -> None:
+    """Raise :class:`ArgumentError`, naming the field, for the first
+    attribute of ``obj`` in ``counts`` that is not an integer (numpy's
+    integers are; a bool is not) or in ``flags`` that is not a bool."""
+    for name in counts:
+        v = getattr(obj, name)
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ArgumentError(f"{name} must be an integer, got {v!r}")
+    for name in flags:
+        v = getattr(obj, name)
+        if not isinstance(v, (bool, np.bool_)):
+            raise ArgumentError(f"{name} must be true or false, got {v!r}")
 
 
 class RankError(OdelofError):

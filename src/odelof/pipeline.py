@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentError, OdelofError, PipelineError
+from .errors import ArgumentError, OdelofError, PipelineError, check_kinds
 from .estimate import ForcingEstimate, ForcingOperator, GradientMatchFit, gradient_match
 from .smoothers import SmootherSettings
 from .splines import BasisGrid, SmoothingOperator, SplineFunction, make_basis
@@ -49,6 +49,8 @@ class PipelineSettings:
     theta_free: Optional[tuple] = None
 
     def __post_init__(self):
+        counts = ("x_order", "g_order", "quad_per_spacing")
+        check_kinds(self, counts=counts, flags=("second_order",))
         for name in ("x_order", "g_order"):
             v = getattr(self, name)
             if not 2 <= v <= 8:

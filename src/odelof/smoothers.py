@@ -24,12 +24,16 @@ permutation tests swap only the response within a replicate (case 3's
 lagged predictors are lagged states, fixed with the states), so one
 factorized design serves every permutation.
 
-A term is built as arrays: knots, B-spline columns by the Cox-de Boor
-recursion, a Householder sum-to-zero basis and closed-form penalty Grams
-(:func:`_term`). One routine turns the design's triangular factor and
-penalty into the eigenbasis the GCV search needs (:func:`_factor`), and
-one (row, lambda) table of RSS, EDF and GCV picks each response row's
-lambda (:func:`_gcv_table`).
+Terms are built as arrays, a stack of equal-shaped terms at a time
+(:func:`_terms`; case 3's two tensor terms are one stack): knots,
+B-spline columns by the Cox-de Boor recursion, a Householder sum-to-zero
+basis and closed-form penalty Grams. One routine turns the design's
+triangular factor and penalty into the eigenbasis the GCV search needs
+(:func:`_factor`). :func:`_gcv_table` picks each response row's lambda:
+bounds on the RSS's ridge term give every (row, lambda) cell a lower and
+an upper GCV at O(k) cost, the term itself (O(k^2)) is computed only
+where they leave the pick open, and the picks are those of the full
+table.
 """
 
 from __future__ import annotations
@@ -39,10 +43,9 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import block_diag
 from scipy.linalg.lapack import dgeqrf, dtrtri
 
-from .errors import ArgumentError, DegenerateDesignError
+from .errors import ArgumentError, DegenerateDesignError, check_kinds
 from .splines import stacked_basis_values, stacked_derivative_gram
 
 _RIDGE_REL = 1e-10
@@ -50,10 +53,15 @@ _ORDER = 4  # cubic B-splines
 _MIN_TERM_DIM = 6
 _LAMBDAS = np.logspace(-8.0, 8.0, 61)  # the GCV grid
 _LAMBDAS.flags.writeable = False  # shared by every design
-# response rows whose (row, lambda) GCV table is filled together: enough
-# to batch the matrix products, few enough that the (rows, lambda, k)
-# arrays stay small
-_STACK = 16
+# the GCV's ridge term as a multiple of its bound, for a lower and an
+# upper GCV: the slack is far above their rounding (a few k ulps), and a
+# looser one only keeps more lambdas
+_BOUND_SLACKS = np.array([1.0 + 1e-6, -1e-6])[:, None, None]
+_BOUND_SLACKS.flags.writeable = False
+# two GCVs of a row closer than this share of its RSS's largest parts (over
+# the least GCV denominator) could swap order under the rounding of the
+# ridge term, which stays below 1e-13 of them
+_TIE_REL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -75,6 +83,7 @@ class SmootherSettings:
     interaction: bool = False
 
     def __post_init__(self):
+        check_kinds(self, counts=("total_dim",), flags=("interaction",))
         if self.total_dim < 8:
             raise ArgumentError(f"total_dim must be >= 8, got {self.total_dim}")
 
@@ -116,6 +125,27 @@ def _breaks(xs: np.ndarray, dim: int) -> list[float]:
     return row
 
 
+def _clamped(xs: np.ndarray, dim: int) -> np.ndarray:
+    # knots of the sorted predictor xs: each end break repeated to
+    # multiplicity _ORDER
+    row = _breaks(xs, dim)
+    return np.array(row[:1] * (_ORDER - 1) + row + row[-1:] * (_ORDER - 1))
+
+
+def _per_direction(fn, knots: list[np.ndarray], *rows: list[np.ndarray]) -> list[np.ndarray]:
+    # fn(knots[d], *(r[d] for r in rows)) for each direction d of a stack
+    # of terms, as one stacked call over all directions when their knot
+    # vectors are equally long
+    if len({kn.shape[1] for kn in knots}) > 1:
+        return [fn(*args) for args in zip(knots, *rows)]
+    out = fn(np.concatenate(knots), *(np.concatenate(r) for r in rows))
+    return np.split(out, len(knots))
+
+
+def _marginal(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return stacked_basis_values(knots, _ORDER, np.clip(x, knots[:, :1], knots[:, -1:]))
+
+
 def _basis_values(knots: list[np.ndarray], xs: list[np.ndarray]) -> np.ndarray:
     """Tensor-product B-spline values of a stack of terms: for each
     direction d, row i of ``knots[d]`` (m, nk) is a clamped knot vector and
@@ -123,12 +153,11 @@ def _basis_values(knots: list[np.ndarray], xs: list[np.ndarray]) -> np.ndarray:
     points beyond it hold the boundary value. Returns (m, n, prod K_d), the
     marginals' row-wise Kronecker product."""
     block = None
-    for kn, x in zip(knots, xs):
-        marg = stacked_basis_values(kn, _ORDER, np.clip(x, kn[:, :1], kn[:, -1:]))
+    for marg in _per_direction(_marginal, knots, xs):
         if block is None:
             block = marg
         else:
-            block = (block[..., :, None] * marg[..., None, :]).reshape(*x.shape, -1)
+            block = (block[..., :, None] * marg[..., None, :]).reshape(*marg.shape[:2], -1)
     return block
 
 
@@ -159,11 +188,16 @@ def _shrunk_penalties(knots: list[np.ndarray], z: np.ndarray) -> np.ndarray:
     # function-space Gram. Summands are normalized so one lambda weights
     # all directions comparably.
     m = z.shape[0]
+    derivs = (2, 0) if len(knots) > 1 else (2,)
+    grams = {
+        deriv: _per_direction(lambda kn: stacked_derivative_gram(kn, _ORDER, deriv), knots)
+        for deriv in derivs
+    }
     pen = 0.0
     for d in range(len(knots)):
         block = None
-        for e, kn in enumerate(knots):
-            gram = stacked_derivative_gram(kn, _ORDER, 2 if e == d else 0)
+        for e in range(len(knots)):
+            gram = grams[2 if e == d else 0][e]
             if block is None:
                 block = gram
             else:
@@ -180,23 +214,18 @@ def _shrunk_penalties(knots: list[np.ndarray], z: np.ndarray) -> np.ndarray:
     return curv + (v * null[:, None, :]) @ v.transpose(0, 2, 1)
 
 
-def _term(xs: list[np.ndarray], dims: list[int]):
-    """One term over the predictor columns ``xs``, one (n,) array per
-    direction, with per-direction basis sizes ``dims``.
+def _terms(xs: list[np.ndarray], knots: list[np.ndarray]):
+    """A stack of m terms of equal shape: direction d of term i has the
+    points ``xs[d][i]`` (xs[d] is (m, n)) and the clamped knots
+    ``knots[d][i]`` (knots[d] is (m, nk_d)).
 
-    Returns, each as a stack of one for the stacked helpers: clamped
-    knots (1, nk_d) per direction, the sum-to-zero basis z (1, K, k), the
-    transposed design columns lt (1, k, n) and the shrunk penalty (1, k, k).
+    Returns the sum-to-zero bases z (m, K, k), the transposed design
+    columns lt (m, k, n) and the shrunk penalties (m, k, k).
     """
-    # clamped: each end break repeated to multiplicity _ORDER
-    knots = [
-        np.pad(np.array([_breaks(np.sort(x), dim)]), ((0, 0), (_ORDER - 1,) * 2), mode="edge")
-        for x, dim in zip(xs, dims)
-    ]
-    block = _basis_values(knots, [x[None] for x in xs]).transpose(0, 2, 1)
+    block = _basis_values(knots, xs).transpose(0, 2, 1)
     z = _sum_to_zero_bases(block.sum(axis=2))
     lt = z.transpose(0, 2, 1) @ block
-    return knots, z, lt, _shrunk_penalties(knots, z)
+    return z, lt, _shrunk_penalties(knots, z)
 
 
 def _packed_r(a: np.ndarray) -> np.ndarray:
@@ -234,8 +263,8 @@ def _factor(r_inv: np.ndarray, penalties: np.ndarray, eps: np.ndarray):
     V = R^{-1} U diagonalizes the ridged Gram and the penalty at once:
     V^T (X^T X + eps I) V = I and V^T S V = diag(eig). Returns V, the
     shrinkage d = 1 / (1 + lambda eig) over the lambda grid (m, L, k), the
-    EDF d.(1 - eps diag(C)) per lambda (m, L) and the ridge correction
-    C = V^T V.
+    EDF d.(1 - eps diag(C)) per lambda (m, L), the ridge correction
+    C = V^T V and the column norms sqrt(diag(C)) of V (m, k).
     """
     s = r_inv.transpose(0, 2, 1) @ penalties @ r_inv
     s += s.transpose(0, 2, 1)
@@ -244,38 +273,76 @@ def _factor(r_inv: np.ndarray, penalties: np.ndarray, eps: np.ndarray):
     v = r_inv @ u
     c = v.transpose(0, 2, 1) @ v
     d = 1.0 / (1.0 + _LAMBDAS[:, None] * np.clip(eig, 0.0, None)[:, None, :])
-    edf_weights = 1.0 - eps[:, None] * np.diagonal(c, axis1=1, axis2=2)
-    return v, d, (d @ edf_weights[:, :, None])[:, :, 0], c
+    c_diag = np.diagonal(c, axis1=1, axis2=2)
+    edf_weights = 1.0 - eps[:, None] * c_diag
+    return v, d, (d @ edf_weights[:, :, None])[:, :, 0], c, np.sqrt(c_diag)
+
+
+def _gcv_cells(main, ridge_term, yy, den):
+    # GCV of (row, lambda) cells from the parts of their RSS; each rounding
+    # step is monotone, so a larger ridge term never gives a larger GCV and
+    # bounds on the term stay bounds on the GCV
+    rss = main - ridge_term
+    rss += yy
+    return np.maximum(rss, 0.0, out=rss) / den
 
 
 def _gcv_table(z: np.ndarray, yy: np.ndarray, n: int, factor, eps: float):
-    """GCV over the lambda grid for each row of ``z`` (m, k), the
+    """GCV picks over the lambda grid for each row of ``z`` (m, k), the
     projection V^T X^T y of a response with squared norm ``yy``, on one
     design with ``factor`` (from :func:`_factor`, a stack of one) and
     ridge ``eps``.
 
     With shrinkage d, the RSS is yTy - 2 d.z^2 + d^2.z^2 - eps (dz)^T C
-    (dz), the last term undoing the ridge; it is built a chunk of rows at
-    a time, which bounds the (rows, lambda, k) temporaries. Returns, per
-    row, the pick (ties to the largest lambda), its EDF and GCV, and the
-    shrunk projection d z at the pick.
+    (dz), the last term undoing the ridge. That term costs k^2 per
+    (row, lambda) and the rest k, so the term is bounded first: C = V^T V
+    gives 0 <= (dz)^T C (dz) <= (sum_j d_j |z_j| |v_j|)^2, hence a lower
+    and an upper GCV for every cell. Only the lambdas whose lower GCV
+    reaches the row's least upper one can be the pick, and the term is
+    computed at those only. Its rounding there differs from the full
+    (row, lambda) table's by far less than ``_TIE_REL`` of the RSS's
+    parts; a row whose two best GCVs are that close (near-ties, or a flat
+    GCV as for a zero or constant response) gets its whole table row in
+    the table's arithmetic. So the picks are the full table's. Returns,
+    per row, the pick (ties to the largest lambda), its EDF and GCV, and
+    the shrunk projection d z at the pick.
     """
-    _, d, edf, c = factor
-    m = z.shape[0]
-    quad = (d - 2.0) * d
-    rss = np.empty((m, _LAMBDAS.size))
-    for at in range(0, m, _STACK):
-        rows = slice(at, at + _STACK)
+    _, d, edf, c, norms = factor
+    every = np.arange(z.shape[0])
+    main = (((d - 2.0) * d) @ (z * z)[:, :, None])[:, :, 0]
+    yy = yy[:, None]
+    den = (n - edf) ** 2
+    bound = (np.abs(z) * norms) @ d[0].T
+    top = eps * (bound * bound)
+    low, high = _gcv_cells(main, top * _BOUND_SLACKS, yy, den)
+    rows, at = np.nonzero(low <= high.min(axis=1, keepdims=True))
+    dz = d[0, at] * z[rows]
+    ridge = np.einsum("ij,ij->i", dz @ c[0], dz)
+    gcv = np.full(main.shape, np.inf)
+    gcv[rows, at] = _gcv_cells(main[rows, at], eps * ridge, yy[rows, 0], den[0, at])
+    pick = _last_argmin(gcv)
+    best = gcv[every, pick]
+    gcv[every, pick] = np.inf
+    # the RSS's largest parts are yTy, |main| <= yTy and the ridge term,
+    # largest at the smallest lambda, where den is least
+    tol = _TIE_REL * (yy[:, 0] + top[:, 0]) / den.min()
+    rows = np.flatnonzero(gcv.min(axis=1) - best <= tol)
+    if rows.size:
         zr = z[rows]
-        # (dz)^T C (dz) = d^T W d with W = C o z z^T
+        # (dz)^T C (dz) = d^T W d with W = C o z z^T, the full table's
+        # arithmetic
         w = zr[:, :, None] * zr[:, None, :]
         w *= c
         ridge = np.einsum("...lk,...lk->...l", d @ w, d)
-        rss[rows] = (quad @ (zr * zr)[:, :, None])[:, :, 0] - eps * ridge
-    rss += yy[:, None]
-    gcv = np.clip(rss, 0.0, None, out=rss) / (n - edf) ** 2
-    pick = _LAMBDAS.size - 1 - np.argmin(gcv[:, ::-1], axis=1)  # ties -> largest lambda
-    return pick, edf[0, pick], gcv[np.arange(m), pick], d[0, pick] * z
+        table = _gcv_cells(main[rows], eps * ridge, yy[rows], den)
+        pick[rows] = _last_argmin(table)
+        best[rows] = table[np.arange(rows.size), pick[rows]]
+    return pick, edf[0, pick], best, d[0, pick] * z
+
+
+def _last_argmin(gcv: np.ndarray) -> np.ndarray:
+    # per row, the last of the least entries: ties go to the largest lambda
+    return gcv.shape[1] - 1 - np.argmin(gcv[:, ::-1], axis=1)
 
 
 def _predictor_matrix(predictors) -> np.ndarray:
@@ -318,28 +385,42 @@ class AdditiveSmootherDesign:
         self.groups = self._normalize_groups(groups, p)
 
         self._total = min(self.settings.total_dim, max(n // 4, _MIN_TERM_DIM * p))
-        self._bases = []  # per group: its columns, knots and sum-to-zero basis
-        blocks, pens = [np.ones((n, 1))], [np.zeros((1, 1))]
-        for grp in self.groups:
-            knots, z, lt, pen = _term([x[:, j] for j in grp], self._dims(grp))
-            self._bases.append((grp, knots, z))
-            blocks.append(lt[0].T)
-            pens.append(pen[0])
+        # Groups whose directions have the same knot counts are built as one
+        # stack; a group that lost a break to a tie stacks only with its like.
+        stacks: dict[tuple, list[int]] = {}
+        knots = []
+        for i, grp in enumerate(self.groups):
+            knots.append([_clamped(np.sort(x[:, j]), dim) for j, dim in zip(grp, self._dims(grp))])
+            stacks.setdefault(tuple(kn.size for kn in knots[i]), []).append(i)
+        self._bases = [None] * len(self.groups)  # per group: columns, knots, sum-to-zero basis
+        blocks, pens = [None] * len(self.groups), [None] * len(self.groups)
+        for members in stacks.values():
+            q = len(self.groups[members[0]])
+            kn = [np.array([knots[i][d] for i in members]) for d in range(q)]
+            xs = [x.T[[self.groups[i][d] for i in members]] for d in range(q)]
+            z, lt, shrunk = _terms(xs, kn)
+            for at, i in enumerate(members):
+                self._bases[i] = (self.groups[i], [k[at : at + 1] for k in kn], z[at : at + 1])
+                blocks[i], pens[i] = lt[at].T, shrunk[at]
 
-        design = np.hstack(blocks)
+        design = np.hstack([np.ones((n, 1))] + blocks)
         k = design.shape[1]
         if k + 2 > n:
             raise DegenerateDesignError(
                 f"additive design has {k} columns for {n} rows; reduce total_dim"
             )
         # Tiny fixed ridge keeps R invertible under accidental collinearity;
-        # its effect on RSS/EDF is corrected exactly in the GCV table.
+        # its effect on RSS/EDF is corrected exactly in the GCV pick.
         eps = _RIDGE_REL * (np.sum(design**2) / k)
         aug = np.zeros((n + k, k), order="F")
         aug[:n] = design
         aug[n + np.arange(k), np.arange(k)] = np.sqrt(eps)
         self.design = design
-        self.penalty = block_diag(*pens)
+        self.penalty = np.zeros((k, k))
+        at = 1  # the intercept is not penalized
+        for pen in pens:
+            self.penalty[at : at + pen.shape[0], at : at + pen.shape[0]] = pen
+            at += pen.shape[0]
         self.eps = eps
         self._factor = _factor(
             _r_inverse(_packed_r(aug))[None], self.penalty[None], np.array([eps])

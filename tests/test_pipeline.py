@@ -71,6 +71,34 @@ class TestSettings:
         with pytest.raises(ArgumentError, match=rf"^{field} "):
             cls(**kwargs)
 
+    # counts must be integers and flags bools: 2.5 replicates or a flag
+    # spelled "no" would otherwise pass the range checks
+    @pytest.mark.parametrize(
+        "cls, kwargs, field",
+        [
+            (TestConfig, {"seed": 0, "b1": 2.5}, "b1"),
+            (TestConfig, {"seed": 0, "b1": True}, "b1"),
+            (TestConfig, {"seed": 0, "b2": 39.0}, "b2"),
+            (TestConfig, {"seed": 0, "block_len": 20.5}, "block_len"),
+            (TestConfig, {"seed": 0, "end_trim": 10.0}, "end_trim"),
+            (PipelineSettings, {"x_order": 4.5}, "x_order"),
+            (PipelineSettings, {"g_order": 4.0}, "g_order"),
+            (PipelineSettings, {"quad_per_spacing": 2.5}, "quad_per_spacing"),
+            (SmootherSettings, {"total_dim": 40.5}, "total_dim"),
+            (SmootherSettings, {"interaction": "no"}, "interaction"),
+            (PipelineSettings, {"second_order": 1}, "second_order"),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else None,
+    )
+    def test_counts_and_flags_have_their_kind(self, cls, kwargs, field):
+        with pytest.raises(ArgumentError, match=rf"^{field} must be (an integer|true or false)"):
+            cls(**kwargs)
+
+    def test_numpy_integers_and_bools_pass(self):
+        assert TestConfig(seed=0, b1=np.int64(3), block_len=np.int32(20)).b1 == 3
+        assert PipelineSettings(x_order=np.int64(5)).x_order == 5
+        assert SmootherSettings(total_dim=np.int64(30), interaction=np.bool_(True)).interaction
+
     @pytest.mark.parametrize(
         "kwargs, field",
         [

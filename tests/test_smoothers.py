@@ -6,8 +6,15 @@ from numpy.testing import assert_allclose
 from scipy.interpolate import BSpline
 from scipy.linalg import eigh, null_space
 
-from odelof import ArgumentError, DegenerateDesignError, SmootherSettings, block_permute
-from odelof.smoothers import AdditiveSmootherDesign
+from odelof import (
+    ArgumentError,
+    DegenerateDesignError,
+    SmootherSettings,
+    block_permute,
+    config_from_dict,
+    simulate_series,
+)
+from odelof.smoothers import AdditiveSmootherDesign, _terms
 from odelof.splines import BSplineBasis
 
 
@@ -313,3 +320,142 @@ def test_terms_match_reference_build(crossed_data, interaction, dims):
     assert_allclose(q.T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-12)
     # the same penalty in that basis
     assert_allclose(q.T @ ref_pen @ q, pen, rtol=0, atol=1e-9)
+
+
+def reference_gcv_fits(design, ys, ridge=True):
+    """GCV fits of the rows of ``ys`` from the full (row, lambda) table:
+    every cell's RSS yTy - 2 d.z^2 + d^2.z^2 - eps (dz)^T C (dz) on the
+    design's eigenbasis (without the last term if not ``ridge``), the
+    argmin of each row with ties going to the largest lambda. Returns the
+    picks, EDFs and coefficients."""
+    v, d, edf, c, _ = (a[0] for a in design._factor)
+    z = (ys @ design.design) @ v
+    rss = ((d - 2.0) * d @ (z * z)[:, :, None])[:, :, 0]
+    w = z[:, :, None] * z[:, None, :] * c
+    if ridge:
+        rss -= design.eps * np.einsum("...lk,...lk->...l", d @ w, d)
+    rss += np.einsum("ij,ij->i", ys, ys)[:, None]
+    gcv = np.clip(rss, 0.0, None) / (design.n - edf) ** 2
+    pick = d.shape[0] - 1 - np.argmin(gcv[:, ::-1], axis=1)
+    return pick, edf[pick], (d[pick] * z) @ v.T
+
+
+@pytest.fixture(scope="module")
+def vdp_states():
+    cfg = config_from_dict({"system": "vanderpol", "generator": "ode", "master_seed": 7})
+    return simulate_series(cfg, 7).values
+
+
+def lag_layout(states, lag=20):
+    m = states.shape[1]
+    x = np.column_stack([states[lag:], states[:-lag]])
+    return x, [tuple(range(m)), tuple(range(m, 2 * m))]
+
+
+class TestGcvPick:
+    """fit_many picks lambda from bounds on the ridge term and computes the
+    term only where a pick is still open; its picks, EDFs and coefficients
+    are those of the full table."""
+
+    @staticmethod
+    def responses(design, truth, rng):
+        # rows 1 and 4 pick the two ends of the grid; the truth with little
+        # noise is nearly interpolated, where the ridge term moves picks
+        n = design.n
+        y = truth + 0.05 * rng.standard_normal(n)
+        signal = design.design @ rng.standard_normal(design.design.shape[1])
+        return np.array(
+            [y, np.zeros(n), np.full(n, 2.5), 3.0 * y + 1.0, signal, 1e3 * signal]
+            + [signal + e * rng.standard_normal(n) for e in (1e-7, 1e-5, 1e-3)]
+            + [truth + e * rng.standard_normal(n) for e in (1e-7, 1e-4)]
+            + [block_permute(y, 20, rng) for _ in range(40)]
+            + [s * rng.standard_normal(n) for s in (1e-6, 1.0, 1e4) for _ in range(4)]
+        )
+
+    @pytest.mark.parametrize("layout", ["additive", "tensor", "lag-tensor", "lag-additive"])
+    def test_picks_match_the_full_table(self, vdp_states, layout):
+        rng = np.random.default_rng(4)
+        x, groups = vdp_states, None
+        if layout.startswith("lag"):
+            x, groups = lag_layout(vdp_states)
+            groups = groups if layout == "lag-tensor" else None
+        design = AdditiveSmootherDesign(x, SmootherSettings(interaction=layout != "additive"), groups)
+        ys = self.responses(design, np.sin(2.0 * x[:, 0]) * x[:, 1], rng)
+        fits = design.fit_many(ys)
+        pick, edf, coef = reference_gcv_fits(design, ys)
+        assert np.array_equal(fits.lam, design.lambda_grid[pick])
+        assert np.array_equal(fits.edf, edf)
+        assert np.array_equal(fits.coefficients, coef)
+        # both ends of the grid: the zero row at the largest lambda and, on
+        # a tensor design, an exact design combination at the smallest
+        assert fits.lam[1] == design.lambda_grid[-1]
+        if "tensor" in layout:
+            assert fits.lam[4] == design.lambda_grid[0]
+
+    def test_ridge_term_matters_on_the_vanderpol_tensor(self, vdp_states):
+        # eps C is not small beside the identity here, so the ridge term
+        # moves picks; its bound must hold in every (row, lambda) cell
+        design = AdditiveSmootherDesign(vdp_states, SmootherSettings(interaction=True))
+        v, d, _, c, norms = (a[0] for a in design._factor)
+        assert design.eps * np.linalg.norm(c, 2) > 0.1
+        rng = np.random.default_rng(6)
+        ys = self.responses(design, np.sin(2.0 * vdp_states[:, 0]) * vdp_states[:, 1], rng)
+        dz = d[None] * ((ys @ design.design) @ v)[:, None, :]
+        ridge = np.einsum("rlk,kj,rlj->rl", dz, c, dz)
+        bound = (np.abs(dz) @ norms) ** 2
+        assert np.all(ridge <= bound * (1.0 + 1e-12))
+        assert np.all(ridge >= -1e-12 * bound)
+        with_ridge = reference_gcv_fits(design, ys)[0]
+        assert np.array_equal(design.fit_many(ys).lam, design.lambda_grid[with_ridge])
+        assert not np.array_equal(with_ridge, reference_gcv_fits(design, ys, ridge=False)[0])
+
+    def test_picks_match_on_a_crossed_surface(self, crossed_data):
+        x, truth, _ = crossed_data
+        design = AdditiveSmootherDesign(x, SmootherSettings(interaction=True))
+        ys = self.responses(design, truth, np.random.default_rng(8))
+        fits = design.fit_many(ys)
+        pick, edf, _ = reference_gcv_fits(design, ys)
+        assert np.array_equal(fits.lam, design.lambda_grid[pick])
+        assert np.array_equal(fits.edf, edf)
+
+
+class TestStackedBuild:
+    """Groups whose directions have equal knot counts are built as one
+    stack; each term must be the one a build of that term alone gives."""
+
+    @staticmethod
+    def assert_terms_match_one_term_builds(design):
+        at = 1
+        for grp, knots, z in design._bases:
+            alone_z, lt, pen = _terms([design.predictors.T[[j]] for j in grp], knots)
+            k = lt.shape[1]
+            assert np.array_equal(z, alone_z)
+            assert np.array_equal(design.design[:, at : at + k], lt[0].T)
+            assert np.array_equal(design.penalty[at : at + k, at : at + k], pen[0])
+            at += k
+        assert at == design.design.shape[1]
+
+    def test_lag_tensor_layout(self, vdp_states):
+        x, groups = lag_layout(vdp_states)
+        design = AdditiveSmootherDesign(x, SmootherSettings(interaction=True), groups)
+        sizes = [[kn.shape[1] for kn in knots] for _, knots, _ in design._bases]
+        assert sizes[0] == sizes[1]  # one stack of two [4, 4] tensor terms
+        self.assert_terms_match_one_term_builds(design)
+
+    def test_additive_layout(self, vdp_states):
+        x, _ = lag_layout(vdp_states)
+        design = AdditiveSmootherDesign(x, SmootherSettings(interaction=False))
+        assert len(design.groups) == 4
+        self.assert_terms_match_one_term_builds(design)
+
+    @pytest.mark.parametrize("groups", [None, [(0, 2), (1, 3)]])
+    def test_group_that_lost_a_break(self, vdp_states, groups):
+        # a column with few distinct values loses close quantile breaks, so
+        # its knot vector is shorter and its term cannot join the stack
+        x, _ = lag_layout(vdp_states)
+        x[:, 0] = np.round(x[:, 0])
+        settings = SmootherSettings(total_dim=80, interaction=False)
+        design = AdditiveSmootherDesign(x, settings, groups)
+        sizes = [kn.shape[1] for _, knots, _ in design._bases for kn in knots]
+        assert sizes[0] < max(sizes[1:])
+        self.assert_terms_match_one_term_builds(design)
