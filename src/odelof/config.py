@@ -5,6 +5,13 @@ Builtin systems carry experiment defaults (grid, noise levels, proposed
 model, forcing placement, smoothing knobs) that user values override
 key by key. The fully resolved dictionary is echoed into every output
 directory so a run can be reproduced from its artifacts alone.
+
+Validation builds the objects a config describes (the smoothing and test
+settings, and the model with its forcing) and reports their
+:class:`ArgumentError` as a :class:`ConfigError` at the key path, so each
+kind, range, forcing placement and model check is stated once, in its
+class. It checks here only JSON shape, names, and what needs the config's
+own view: the generator keys and ``observed`` against the system.
 """
 
 from __future__ import annotations
@@ -13,12 +20,14 @@ import copy
 import json
 import math
 import os
+import re
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Optional, Union
 
 from .diagnose import TestConfig
 from .errors import ArgumentError, ConfigError
-from .pipeline import PipelineSettings, low_spline_orders
+from .pipeline import PipelineSettings, check_model
 from .smoothers import SmootherSettings
 from .systems import (
     DynamicalSystem,
@@ -187,45 +196,18 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_bool(v) -> bool:
-    return isinstance(v, bool)
-
-
-def _list_of(is_item, what: str):
-    return (lambda v: isinstance(v, list) and all(map(is_item, v)), f"a list of {what}")
-
-
-_INT = (_is_int, "an integer")
-_NUM = (_is_num, "a finite number")
-_BOOL = (_is_bool, "true or false")
-
-# JSON types of the smoothing and test keys; a key that defaults to null
-# may be null
-_BLOCK_TYPES = {
-    "smoothing": {
-        "x_order": _INT,
-        "x_knot_spacing": _NUM,
-        "x_penalty": _NUM,
-        "g_order": _INT,
-        "g_knot_spacing": _NUM,
-        "g_penalty": _NUM,
-        "quad_per_spacing": _INT,
-        "smoother_dim": _INT,
-        "h_interaction": _BOOL,
-        "second_order": _BOOL,
-        "theta_init": _list_of(_is_num, "numbers"),
-        "theta_free": _list_of(_is_bool, "booleans"),
-    },
-    "test": {
-        "b1": _INT,
-        "b2": _INT,
-        "block_len": _INT,
-        "delta": _NUM,
-        "alpha": _NUM,
-        "end_trim": _INT,
-        "max_failed_fraction": _NUM,
-    },
-}
+@contextmanager
+def _at(source: str, key: str, fields):
+    """Turn an ArgumentError raised inside into a ConfigError whose message
+    names each of ``fields`` (field names of the objects block ``key``
+    builds) by its key path: ``x_penalty`` becomes ``smoothing.x_penalty``
+    and ``total_dim`` ``smoothing.smoother_dim``."""
+    try:
+        yield
+    except ArgumentError as exc:
+        named = rf"(?<![\w'])(?:{'|'.join(fields)})(?![\w'])"
+        msg = re.sub(named, lambda m: f"{key}.{_SMOOTHER_KEYS.get(m[0], m[0])}", str(exc))
+        raise ConfigError(f"{source}: {msg}") from None
 
 
 @dataclass
@@ -473,75 +455,18 @@ def _validate(cfg: dict, source: str) -> None:
     if forcing is not None:
         if not isinstance(forcing, dict) or set(forcing) - {"mode", "target"}:
             _fail(source, "forcing", 'must be {"mode": ..., "target": ...}')
-        if forcing.get("mode") not in ("additive", "parameter_replacement"):
-            _fail(source, "forcing.mode", "must be 'additive' or 'parameter_replacement'")
-        if not (_is_int(forcing.get("target")) and forcing["target"] >= 1):
-            _fail(source, "forcing.target", "must be a 1-based integer index")
+        with _at(source, "forcing", ("mode", "target")):
+            spec = ForcingSpec(forcing.get("mode"), forcing.get("target"))
+            if model is not None:
+                with_forcing(builtin_system(model), spec)
 
-    for block, types in _BLOCK_TYPES.items():
-        for key, (is_type, what) in types.items():
-            v = cfg[block][key]
-            nullable = _GENERIC[block][key] is None
-            if not (is_type(v) or (nullable and v is None)):
-                what += " or null" if nullable else ""
-                _fail(source, f"{block}.{key}", f"must be {what}, got {v!r}")
     sm = cfg["smoothing"]
-    for key, why in low_spline_orders(sm):
-        _fail(
-            source,
-            f"smoothing.{key}",
-            f"must be >= 3 with smoothing.{why}, which takes second derivatives; got {sm[key]}",
-        )
-    try:
-        _pipeline_settings(sm)
+    with _at(source, "smoothing", [*sm, *_SMOOTHER_KEYS]):
+        settings = _pipeline_settings(sm)
+        if model is not None:
+            check_model(settings, builtin_system(model))
+    with _at(source, "test", cfg["test"]):
         TestConfig(seed=0, **cfg["test"])
-    except ArgumentError as exc:
-        # the message starts with the field it names
-        name, _, why = str(exc).partition(" ")
-        block = "test" if name in cfg["test"] else "smoothing"
-        _fail(source, f"{block}.{_SMOOTHER_KEYS.get(name, name)}", why)
-    if model is not None:
-        proposed = builtin_system(model)
-        if sm["second_order"] and proposed.dim != 2:
-            _fail(
-                source,
-                "smoothing.second_order",
-                f"fits the state (x, dx/dt) of a two-dimensional model; {model} has "
-                f"dimension {proposed.dim}",
-            )
-        if forcing is not None:
-            mode = forcing["mode"]
-            size, what = (
-                (proposed.dim, "coordinates")
-                if mode == "additive"
-                else (proposed.n_params, "parameters")
-            )
-            if forcing["target"] > size:
-                _fail(
-                    source,
-                    "forcing.target",
-                    f"must lie in 1..{size} ({model} has {size} {what} for {mode} forcing), "
-                    f"got {forcing['target']}",
-                )
-            replaced = proposed.rate.replaced
-            if mode == "parameter_replacement" and forcing["target"] != replaced:
-                _fail(
-                    source,
-                    "forcing.target",
-                    f"has no parameter_replacement value: {model} has no parameter that g "
-                    f"can replace, got {forcing['target']}"
-                    if replaced is None
-                    else f"must be {replaced} for parameter_replacement forcing ({model} puts "
-                    f"g in place of parameter {replaced}), got {forcing['target']}",
-                )
-        for key in ("theta_init", "theta_free"):
-            v = sm[key]
-            if v is not None and len(v) != proposed.n_params:
-                _fail(
-                    source,
-                    f"smoothing.{key}",
-                    f"has {len(v)} entries, {model} expects {proposed.n_params}",
-                )
     if sm["second_order"] and isinstance(system, str):
         if n_obs != 1:
             _fail(

@@ -211,8 +211,14 @@ class TestConfig:
     max_failed_fraction: float = 0.1
 
     def __post_init__(self):
-        optional = [name for name in ("block_len", "end_trim") if getattr(self, name) is not None]
-        check_kinds(self, counts=("b1", "b2", *optional))
+        def given(*names):
+            return [name for name in names if getattr(self, name) is not None]
+
+        check_kinds(
+            self,
+            counts=("b1", "b2", *given("block_len", "end_trim")),
+            reals=("alpha", "max_failed_fraction", *given("delta")),
+        )
         for name in ("b1", "b2"):
             if getattr(self, name) < 1:
                 raise ArgumentError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -19,18 +19,35 @@ class ArgumentError(OdelofError, ValueError):
     """Invalid argument: bad shape, non-finite value, out-of-domain input."""
 
 
-def check_kinds(obj, counts=(), flags=()) -> None:
+def is_count(v) -> bool:
+    """Whether ``v`` is an integer: numpy's integers are, a bool is not."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_real(v) -> bool:
+    """Whether ``v`` is a real number: numpy's floats and integers are, a
+    bool is not."""
+    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+
+
+def is_flag(v) -> bool:
+    """Whether ``v`` is a bool, numpy's included."""
+    return isinstance(v, (bool, np.bool_))
+
+
+def check_kinds(obj, counts=(), reals=(), flags=()) -> None:
     """Raise :class:`ArgumentError`, naming the field, for the first
-    attribute of ``obj`` in ``counts`` that is not an integer (numpy's
-    integers are; a bool is not) or in ``flags`` that is not a bool."""
-    for name in counts:
-        v = getattr(obj, name)
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise ArgumentError(f"{name} must be an integer, got {v!r}")
-    for name in flags:
-        v = getattr(obj, name)
-        if not isinstance(v, (bool, np.bool_)):
-            raise ArgumentError(f"{name} must be true or false, got {v!r}")
+    attribute of ``obj`` in ``counts`` that is not an integer, in ``reals``
+    that is not a real number or in ``flags`` that is not a bool."""
+    for names, is_kind, what in (
+        (counts, is_count, "an integer"),
+        (reals, is_real, "a number"),
+        (flags, is_flag, "true or false"),
+    ):
+        for name in names:
+            v = getattr(obj, name)
+            if not is_kind(v):
+                raise ArgumentError(f"{name} must be {what}, got {v!r}")
 
 
 class RankError(OdelofError):

@@ -12,12 +12,13 @@ its smooth, the smooth's derivatives and the forcing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentError, OdelofError, PipelineError, check_kinds
+from .errors import ArgumentError, OdelofError, PipelineError, check_kinds, is_flag, is_real
 from .estimate import ForcingEstimate, ForcingOperator, GradientMatchFit, gradient_match
 from .smoothers import SmootherSettings
 from .splines import BasisGrid, SmoothingOperator, SplineFunction, make_basis
@@ -31,7 +32,7 @@ class PipelineSettings:
     ``second_order`` fits one observed coordinate x as the state (x, dx/dt)
     of the runner's two-dimensional system. A curvature penalty and the
     second-order state take second derivatives of a spline, so they need
-    its order to be 3 (quadratic) or more (:func:`low_spline_orders`).
+    its order to be 3 (quadratic) or more.
     """
 
     x_order: int = 4
@@ -49,8 +50,17 @@ class PipelineSettings:
     theta_free: Optional[tuple] = None
 
     def __post_init__(self):
+        reals = ("x_knot_spacing", "x_penalty", "g_knot_spacing", "g_penalty")
         counts = ("x_order", "g_order", "quad_per_spacing")
-        check_kinds(self, counts=counts, flags=("second_order",))
+        check_kinds(self, counts=counts, reals=reals, flags=("second_order",))
+        for name, is_item, what in (
+            ("theta_init", lambda v: is_real(v) and math.isfinite(v), "finite numbers"),
+            ("theta_free", is_flag, "booleans"),
+        ):
+            v = getattr(self, name)
+            seq = isinstance(v, (tuple, list)) or (isinstance(v, np.ndarray) and v.ndim == 1)
+            if v is not None and not (seq and all(map(is_item, v))):
+                raise ArgumentError(f"{name} must be a sequence of {what}, got {v!r}")
         for name in ("x_order", "g_order"):
             v = getattr(self, name)
             if not 2 <= v <= 8:
@@ -65,23 +75,34 @@ class PipelineSettings:
                 raise ArgumentError(f"{name} must be nonnegative, got {v!r}")
         if self.quad_per_spacing < 1:
             raise ArgumentError(f"quad_per_spacing must be >= 1, got {self.quad_per_spacing!r}")
-        for name, why in low_spline_orders(vars(self)):
+        for name, why, applies in (
+            ("x_order", "x_penalty > 0", self.x_penalty > 0),
+            ("x_order", "second_order", self.second_order),
+            ("g_order", "g_penalty > 0", self.g_penalty > 0),
+        ):
+            if applies and getattr(self, name) < 3:
+                raise ArgumentError(
+                    f"{name} must be >= 3 with {why}, which takes second derivatives; "
+                    f"got {getattr(self, name)}"
+                )
+
+
+def check_model(settings: PipelineSettings, system: DynamicalSystem) -> None:
+    """Raise :class:`ArgumentError`, naming the field, when ``settings`` do
+    not fit the proposed model ``system``: a second-order fit needs a
+    two-dimensional model, and ``theta_init`` and ``theta_free`` need one
+    entry per parameter."""
+    if settings.second_order and system.dim != 2:
+        raise ArgumentError(
+            f"second_order fits the state (x, dx/dt) of a two-dimensional model; "
+            f"{system.name} has dimension {system.dim}"
+        )
+    for name in ("theta_init", "theta_free"):
+        v = getattr(settings, name)
+        if v is not None and len(v) != system.n_params:
             raise ArgumentError(
-                f"{name} must be >= 3 with {why}, which takes second derivatives; "
-                f"got {getattr(self, name)}"
+                f"{name} has {len(v)} entries, {system.name} expects {system.n_params}"
             )
-
-
-def low_spline_orders(s) -> list[tuple[str, str]]:
-    """The spline orders below 3 that settings ``s`` (a mapping of
-    PipelineSettings fields) take second derivatives of, as (order field,
-    reason) pairs: a curvature penalty, or the second-order state."""
-    needs = (
-        ("x_order", "x_penalty > 0", s["x_penalty"] > 0),
-        ("x_order", "second_order", s["second_order"]),
-        ("g_order", "g_penalty > 0", s["g_penalty"] > 0),
-    )
-    return [(name, why) for name, why, applies in needs if applies and s[name] < 3]
 
 
 @dataclass(frozen=True)
@@ -158,11 +179,7 @@ class PipelineRunner:
         self.smoother = SmoothingOperator(t, self.x_basis, s.x_penalty)
         if system is None:
             raise ArgumentError("a proposed model system is required")
-        if s.second_order and system.dim != 2:
-            raise ArgumentError(
-                f"second-order pipeline fits the state (x, dx/dt); model {system.name} "
-                f"has dim {system.dim}"
-            )
+        check_model(s, system)
         self.system = system
         self._forcing_op = ForcingOperator(
             self.system, self.g_basis, t, s.g_penalty, s.quad_per_spacing

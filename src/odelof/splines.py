@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import ArgumentError, RankError
+from .errors import ArgumentError, RankError, check_kinds
 from .systems import _frozen
 
 
@@ -56,8 +56,9 @@ class BSplineBasis:
     breakpoints: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.order, (int, np.integer)) or self.order < 1:
-            raise ArgumentError(f"order must be a positive integer, got {self.order!r}")
+        check_kinds(self, counts=("order",))
+        if self.order < 1:
+            raise ArgumentError(f"order must be >= 1, got {self.order!r}")
         bp = np.asarray(self.breakpoints, dtype=float)
         if bp.ndim != 1 or bp.size < 2:
             raise ArgumentError("breakpoints must be a 1-D array with at least 2 entries")

@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, BlowupError
+from .errors import ArgumentError, BlowupError, check_kinds
 from .rng import SeedLike, rng_from
 
 RateFn = Callable[[np.ndarray, object, np.ndarray, object], np.ndarray]
@@ -70,10 +70,11 @@ class ForcingSpec:
     def __post_init__(self):
         if self.mode not in _FORCING_MODES:
             raise ArgumentError(
-                f"forcing mode must be one of {_FORCING_MODES}, got {self.mode!r}"
+                f"mode must be 'additive' or 'parameter_replacement', got {self.mode!r}"
             )
-        if not isinstance(self.target, (int, np.integer)) or self.target < 1:
-            raise ArgumentError(f"forcing target must be a 1-based index, got {self.target!r}")
+        check_kinds(self, counts=("target",))
+        if self.target < 1:
+            raise ArgumentError(f"target must be a 1-based index, got {self.target!r}")
 
 
 @dataclass(frozen=True)
@@ -109,31 +110,30 @@ class DynamicalSystem:
     theta_default: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        check_kinds(self, counts=("dim", "n_params"))
         if self.dim < 1:
-            raise ArgumentError(f"system dimension must be >= 1, got {self.dim}")
+            raise ArgumentError(f"dim must be >= 1, got {self.dim}")
         if self.n_params < 0:
             raise ArgumentError(f"n_params must be >= 0, got {self.n_params}")
-        if self.forcing is not None and self.forcing.mode == "additive":
-            if self.forcing.target > self.dim:
+        if self.forcing is not None:
+            mode, target = self.forcing.mode, self.forcing.target
+            size, what = (
+                (self.dim, "coordinates") if mode == "additive" else (self.n_params, "parameters")
+            )
+            if target > size:
                 raise ArgumentError(
-                    f"additive forcing target {self.forcing.target} exceeds dim {self.dim}"
+                    f"target must lie in 1..{size} ({self.name} has {size} {what} for {mode} "
+                    f"forcing), got {target}"
                 )
-        if self.forcing is not None and self.forcing.mode == "parameter_replacement":
-            if self.forcing.target > self.n_params:
+            # a CoordinateRate alone decides where g goes
+            replaced = self.rate.replaced if isinstance(self.rate, CoordinateRate) else target
+            if mode == "parameter_replacement" and target != replaced:
                 raise ArgumentError(
-                    f"replaced parameter index {self.forcing.target} exceeds "
-                    f"n_params {self.n_params}"
-                )
-            if isinstance(self.rate, CoordinateRate) and self.forcing.target != self.rate.replaced:
-                # the rate alone decides where g goes
-                where = (
-                    "has no parameter that g can replace"
-                    if self.rate.replaced is None
-                    else f"replaces parameter {self.rate.replaced}"
-                )
-                raise ArgumentError(
-                    f"{self.name}: parameter_replacement forcing targets parameter "
-                    f"{self.forcing.target}, but its rate {where}"
+                    f"target has no parameter_replacement value: {self.name} has no parameter "
+                    f"that g can replace, got {target}"
+                    if replaced is None
+                    else f"target must be {replaced} for parameter_replacement forcing "
+                    f"({self.name} puts g in place of parameter {replaced}), got {target}"
                 )
         if self.theta_default is not None:
             th = np.asarray(self.theta_default, dtype=float)

@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import solve_ivp
 
 from odelof import (
     ForcingOperator,
@@ -256,6 +257,55 @@ class TestCriterion4Oracles:
             ok,
         )
         assert ok
+
+
+ROADMAP_ITEM_1 = pytest.mark.xfail(
+    strict=True,
+    reason="the default ode.substep takes one RK4 step per grid interval, too coarse "
+    "for this system (ROADMAP item 1)",
+)
+
+
+class TestGeneratorAccuracy:
+    @pytest.mark.parametrize(
+        "system",
+        [
+            "linear2d",
+            "rosenzweig_macarthur_log",
+            "rossler",
+            pytest.param("rossler_chaotic", marks=ROADMAP_ITEM_1),
+            pytest.param("vanderpol", marks=ROADMAP_ITEM_1),
+            "vanderpol_order2",
+        ],
+    )
+    def test_default_path_follows_its_ode(self, system, capsys):
+        # the noise-free data on the observed coordinates lie within a tenth
+        # of the noise sd of a tight DOP853 solution of the same ODE
+        cfg = config_from_dict({"system": system})
+        r = cfg.resolved
+        generator, theta = cfg.generator_system(), cfg.generator_theta()
+        times = np.linspace(r["t_span"][0], r["t_span"][1], r["n_points"])
+        path = integrate(generator, theta, r["x0"], times, substep=r["ode"]["substep"])
+        ref = solve_ivp(
+            lambda t, x: np.asarray(generator.rate(x, t, theta, None)),
+            r["t_span"],
+            r["x0"],
+            method="DOP853",
+            t_eval=times,
+            rtol=1e-12,
+            atol=1e-12,
+        )
+        obs = np.asarray(r["observed"]) - 1
+        err = np.abs(path.states[:, obs] - ref.y.T[:, obs]).max(axis=0)
+        bound = 0.1 * np.sqrt(np.broadcast_to(r["noise_var"], obs.shape))
+        ok = bool(np.all(err <= bound))
+        emit(
+            capsys,
+            4,
+            f"{system} default path vs DOP853: max error {err.max():.2e} <= {bound.min():.2e}",
+            ok,
+        )
+        assert ok, f"{system}: error {err} above {bound}"
 
 
 class TestCriterion5Recovery:

@@ -1,9 +1,21 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from odelof import TestAbortedError, cli
+from odelof import (
+    ArgumentError,
+    ConfigError,
+    ForcingSpec,
+    PipelineSettings,
+    TestAbortedError,
+    builtin_system,
+    cli,
+    config_from_dict,
+    with_forcing,
+)
+from odelof.pipeline import check_model
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -18,6 +30,7 @@ def write_config(path: Path, **overrides) -> Path:
     raw.update(overrides)
     path.write_text(json.dumps(raw))
     return path
+
 
 
 class TestSimulate:
@@ -232,6 +245,61 @@ class TestExportPlots:
         assert (plots / "rate_overlay.csv").exists()
         assert (plots / "h_surface.csv").exists()
 
+def forced(model, mode, target):
+    return lambda: with_forcing(builtin_system(model), ForcingSpec(mode, target))
+
+
+def checked(model, **settings):
+    return lambda: check_model(PipelineSettings(**settings), builtin_system(model))
+
+
+# (config override, message, the constructor call that states the rule, or
+# None for a rule that needs the config's view of the data)
+MODEL_ROWS = [
+    (
+        {"system": "vanderpol", "forcing": {"mode": "additive", "target": 5}},
+        "forcing.target must lie in 1..2 (linear2d has 2 coordinates",
+        forced("linear2d", "additive", 5),
+    ),
+    (
+        {
+            "system": "rosenzweig_macarthur_log",
+            "forcing": {"mode": "parameter_replacement", "target": 8},
+        },
+        "forcing.target must lie in 1..7 (rosenzweig_macarthur_log has 7 parameters",
+        forced("rosenzweig_macarthur_log", "parameter_replacement", 8),
+    ),
+    (
+        {"system": "rosenzweig_macarthur_log", "smoothing": {"theta_init": [1.0, 6.0]}},
+        "smoothing.theta_init has 2 entries, rosenzweig_macarthur_log expects 7",
+        checked("rosenzweig_macarthur_log", theta_init=(1.0, 6.0)),
+    ),
+    (
+        {"system": "vanderpol", "smoothing": {"theta_free": [True, False]}},
+        "smoothing.theta_free has 2 entries, linear2d expects 4",
+        checked("linear2d", theta_free=(True, False)),
+    ),
+    (
+        {"system": "vanderpol_order2", "observed": [1, 2]},
+        "smoothing.second_order fits one observed coordinate; vanderpol_order2 observes 2",
+        None,
+    ),
+    (
+        {
+            "system": "rosenzweig_macarthur_log",
+            "forcing": {"mode": "parameter_replacement", "target": 3},
+        },
+        "forcing.target must be 7 for parameter_replacement forcing "
+        "(rosenzweig_macarthur_log puts g in place of parameter 7), got 3",
+        forced("rosenzweig_macarthur_log", "parameter_replacement", 3),
+    ),
+    (
+        {"system": "vanderpol", "forcing": {"mode": "parameter_replacement", "target": 1}},
+        "forcing.target has no parameter_replacement value: linear2d has no parameter",
+        forced("linear2d", "parameter_replacement", 1),
+    ),
+]
+
 
 class TestArgumentHandling:
     def test_requires_a_subcommand(self):
@@ -272,46 +340,7 @@ class TestArgumentHandling:
         assert code == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "override, message",
-        [
-            (
-                {"system": "vanderpol", "forcing": {"mode": "additive", "target": 5}},
-                "forcing.target must lie in 1..2 (linear2d has 2 coordinates",
-            ),
-            (
-                {
-                    "system": "rosenzweig_macarthur_log",
-                    "forcing": {"mode": "parameter_replacement", "target": 8},
-                },
-                "forcing.target must lie in 1..7 (rosenzweig_macarthur_log has 7 parameters",
-            ),
-            (
-                {"system": "rosenzweig_macarthur_log", "smoothing": {"theta_init": [1.0, 6.0]}},
-                "smoothing.theta_init has 2 entries, rosenzweig_macarthur_log expects 7",
-            ),
-            (
-                {"system": "vanderpol", "smoothing": {"theta_free": [True, False]}},
-                "smoothing.theta_free has 2 entries, linear2d expects 4",
-            ),
-            (
-                {"system": "vanderpol_order2", "observed": [1, 2]},
-                "smoothing.second_order fits one observed coordinate; vanderpol_order2 observes 2",
-            ),
-            (
-                {
-                    "system": "rosenzweig_macarthur_log",
-                    "forcing": {"mode": "parameter_replacement", "target": 3},
-                },
-                "forcing.target must be 7 for parameter_replacement forcing "
-                "(rosenzweig_macarthur_log puts g in place of parameter 7), got 3",
-            ),
-            (
-                {"system": "vanderpol", "forcing": {"mode": "parameter_replacement", "target": 1}},
-                "forcing.target has no parameter_replacement value: linear2d has no parameter",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("override, message", [row[:2] for row in MODEL_ROWS])
     def test_model_settings_are_checked_against_the_model(
         self, tmp_path, capsys, override, message
     ):
@@ -321,6 +350,19 @@ class TestArgumentHandling:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "override, build",
+        [pytest.param(override, build, id=message) for override, message, build in MODEL_ROWS if build],
+    )
+    def test_model_settings_state_the_constructors_rule(self, override, build):
+        with pytest.raises(ConfigError) as by_config:
+            config_from_dict({"master_seed": 1, **override})
+        with pytest.raises(ArgumentError) as by_constructor:
+            build()
+        # the config names each field by its key path; the words are the same
+        field_names = re.sub(r"^config: |\b(forcing|smoothing)\.", "", str(by_config.value))
+        assert field_names == str(by_constructor.value)
 
     @pytest.mark.parametrize(
         "smoothing, message",

@@ -94,10 +94,46 @@ class TestSettings:
         with pytest.raises(ArgumentError, match=rf"^{field} must be (an integer|true or false)"):
             cls(**kwargs)
 
+    # a number held as a string or a bool, or a parameter list of the wrong
+    # kind, would otherwise raise a bare TypeError later or be accepted
+    @pytest.mark.parametrize(
+        "cls, kwargs, field, kind",
+        [
+            (PipelineSettings, {"x_penalty": "0"}, "x_penalty", "a number"),
+            (PipelineSettings, {"x_knot_spacing": True}, "x_knot_spacing", "a number"),
+            (PipelineSettings, {"x_penalty": True}, "x_penalty", "a number"),
+            (PipelineSettings, {"g_knot_spacing": True}, "g_knot_spacing", "a number"),
+            (PipelineSettings, {"g_penalty": False}, "g_penalty", "a number"),
+            (PipelineSettings, {"theta_init": ("a",)}, "theta_init", "a sequence of finite numbers"),
+            (PipelineSettings, {"theta_init": (1.0, np.inf)}, "theta_init", "a sequence of finite"),
+            (PipelineSettings, {"theta_init": 1.0}, "theta_init", "a sequence of finite numbers"),
+            (PipelineSettings, {"theta_free": (1, 0)}, "theta_free", "a sequence of booleans"),
+            (TestConfig, {"seed": 0, "alpha": "0.05"}, "alpha", "a number"),
+            (TestConfig, {"seed": 0, "delta": "1"}, "delta", "a number"),
+            (TestConfig, {"seed": 0, "max_failed_fraction": None}, "max_failed_fraction", "a number"),
+            (TestConfig, {"seed": 0, "alpha": True}, "alpha", "a number"),
+            (TestConfig, {"seed": 0, "delta": True}, "delta", "a number"),
+            (TestConfig, {"seed": 0, "max_failed_fraction": False}, "max_failed_fraction", "a number"),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else None,
+    )
+    def test_numbers_and_sequences_have_their_kind(self, cls, kwargs, field, kind):
+        with pytest.raises(ArgumentError, match=rf"^{field} must be {kind}"):
+            cls(**kwargs)
+
     def test_numpy_integers_and_bools_pass(self):
         assert TestConfig(seed=0, b1=np.int64(3), block_len=np.int32(20)).b1 == 3
         assert PipelineSettings(x_order=np.int64(5)).x_order == 5
         assert SmootherSettings(total_dim=np.int64(30), interaction=np.bool_(True)).interaction
+
+    def test_numpy_numbers_and_arrays_pass(self):
+        assert TestConfig(seed=0, alpha=np.float64(0.1), delta=np.int64(2)).alpha == 0.1
+        s = PipelineSettings(
+            x_penalty=np.float32(0.5),
+            theta_init=np.array([1.0, 2.0]),
+            theta_free=np.array([True, False]),
+        )
+        assert s.x_penalty == 0.5
 
     @pytest.mark.parametrize(
         "kwargs, field",
@@ -174,7 +210,7 @@ class TestSecondOrder:
         assert err.value.stage == "smooth"
 
     def test_needs_a_two_dimensional_model(self):
-        with pytest.raises(ArgumentError, match="rossler has dim 3"):
+        with pytest.raises(ArgumentError, match="rossler has dimension 3"):
             PipelineRunner(np.linspace(0, 6, 200), builtin_system("rossler"), self.SETTINGS)
 
     def test_recovers_coefficients_from_low_noise_data(self):

@@ -97,6 +97,12 @@ class TestBasis:
         assert basis != make_basis(4, (0.0, 2.0), 0.4)
         assert basis != "basis"
 
+    @pytest.mark.parametrize("order", [True, 4.0])
+    def test_order_is_an_integer(self, order):
+        with pytest.raises(ArgumentError, match="^order must be an integer"):
+            BSplineBasis(order, np.linspace(0.0, 1.0, 3))
+        assert BSplineBasis(np.int64(4), np.linspace(0.0, 1.0, 3)).order == 4
+
     def test_evaluation_outside_domain_rejected(self):
         basis = make_basis(4, (0.0, 1.0), 0.5)
         with pytest.raises(ArgumentError, match="lie in"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -507,11 +509,11 @@ class TestForcingPlumbing:
     def test_replacement_target_is_the_rates_replaced_parameter(self):
         rm = builtin_system("rosenzweig_macarthur_log")
         assert with_forcing(rm, ForcingSpec("parameter_replacement", 7)).forcing.target == 7
-        with pytest.raises(ArgumentError, match="targets parameter 3, but its rate replaces parameter 7"):
+        with pytest.raises(ArgumentError, match="target must be 7 for parameter_replacement forcing"):
             with_forcing(rm, ForcingSpec("parameter_replacement", 3))
         with pytest.raises(ArgumentError, match="has no parameter that g can replace"):
             with_forcing(builtin_system("linear2d"), ForcingSpec("parameter_replacement", 1))
-        with pytest.raises(ArgumentError, match="replaces parameter 7"):
+        with pytest.raises(ArgumentError, match=r"scaled puts g in place of parameter 7\), got 6"):
             DynamicalSystem(
                 name="scaled",
                 dim=2,
@@ -532,6 +534,26 @@ class TestForcingPlumbing:
     def test_with_forcing_replaces_spec(self):
         sys = with_forcing(circle_system(), ForcingSpec("additive", 1))
         assert sys.forcing.target == 1
+
+    # an index or a size held as a bool or a float would pass the range checks
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: ForcingSpec("additive", True), "target"),
+            (lambda: dataclasses.replace(circle_system(), dim=2.5), "dim"),
+            (lambda: dataclasses.replace(circle_system(), dim=True), "dim"),
+            (lambda: dataclasses.replace(circle_system(), n_params=1.5), "n_params"),
+        ],
+        ids=["target", "dim-float", "dim-bool", "n_params"],
+    )
+    def test_indices_and_sizes_are_integers(self, make, field):
+        with pytest.raises(ArgumentError, match=rf"^{field} must be an integer"):
+            make()
+
+    def test_numpy_integers_pass(self):
+        assert ForcingSpec("additive", np.int64(2)).target == 2
+        rate = circle_system().rate
+        assert DynamicalSystem("s", np.int64(2), np.int32(4), rate).n_params == 4
 
     def test_scale_rate_scales(self):
         sys = scale_rate(builtin_system("rossler"), 2.0)
