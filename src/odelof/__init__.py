@@ -33,7 +33,7 @@ from .systems import (
     simulate_sde,
     with_forcing,
 )
-from .seriesio import read_timeseries_csv, series_csv_text, write_series_csv
+from .seriesio import read_timeseries_csv, write_series_csv
 from .splines import (
     BasisGrid,
     BSplineBasis,
@@ -54,7 +54,6 @@ from .diagnose import (
     DiagnosticReport,
     FStatResult,
     TestConfig,
-    block_permute,
     case2_test,
     case3_test,
     default_block_len,
@@ -99,7 +98,6 @@ __all__ = [
     "simulate_sde",
     "with_forcing",
     "read_timeseries_csv",
-    "series_csv_text",
     "write_series_csv",
     "BasisGrid",
     "BSplineBasis",
@@ -119,7 +117,6 @@ __all__ = [
     "DiagnosticReport",
     "FStatResult",
     "TestConfig",
-    "block_permute",
     "case2_test",
     "case3_test",
     "default_block_len",

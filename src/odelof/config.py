@@ -18,15 +18,16 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 import os
 import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Optional, Union
 
+import numpy as np
+
 from .diagnose import TestConfig
-from .errors import ArgumentError, ConfigError
+from .errors import ArgumentError, ConfigError, is_finite_real
 from .pipeline import PipelineSettings, check_model
 from .smoothers import SmootherSettings
 from .systems import (
@@ -184,12 +185,8 @@ def _check_keys(source: str, d: dict, allowed: dict, prefix: str = ""):
             _check_keys(source, d[key], allowed[key], prefix=f"{prefix}{key}.")
 
 
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def _is_pos(v) -> bool:
-    return _is_num(v) and v > 0
+    return is_finite_real(v) and v > 0
 
 
 def _is_int(v) -> bool:
@@ -287,8 +284,6 @@ class ExperimentConfig:
         return sys
 
     def generator_theta(self):
-        import numpy as np
-
         sys = builtin_system(self.system_name)
         theta = self.resolved["theta"]
         return sys.theta_default if theta is None else np.asarray(theta, dtype=float)
@@ -353,6 +348,8 @@ def load_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
         raise ConfigError(
             f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer literal too long for Python to convert
+        raise ConfigError(f"{source}: {exc}") from None
     return config_from_dict(raw, source=source)
 
 
@@ -393,13 +390,13 @@ def _validate(cfg: dict, source: str) -> None:
     for key in ("theta", "x0"):
         v = cfg[key]
         if v is not None and not (
-            isinstance(v, list) and v and all(_is_num(x) for x in v)
+            isinstance(v, list) and v and all(is_finite_real(x) for x in v)
         ):
             _fail(source, key, "must be a list of finite numbers")
     ts = cfg["t_span"]
     if ts is not None:
         if not (
-            isinstance(ts, list) and len(ts) == 2 and all(_is_num(x) for x in ts)
+            isinstance(ts, list) and len(ts) == 2 and all(is_finite_real(x) for x in ts)
             and ts[1] > ts[0]
         ):
             _fail(source, "t_span", "must be [start, end] with end > start")
@@ -408,8 +405,8 @@ def _validate(cfg: dict, source: str) -> None:
         _fail(source, "n_points", f"must be an integer >= 4, got {npts!r}")
     nv = cfg["noise_var"]
     if nv is not None:
-        ok = (_is_num(nv) and nv >= 0) or (
-            isinstance(nv, list) and nv and all(_is_num(x) and x >= 0 for x in nv)
+        ok = (is_finite_real(nv) and nv >= 0) or (
+            isinstance(nv, list) and nv and all(is_finite_real(x) and x >= 0 for x in nv)
         )
         if not ok:
             _fail(source, "noise_var", "must be a nonnegative number or list")
@@ -420,8 +417,8 @@ def _validate(cfg: dict, source: str) -> None:
         _fail(source, "observed", "must be a list of 1-based coordinate indices")
     sde = cfg["sde"]
     s2 = sde["sigma2"]
-    ok = (_is_num(s2) and s2 >= 0) or (
-        isinstance(s2, list) and s2 and all(_is_num(x) and x >= 0 for x in s2)
+    ok = (is_finite_real(s2) and s2 >= 0) or (
+        isinstance(s2, list) and s2 and all(is_finite_real(x) and x >= 0 for x in s2)
     )
     if not ok:
         _fail(source, "sde.sigma2", "must be a nonnegative number or list")
@@ -440,7 +437,7 @@ def _validate(cfg: dict, source: str) -> None:
             _fail(source, "observed", f"indices must lie in 1..{generator.dim} for {system}")
 
     ode = cfg["ode"]
-    if not _is_num(ode["rate_scale"]) or ode["rate_scale"] == 0:
+    if not is_finite_real(ode["rate_scale"]) or ode["rate_scale"] == 0:
         _fail(source, "ode.rate_scale", "must be a nonzero finite number")
     if ode["substep"] is not None and not _is_pos(ode["substep"]):
         _fail(source, "ode.substep", "must be a positive number or null")

@@ -24,10 +24,10 @@ agree only to rounding); the test rejects when the mean of the p_b falls
 below alpha.
 
 The B2 permutations of a replicate run as one batch: their block orders
-come from the replicate's generator in the order of B2
-:func:`block_permute` calls (:func:`block_permutation_indices`), the
-permuted responses, one per row, are fitted together, each with its own
-GCV lambda (:meth:`~odelof.smoothers.AdditiveSmootherDesign.fit_many`),
+are B2 successive draws from the replicate's generator
+(:func:`block_permutation_indices`), the permuted responses, one per
+row, are fitted together, each with its own GCV lambda
+(:meth:`~odelof.smoothers.AdditiveSmootherDesign.fit_many`),
 and their F values come from the column kernels that
 :func:`f_stat_case2` and :func:`f_stat_case3` wrap. A permutation changes
 only the response: the h0 and h1 designs are built once per replicate.
@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from . import __version__
-from .errors import ArgumentError, OdelofError, TestAbortedError, check_kinds
+from .errors import ArgumentError, OdelofError, TestAbortedError, check_kinds, is_finite_real
 from .pipeline import PipelineRunner, PipelineSettings
 from .rng import SeedLike, as_seed_sequence, rng_from
 from .smoothers import AdditiveSmootherDesign
@@ -169,13 +169,6 @@ def block_permutation_indices(
     return rows.T
 
 
-def block_permute(values, block_len: int, rng: np.random.Generator) -> np.ndarray:
-    """Permute consecutive blocks of rows; a final short block permutes
-    along with the full ones. The row multiset is preserved."""
-    v = np.asarray(values, dtype=float)
-    return v[block_permutation_indices(v.shape[0], block_len, 1, rng)[:, 0]]
-
-
 def residual_bootstrap_resample(
     values, fitted, rng: np.random.Generator
 ) -> np.ndarray:
@@ -226,8 +219,8 @@ class TestConfig:
             raise ArgumentError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.block_len is not None and self.block_len < 2:
             raise ArgumentError(f"block_len must be >= 2, got {self.block_len}")
-        if self.delta is not None and (not np.isfinite(self.delta) or self.delta <= 0):
-            raise ArgumentError(f"delta must be positive, got {self.delta}")
+        if self.delta is not None and (not is_finite_real(self.delta) or self.delta <= 0):
+            raise ArgumentError(f"delta must be positive and finite, got {self.delta}")
         if self.end_trim is not None and self.end_trim < 0:
             raise ArgumentError(f"end_trim must be >= 0, got {self.end_trim}")
         if not 0.0 <= self.max_failed_fraction < 1.0:

@@ -6,6 +6,7 @@ Everything raised on purpose derives from :class:`OdelofError` so callers
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -28,6 +29,15 @@ def is_real(v) -> bool:
     """Whether ``v`` is a real number: numpy's floats and integers are, a
     bool is not."""
     return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+
+
+def is_finite_real(v) -> bool:
+    """Whether ``v`` is a real number (as for :func:`is_real`) that converts
+    to a finite float: an integer too large for a float is not."""
+    try:
+        return is_real(v) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def is_flag(v) -> bool:

@@ -17,8 +17,9 @@ functions here match model rates to the smooth's derivative:
 Both Gauss-Newton fits run one damped loop, :func:`_descend`; they differ
 only in the step (a finite-difference theta Jacobian solved by least
 squares, or the banded g step). Their ``converged`` flag says the loop
-stopped before its iteration cap: the objective stalled to within ``tol``,
-or no shortened step kept it from growing.
+stopped before its cap of ``_GN_MAX_ITER`` iterations: the objective
+stalled to within ``_GN_TOL`` relative, or no shortened step kept it from
+growing.
 
 ``x_hat`` arguments are callables ``x_hat(t, deriv)`` returning state values
 or their time derivative; a SplineFunction qualifies. A second-order scalar
@@ -35,7 +36,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solveh_banded
 
-from .errors import ArgumentError, ConvergenceError, RankError
+from .errors import ArgumentError, ConvergenceError, RankError, is_finite_real
 from .rng import SeedLike, rng_from
 from .splines import BasisGrid, BSplineBasis, SplineFunction
 from .systems import DynamicalSystem, rate_values
@@ -75,7 +76,7 @@ class GradientMatchFit:
     ``objective`` is the total weighted squared mismatch; ``objectives``
     breaks it down per state coordinate. ``converged`` is True for the
     closed form and, for Gauss-Newton, says the loop stopped before
-    ``max_iter``; ``n_iter`` counts its iterations (1 for the closed form).
+    ``_GN_MAX_ITER``; ``n_iter`` counts its iterations (1 for the closed form).
     """
 
     theta: np.ndarray
@@ -129,8 +130,6 @@ def gradient_match(
     theta_init=None,
     free_mask=None,
     quad_per_spacing: int = 4,
-    max_iter: int = _GN_MAX_ITER,
-    tol: float = _GN_TOL,
     seed: SeedLike = 0,
 ) -> GradientMatchFit:
     """Estimate theta by gradient matching with g held at zero.
@@ -225,7 +224,7 @@ def gradient_match(
 
     best = None
     for start in starts:
-        result = _descend(residual, jacobian_step, start, max_iter, tol)
+        result = _descend(residual, jacobian_step, start, _GN_MAX_ITER, _GN_TOL)
         if result is not None and (best is None or result.objective < best.objective):
             best = result
     if best is None:
@@ -293,7 +292,7 @@ class ForcingEstimate:
     coordinates in replacement mode); ``objective_unforced`` is the same
     quantity at g's neutral value, for before/after comparison. In
     replacement mode ``converged`` says the Gauss-Newton loop stopped
-    before ``max_iter`` and ``n_iter`` counts its iterations; the
+    before ``_GN_MAX_ITER`` and ``n_iter`` counts its iterations; the
     additive closed form reports True and 1.
     """
 
@@ -347,8 +346,8 @@ class ForcingOperator:
     ):
         if system.forcing is None:
             raise ArgumentError(f"system {system.name} has no forcing specification")
-        if not np.isfinite(penalty) or penalty < 0:
-            raise ArgumentError(f"penalty must be nonnegative, got {penalty!r}")
+        if not is_finite_real(penalty) or penalty < 0:
+            raise ArgumentError(f"penalty must be nonnegative and finite, got {penalty!r}")
         self.system = system
         self.basis = g_basis
         self.nodes, self.weights = quad_grid(times, quad_per_spacing)
@@ -393,13 +392,12 @@ class ForcingOperator:
             w, v = np.linalg.eigh(pen)
             self._pen_root = (v * np.sqrt(np.clip(w, 0.0, None))).T
 
-    def fit(
-        self, xhat, theta, max_iter: int = _GN_MAX_ITER, tol: float = _GN_TOL
-    ) -> ForcingEstimate:
+    def fit(self, xhat, theta) -> ForcingEstimate:
         """Estimate g at ``theta`` for the smooth ``xhat(t, deriv)``.
 
-        ``max_iter`` and ``tol`` bound the replacement-mode Gauss-Newton
-        (it stops on a relative change of the objective below ``tol``).
+        The replacement-mode Gauss-Newton stops on a relative change of
+        the objective below ``_GN_TOL`` or after ``_GN_MAX_ITER``
+        iterations.
 
         Raises
         ------
@@ -418,7 +416,7 @@ class ForcingOperator:
         x, dx = _state_on_grid(xhat, self.nodes, system.dim)
         if system.forcing.mode == "additive":
             return self._fit_additive(x, dx, theta)
-        return self._fit_replacement(x, dx, theta, max_iter, tol)
+        return self._fit_replacement(x, dx, theta)
 
     def _fit_additive(self, x, dx, theta) -> ForcingEstimate:
         target = self.system.forcing.target - 1
@@ -474,7 +472,7 @@ class ForcingOperator:
             rhs = np.concatenate([rhs, self._pen_root @ coef])
         return np.linalg.lstsq(jac, rhs, rcond=None)[0]
 
-    def _fit_replacement(self, x, dx, theta, max_iter, tol) -> ForcingEstimate:
+    def _fit_replacement(self, x, dx, theta) -> ForcingEstimate:
         system, nodes, sw = self.system, self.nodes, self._sqrt_w
 
         def residual(coef):
@@ -494,7 +492,7 @@ class ForcingOperator:
 
         replaced = theta[system.forcing.target - 1]
         start = np.full(self.basis.size, replaced, dtype=float)  # partition of unity
-        fit = _descend(residual, banded_step, start, max_iter, tol)
+        fit = _descend(residual, banded_step, start, _GN_MAX_ITER, _GN_TOL)
         if fit is None:
             raise ConvergenceError("replacement forcing start produced non-finite residuals")
         return ForcingEstimate(

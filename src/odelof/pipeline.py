@@ -12,13 +12,12 @@ its smooth, the smooth's derivatives and the forcing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentError, OdelofError, PipelineError, check_kinds, is_flag, is_real
+from .errors import ArgumentError, OdelofError, PipelineError, check_kinds, is_finite_real, is_flag
 from .estimate import ForcingEstimate, ForcingOperator, GradientMatchFit, gradient_match
 from .smoothers import SmootherSettings
 from .splines import BasisGrid, SmoothingOperator, SplineFunction, make_basis
@@ -54,7 +53,7 @@ class PipelineSettings:
         counts = ("x_order", "g_order", "quad_per_spacing")
         check_kinds(self, counts=counts, reals=reals, flags=("second_order",))
         for name, is_item, what in (
-            ("theta_init", lambda v: is_real(v) and math.isfinite(v), "finite numbers"),
+            ("theta_init", is_finite_real, "finite numbers"),
             ("theta_free", is_flag, "booleans"),
         ):
             v = getattr(self, name)
@@ -67,12 +66,12 @@ class PipelineSettings:
                 raise ArgumentError(f"{name} must be in 2..8, got {v!r}")
         for name in ("x_knot_spacing", "g_knot_spacing"):
             v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0:
-                raise ArgumentError(f"{name} must be positive, got {v!r}")
+            if not is_finite_real(v) or v <= 0:
+                raise ArgumentError(f"{name} must be positive and finite, got {v!r}")
         for name in ("x_penalty", "g_penalty"):
             v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ArgumentError(f"{name} must be nonnegative, got {v!r}")
+            if not is_finite_real(v) or v < 0:
+                raise ArgumentError(f"{name} must be nonnegative and finite, got {v!r}")
         if self.quad_per_spacing < 1:
             raise ArgumentError(f"quad_per_spacing must be >= 1, got {self.quad_per_spacing!r}")
         for name, why, applies in (

@@ -16,19 +16,12 @@ import numpy as np
 from .diagnose import DiagnosticReport, _Case3Stat
 from .errors import ArgumentError, BlowupError
 from .pipeline import CompanionState
+from .seriesio import _write_csv
 from .smoothers import AdditiveSmootherDesign, SmootherSettings
 from .systems import DynamicalSystem, TimeSeries, builtin_system, integrate, rate_values
 
 _SURFACE_SIDE = 41
 _CURVE_POINTS = 201
-
-
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    n = columns[0].shape[0]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(f"{col[i]:.17g}" for col in columns) + "\n")
 
 
 def export_diagnostic_plots(

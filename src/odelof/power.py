@@ -19,15 +19,12 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .diagnose import DiagnosticReport, TestConfig, case2_test, case3_test, report_json
-from .errors import OdelofError, TestAbortedError
+from .errors import TestAbortedError
 from .rng import as_seed_sequence
 from .seriesio import write_series_csv
 from .systems import TimeSeries, integrate, observe, simulate_sde
 
 _TEST_FN = {"case2": case2_test, "case3": case3_test}
-
-# one entropy stream per purpose so adding tests never shifts sim noise
-_SIM_STREAM, _TEST_STREAM = 0, 1
 
 
 def simulate_series(config: ExperimentConfig, seed) -> TimeSeries:

@@ -7,7 +7,6 @@ is byte-identical.
 
 from __future__ import annotations
 
-import io
 import os
 from typing import Union
 
@@ -17,34 +16,24 @@ from .errors import ArgumentError
 from .systems import TimeSeries, Trajectory
 
 
-def _columns(obj: Union[TimeSeries, Trajectory]) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(obj, TimeSeries):
-        return obj.times, obj.values
-    if isinstance(obj, Trajectory):
-        return obj.times, obj.states
-    raise ArgumentError(f"expected TimeSeries or Trajectory, got {type(obj).__name__}")
-
-
 def write_series_csv(path: Union[str, os.PathLike], obj: Union[TimeSeries, Trajectory]) -> None:
     """Write a series to ``path`` in the time,x1,...,xd format."""
-    times, values = _columns(obj)
+    if isinstance(obj, TimeSeries):
+        values = obj.values
+    elif isinstance(obj, Trajectory):
+        values = obj.states
+    else:
+        raise ArgumentError(f"expected TimeSeries or Trajectory, got {type(obj).__name__}")
+    header = ["time"] + [f"x{j + 1}" for j in range(values.shape[1])]
+    _write_csv(path, header, [obj.times, *values.T])
+
+
+def _write_csv(path: Union[str, os.PathLike], header: list[str], columns: list[np.ndarray]):
+    # one row per entry of the equally long columns, 17 significant digits
     with open(path, "w", newline="\n") as fh:
-        _write(fh, times, values)
-
-
-def series_csv_text(obj: Union[TimeSeries, Trajectory]) -> str:
-    times, values = _columns(obj)
-    buf = io.StringIO()
-    _write(buf, times, values)
-    return buf.getvalue()
-
-
-def _write(fh, times: np.ndarray, values: np.ndarray) -> None:
-    m = values.shape[1]
-    fh.write("time," + ",".join(f"x{j + 1}" for j in range(m)) + "\n")
-    for i in range(times.size):
-        row = [f"{times[i]:.17g}"] + [f"{values[i, j]:.17g}" for j in range(m)]
-        fh.write(",".join(row) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def read_timeseries_csv(path: Union[str, os.PathLike]) -> TimeSeries:

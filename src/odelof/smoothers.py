@@ -31,9 +31,8 @@ basis and closed-form penalty Grams. One routine turns the design's
 triangular factor and penalty into the eigenbasis the GCV search needs
 (:func:`_factor`). :func:`_gcv_table` picks each response row's lambda:
 bounds on the RSS's ridge term give every (row, lambda) cell a lower and
-an upper GCV at O(k) cost, the term itself (O(k^2)) is computed only
-where they leave the pick open, and the picks are those of the full
-table.
+an upper GCV at O(k) cost, and the term itself (O(k^2)) is computed
+only where they leave the pick open.
 """
 
 from __future__ import annotations
@@ -58,10 +57,6 @@ _LAMBDAS.flags.writeable = False  # shared by every design
 # looser one only keeps more lambdas
 _BOUND_SLACKS = np.array([1.0 + 1e-6, -1e-6])[:, None, None]
 _BOUND_SLACKS.flags.writeable = False
-# two GCVs of a row closer than this share of its RSS's largest parts (over
-# the least GCV denominator) could swap order under the rounding of the
-# ridge term, which stays below 1e-13 of them
-_TIE_REL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -299,45 +294,23 @@ def _gcv_table(z: np.ndarray, yy: np.ndarray, n: int, factor, eps: float):
     gives 0 <= (dz)^T C (dz) <= (sum_j d_j |z_j| |v_j|)^2, hence a lower
     and an upper GCV for every cell. Only the lambdas whose lower GCV
     reaches the row's least upper one can be the pick, and the term is
-    computed at those only. Its rounding there differs from the full
-    (row, lambda) table's by far less than ``_TIE_REL`` of the RSS's
-    parts; a row whose two best GCVs are that close (near-ties, or a flat
-    GCV as for a zero or constant response) gets its whole table row in
-    the table's arithmetic. So the picks are the full table's. Returns,
-    per row, the pick (ties to the largest lambda), its EDF and GCV, and
-    the shrunk projection d z at the pick.
+    computed at those only. Returns, per row, the pick (ties to the
+    largest lambda), its EDF and GCV, and the shrunk projection d z at the
+    pick.
     """
     _, d, edf, c, norms = factor
-    every = np.arange(z.shape[0])
     main = (((d - 2.0) * d) @ (z * z)[:, :, None])[:, :, 0]
     yy = yy[:, None]
     den = (n - edf) ** 2
     bound = (np.abs(z) * norms) @ d[0].T
-    top = eps * (bound * bound)
-    low, high = _gcv_cells(main, top * _BOUND_SLACKS, yy, den)
+    low, high = _gcv_cells(main, eps * (bound * bound) * _BOUND_SLACKS, yy, den)
     rows, at = np.nonzero(low <= high.min(axis=1, keepdims=True))
     dz = d[0, at] * z[rows]
     ridge = np.einsum("ij,ij->i", dz @ c[0], dz)
     gcv = np.full(main.shape, np.inf)
     gcv[rows, at] = _gcv_cells(main[rows, at], eps * ridge, yy[rows, 0], den[0, at])
     pick = _last_argmin(gcv)
-    best = gcv[every, pick]
-    gcv[every, pick] = np.inf
-    # the RSS's largest parts are yTy, |main| <= yTy and the ridge term,
-    # largest at the smallest lambda, where den is least
-    tol = _TIE_REL * (yy[:, 0] + top[:, 0]) / den.min()
-    rows = np.flatnonzero(gcv.min(axis=1) - best <= tol)
-    if rows.size:
-        zr = z[rows]
-        # (dz)^T C (dz) = d^T W d with W = C o z z^T, the full table's
-        # arithmetic
-        w = zr[:, :, None] * zr[:, None, :]
-        w *= c
-        ridge = np.einsum("...lk,...lk->...l", d @ w, d)
-        table = _gcv_cells(main[rows], eps * ridge, yy[rows], den)
-        pick[rows] = _last_argmin(table)
-        best[rows] = table[np.arange(rows.size), pick[rows]]
-    return pick, edf[0, pick], best, d[0, pick] * z
+    return pick, edf[0, pick], gcv[np.arange(z.shape[0]), pick], d[0, pick] * z
 
 
 def _last_argmin(gcv: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import ArgumentError, RankError, check_kinds
+from .errors import ArgumentError, RankError, check_kinds, is_finite_real
 from .systems import _frozen
 
 
@@ -413,7 +413,7 @@ class SmoothingOperator:
 
     def __init__(self, times, basis: BSplineBasis, penalty: float):
         t = np.asarray(times, dtype=float)
-        if not np.isfinite(penalty) or penalty < 0:
+        if not is_finite_real(penalty) or penalty < 0:
             raise ArgumentError(f"penalty must be nonnegative and finite, got {penalty!r}")
         self.basis = basis
         self.penalty = float(penalty)

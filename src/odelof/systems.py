@@ -701,15 +701,7 @@ def builtin_system(name: str) -> DynamicalSystem:
     except KeyError:
         known = ", ".join(sorted(_BUILTINS))
         raise ArgumentError(f"unknown system {name!r}; available: {known}") from None
-    return DynamicalSystem(
-        name=name,
-        dim=spec["dim"],
-        n_params=spec["n_params"],
-        rate=spec["rate"],
-        linear_in_params=spec["linear_in_params"],
-        forcing=spec["forcing"],
-        theta_default=np.asarray(spec["theta_default"], dtype=float),
-    )
+    return DynamicalSystem(name=name, **spec)
 
 
 def builtin_names() -> tuple[str, ...]:

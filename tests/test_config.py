@@ -137,6 +137,16 @@ class TestRejection:
             key_path("cells", {"cells": []}),
             key_path("smoothing", {"smoothing": 5}),
             key_path("ode", {"ode": None}),
+            # integers too large for a float are not finite numbers
+            key_path("theta", {"theta": [10**400, 1, 1, 1]}, id="theta-oversized"),
+            key_path("noise_var", {"noise_var": 10**400}, id="noise_var-oversized"),
+            key_path("t_span", {"t_span": [0, 10**400]}, id="t_span-oversized"),
+            key_path(
+                "smoothing.x_penalty",
+                {"smoothing": {"x_penalty": 10**400}},
+                id="x_penalty-oversized",
+            ),
+            key_path("test.delta", {"test": {"delta": 10**400}}, id="delta-oversized"),
         ],
     )
     def test_semantic_checks(self, override, fragment):
@@ -144,6 +154,20 @@ class TestRejection:
         raw.update(override)
         with pytest.raises(ConfigError, match=fragment):
             config_from_dict(raw)
+
+    def test_integers_a_float_holds_are_numbers(self):
+        # 10**30 validates as 1e30 does
+        big = 10**30
+        config_from_dict(
+            {
+                "system": "linear2d",
+                "theta": [big, 1, 1, 1],
+                "noise_var": big,
+                "t_span": [0, big],
+                "smoothing": {"x_penalty": big},
+                "test": {"delta": big},
+            }
+        )
 
     @pytest.mark.parametrize(
         "smoothing, fragment",
@@ -209,6 +233,12 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.json")
+
+    def test_integer_literal_too_long_to_parse(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"system": "linear2d", "theta": [1' + "0" * 5000 + ", 1, 1, 1]}")
+        with pytest.raises(ConfigError, match=r"long\.json: .*digits"):
+            load_config(path)
 
 
 class TestAccessors:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
 
 from odelof import (
     ArgumentError,
@@ -15,7 +14,6 @@ from odelof import (
     FStatResult,
     TestAbortedError,
     TestConfig,
-    block_permute,
     builtin_system,
     case2_test,
     case3_test,
@@ -139,28 +137,27 @@ class TestFStatColumns:
             assert np.array_equal(a, b)
 
 
+def reference_block_permute(values, block_len, rng):
+    """The rows of ``values`` in blocks of ``block_len`` (the last may be
+    short), reordered by one ``rng.permutation`` draw of the block order."""
+    v = np.asarray(values, dtype=float)
+    n_blocks = -(-v.shape[0] // block_len)
+    blocks = [v[k * block_len : (k + 1) * block_len] for k in range(n_blocks)]
+    return np.concatenate([blocks[k] for k in rng.permutation(n_blocks)])
+
+
+def one_block_permutation(n, block_len, seed):
+    return block_permutation_indices(n, block_len, 1, np.random.default_rng(seed))[:, 0]
+
+
 class TestBlockPermutationIndices:
     @pytest.mark.parametrize("n, block_len", [(60, 5), (63, 5), (7, 10), (9, 1)])
-    def test_columns_are_successive_block_permutes(self, n, block_len):
-        v = np.random.default_rng(0).standard_normal(n)
-        rng_a, rng_b = np.random.default_rng(12), np.random.default_rng(12)
-        idx = block_permutation_indices(n, block_len, 30, rng_a)
-        expected = np.column_stack([block_permute(v, block_len, rng_b) for _ in range(30)])
-        assert idx.shape == (n, 30)
-        assert np.array_equal(v[idx], expected)
-        # the generators drew the same stream
-        assert rng_a.random() == rng_b.random()
-
-    @pytest.mark.parametrize("n, block_len", [(60, 5), (63, 5), (7, 10), (9, 1)])
     def test_orders_are_successive_permutation_draws(self, n, block_len):
-        n_blocks = -(-n // block_len)
         rng_a, rng_b = np.random.default_rng(12), np.random.default_rng(12)
         idx = block_permutation_indices(n, block_len, 30, rng_a)
-        blocks = [np.arange(n)[k * block_len : (k + 1) * block_len] for k in range(n_blocks)]
-        expected = np.column_stack(
-            [np.concatenate([blocks[k] for k in rng_b.permutation(n_blocks)]) for _ in range(30)]
-        )
-        assert np.array_equal(idx, expected)
+        expected = [reference_block_permute(np.arange(n), block_len, rng_b) for _ in range(30)]
+        assert idx.shape == (n, 30)
+        assert np.array_equal(idx, np.column_stack(expected))
         # the next draw of both generators agrees
         assert rng_a.random() == rng_b.random()
 
@@ -177,40 +174,27 @@ class TestBlockPermutationIndices:
         with pytest.raises(ArgumentError, match="nothing"):
             block_permutation_indices(0, 2, 3, np.random.default_rng(0))
 
-
-class TestBlockPermute:
     def test_preserves_row_multiset(self):
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal((37, 2))
-        out = block_permute(v, 5, np.random.default_rng(1))
+        v = np.random.default_rng(0).standard_normal((37, 2))
+        out = v[one_block_permutation(37, 5, 1)]
         assert out.shape == v.shape
-        assert_allclose(np.sort(out, axis=0), np.sort(v, axis=0))
+        assert np.array_equal(np.sort(out, axis=0), np.sort(v, axis=0))
 
     def test_blocks_stay_contiguous(self):
-        v = np.arange(12, dtype=float)
-        out = block_permute(v, 3, np.random.default_rng(2))
-        chunks = out.reshape(4, 3)
-        # each chunk is one of the original runs of 3 consecutive values
+        chunks = one_block_permutation(12, 3, 2).reshape(4, 3)
+        # each chunk is one of the original runs of 3 consecutive rows
         for c in chunks:
-            assert_allclose(np.diff(c), 1.0)
+            assert np.array_equal(np.diff(c), [1, 1])
             assert c[0] % 3 == 0
 
     def test_block_len_at_least_n_is_identity(self):
-        v = np.arange(10, dtype=float)
-        out = block_permute(v, 10, np.random.default_rng(3))
-        assert_allclose(out, v)
-        out = block_permute(v, 25, np.random.default_rng(4))
-        assert_allclose(out, v)
+        assert np.array_equal(one_block_permutation(10, 10, 3), np.arange(10))
+        assert np.array_equal(one_block_permutation(10, 25, 4), np.arange(10))
 
     def test_deterministic_under_seed(self):
-        v = np.arange(20, dtype=float)
-        a = block_permute(v, 4, np.random.default_rng(7))
-        b = block_permute(v, 4, np.random.default_rng(7))
-        assert_allclose(a, b)
-
-    def test_rejects_bad_block(self):
-        with pytest.raises(ArgumentError):
-            block_permute(np.arange(5.0), 0, np.random.default_rng(0))
+        a = block_permutation_indices(20, 4, 5, np.random.default_rng(7))
+        b = block_permutation_indices(20, 4, 5, np.random.default_rng(7))
+        assert np.array_equal(a, b)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -219,9 +203,7 @@ class TestBlockPermute:
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_multiset_property(self, n, block, seed):
-        v = np.arange(n, dtype=float)
-        out = block_permute(v, block, np.random.default_rng(seed))
-        assert np.array_equal(np.sort(out), v)
+        assert np.array_equal(np.sort(one_block_permutation(n, block, seed)), np.arange(n))
 
 
 class TestResidualBootstrap:
@@ -495,7 +477,7 @@ class TestCase3LagUpdate:
         rng = np.random.default_rng(4)
         f_k = []
         for _ in range(99):
-            g_k = block_permute(g - h0, block_len, rng) + h0
+            g_k = reference_block_permute(g - h0, block_len, rng) + h0
             h0_k = fit_one(design0, g_k)[0][rows]
             f_k.append(f_stat_case3(g_k[rows], h0_k, fit_one(design1, g_k[rows])[0]).value)
         assert f0 == f_stat_case3(g[rows], h0[rows], h1)
@@ -584,7 +566,7 @@ class TestCase2Batched:
         rng = np.random.default_rng(4)
         f_k = []
         for _ in range(99):
-            g_k = block_permute(g, 9, rng)
+            g_k = reference_block_permute(g, 9, rng)
             f_k.append(f_stat_case2(g_k, fit_one(design, g_k)[0]).value)
         h, edf_h = fit_one(design, g)
         assert f0 == f_stat_case2(g, h)

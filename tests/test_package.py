@@ -1,5 +1,5 @@
 import odelof
-from odelof import estimate
+from odelof import diagnose, estimate, seriesio
 
 
 def test_every_exported_name_resolves():
@@ -15,3 +15,12 @@ def test_one_estimation_path():
         assert name not in odelof.__all__
         assert not hasattr(odelof, name)
         assert not hasattr(estimate, name)
+
+
+def test_no_test_only_wrappers():
+    # block permutations come from diagnose.block_permutation_indices and
+    # series files from write_series_csv
+    for module, name in ((diagnose, "block_permute"), (seriesio, "series_csv_text")):
+        assert name not in odelof.__all__
+        assert not hasattr(odelof, name)
+        assert not hasattr(module, name)

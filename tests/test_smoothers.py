@@ -10,10 +10,10 @@ from odelof import (
     ArgumentError,
     DegenerateDesignError,
     SmootherSettings,
-    block_permute,
     config_from_dict,
     simulate_series,
 )
+from odelof.diagnose import block_permutation_indices
 from odelof.smoothers import AdditiveSmootherDesign, _terms
 from odelof.splines import BSplineBasis
 
@@ -110,7 +110,7 @@ class TestFitMany:
         design = AdditiveSmootherDesign(x, SmootherSettings(interaction=interaction))
         ys = np.array(
             [y, truth, 3.0 * truth + 1.0, np.zeros_like(y), np.full_like(y, 2.5)]
-            + [block_permute(y, 20, rng) for _ in range(30)]
+            + list(y[block_permutation_indices(y.size, 20, 30, rng).T])
             + [rng.standard_normal(y.size) for _ in range(5)]
         )
         fits = design.fit_many(ys)
@@ -368,7 +368,7 @@ class TestGcvPick:
             [y, np.zeros(n), np.full(n, 2.5), 3.0 * y + 1.0, signal, 1e3 * signal]
             + [signal + e * rng.standard_normal(n) for e in (1e-7, 1e-5, 1e-3)]
             + [truth + e * rng.standard_normal(n) for e in (1e-7, 1e-4)]
-            + [block_permute(y, 20, rng) for _ in range(40)]
+            + list(y[block_permutation_indices(n, 20, 40, rng).T])
             + [s * rng.standard_normal(n) for s in (1e-6, 1.0, 1e4) for _ in range(4)]
         )
 
