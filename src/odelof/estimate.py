@@ -366,9 +366,12 @@ class ForcingOperator:
         try:
             self._factor = cho_factor(gram)
         except np.linalg.LinAlgError:
-            raise RankError(
-                "forcing design is singular; refine the quadrature or add a penalty"
-            ) from None
+            advice = (
+                "the penalty may be too large for the data's scale"
+                if pen is not None
+                else "refine the quadrature or add a penalty"
+            )
+            raise RankError(f"forcing design is singular; {advice}") from None
 
     def _band_replacement(self, grid: BasisGrid, pen: Optional[np.ndarray]):
         order, size = self.basis.order, self.basis.size

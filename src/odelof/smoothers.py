@@ -24,19 +24,24 @@ permutation tests swap only the response within a replicate (case 3's
 lagged predictors are lagged states, fixed with the states), so one
 factorized design serves every permutation.
 
-Terms are built as arrays, a stack of equal-shaped terms at a time
-(:func:`_terms`; case 3's two tensor terms are one stack): knots,
-B-spline columns by the Cox-de Boor recursion, a Householder sum-to-zero
-basis and closed-form penalty Grams. One routine turns the design's
-triangular factor and penalty into the eigenbasis the GCV search needs
-(:func:`_factor`). :func:`_gcv_table` picks each response row's lambda:
-bounds on the RSS's ridge term give every (row, lambda) cell a lower and
-an upper GCV at O(k) cost, and the term itself (O(k^2)) is computed
-only where they leave the pick open.
+Designs are built as a stack (:func:`build_designs`, such as the h0 and
+h1 designs of a chunk of bootstrap replicates); one design is the stack
+of one. Knots come per design. Terms are built as arrays, a stack of
+equal-shaped terms at a time across the designs and their groups
+(:func:`_terms`; case 3's two tensor terms are one stack): B-spline
+columns by the Cox-de Boor recursion, a Householder sum-to-zero basis
+and closed-form penalty Grams. The QR of each ridged design is its own;
+one routine turns the triangular factors and penalties of all designs
+of a width into the eigenbasis the GCV search needs (:func:`_factor`).
+:func:`_gcv_table` picks each response row's lambda: bounds on the RSS's
+ridge term give every (row, lambda) cell a lower and an upper GCV at
+O(k) cost, and the term itself (O(k^2)) is computed only where they
+leave the pick open.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -44,7 +49,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dtrtri
 
-from .errors import ArgumentError, DegenerateDesignError, check_kinds
+from .errors import ArgumentError, DegenerateDesignError, OdelofError, check_kinds
 from .splines import stacked_basis_values, stacked_derivative_gram
 
 _RIDGE_REL = 1e-10
@@ -318,6 +323,95 @@ def _last_argmin(gcv: np.ndarray) -> np.ndarray:
     return gcv.shape[1] - 1 - np.argmin(gcv[:, ::-1], axis=1)
 
 
+def build_designs(layouts, settings: Optional[SmootherSettings] = None) -> list:
+    """Designs of many predictor sets, built as one stack.
+
+    ``layouts`` holds (predictors, groups) pairs, each as the arguments of
+    :class:`AdditiveSmootherDesign`, all under one ``settings``. Entry i of
+    the result is the design of ``layouts[i]``, bit for bit the one a build
+    of it alone gives, or the :class:`~odelof.errors.OdelofError` that build
+    raises, so a degenerate member spoils none of the others.
+    """
+    built, laid, knots = [], [], []
+    for predictors, groups in layouts:
+        design = object.__new__(AdditiveSmootherDesign)
+        try:
+            knots.append(design._lay_out(predictors, settings, groups))
+        except OdelofError as exc:
+            design = exc
+        else:
+            laid.append(design)
+        built.append(design)
+    errors = iter(_assemble(laid, knots))
+    for i, design in enumerate(built):
+        if not isinstance(design, OdelofError):
+            built[i] = next(errors) or design
+    return built
+
+
+def _assemble(designs: list, knots: list) -> list:
+    """Terms, design matrices, penalties and factors of laid-out designs
+    (``knots[i]`` from ``designs[i]._lay_out``), built together.
+
+    Knot vectors are per design; the terms of every design and group with
+    the same row and knot counts are one :func:`_terms` call (a group that
+    lost a break to a tie stacks only with its like); the QR is per design;
+    designs of one width share a :func:`_factor` call. Returns per design
+    None, or the DegenerateDesignError its QR raised.
+    """
+    stacks: dict[tuple, list[tuple[int, int]]] = {}
+    for i, (design, kns) in enumerate(zip(designs, knots)):
+        design._bases = [None] * len(design.groups)  # per group: columns, knots, sum-to-zero basis
+        for g, group_knots in enumerate(kns):
+            stacks.setdefault((design.n, tuple(kn.size for kn in group_knots)), []).append((i, g))
+    parts = [[None] * len(design.groups) for design in designs]  # per group: columns, penalty
+    for members in stacks.values():
+        q = len(knots[members[0][0]][members[0][1]])
+        kn = [np.array([knots[i][g][d] for i, g in members]) for d in range(q)]
+        xs = [
+            np.array([designs[i].predictors[:, designs[i].groups[g][d]] for i, g in members])
+            for d in range(q)
+        ]
+        z, lt, shrunk = _terms(xs, kn)
+        for at, (i, g) in enumerate(members):
+            term_knots = [k[at : at + 1] for k in kn]
+            designs[i]._bases[g] = (designs[i].groups[g], term_knots, z[at : at + 1])
+            parts[i][g] = (lt[at].T, shrunk[at])
+
+    errors = [None] * len(designs)
+    widths: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for i, design in enumerate(designs):
+        n = design.n
+        matrix = np.hstack([np.ones((n, 1))] + [cols for cols, _ in parts[i]])
+        k = matrix.shape[1]
+        # Tiny fixed ridge keeps R invertible under accidental collinearity;
+        # its effect on RSS/EDF is corrected exactly in the GCV pick.
+        eps = _RIDGE_REL * (np.sum(matrix**2) / k)
+        aug = np.zeros((n + k, k), order="F")
+        aug[:n] = matrix
+        aug[n + np.arange(k), np.arange(k)] = np.sqrt(eps)
+        design.design = matrix
+        design.penalty = np.zeros((k, k))
+        at = 1  # the intercept is not penalized
+        for _, pen in parts[i]:
+            design.penalty[at : at + pen.shape[0], at : at + pen.shape[0]] = pen
+            at += pen.shape[0]
+        design.eps = eps
+        try:
+            widths.setdefault(k, []).append((i, _r_inverse(_packed_r(aug))))
+        except DegenerateDesignError as exc:
+            errors[i] = exc
+    for members in widths.values():
+        factor = _factor(
+            np.array([r_inv for _, r_inv in members]),
+            np.array([designs[i].penalty for i, _ in members]),
+            np.array([designs[i].eps for i, _ in members]),
+        )
+        for at, (i, _) in enumerate(members):
+            designs[i]._factor = tuple(a[at : at + 1] for a in factor)
+    return errors
+
+
 def _predictor_matrix(predictors) -> np.ndarray:
     x = np.asarray(predictors, dtype=float)
     if x.ndim == 1:
@@ -337,7 +431,8 @@ class AdditiveSmootherDesign:
     predictor columns into terms: singleton groups get univariate spline
     terms, larger groups get joint tensor-product terms. By default the
     fit is additive (all singletons) unless ``settings.interaction``
-    joins every column into one tensor term.
+    joins every column into one tensor term. A design is the stack of one
+    of :func:`build_designs`, which builds many at once.
     """
 
     lambda_grid = _LAMBDAS
@@ -348,6 +443,13 @@ class AdditiveSmootherDesign:
         settings: Optional[SmootherSettings] = None,
         groups: Optional[list[tuple[int, ...]]] = None,
     ):
+        (error,) = _assemble([self], [self._lay_out(predictors, settings, groups)])
+        if error is not None:
+            raise error
+
+    def _lay_out(self, predictors, settings, groups) -> list[list[np.ndarray]]:
+        # checks the predictors and groups and sets the design's shape;
+        # returns each group's clamped knot vectors, one per direction
         self.settings = settings or SmootherSettings()
         x = _predictor_matrix(predictors)
         n, p = x.shape
@@ -356,48 +458,19 @@ class AdditiveSmootherDesign:
         self.n, self.p = n, p
         self.predictors = x
         self.groups = self._normalize_groups(groups, p)
-
         self._total = min(self.settings.total_dim, max(n // 4, _MIN_TERM_DIM * p))
-        # Groups whose directions have the same knot counts are built as one
-        # stack; a group that lost a break to a tie stacks only with its like.
-        stacks: dict[tuple, list[int]] = {}
-        knots = []
-        for i, grp in enumerate(self.groups):
-            knots.append([_clamped(np.sort(x[:, j]), dim) for j, dim in zip(grp, self._dims(grp))])
-            stacks.setdefault(tuple(kn.size for kn in knots[i]), []).append(i)
-        self._bases = [None] * len(self.groups)  # per group: columns, knots, sum-to-zero basis
-        blocks, pens = [None] * len(self.groups), [None] * len(self.groups)
-        for members in stacks.values():
-            q = len(self.groups[members[0]])
-            kn = [np.array([knots[i][d] for i in members]) for d in range(q)]
-            xs = [x.T[[self.groups[i][d] for i in members]] for d in range(q)]
-            z, lt, shrunk = _terms(xs, kn)
-            for at, i in enumerate(members):
-                self._bases[i] = (self.groups[i], [k[at : at + 1] for k in kn], z[at : at + 1])
-                blocks[i], pens[i] = lt[at].T, shrunk[at]
-
-        design = np.hstack([np.ones((n, 1))] + blocks)
-        k = design.shape[1]
+        knots = [
+            [_clamped(np.sort(x[:, j]), dim) for j, dim in zip(grp, self._dims(grp))]
+            for grp in self.groups
+        ]
+        # the intercept, then K - 1 sum-to-zero columns per term of K
+        # tensor-product functions
+        k = 1 + sum(math.prod(kn.size - _ORDER for kn in kns) - 1 for kns in knots)
         if k + 2 > n:
             raise DegenerateDesignError(
                 f"additive design has {k} columns for {n} rows; reduce total_dim"
             )
-        # Tiny fixed ridge keeps R invertible under accidental collinearity;
-        # its effect on RSS/EDF is corrected exactly in the GCV pick.
-        eps = _RIDGE_REL * (np.sum(design**2) / k)
-        aug = np.zeros((n + k, k), order="F")
-        aug[:n] = design
-        aug[n + np.arange(k), np.arange(k)] = np.sqrt(eps)
-        self.design = design
-        self.penalty = np.zeros((k, k))
-        at = 1  # the intercept is not penalized
-        for pen in pens:
-            self.penalty[at : at + pen.shape[0], at : at + pen.shape[0]] = pen
-            at += pen.shape[0]
-        self.eps = eps
-        self._factor = _factor(
-            _r_inverse(_packed_r(aug))[None], self.penalty[None], np.array([eps])
-        )
+        return knots
 
     def _normalize_groups(
         self, groups: Optional[list[tuple[int, ...]]], p: int

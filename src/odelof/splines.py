@@ -14,7 +14,8 @@ basis is a stack of one.
   can differ from scipy's in the last bit, where those round apart.
 * :class:`BasisGrid` keeps a basis's nonzero values at fixed points. Any
   number of splines on that basis are then evaluated there by a short
-  gather and sum per point; the pipeline's refits use this.
+  gather and sum per point; the pipeline's refits use this. A dense
+  design matrix scatters those values into zeros.
 * :func:`stacked_basis_values` evaluates a stack of bases at once and
   :func:`stacked_derivative_gram` gives their penalty Grams in closed
   form; every term of the GCV smoother (:mod:`odelof.smoothers`) is built
@@ -118,7 +119,16 @@ class BSplineBasis:
     def design_matrix(self, t, deriv: int = 0) -> np.ndarray:
         """Evaluate all basis functions (or a derivative) at points ``t``,
         or at the points of a :class:`BasisGrid` of this basis."""
-        return _grid_for(self, t, deriv).combine(np.eye(self.size), deriv)
+        grid = _grid_for(self, t, deriv)
+        if deriv > 0:
+            return grid.combine(np.eye(self.size), deriv)
+        # the nonzero values scattered into zeros: the bits of combine on
+        # the identity at O(n K), not O(n K order); + 0.0 as combine sums
+        # from 0.0, so a -0.0 value reads 0.0
+        cols, vals = grid.nonzero()
+        out = np.zeros((cols.shape[0], self.size))
+        np.put_along_axis(out, cols, vals + 0.0, axis=1)
+        return out.reshape(grid.points.shape + (self.size,))
 
     def penalty_gram(self, deriv: int = 2) -> np.ndarray:
         """Exact Gram matrix of derivative inner products.
@@ -221,8 +231,7 @@ def _cox_de_boor(
     p = q - 1
     m, n = t.shape
     nk = knots.shape[1]
-    span = np.array([np.searchsorted(k, x, side="right") for k, x in zip(knots, t)]) - 1
-    np.clip(span, order - 1, nk - order - 1, out=span)
+    span = _spans(knots, order, t)
     at = span + (np.arange(m) * nk)[:, None]
     flat = knots.ravel()
     left = np.empty((p, m, n))  # row j - 1: t - k_{i+1-j}
@@ -246,6 +255,23 @@ def _cox_de_boor(
         vals[j] = saved
     kept.append(vals)
     return span, kept
+
+
+def _spans(knots: np.ndarray, order: int, t: np.ndarray) -> np.ndarray:
+    # The span i of each point, k_i <= t < k_{i+1}, with the right end of
+    # the domain in the last nonempty span: order - 1 plus the count of
+    # the interior knots at or below t (the knots and points of
+    # _cox_de_boor). Comparisons are exact, so the count is too: one
+    # vectorized compare per interior knot over a whole stack, whose
+    # smoother rows have a handful; a single basis, which can have
+    # hundreds, takes numpy's binary search, the same count.
+    inner = knots[:, order : knots.shape[1] - order]
+    if knots.shape[0] == 1:
+        return order - 1 + np.searchsorted(inner[0], t, side="right")
+    span = np.full(t.shape, order - 1, dtype=np.intp)
+    for j in range(inner.shape[1]):
+        span += inner[:, j : j + 1] <= t
+    return span
 
 
 def _dense(span: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
@@ -425,10 +451,14 @@ class SmoothingOperator:
         try:
             self._factor = cho_factor(gram)
         except np.linalg.LinAlgError:
+            advice = (
+                "the penalty may be too large for the data's scale"
+                if penalty > 0
+                else "increase the penalty or coarsen the knots"
+            )
             raise RankError(
                 f"smoothing system is singular ({t.size} observations, "
-                f"{basis.size} basis functions, penalty={penalty:g}); "
-                "increase the penalty or coarsen the knots"
+                f"{basis.size} basis functions, penalty={penalty:g}); {advice}"
             ) from None
 
     def fit(self, values) -> SplineFunction:

@@ -131,10 +131,11 @@ def uniform_null_pvalues(stat, states, make_g, n_rep=500):
     """p_b of ``stat`` over ``n_rep`` synthetic responses ``make_g(rng)``,
     each permuted (B2 = 99, blocks of 32) by the stream that drew it."""
     pvals = np.empty(n_rep)
+    (designs,) = stat.designs([states])
     for i, child in enumerate(np.random.SeedSequence(2718).spawn(n_rep)):
         g_rng = rng_from(child)
         _, pvals[i], _, _ = stat.evaluate(
-            states, make_g(g_rng), perm_rng=g_rng, b2=99, block_len=32
+            designs, make_g(g_rng), perm_rng=g_rng, b2=99, block_len=32
         )
     return pvals
 

@@ -12,6 +12,7 @@ from odelof import (
     DegenerateDesignError,
     DiagnosticReport,
     FStatResult,
+    PipelineError,
     TestAbortedError,
     TestConfig,
     builtin_system,
@@ -25,6 +26,7 @@ from odelof import (
     report_json,
     residual_bootstrap_resample,
 )
+from odelof import diagnose
 from odelof.diagnose import (
     _FLAGS,
     _TIE_REL,
@@ -393,10 +395,10 @@ class TestGuards:
     def test_abort_when_replicates_fail(self, vdp_series, monkeypatch):
         original = _Case2Stat.evaluate
 
-        def flaky(self, states, g, perm_rng=None, b2=0, block_len=0):
+        def flaky(self, designs, g, perm_rng=None, b2=0, block_len=0):
             if perm_rng is not None:
                 raise ArgumentError("synthetic replicate failure")
-            return original(self, states, g, perm_rng, b2, block_len)
+            return original(self, designs, g, perm_rng, b2, block_len)
 
         monkeypatch.setattr(_Case2Stat, "evaluate", flaky)
         with pytest.raises(TestAbortedError) as err:
@@ -411,6 +413,111 @@ class TestGuards:
     def test_series_type_checked(self):
         with pytest.raises(ArgumentError, match="TimeSeries"):
             case2_test(np.zeros((10, 2)), builtin_system("linear2d"), TestConfig(seed=1))
+
+
+class TestReplicateChunks:
+    """Replicates are refitted and their designs built a chunk at a time;
+    no report, failure or abort depends on the chunk size. Refits and
+    design builds run in replicate order, after the original fit's, so
+    failures are injected by call count: refit call c is replicate c - 1."""
+
+    CHUNKS = (1, 3, diagnose._REPLICATE_CHUNK)
+
+    @staticmethod
+    def outcome(monkeypatch, series, chunk, kind, b1, refits=(), builds=(), frac=0.5):
+        run, lay_out = PipelineRunner.run, AdditiveSmootherDesign._lay_out
+        calls = {"run": 0, "build": 0}
+
+        def count(name):
+            calls[name] += 1
+            return calls[name] - 1
+
+        def failing_run(self, values):
+            at = count("run")
+            if at in refits:
+                raise PipelineError(f"synthetic refit failure at call {at}")
+            return run(self, values)
+
+        def failing_lay_out(self, *args):
+            at = count("build")
+            if at in builds:
+                raise DegenerateDesignError(f"synthetic design failure at build {at}")
+            return lay_out(self, *args)
+
+        test = case2_test if kind == "case2" else case3_test
+        config = TestConfig(seed=5, b1=b1, b2=19, max_failed_fraction=frac)
+        with monkeypatch.context() as patch:  # undone before the next run
+            patch.setattr(diagnose, "_REPLICATE_CHUNK", chunk)
+            patch.setattr(PipelineRunner, "run", failing_run)
+            patch.setattr(AdditiveSmootherDesign, "_lay_out", failing_lay_out)
+            try:
+                return report_json(test(series, builtin_system("linear2d"), config))
+            except TestAbortedError as exc:
+                return exc.n_failed, exc.n_total, str(exc), tuple(exc.messages)
+
+    @pytest.mark.parametrize("kind", ["case2", "case3"])
+    def test_reports_do_not_depend_on_the_chunk(self, vdp_series, monkeypatch, kind):
+        b1 = 17
+        assert b1 > max(self.CHUNKS)  # at least two chunks at every size
+        reports = {self.outcome(monkeypatch, vdp_series, c, kind, b1) for c in self.CHUNKS}
+        assert len(reports) == 1
+        assert json.loads(reports.pop())["n_failed"] == 0
+
+    @pytest.mark.parametrize(
+        "kind, builds, failed",
+        [
+            # case 2 builds one design per fit: build 9 is replicate 9's,
+            # replicate 5's refit having failed
+            ("case2", 9, "replicate 9: synthetic design failure at build 9"),
+            # case 3 builds h0 and h1 per fit: build 15 is replicate 7's h1
+            ("case3", 15, "replicate 7: synthetic design failure at build 15"),
+        ],
+    )
+    def test_failures_in_mid_chunk(self, vdp_series, monkeypatch, kind, builds, failed):
+        reports = {
+            self.outcome(monkeypatch, vdp_series, c, kind, 20, refits=(6,), builds=(builds,))
+            for c in self.CHUNKS
+        }
+        assert len(reports) == 1
+        report = json.loads(reports.pop())
+        assert report["n_failed"] == 2
+        assert report["failure_messages"] == [
+            "replicate 5: synthetic refit failure at call 6",
+            failed,
+        ]
+        assert len(report["p_values"]) == 18
+
+    @pytest.mark.parametrize(
+        "kind, refits, builds, failed",
+        [
+            # replicates 3 and 17 fail their refits; build 18 is replicate 19's
+            ("case2", (4, 18), (18,), (3, 17, 19)),
+            # replicate 3 fails its refit; builds 33 and 36 are the h1 of
+            # replicate 16 and the h0 of replicate 18
+            ("case3", (4,), (33, 36), (3, 16, 18)),
+        ],
+    )
+    def test_abort_in_the_second_chunk(self, vdp_series, monkeypatch, kind, refits, builds, failed):
+        aborts = {
+            self.outcome(monkeypatch, vdp_series, c, kind, 20, refits, builds, frac=0.1)
+            for c in self.CHUNKS
+        }
+        assert len(aborts) == 1
+        n_failed, n_total, message, messages = aborts.pop()
+        assert (n_failed, n_total) == (3, failed[-1] + 1)
+        assert n_total > diagnose._REPLICATE_CHUNK
+        assert message == (
+            f"3 of {n_total} bootstrap replicates failed (cap 2 of 20); "
+            f"last error: synthetic design failure at build {builds[-1]}"
+        )
+        assert [m.split(":")[0] for m in messages] == [f"replicate {b}" for b in failed]
+
+    def test_the_original_fits_failure_raises(self, vdp_series, monkeypatch):
+        # the original fit is member 0 of the first chunk; its h1 build is
+        # build 1, and its failure is the test's, not a replicate's
+        for chunk in self.CHUNKS:
+            with pytest.raises(DegenerateDesignError, match="^synthetic design failure at build 1$"):
+                self.outcome(monkeypatch, vdp_series, chunk, "case3", 5, builds=(1,))
 
 
 class TestReportJson:
@@ -466,8 +573,9 @@ class TestCase3LagUpdate:
         # permutation; vanderpol_order2 observes one coordinate and fits
         # the state (x, dx/dt)
         stat, states, g, block_len = case3_setup(system, interaction)
+        (designs,) = stat.designs([states])
         f0, p_b, edf0, edf1 = stat.evaluate(
-            states, g, perm_rng=np.random.default_rng(4), b2=99, block_len=block_len
+            designs, g, perm_rng=np.random.default_rng(4), b2=99, block_len=block_len
         )
         rows = stat.valid
         design0 = AdditiveSmootherDesign(states, stat.settings)
@@ -560,7 +668,7 @@ class TestCase2Batched:
         states, g = fit.state_obs[10:-10], fit.g_obs[10:-10]
         stat = _Case2Stat(SmootherSettings())
         f0, p_b, edf, _ = stat.evaluate(
-            states, g, perm_rng=np.random.default_rng(4), b2=99, block_len=9
+            stat.designs([states])[0], g, perm_rng=np.random.default_rng(4), b2=99, block_len=9
         )
         design = AdditiveSmootherDesign(states)
         rng = np.random.default_rng(4)
@@ -577,8 +685,9 @@ class TestCase2Batched:
     def test_degenerate_ties_count_as_exceedances(self, vdp_series):
         # a zero response fits exactly: F0 and every permuted F read 0/0
         fit = PipelineRunner(vdp_series.times, builtin_system("linear2d")).run(vdp_series.values)
-        f0, p_b, _, _ = _Case2Stat(SmootherSettings()).evaluate(
-            fit.state_obs, np.zeros(vdp_series.times.size),
+        stat = _Case2Stat(SmootherSettings())
+        f0, p_b, _, _ = stat.evaluate(
+            stat.designs([fit.state_obs])[0], np.zeros(vdp_series.times.size),
             perm_rng=np.random.default_rng(0), b2=19, block_len=9,
         )
         assert f0 == (0.0, "zero_over_zero")
@@ -592,7 +701,7 @@ class StubNull(_PermutationStat):
         self.f0 = f0
         self.null_values = np.asarray(null_values, dtype=float)
 
-    def _observed(self, states_trim, g_trim):
+    def _observed(self, designs, g_trim):
         return FStatResult(self.f0, None), (0.0, None), lambda idx: self.null_values[: len(idx)]
 
 
@@ -600,7 +709,7 @@ class TestPermutationTies:
     def evaluate(self, f0, null_values):
         stat = StubNull(f0, null_values)
         return stat.evaluate(
-            np.zeros((40, 1)), np.zeros(40), perm_rng=np.random.default_rng(0),
+            (), np.zeros(40), perm_rng=np.random.default_rng(0),
             b2=len(null_values), block_len=4,
         )[1]
 

@@ -270,6 +270,24 @@ class TestEstimateForcing:
         with pytest.raises(ArgumentError, match="forcing"):
             ForcingOperator(bare, g_basis, TIMES)
 
+    @pytest.mark.parametrize(
+        "penalty, g_spacing, advice",
+        [
+            # knots finer than the nodes leave g coefficients no node sees
+            (0.0, 0.05, "refine the quadrature or add a penalty"),
+            # a valid but huge penalty swamps the data term in rounding
+            (1e19, 0.5, "the penalty may be too large for the data's scale"),
+        ],
+    )
+    def test_singular_design_advice_follows_the_penalty(
+        self, linear_system, penalty, g_spacing, advice
+    ):
+        forced = with_forcing(linear_system, ForcingSpec("additive", 2))
+        t = np.linspace(0.0, 10.0, 50)
+        g_basis = make_basis(4, (0.0, 10.0), g_spacing)
+        with pytest.raises(RankError, match=f"^forcing design is singular; {advice}$"):
+            ForcingOperator(forced, g_basis, t, penalty, quad_per_spacing=1)
+
     def test_replacement_mode_recovers_constant(self):
         system = builtin_system("rosenzweig_macarthur_log")
         truth = system.theta_default

@@ -14,7 +14,7 @@ from odelof import (
     simulate_series,
 )
 from odelof.diagnose import block_permutation_indices
-from odelof.smoothers import AdditiveSmootherDesign, _terms
+from odelof.smoothers import AdditiveSmootherDesign, _terms, build_designs
 from odelof.splines import BSplineBasis
 
 
@@ -459,3 +459,104 @@ class TestStackedBuild:
         sizes = [kn.shape[1] for _, knots, _ in design._bases for kn in knots]
         assert sizes[0] < max(sizes[1:])
         self.assert_terms_match_one_term_builds(design)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def rossler_states():
+    cfg = config_from_dict({"system": "rossler", "generator": "ode", "master_seed": 7})
+    return simulate_series(cfg, 7).values
+
+
+class TestStackAcrossDesigns:
+    """build_designs stacks the terms of many designs at once; each design
+    must be, bit for bit, the one built alone."""
+
+    @staticmethod
+    def layouts(states2, states3):
+        rng = np.random.default_rng(3)
+        lag2, groups2 = lag_layout(states2)
+        lag3, groups3 = lag_layout(states3)
+        tied = lag2.copy()
+        tied[:, 0] = np.round(tied[:, 0])
+        constant = states2.copy()
+        constant[:, 0] = 1.5
+        return [
+            (states2, None),
+            (lag2, groups2),  # case 3's h1: states and lagged states
+            (states2 + 1e-3 * rng.standard_normal(states2.shape), None),
+            (constant, None),
+            (lag2, None),
+            (states3, None),  # a 3-state system, and its lag layout
+            (lag3, groups3),
+            (tied, groups2),  # a column that lost breaks to ties
+            (tied, None),
+            (lag2[:, ::-1] + 0.5, groups2),
+        ]
+
+    @staticmethod
+    def responses(x, rng):
+        truth = np.sin(2.0 * x[:, 0]) * x[:, 1]
+        n = x.shape[0]
+        rows = [truth + s * rng.standard_normal(n) for s in (1e-3, 0.3, 1.0)]
+        return np.array(rows + [np.zeros(n), np.full(n, 2.5)])
+
+    @pytest.mark.parametrize("interaction", [False, True])
+    def test_members_match_lone_builds(self, vdp_states, rossler_states, interaction):
+        settings = SmootherSettings(interaction=interaction)
+        layouts = self.layouts(vdp_states, rossler_states)
+        built = build_designs(layouts, settings)
+        assert len(built) == len(layouts)
+        rng = np.random.default_rng(9)
+        for (x, groups), design in zip(layouts, built):
+            try:
+                alone = AdditiveSmootherDesign(x, settings, groups)
+            except DegenerateDesignError as exc:
+                # the constant column fails its own build, with its message
+                assert type(design) is DegenerateDesignError
+                assert str(design) == str(exc)
+                assert "constant predictor" in str(exc)
+                continue
+            assert design.groups == alone.groups
+            assert same_bits(design.design, alone.design)
+            assert same_bits(design.penalty, alone.penalty)
+            assert design.eps == alone.eps
+            assert len(design._factor) == len(alone._factor)
+            for a, b in zip(design._factor, alone._factor):
+                assert same_bits(a, b)
+            for (_, kn, z), (_, kn_alone, z_alone) in zip(design._bases, alone._bases):
+                assert all(same_bits(a, b) for a, b in zip(kn, kn_alone))
+                assert same_bits(z, z_alone)
+            ys = self.responses(x, rng)
+            fits, fits_alone = design.fit_many(ys), alone.fit_many(ys)
+            for name in ("lam", "edf", "gcv", "coefficients", "fitted"):
+                assert same_bits(getattr(fits, name), getattr(fits_alone, name)), name
+        assert sum(isinstance(d, DegenerateDesignError) for d in built) == 1
+
+    def test_a_group_that_lost_a_break_stacks_apart(self, vdp_states, rossler_states):
+        # the tied column's knot vector is shorter than its untied twin's,
+        # so the two terms cannot share a stack
+        layouts = self.layouts(vdp_states, rossler_states)
+        built = build_designs(layouts, SmootherSettings(interaction=False))
+        tied, untied = built[8], built[4]
+        sizes = [kn.shape[1] for _, knots, _ in tied._bases for kn in knots]
+        untied_sizes = [kn.shape[1] for _, knots, _ in untied._bases for kn in knots]
+        assert sizes[0] < untied_sizes[0]
+        assert sizes[1:] == untied_sizes[1:]
+
+    def test_lone_failures_keep_their_errors(self, vdp_states):
+        # predictors that fail their checks come back as those errors
+        short = vdp_states[:5]
+        wide = vdp_states[:12]  # 11 columns for 12 rows
+        built = build_designs(
+            [(short, None), (vdp_states, None), (wide, None)], SmootherSettings(total_dim=40)
+        )
+        assert isinstance(built[0], ArgumentError) and "at least 8 rows" in str(built[0])
+        assert isinstance(built[1], AdditiveSmootherDesign)
+        with pytest.raises(DegenerateDesignError) as exc:
+            AdditiveSmootherDesign(wide, SmootherSettings(total_dim=40))
+        assert type(built[2]) is DegenerateDesignError and str(built[2]) == str(exc.value)

@@ -255,6 +255,23 @@ class TestBasisGrid:
         assert_array_equal(np.take_along_axis(dense, cols, axis=1), vals)
         assert np.count_nonzero(dense) == np.count_nonzero(vals)
 
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_dense_values_are_the_bits_of_combine(self, order):
+        # design_matrix scatters the grid's nonzero values; combine sums
+        # the identity's columns over them: the same bits, at the knots,
+        # at both ends (a -0.0 left end too) and between
+        basis = BSplineBasis(order, np.array([0.0, 0.3, 0.35, 1.1, 2.0, 2.05, 3.0]))
+        t = np.concatenate(
+            [basis.breakpoints, [-0.0, 3.0 + 1e-12], np.random.default_rng(2).uniform(0, 3, 40)]
+        )
+        identity = np.eye(basis.size)
+        for points in (t, BasisGrid(basis, t), np.float64(1.1), np.array(-0.0), 3.0):
+            grid = points if isinstance(points, BasisGrid) else BasisGrid(basis, points)
+            dense = basis.design_matrix(points)
+            combined = grid.combine(identity)
+            assert dense.shape == combined.shape
+            assert dense.tobytes() == combined.tobytes()
+
     def test_grid_checks_basis_and_derivative(self):
         basis = make_basis(4, (0.0, 3.0), 0.4)
         grid = BasisGrid(basis, np.linspace(0.0, 3.0, 7), 1)
@@ -363,8 +380,16 @@ class TestSmoothingOperator:
     def test_rank_error_when_data_cannot_support_basis(self):
         t = np.linspace(0.0, 55.0, 10)
         basis = make_basis(4, (0.0, 55.0), 0.25)
-        with pytest.raises(RankError):
+        with pytest.raises(RankError, match="; increase the penalty or coarsen the knots$"):
             SmoothingOperator(t, basis, 0.0)
+
+    def test_rank_error_when_the_penalty_swamps_the_data(self):
+        # valid but huge: the data term is lost to rounding beside it, so
+        # more penalty is the wrong advice
+        t = np.linspace(0.0, 10.0, 50)
+        basis = make_basis(4, (0.0, 10.0), 0.5)
+        with pytest.raises(RankError, match="; the penalty may be too large for the data's scale$"):
+            SmoothingOperator(t, basis, 1e19)
 
     def test_timeseries_values_give_one_column(self):
         t = np.linspace(0.0, 5.0, 100)
