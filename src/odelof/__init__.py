@@ -46,8 +46,10 @@ from .estimate import (
     ForcingEstimate,
     ForcingOperator,
     GradientMatchFit,
+    QuadratureState,
     gradient_match,
     quad_grid,
+    quadrature_state,
 )
 from .pipeline import PipelineFit, PipelineRunner, PipelineSettings
 from .diagnose import (
@@ -109,8 +111,10 @@ __all__ = [
     "ForcingEstimate",
     "ForcingOperator",
     "GradientMatchFit",
+    "QuadratureState",
     "gradient_match",
     "quad_grid",
+    "quadrature_state",
     "PipelineFit",
     "PipelineRunner",
     "PipelineSettings",

@@ -25,10 +25,10 @@ below alpha.
 
 The B2 permutations of a replicate run as one batch: their block orders
 are B2 successive draws from the replicate's generator
-(:func:`block_permutation_indices`), the permuted responses, one per
-row, are fitted together, each with its own GCV lambda
-(:meth:`~odelof.smoothers.AdditiveSmootherDesign.fit_many`),
-and their F values come from the column kernels that
+(:func:`block_permutation_indices`), drawn ``_PERM_BLOCK`` at a time, the
+permuted responses, one per row, are fitted together, each with its own
+GCV lambda (:meth:`~odelof.smoothers.AdditiveSmootherDesign.fit_many`),
+and their F values come from the one column kernel that
 :func:`f_stat_case2` and :func:`f_stat_case3` wrap. A permutation changes
 only the response: the h0 and h1 designs are built once per replicate.
 Replicates run in chunks of ``_REPLICATE_CHUNK``: each replicate of a
@@ -97,26 +97,16 @@ def _ratios(num: np.ndarray, den: np.ndarray):
     return values, codes
 
 
-# The F kernels take (m, n, d) arrays: m statistics, n rows, d response
-# columns, and return the m F values and flag codes. Each statistic sums
-# over its rows in the order a single one does, so its bits do not depend
-# on m.
-
-
-def _case2_columns(g: np.ndarray, h: np.ndarray):
-    """Case 2: variance of h around its mean over the mean squared
-    residual of g around h."""
-    r = h - h.mean(axis=1, keepdims=True)
+def _f_columns(g: np.ndarray, h: np.ndarray, ref: np.ndarray):
+    """F values and flag codes of m statistics: the mean squares of h - ref
+    over those of g - h. ``g`` and ``h`` are (m, n, d) arrays (m statistics,
+    n rows, d response columns) and ``ref`` broadcasts to them: h's mean
+    over rows in case 2, h0 in case 3 (where h is h1). Each statistic sums
+    over its rows in the order a single one does, so its bits do not
+    depend on m."""
+    r = h - ref
     num = _mean_squares(r)
     return _ratios(num, _mean_squares(np.subtract(g, h, out=r)))
-
-
-def _case3_columns(g: np.ndarray, h0: np.ndarray, h1: np.ndarray):
-    """Case 3: mean squared gap between h1 and h0 over the mean squared
-    residual of g around h1."""
-    r = h1 - h0
-    num = _mean_squares(r)
-    return _ratios(num, _mean_squares(np.subtract(g, h1, out=r)))
 
 
 def _one(result) -> FStatResult:
@@ -131,7 +121,8 @@ def f_stat_case2(g, h) -> FStatResult:
     hv = _as_rows(h, "h")
     if gv.shape != hv.shape:
         raise ArgumentError(f"g and h must share a shape, got {gv.shape} vs {hv.shape}")
-    return _one(_case2_columns(gv[None], hv[None]))
+    h = hv[None]
+    return _one(_f_columns(gv[None], h, h.mean(axis=1, keepdims=True)))
 
 
 def f_stat_case3(g, h0, h1) -> FStatResult:
@@ -144,7 +135,7 @@ def f_stat_case3(g, h0, h1) -> FStatResult:
         raise ArgumentError(
             f"g, h0, h1 must share a shape, got {gv.shape}, {h0v.shape}, {h1v.shape}"
         )
-    return _one(_case3_columns(gv[None], h0v[None], h1v[None]))
+    return _one(_f_columns(gv[None], h1v[None], h0v[None]))
 
 
 def block_permutation_indices(
@@ -400,11 +391,12 @@ class _PermutationStat:
     stack (:func:`~odelof.smoothers.build_designs`). :meth:`evaluate` takes
     one fit's designs and fits the unpermuted statistic; a design whose
     build failed raises its error there, when the statistic first needs
-    it. Given a permutation generator, it then draws all ``b2`` block
-    permutations into one index matrix and passes its columns, a block at
-    a time, to the null of :meth:`_observed`, which fits them together and
-    returns their F values; the count of those at or above F0, up to a
-    relative ``_TIE_REL`` for rounding, gives the p-value.
+    it. Given a permutation generator, it then draws the ``b2`` block
+    permutations ``_PERM_BLOCK`` at a time (the draws of one call for all
+    of them) and passes each block to the null of :meth:`_observed`, which
+    fits them together and returns their F values; the count of those at
+    or above F0, up to a relative ``_TIE_REL`` for rounding, gives the
+    p-value.
     """
 
     def designs(self, states: list) -> list[tuple]:
@@ -419,12 +411,11 @@ class _PermutationStat:
         f0, edfs, null = self._observed(designs, g_trim)
         p_b = None
         if perm_rng is not None:
-            idx = block_permutation_indices(g_trim.shape[0], block_len, b2, perm_rng)
-            reach = f0.value * (1.0 - _TIE_REL)
-            count = sum(
-                int(np.count_nonzero(null(idx[:, at : at + _PERM_BLOCK].T) >= reach))
-                for at in range(0, b2, _PERM_BLOCK)
-            )
+            n, reach = g_trim.shape[0], f0.value * (1.0 - _TIE_REL)
+            count = 0
+            for at in range(0, b2, _PERM_BLOCK):
+                idx = block_permutation_indices(n, block_len, min(_PERM_BLOCK, b2 - at), perm_rng)
+                count += int(np.count_nonzero(null(idx.T) >= reach))
             p_b = (1 + count) / (b2 + 1)
         return (f0, p_b) + edfs
 
@@ -442,8 +433,8 @@ class _Case2Stat(_PermutationStat):
 
         def null(idx):
             g_k = g_trim[idx]  # (m, n): one permutation per row
-            h_k = design.fit_many(g_k).fitted
-            return _case2_columns(g_k[:, :, None], h_k[:, :, None])[0]
+            h_k = design.fit_many(g_k).fitted[:, :, None]
+            return _f_columns(g_k[:, :, None], h_k, h_k.mean(axis=1, keepdims=True))[0]
 
         return f_stat_case2(g_trim, fit.fitted[0]), (fit.edf[0], None), null
 
@@ -464,23 +455,14 @@ class _Case3Stat(_PermutationStat):
         self.valid = slice(first, None)
         self.lag_times = lag_t[self.valid]
 
-    def _lag_layout(self, states_trim):
-        # the h1 predictors on the lag-valid rows, the states and the
-        # states at t - delta (linearly interpolated), and their groups
+    def _layouts(self, states_trim):
+        # h0 on the states; h1 on the lag-valid rows, the states and the
+        # states at t - delta (linearly interpolated), in their groups
         m = states_trim.shape[1]
         lagged = [np.interp(self.lag_times, self.times, s) for s in states_trim.T]
         x1 = np.column_stack([states_trim[self.valid]] + lagged)
         groups = [tuple(range(m)), tuple(range(m, 2 * m))] if self.settings.interaction else None
-        return x1, groups
-
-    def lag_design(self, states_trim) -> AdditiveSmootherDesign:
-        """The h1 design on the lag-valid rows: the state term plus one
-        term in the states at t - delta, linearly interpolated."""
-        x1, groups = self._lag_layout(states_trim)
-        return AdditiveSmootherDesign(x1, self.settings, groups=groups)
-
-    def _layouts(self, states_trim):
-        return [(states_trim, None), self._lag_layout(states_trim)]
+        return [(states_trim, None), (x1, groups)]
 
     def _observed(self, designs, g_trim):
         rows = self.valid
@@ -497,7 +479,7 @@ class _Case3Stat(_PermutationStat):
             g_k += h0.fitted[0]
             h0_k = design0.fit_many(g_k).fitted
             h1_k = design1.fit_many(g_k[:, rows]).fitted
-            return _case3_columns(g_k[:, rows, None], h0_k[:, rows, None], h1_k[:, :, None])[0]
+            return _f_columns(g_k[:, rows, None], h1_k[:, :, None], h0_k[:, rows, None])[0]
 
         return f0, (h0.edf[0], h1.edf[0]), null
 

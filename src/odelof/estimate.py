@@ -9,8 +9,8 @@ functions here match model rates to the smooth's derivative:
 * :class:`ForcingOperator` then estimates g(t) = Psi(t) D with theta held
   fixed, either added to one coordinate's equation (closed form) or
   replacing one parameter (Gauss-Newton on D). One operator serves every
-  refit on a grid: the quadrature, Psi at its nodes and the penalty are
-  built once, and a replacement-mode Gauss-Newton step solves K x K banded
+  refit on a quadrature: Psi at its nodes and the penalty are built
+  once, and a replacement-mode Gauss-Newton step solves K x K banded
   normal equations (K basis functions, bandwidth the g order) instead of
   a least-squares problem over every quadrature row.
 
@@ -21,9 +21,12 @@ stopped before its cap of ``_GN_MAX_ITER`` iterations: the objective
 stalled to within ``_GN_TOL`` relative, or no shortened step kept it from
 growing.
 
-``x_hat`` arguments are callables ``x_hat(t, deriv)`` returning state values
-or their time derivative; a SplineFunction qualifies. A second-order scalar
-model is a first-order system on the state (x, dx/dt): pass the smooth as
+Both estimators read the smooth through one :class:`QuadratureState`,
+x_hat and dx_hat/dt on the quadrature nodes with the rule's weights, which
+:func:`quadrature_state` evaluates from a callable ``x_hat(t, deriv)`` (a
+SplineFunction qualifies); its ``mismatch``, dx_hat - f(x_hat; theta, g),
+is the one residual they fit. A second-order scalar model is a
+first-order system on the state (x, dx/dt): pass the smooth as
 :class:`~odelof.pipeline.CompanionState` and a system of dimension 2 whose
 first rate is the second coordinate (builtin ``vanderpol_order2``).
 """
@@ -86,17 +89,41 @@ class GradientMatchFit:
     n_iter: int
 
 
-def _state_on_grid(xhat, nodes: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class QuadratureState:
+    """A smooth's state on quadrature nodes: x_hat and dx_hat/dt (n, d) at
+    the ``nodes`` (n,), the rule's ``weights`` and their square roots."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    sqrt_w: np.ndarray
+    x: np.ndarray
+    dx: np.ndarray
+
+    def mismatch(self, system: DynamicalSystem, theta, g=None) -> np.ndarray:
+        """``dx_hat - f(x_hat; theta, g)`` at the nodes, (n, d)."""
+        return self.dx - rate_values(system, self.x, self.nodes, theta, g)
+
+
+def quadrature_state(xhat, nodes, weights) -> QuadratureState:
+    """Evaluate ``xhat(t, deriv)`` and its derivative on quadrature nodes.
+
+    ``nodes`` are the points, as :func:`quad_grid` gives them with
+    ``weights``, or a :class:`~odelof.splines.BasisGrid` on them that the
+    smooth evaluates through. A scalar smooth is one state coordinate.
+    """
+    t = nodes.points if isinstance(nodes, BasisGrid) else np.asarray(nodes, dtype=float)
+    w = np.asarray(weights, dtype=float)
     x = np.asarray(xhat(nodes, 0), dtype=float)
     dx = np.asarray(xhat(nodes, 1), dtype=float)
     if x.ndim == 1:
         x = x[:, None]
         dx = dx[:, None]
-    if x.shape != (nodes.size, dim) or dx.shape != (nodes.size, dim):
+    if x.ndim != 2 or x.shape[0] != t.size or dx.shape != x.shape or w.shape != t.shape:
         raise ArgumentError(
-            f"x_hat evaluates to shape {x.shape}, expected ({nodes.size}, {dim})"
+            f"x_hat gives shapes {x.shape} and {dx.shape} on {t.size} nodes, {w.size} weights"
         )
-    return x, dx
+    return QuadratureState(t, w, np.sqrt(w), x, dx)
 
 
 def _resolve_mask(system: DynamicalSystem, theta_init, free_mask) -> tuple[np.ndarray, np.ndarray]:
@@ -124,23 +151,18 @@ def _resolve_mask(system: DynamicalSystem, theta_init, free_mask) -> tuple[np.nd
 
 
 def gradient_match(
-    xhat,
+    state: QuadratureState,
     system: DynamicalSystem,
-    times,
     theta_init=None,
     free_mask=None,
-    quad_per_spacing: int = 4,
     seed: SeedLike = 0,
 ) -> GradientMatchFit:
     """Estimate theta by gradient matching with g held at zero.
 
     Parameters
     ----------
-    xhat : callable
-        ``xhat(t, deriv)`` -> values, e.g. a fitted SplineFunction.
-    times : array
-        Observation grid defining the quadrature (4 nodes per spacing by
-        default).
+    state : QuadratureState
+        The smooth on the quadrature (:func:`quadrature_state`).
     theta_init : array, optional
         Start for Gauss-Newton and source of values for masked-out (fixed)
         parameters. When omitted for a nonlinear system, a seeded 8-start
@@ -156,15 +178,12 @@ def gradient_match(
     ConvergenceError
         If Gauss-Newton cannot produce a finite objective.
     """
-    nodes, w = quad_grid(times, quad_per_spacing)
-    x, dx = _state_on_grid(xhat, nodes, system.dim)
     mask, base = _resolve_mask(system, theta_init, free_mask)
     free_idx = np.nonzero(mask)[0]
-    sw = np.sqrt(w)
+    w, sw = state.weights, state.sqrt_w
 
     def fit_at(theta, objective, converged, n_iter):
-        resid = dx - rate_values(system, x, nodes, theta)
-        per_coord = np.einsum("q,qd->d", w, resid**2)
+        per_coord = np.einsum("q,qd->d", w, state.mismatch(system, theta) ** 2)
         return GradientMatchFit(
             theta=theta,
             objective=float(per_coord.sum()) if objective is None else objective,
@@ -176,14 +195,14 @@ def gradient_match(
     if system.linear_in_params:
         theta = base.copy()
         theta[mask] = 0.0
-        c = rate_values(system, x, nodes, theta)
-        cols = np.empty((nodes.size, system.dim, free_idx.size))
+        c = rate_values(system, state.x, state.nodes, theta)
+        cols = np.empty(state.x.shape + (free_idx.size,))
         for k, j in enumerate(free_idx):
             tj = theta.copy()
             tj[j] = 1.0
-            cols[:, :, k] = rate_values(system, x, nodes, tj) - c
+            cols[:, :, k] = rate_values(system, state.x, state.nodes, tj) - c
         a = (sw[:, None, None] * cols).reshape(-1, free_idx.size)
-        b = (sw[:, None] * (dx - c)).reshape(-1)
+        b = (sw[:, None] * state.mismatch(system, theta)).reshape(-1)
         sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
         if rank < free_idx.size:
             raise RankError(
@@ -194,7 +213,7 @@ def gradient_match(
         return fit_at(theta, None, True, 1)
 
     def residual(theta):
-        r = (sw[:, None] * (dx - rate_values(system, x, nodes, theta))).reshape(-1)
+        r = (sw[:, None] * state.mismatch(system, theta)).reshape(-1)
         return r, float(r @ r), None
 
     def jacobian_step(theta, r, _):
@@ -306,13 +325,13 @@ class ForcingEstimate:
 
 
 class ForcingOperator:
-    """Forcing estimator for one system, g basis, grid and penalty.
+    """Forcing estimator for one system, g basis, quadrature and penalty.
 
-    Everything that depends only on (system, g_basis, times, penalty) is
-    built once, so bootstrap replicates that share the observation grid
-    reuse one instance: the quadrature nodes and weights, the g basis
-    values at the nodes (a :class:`~odelof.splines.BasisGrid`) and the
-    design Psi built from them.
+    Everything that depends only on (system, g_basis, quadrature, penalty)
+    is built once, so bootstrap replicates that share the observation grid
+    reuse one instance: the g basis values at the quadrature ``nodes`` (a
+    :class:`~odelof.splines.BasisGrid`) and the design Psi built from them.
+    :meth:`fit` takes a :class:`QuadratureState` on those nodes and weights.
 
     Additive mode solves the penalized least-squares problem in closed
     form from a Cholesky factor of ``Psi^T W Psi + penalty * P`` (P the
@@ -340,9 +359,9 @@ class ForcingOperator:
         self,
         system: DynamicalSystem,
         g_basis: BSplineBasis,
-        times,
+        nodes,
+        weights,
         penalty: float = 0.0,
-        quad_per_spacing: int = 4,
     ):
         if system.forcing is None:
             raise ArgumentError(f"system {system.name} has no forcing specification")
@@ -350,7 +369,7 @@ class ForcingOperator:
             raise ArgumentError(f"penalty must be nonnegative and finite, got {penalty!r}")
         self.system = system
         self.basis = g_basis
-        self.nodes, self.weights = quad_grid(times, quad_per_spacing)
+        self.nodes, self.weights = np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float)
         grid = BasisGrid(g_basis, self.nodes)
         self.psi = g_basis.design_matrix(grid)
         pen = penalty * g_basis.penalty_gram(2) if penalty > 0 else None
@@ -375,7 +394,6 @@ class ForcingOperator:
 
     def _band_replacement(self, grid: BasisGrid, pen: Optional[np.ndarray]):
         order, size = self.basis.order, self.basis.size
-        self._sqrt_w = np.sqrt(self.weights)
         # g at the nodes for coefficients D, and the nonzeros of row q of
         # Psi: columns _cols[q], values _vals[q]
         self._grid = grid
@@ -395,8 +413,9 @@ class ForcingOperator:
             w, v = np.linalg.eigh(pen)
             self._pen_root = (v * np.sqrt(np.clip(w, 0.0, None))).T
 
-    def fit(self, xhat, theta) -> ForcingEstimate:
-        """Estimate g at ``theta`` for the smooth ``xhat(t, deriv)``.
+    def fit(self, state: QuadratureState, theta) -> ForcingEstimate:
+        """Estimate g at ``theta`` for the smooth's ``state`` on this
+        operator's quadrature.
 
         The replacement-mode Gauss-Newton stops on a relative change of
         the objective below ``_GN_TOL`` or after ``_GN_MAX_ITER``
@@ -404,6 +423,8 @@ class ForcingOperator:
 
         Raises
         ------
+        ArgumentError
+            If ``state`` is not on this operator's nodes and weights.
         RankError
             In replacement mode, if a Gauss-Newton system is singular: the
             rate does not depend on the replaced parameter over the support
@@ -416,14 +437,16 @@ class ForcingOperator:
             raise ArgumentError(
                 f"theta must have shape ({system.n_params},), got {theta.shape}"
             )
-        x, dx = _state_on_grid(xhat, self.nodes, system.dim)
+        for given, own in ((state.nodes, self.nodes), (state.weights, self.weights)):
+            if given is not own and not np.array_equal(given, own):
+                raise ArgumentError("the state is not on this operator's quadrature")
         if system.forcing.mode == "additive":
-            return self._fit_additive(x, dx, theta)
-        return self._fit_replacement(x, dx, theta)
+            return self._fit_additive(state, theta)
+        return self._fit_replacement(state, theta)
 
-    def _fit_additive(self, x, dx, theta) -> ForcingEstimate:
+    def _fit_additive(self, state: QuadratureState, theta) -> ForcingEstimate:
         target = self.system.forcing.target - 1
-        resid = dx[:, target] - rate_values(self.system, x, self.nodes, theta)[:, target]
+        resid = state.mismatch(self.system, theta)[:, target]
         coef = cho_solve(self._factor, self.psi.T @ (self.weights * resid))
         post = resid - self.psi @ coef
         return ForcingEstimate(
@@ -475,12 +498,12 @@ class ForcingOperator:
             rhs = np.concatenate([rhs, self._pen_root @ coef])
         return np.linalg.lstsq(jac, rhs, rcond=None)[0]
 
-    def _fit_replacement(self, x, dx, theta) -> ForcingEstimate:
-        system, nodes, sw = self.system, self.nodes, self._sqrt_w
+    def _fit_replacement(self, state: QuadratureState, theta) -> ForcingEstimate:
+        system, x, nodes, sw = self.system, state.x, state.nodes, state.sqrt_w
 
         def residual(coef):
             g = self._grid.combine(coef)
-            r = sw[:, None] * (dx - rate_values(system, x, nodes, theta, g))
+            r = sw[:, None] * state.mismatch(system, theta, g)
             flat = r.reshape(-1)
             obj = float(flat @ flat)
             if self._pen is not None:

@@ -3,11 +3,13 @@
 The diagnostic tests refit this pipeline on every bootstrap replicate, so
 the pieces that depend only on the observation grid are built once by
 :class:`PipelineRunner` and reused: the smoothing design and
-factorization, the :class:`~odelof.estimate.ForcingOperator` with its
-quadrature, forcing design and factor or penalty band, and the
-:class:`~odelof.splines.BasisGrid` values of the x and g bases on the
-quadrature nodes and the observation times, where every refit evaluates
-its smooth, the smooth's derivatives and the forcing.
+factorization, the quadrature with the
+:class:`~odelof.estimate.ForcingOperator` on it (forcing design and
+factor or penalty band), and the :class:`~odelof.splines.BasisGrid`
+values of the x and g bases on the quadrature nodes and the observation
+times. A refit evaluates its smooth on the node grid once, into the
+:class:`~odelof.estimate.QuadratureState` that gradient matching and the
+forcing both take, and the smooth and forcing at the times through theirs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, OdelofError, PipelineError, check_kinds, is_finite_real, is_flag
-from .estimate import ForcingEstimate, ForcingOperator, GradientMatchFit, gradient_match
+from .estimate import (
+    ForcingEstimate,
+    ForcingOperator,
+    GradientMatchFit,
+    gradient_match,
+    quad_grid,
+    quadrature_state,
+)
 from .smoothers import SmootherSettings
 from .splines import BasisGrid, SmoothingOperator, SplineFunction, make_basis
 from .systems import DynamicalSystem
@@ -130,21 +139,6 @@ class CompanionState:
         )
 
 
-class _OnGrids:
-    """A smooth as ``x_hat(t, deriv)`` that evaluates through a basis grid
-    when ``t`` holds that grid's points, and at ``t`` otherwise."""
-
-    def __init__(self, spline: SplineFunction, grids: tuple[BasisGrid, ...]):
-        self.spline = spline
-        self.grids = grids
-
-    def __call__(self, t, deriv: int = 0):
-        for grid in self.grids:
-            if t is grid.points or np.array_equal(t, grid.points):
-                return self.spline(grid, deriv)
-        return self.spline(t, deriv)
-
-
 class PipelineRunner:
     """Pipeline with grid-dependent pieces precomputed.
 
@@ -180,17 +174,14 @@ class PipelineRunner:
             raise ArgumentError("a proposed model system is required")
         check_model(s, system)
         self.system = system
-        self._forcing_op = ForcingOperator(
-            self.system, self.g_basis, t, s.g_penalty, s.quad_per_spacing
-        )
+        nodes, weights = quad_grid(t, s.quad_per_spacing)
+        self._forcing_op = ForcingOperator(system, self.g_basis, nodes, weights, s.g_penalty)
         # matching and forcing take x_hat and dx_hat on the quadrature
         # nodes (and d2x_hat for the second-order model, whose state is
         # (x, dx)); the fit reports the state and g_hat at the times
         max_deriv = 2 if s.second_order else 1
-        self._x_grids = (
-            BasisGrid(self.x_basis, self._forcing_op.nodes, max_deriv),
-            BasisGrid(self.x_basis, t, max_deriv - 1),
-        )
+        self._node_grid = BasisGrid(self.x_basis, nodes, max_deriv)
+        self._obs_grid = BasisGrid(self.x_basis, t, max_deriv - 1)
         self._g_grid = BasisGrid(self.g_basis, t)
 
     def run(self, values) -> PipelineFit:
@@ -215,33 +206,27 @@ class PipelineRunner:
                 xhat = self.smoother.fit(y)
         except OdelofError as exc:
             raise PipelineError(f"smoothing failed: {exc}", stage="smooth") from exc
-        smooth = _OnGrids(xhat, self._x_grids)
-        state = CompanionState(smooth) if s.second_order else smooth
+        state = CompanionState(xhat) if s.second_order else xhat
+        quadrature = quadrature_state(state, self._node_grid, self._forcing_op.weights)
 
         try:
             match = gradient_match(
-                state,
+                quadrature,
                 self.system,
-                self.times,
                 theta_init=None if s.theta_init is None else np.asarray(s.theta_init),
                 free_mask=None if s.theta_free is None else np.asarray(s.theta_free, dtype=bool),
-                quad_per_spacing=s.quad_per_spacing,
             )
         except OdelofError as exc:
             raise PipelineError(f"gradient matching failed: {exc}", stage="match") from exc
 
         try:
-            forcing = self._forcing_op.fit(state, match.theta)
+            forcing = self._forcing_op.fit(quadrature, match.theta)
         except OdelofError as exc:
             raise PipelineError(f"forcing estimation failed: {exc}", stage="forcing") from exc
 
-        fitted_obs = np.asarray(smooth(self.times))
-        if fitted_obs.ndim == 1:
-            fitted_obs = fitted_obs[:, None]
-        if s.second_order:
-            state_obs = np.asarray(state(self.times))
-        else:
-            state_obs = fitted_obs
+        # the observed coordinates lead the state: all of it, or x of (x, dx)
+        state_obs = np.asarray(state(self._obs_grid))
+        fitted_obs = state_obs[:, : y.shape[1]]
         g_obs = np.asarray(forcing.g(self._g_grid))
         return PipelineFit(
             xhat=xhat,

@@ -13,11 +13,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .diagnose import DiagnosticReport, _Case3Stat
+from .diagnose import DiagnosticReport, _Case2Stat, _Case3Stat, _ready
 from .errors import ArgumentError, BlowupError
 from .pipeline import CompanionState
 from .seriesio import _write_csv
-from .smoothers import AdditiveSmootherDesign, SmootherSettings
+from .smoothers import SmootherSettings
 from .systems import DynamicalSystem, TimeSeries, builtin_system, integrate, rate_values
 
 _SURFACE_SIDE = 41
@@ -95,8 +95,12 @@ def export_diagnostic_plots(
 def _export_h(report, out, t_trim, s_trim, g_trim) -> Path:
     echo = report.settings
     settings = SmootherSettings(echo["smoother_total_dim"], echo["smoother_interaction"])
-    if report.kind == "case2":
-        design = AdditiveSmootherDesign(s_trim, settings)
+    # the designs of the report's test, built as the test builds them
+    case2 = report.kind == "case2"
+    stat = _Case2Stat(settings) if case2 else _Case3Stat(t_trim, settings, report.delta)
+    designs = [_ready(d) for d in stat.designs([s_trim])[0]]
+    if case2:
+        design = designs[0]
         coef = design.fit_many(g_trim[None]).coefficients[0]
         if s_trim.shape[1] == 1:
             grid = np.linspace(s_trim[:, 0].min(), s_trim[:, 0].max(), _CURVE_POINTS)
@@ -118,10 +122,9 @@ def _export_h(report, out, t_trim, s_trim, g_trim) -> Path:
 
     # case 3: h0 and h1 predictions on the lag-valid rows, h1 on the
     # test's own lag design (the states and the states at t - delta)
-    stat = _Case3Stat(t_trim, settings, report.delta)
-    h0 = AdditiveSmootherDesign(s_trim, settings).fit_many(g_trim[None]).fitted[0]
     rows = stat.valid
-    h1 = stat.lag_design(s_trim).fit_many(g_trim[None, rows]).fitted[0]
+    h0 = designs[0].fit_many(g_trim[None]).fitted[0]
+    h1 = designs[1].fit_many(g_trim[None, rows]).fitted[0]
     path = out / "h_lag.csv"
     _write_csv(path, ["time", "g", "h0", "h1"], [t_trim[rows], g_trim[rows], h0[rows], h1])
     return path

@@ -3,8 +3,8 @@
 Each criterion prints one line with the measured values next to its
 bound, so a log shows at a glance what the build achieves. Tier comes
 from ODELOF_ACCEPTANCE: "smoke" (default, finishes in minutes) runs the
-reduced budgets; "desk" runs the full 50-replicate studies and takes
-under 20 minutes on one core.
+reduced budgets; "desk" runs the full 50-replicate studies and took
+222 s on one core in the latest measurement (ROADMAP.md's baseline).
 """
 
 import dataclasses
@@ -31,6 +31,8 @@ from odelof import (
     load_config,
     make_basis,
     observe,
+    quad_grid,
+    quadrature_state,
     run_diagnose,
     run_power_study,
     with_forcing,
@@ -220,12 +222,10 @@ class TestCriterion4Oracles:
         xhat = SmoothingOperator(times, basis, 0.01).fit(
             path.states + rng.normal(0.0, 0.05, path.states.shape)
         )
-        closed = gradient_match(xhat, system, times)
+        state = quadrature_state(xhat, *quad_grid(times))
+        closed = gradient_match(state, system)
         gn = gradient_match(
-            xhat,
-            dataclasses.replace(system, linear_in_params=False),
-            times,
-            theta_init=np.zeros(4),
+            state, dataclasses.replace(system, linear_in_params=False), theta_init=np.zeros(4)
         )
         gn_gap = float(np.abs(closed.theta - gn.theta).max())
 
@@ -322,7 +322,10 @@ class TestCriterion5Recovery:
                 return np.column_stack([-np.sin(t), np.cos(t)])
 
         theta_err = float(
-            np.abs(gradient_match(Circle(), system, times).theta - LINEAR_THETA).max()
+            np.abs(
+                gradient_match(quadrature_state(Circle(), *quad_grid(times)), system).theta
+                - LINEAR_THETA
+            ).max()
         )
 
         forced = with_forcing(system, ForcingSpec("additive", 2))
@@ -332,8 +335,9 @@ class TestCriterion5Recovery:
         )
         basis = make_basis(4, (0.0, 55.0), 0.25)
         xhat = SmoothingOperator(times, basis, 0.01).fit(path.states)
-        est = ForcingOperator(forced, make_basis(4, (0.0, 55.0), 1.0), times).fit(
-            xhat, LINEAR_THETA
+        quadrature = quad_grid(times)
+        est = ForcingOperator(forced, make_basis(4, (0.0, 55.0), 1.0), *quadrature).fit(
+            quadrature_state(xhat, *quadrature), LINEAR_THETA
         )
         interior = np.linspace(4.0, 51.0, 400)
         sin_err = float(np.abs(est.g(interior) - np.sin(interior)).max())
@@ -346,7 +350,10 @@ class TestCriterion5Recovery:
         )
         o2_err = float(
             np.abs(
-                gradient_match(CompanionState(smooth), order2, t6).theta - order2.theta_default
+                gradient_match(
+                    quadrature_state(CompanionState(smooth), *quad_grid(t6)), order2
+                ).theta
+                - order2.theta_default
             ).max()
         )
 

@@ -32,9 +32,9 @@ from odelof.diagnose import (
     _TIE_REL,
     _Case2Stat,
     _Case3Stat,
+    _PERM_BLOCK,
     _PermutationStat,
-    _case2_columns,
-    _case3_columns,
+    _f_columns,
     _from_json_float,
     _json_float,
     block_permutation_indices,
@@ -90,7 +90,8 @@ class TestFStatistics:
 
 
 class TestFStatColumns:
-    """The (m, n, d) kernels behind the scalar statistics."""
+    """The (m, n, d) kernel behind the scalar statistics: case 2 is h
+    against its mean over rows, case 3 h1 against h0."""
 
     @staticmethod
     def statistics(d):
@@ -106,7 +107,7 @@ class TestFStatColumns:
     @pytest.mark.parametrize("d", [1, 2])
     def test_case2_columns_match_scalar(self, d):
         g, h, _ = self.statistics(d)
-        values, codes = _case2_columns(g, h)
+        values, codes = _f_columns(g, h, h.mean(axis=1, keepdims=True))
         for j in range(g.shape[0]):
             res = f_stat_case2(g[j], h[j])
             assert values[j] == res.value
@@ -120,7 +121,7 @@ class TestFStatColumns:
     @pytest.mark.parametrize("d", [1, 2])
     def test_case3_columns_match_scalar(self, d):
         g, h0, h1 = self.statistics(d)
-        values, codes = _case3_columns(g, h0, h1)
+        values, codes = _f_columns(g, h1, h0)
         for j in range(g.shape[0]):
             res = f_stat_case3(g[j], h0[j], h1[j])
             assert values[j] == res.value
@@ -133,8 +134,8 @@ class TestFStatColumns:
     def test_kernels_leave_inputs_alone(self):
         g, h0, h1 = self.statistics(1)
         before = [a.copy() for a in (g, h0, h1)]
-        _case2_columns(g, h0)
-        _case3_columns(g, h0, h1)
+        _f_columns(g, h0, h0.mean(axis=1, keepdims=True))
+        _f_columns(g, h1, h0)
         for a, b in zip((g, h0, h1), before):
             assert np.array_equal(a, b)
 
@@ -192,6 +193,20 @@ class TestBlockPermutationIndices:
     def test_block_len_at_least_n_is_identity(self):
         assert np.array_equal(one_block_permutation(10, 10, 3), np.arange(10))
         assert np.array_equal(one_block_permutation(10, 25, 4), np.arange(10))
+
+    @pytest.mark.parametrize(
+        "n, block_len, count", [(352, 9, 199), (240, 50, 199), (400, 7, 1000)]
+    )
+    def test_draws_in_blocks_are_one_draw(self, n, block_len, count):
+        # the permutation null draws _PERM_BLOCK orders at a time
+        rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+        whole = block_permutation_indices(n, block_len, count, rng_a)
+        parts = [
+            block_permutation_indices(n, block_len, min(_PERM_BLOCK, count - at), rng_b)
+            for at in range(0, count, _PERM_BLOCK)
+        ]
+        assert np.array_equal(whole, np.hstack(parts))
+        assert rng_a.random() == rng_b.random()
 
     def test_deterministic_under_seed(self):
         a = block_permutation_indices(20, 4, 5, np.random.default_rng(7))
@@ -372,6 +387,16 @@ class TestCase3EndToEnd:
         assert report.p_values == (0.85, 0.25, 0.25)
         assert report.version
 
+    def test_more_permutations_than_a_block(self, vdp_series, linear_series):
+        # B2 = 199 draws and fits the null in four blocks of up to _PERM_BLOCK
+        config = TestConfig(seed=107, b1=2, b2=199)
+        case3 = case3_test(vdp_series, builtin_system("vanderpol"), config)
+        assert case3.p_values == (0.3, 0.34)
+        assert case3.f0 == pytest.approx(0.3799123761004252, rel=1e-9)
+        case2 = case2_test(linear_series, builtin_system("linear2d"), config)
+        assert case2.p_values == (0.61, 0.96)
+        assert case2.f0 == pytest.approx(0.281899982266366, rel=1e-9)
+
     def test_explicit_delta_respected(self, vdp_series):
         report = case3_test(
             vdp_series,
@@ -539,6 +564,12 @@ def fit_one(design, y):
     return fits.fitted[0], fits.edf[0]
 
 
+def lone_designs(stat, states):
+    """The designs of ``stat`` on ``states``, each built on its own."""
+    layouts = stat._layouts(states)
+    return [AdditiveSmootherDesign(x, stat.settings, groups=g) for x, g in layouts]
+
+
 def case3_setup(system, interaction, seed=11):
     """A case-3 statistic on one simulated dataset, as the test builds it."""
     from odelof import config_from_dict
@@ -578,8 +609,7 @@ class TestCase3LagUpdate:
             designs, g, perm_rng=np.random.default_rng(4), b2=99, block_len=block_len
         )
         rows = stat.valid
-        design0 = AdditiveSmootherDesign(states, stat.settings)
-        design1 = stat.lag_design(states)
+        design0, design1 = lone_designs(stat, states)
         h0, edf_h0 = fit_one(design0, g)
         h1, edf_h1 = fit_one(design1, g[rows])
         rng = np.random.default_rng(4)
@@ -598,14 +628,14 @@ class TestCase3LagUpdate:
 
     def test_h1_design_is_states_and_lagged_states(self):
         stat, states, _, _ = case3_setup("vanderpol", True)
-        design = stat.lag_design(states)
+        design = lone_designs(stat, states)[1]
         rows = stat.valid
         assert design.groups == ((0, 1), (2, 3))
         assert np.array_equal(design.predictors[:, :2], states[rows])
         for j in range(2):
             lagged = np.interp(stat.times[rows] - stat.delta, stat.times, states[:, j])
             assert np.array_equal(design.predictors[:, 2 + j], lagged)
-        additive = _Case3Stat(stat.times, SmootherSettings(), stat.delta).lag_design(states)
+        additive = lone_designs(_Case3Stat(stat.times, SmootherSettings(), stat.delta), states)[1]
         assert additive.groups == ((0,), (1,), (2,), (3,))
 
     def test_degenerate_lag_fit_fails_its_replicate(self, vdp_series, monkeypatch):

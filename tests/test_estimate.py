@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from odelof import (
     ArgumentError,
@@ -21,6 +21,7 @@ from odelof import (
     make_basis,
     observe,
     quad_grid,
+    quadrature_state,
     with_forcing,
 )
 from odelof.diagnose import residual_bootstrap_resample
@@ -32,6 +33,11 @@ from odelof.systems import rate_values
 
 LINEAR_THETA = np.array([0.0, -1.0, 1.0, 0.0])
 TIMES = np.linspace(0.0, 55.0, 440)
+
+
+def on_quadrature(xhat, times=TIMES):
+    """The smooth's state on the default quadrature of ``times``."""
+    return quadrature_state(xhat, *quad_grid(times))
 
 
 class ExactCircle:
@@ -107,17 +113,15 @@ class TestQuadGrid:
 
 class TestGradientMatch:
     def test_exact_state_recovers_theta(self, linear_system):
-        fit = gradient_match(ExactCircle(), linear_system, TIMES)
+        fit = gradient_match(on_quadrature(ExactCircle()), linear_system)
         assert fit.converged
         assert np.abs(fit.theta - LINEAR_THETA).max() <= 1e-9
         assert fit.objective <= 1e-18
 
     def test_closed_form_matches_gauss_newton(self, linear_system, linear_smooth):
-        closed = gradient_match(linear_smooth, linear_system, TIMES)
+        closed = gradient_match(on_quadrature(linear_smooth), linear_system)
         forced_gn = dataclasses.replace(linear_system, linear_in_params=False)
-        gn = gradient_match(
-            linear_smooth, forced_gn, TIMES, theta_init=np.zeros(4)
-        )
+        gn = gradient_match(on_quadrature(linear_smooth), forced_gn, theta_init=np.zeros(4))
         assert gn.converged
         assert np.abs(closed.theta - gn.theta).max() <= 1e-8
 
@@ -125,7 +129,7 @@ class TestGradientMatch:
         forced_gn = dataclasses.replace(
             builtin_system("linear2d"), linear_in_params=False
         )
-        fit = gradient_match(linear_smooth, forced_gn, TIMES, seed=5)
+        fit = gradient_match(on_quadrature(linear_smooth), forced_gn, seed=5)
         assert fit.converged
         assert fit.objectives.shape == (2,)
         assert fit.objective == pytest.approx(fit.objectives.sum())
@@ -135,8 +139,8 @@ class TestGradientMatch:
         path = integrate(vdp, vdp.theta_default, np.array([0.0, 2.0]), TIMES)
         basis = make_basis(4, (0.0, 55.0), 0.25)
         xhat = SmoothingOperator(TIMES, basis, 0.01).fit(path.states)
-        right = gradient_match(xhat, vdp, TIMES)
-        wrong = gradient_match(xhat, linear_system, TIMES)
+        right = gradient_match(on_quadrature(xhat), vdp)
+        wrong = gradient_match(on_quadrature(xhat), linear_system)
         # the correct model keeps some smoothing bias at the relaxation
         # jumps, so compare ratios rather than absolute size
         assert wrong.objective > 3.0 * right.objective
@@ -144,9 +148,8 @@ class TestGradientMatch:
     def test_free_mask_fixes_parameters(self, linear_system, linear_smooth):
         mask = np.array([False, True, True, False])
         fit = gradient_match(
-            linear_smooth,
+            on_quadrature(linear_smooth),
             linear_system,
-            TIMES,
             theta_init=np.array([0.0, 0.5, 0.5, 0.0]),
             free_mask=mask,
         )
@@ -157,9 +160,8 @@ class TestGradientMatch:
     def test_free_mask_needs_init(self, linear_system, linear_smooth):
         with pytest.raises(ArgumentError, match="theta_init"):
             gradient_match(
-                linear_smooth,
+                on_quadrature(linear_smooth),
                 linear_system,
-                TIMES,
                 free_mask=np.array([True, True, True, False]),
             )
 
@@ -171,7 +173,36 @@ class TestGradientMatch:
                 return cols
 
         with pytest.raises(RankError):
-            gradient_match(Flat(), linear_system, TIMES)
+            gradient_match(on_quadrature(Flat()), linear_system)
+
+
+class TestQuadratureState:
+    def test_values_on_the_nodes(self, linear_smooth):
+        nodes, w = quad_grid(TIMES)
+        state = quadrature_state(linear_smooth, nodes, w)
+        assert_array_equal(state.nodes, nodes)
+        assert_array_equal(state.x, linear_smooth(nodes))
+        assert_array_equal(state.dx, linear_smooth(nodes, 1))
+        assert_array_equal(state.sqrt_w, np.sqrt(w))
+
+    def test_a_scalar_smooth_is_one_coordinate(self):
+        def wave(t, deriv):
+            return np.sin(t) if deriv == 0 else np.cos(t)
+
+        state = quadrature_state(wave, *quad_grid(TIMES))
+        assert state.x.shape == state.dx.shape == (4 * 439 + 1, 1)
+
+    def test_rejects_mismatched_shapes(self, linear_smooth):
+        nodes, w = quad_grid(TIMES)
+        with pytest.raises(ArgumentError, match="shapes"):
+            quadrature_state(linear_smooth, nodes, w[1:])
+        with pytest.raises(ArgumentError, match="shapes"):
+            quadrature_state(lambda t, d: np.ones((t.size, 2 + d)), nodes, w)
+
+    def test_mismatch_is_the_rate_residual(self, linear_system, linear_smooth):
+        state = on_quadrature(linear_smooth)
+        expected = state.dx - rate_values(linear_system, state.x, state.nodes, LINEAR_THETA)
+        assert_array_equal(state.mismatch(linear_system, LINEAR_THETA), expected)
 
 
 class TestDescend:
@@ -224,7 +255,7 @@ class TestSecondOrderMatch:
         path = integrate(system, system.theta_default, np.array([0.2, 0.0]), t, substep=1e-3)
         basis = make_basis(4, (0.0, 6.0), 0.025)
         xhat = SmoothingOperator(t, basis, 1e-8).fit(path.states[:, 0])
-        return system, t, xhat, gradient_match(CompanionState(xhat), system, t)
+        return system, t, xhat, gradient_match(on_quadrature(CompanionState(xhat), t), system)
 
     def test_noiseless_tight_step_recovery(self, order2):
         system, _, _, fit = order2
@@ -258,17 +289,32 @@ class TestEstimateForcing:
         basis = make_basis(4, (0.0, 55.0), 0.25)
         xhat = SmoothingOperator(TIMES, basis, 0.01).fit(path.states)
         g_basis = make_basis(4, (0.0, 55.0), 1.0)
-        est = ForcingOperator(forced, g_basis, TIMES).fit(xhat, LINEAR_THETA)
+        est = ForcingOperator(forced, g_basis, *quad_grid(TIMES)).fit(
+            on_quadrature(xhat), LINEAR_THETA
+        )
         interior = np.linspace(4.0, 51.0, 400)
         assert np.abs(est.g(interior) - np.sin(interior)).max() <= 0.05
         assert est.objective <= est.objective_unforced
         assert est.mode == "additive" and est.target == 2
 
+    def test_rejects_a_state_on_another_quadrature(self, linear_system, linear_smooth):
+        forced = with_forcing(linear_system, ForcingSpec("additive", 2))
+        op = ForcingOperator(forced, make_basis(4, (0.0, 55.0), 1.0), *quad_grid(TIMES))
+        with pytest.raises(ArgumentError, match="quadrature"):
+            op.fit(on_quadrature(linear_smooth, TIMES[::2]), LINEAR_THETA)
+        with pytest.raises(ArgumentError, match="quadrature"):
+            op.fit(quadrature_state(linear_smooth, *quad_grid(TIMES, 2)), LINEAR_THETA)
+        with pytest.raises(ArgumentError, match="quadrature"):
+            op.fit(quadrature_state(linear_smooth, op.nodes, 2.0 * op.weights), LINEAR_THETA)
+        # equal nodes and weights are the operator's quadrature
+        copy = quadrature_state(linear_smooth, op.nodes.copy(), op.weights.copy())
+        assert op.fit(copy, LINEAR_THETA) == op.fit(on_quadrature(linear_smooth), LINEAR_THETA)
+
     def test_requires_forcing_spec(self, linear_system):
         bare = dataclasses.replace(linear_system, forcing=None)
         g_basis = make_basis(4, (0.0, 55.0), 1.0)
         with pytest.raises(ArgumentError, match="forcing"):
-            ForcingOperator(bare, g_basis, TIMES)
+            ForcingOperator(bare, g_basis, *quad_grid(TIMES))
 
     @pytest.mark.parametrize(
         "penalty, g_spacing, advice",
@@ -286,7 +332,7 @@ class TestEstimateForcing:
         t = np.linspace(0.0, 10.0, 50)
         g_basis = make_basis(4, (0.0, 10.0), g_spacing)
         with pytest.raises(RankError, match=f"^forcing design is singular; {advice}$"):
-            ForcingOperator(forced, g_basis, t, penalty, quad_per_spacing=1)
+            ForcingOperator(forced, g_basis, *quad_grid(t, 1), penalty)
 
     def test_replacement_mode_recovers_constant(self):
         system = builtin_system("rosenzweig_macarthur_log")
@@ -393,7 +439,7 @@ class TestReplacementForcing:
     def test_step_is_the_dense_least_squares_step(self, rmlog, penalty):
         series, runner, base = rmlog
         system, theta = runner.system, base.match.theta
-        op = ForcingOperator(system, runner.g_basis, series.times, penalty)
+        op = ForcingOperator(system, runner.g_basis, *quad_grid(series.times), penalty)
         x, dx = base.xhat(op.nodes, 0), base.xhat(op.nodes, 1)
         sw = np.sqrt(op.weights)
         rng = np.random.default_rng(4)
@@ -472,7 +518,9 @@ class TestReplacementForcing:
         assert err.value.stage == "forcing"
         xhat = runner.smoother.fit(path.states)
         with pytest.raises(RankError, match="singular"):
-            ForcingOperator(system, runner.g_basis, TIMES).fit(xhat, np.array([0.5, 1.0]))
+            ForcingOperator(system, runner.g_basis, *quad_grid(TIMES)).fit(
+                on_quadrature(xhat), np.array([0.5, 1.0])
+            )
         # a curvature penalty ties those coefficients to their neighbours
         penalized = PipelineRunner(TIMES, system, PipelineSettings(g_penalty=1.0))
         assert penalized.run(path.states).forcing.converged

@@ -1,5 +1,5 @@
 import odelof
-from odelof import diagnose, estimate, seriesio
+from odelof import diagnose, estimate, pipeline, seriesio
 
 
 def test_every_exported_name_resolves():
@@ -24,3 +24,11 @@ def test_no_test_only_wrappers():
         assert name not in odelof.__all__
         assert not hasattr(odelof, name)
         assert not hasattr(module, name)
+
+
+def test_one_state_on_the_quadrature():
+    # the runner passes its basis grids to the spline itself, and the plots
+    # build the lag design through the test's own designs
+    assert not hasattr(pipeline, "_OnGrids")
+    assert not hasattr(diagnose._Case3Stat, "lag_design")
+    assert not hasattr(estimate, "_state_on_grid")

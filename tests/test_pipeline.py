@@ -4,21 +4,39 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from odelof import (
     ArgumentError,
+    BasisGrid,
     ForcingOperator,
     PipelineError,
     PipelineRunner,
     PipelineSettings,
     SmootherSettings,
+    SplineFunction,
     TestConfig,
     builtin_system,
+    config_from_dict,
     gradient_match,
     integrate,
     observe,
+    quad_grid,
+    quadrature_state,
 )
+from odelof import estimate, pipeline
 from odelof.pipeline import CompanionState
+from odelof.power import simulate_series
 from odelof.splines import SmoothingOperator, make_basis
 
 THETA = np.array([0.0, -1.0, 1.0, 0.0])
+
+# additive forcing, the second-order state (x, dx/dt), replacement forcing
+REFIT_MODELS = ["linear2d", "vanderpol_order2", "rosenzweig_macarthur_log"]
+
+
+def refit_case(name):
+    """A runner for the config's model and one simulated data set."""
+    config = config_from_dict({"system": name, "master_seed": 1})
+    series = simulate_series(config, np.random.SeedSequence(1))
+    runner = PipelineRunner(series.times, config.model_system(), config.pipeline_settings())
+    return runner, series
 
 
 @pytest.fixture(scope="module")
@@ -164,17 +182,58 @@ class TestRunner:
         assert_allclose(fit.fitted_obs, fit.xhat(times))
         assert_allclose(fit.g_obs, fit.forcing.g(times))
 
-    def test_grid_refit_equals_evaluation_at_the_points(self, linear_run):
+    @pytest.mark.parametrize("name", REFIT_MODELS)
+    def test_grid_refit_equals_evaluation_at_the_points(self, name):
         # the runner evaluates x_hat, dx_hat and g_hat through basis values
-        # built once; matching and forcing from the bare smooth agree bit for bit
-        fit, times = linear_run
-        system = builtin_system("linear2d")
-        assert_array_equal(fit.fitted_obs, fit.xhat(times))
+        # built once; matching and forcing from the bare smooth, on a
+        # quadrature built anew, agree bit for bit
+        runner, series = refit_case(name)
+        fit = runner.run(series.values)
+        s, times = runner.settings, series.times
+        state = CompanionState(fit.xhat) if s.second_order else fit.xhat
+        assert_array_equal(fit.state_obs, np.asarray(state(times)).reshape(times.size, -1))
+        assert_array_equal(fit.fitted_obs, np.asarray(fit.xhat(times)).reshape(times.size, -1))
         assert_array_equal(fit.g_obs, fit.forcing.g(times))
-        match = gradient_match(fit.xhat, system, times)
+        quadrature = quad_grid(times, s.quad_per_spacing)
+        at_points = quadrature_state(state, *quadrature)
+        match = gradient_match(
+            at_points,
+            runner.system,
+            theta_init=None if s.theta_init is None else np.asarray(s.theta_init),
+            free_mask=None if s.theta_free is None else np.asarray(s.theta_free),
+        )
         assert_array_equal(match.theta, fit.match.theta)
-        forcing = ForcingOperator(system, fit.forcing.g.basis, times).fit(fit.xhat, match.theta)
+        op = ForcingOperator(runner.system, runner.g_basis, *quadrature, s.g_penalty)
+        forcing = op.fit(at_points, match.theta)
         assert_array_equal(forcing.g.coefficients, fit.forcing.g.coefficients)
+        assert (forcing.mode, forcing.n_iter) == (fit.forcing.mode, fit.forcing.n_iter)
+
+    @pytest.mark.parametrize("name", REFIT_MODELS)
+    def test_a_refit_evaluates_the_smooth_once_on_the_nodes(self, name, monkeypatch):
+        # the quadrature is built with the runner; a refit evaluates x_hat
+        # on its nodes once per derivative of the state, through the node
+        # grid, and never at bare points
+        runner, series = refit_case(name)
+        built, on_nodes, at_points = [], [], []
+        for module in (estimate, pipeline):
+            monkeypatch.setattr(
+                module, "quad_grid", lambda *a, **k: built.append(a) or quad_grid(*a, **k)
+            )
+        evaluate = SplineFunction.__call__
+
+        def counted(spline, t, deriv=0):
+            if not isinstance(t, BasisGrid):
+                at_points.append(deriv)
+            elif t.points is runner._forcing_op.nodes:
+                on_nodes.append(deriv)
+            return evaluate(spline, t, deriv)
+
+        monkeypatch.setattr(SplineFunction, "__call__", counted)
+        runner.run(series.values)
+        assert built == [] and at_points == []
+        # the state (x, dx/dt) and its derivative take x_hat's derivatives
+        # 0-1 and 1-2
+        assert sorted(on_nodes) == ([0, 1, 1, 2] if runner.settings.second_order else [0, 1])
 
     def test_needs_enough_times(self):
         with pytest.raises(ArgumentError, match="at least 4"):

@@ -102,6 +102,6 @@ class TestCase3Exports:
             interaction=report.settings["smoother_interaction"],
         )
         stat = _Case3Stat(times, settings, report.delta)
-        h1 = stat.lag_design(states).fit_many(g[None, stat.valid]).fitted[0]
+        h1 = stat.designs([states])[0][1].fit_many(g[None, stat.valid]).fitted[0]
         np.testing.assert_array_equal(exported[:, 0], times[stat.valid])
         np.testing.assert_array_equal(exported[:, 3], h1)
