@@ -6,18 +6,22 @@ model, forcing placement, smoothing knobs) that user values override
 key by key. The fully resolved dictionary is echoed into every output
 directory so a run can be reproduced from its artifacts alone.
 
-Validation builds the objects a config describes (the smoothing and test
-settings, and the model with its forcing) and reports their
-:class:`ArgumentError` as a :class:`ConfigError` at the key path, so each
-kind, range, forcing placement and model check is stated once, in its
-class. It checks here only JSON shape, names, and what needs the config's
-own view: the generator keys and ``observed`` against the system.
+Validation states only JSON shape, kinds and names. Every other rule is
+stated once, where the value is used: validation builds the objects a
+config describes (the smoothing and test settings, and the model with its
+forcing) and runs the simulators' own checks on the generator keys (theta,
+x0, t_span, observed, the variances, the steps and the rate scale), and
+reports their :class:`ArgumentError` as a :class:`ConfigError` with each
+field named by its key path. A test's fit to its grid is checked by
+:func:`_check_tests` once the grid is known, through the geometry the
+test itself resolves.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import re
 from contextlib import contextmanager
@@ -26,13 +30,21 @@ from typing import Any, Optional, Union
 
 import numpy as np
 
-from .diagnose import TestConfig
-from .errors import ArgumentError, ConfigError, is_finite_real
+from .diagnose import TestConfig, _geometry
+from .errors import ArgumentError, ConfigError, is_count, is_finite_real
 from .pipeline import PipelineSettings, check_model
 from .smoothers import SmootherSettings
+from .splines import make_basis
 from .systems import (
     DynamicalSystem,
     ForcingSpec,
+    _check_rate_scale,
+    _check_start,
+    _check_step,
+    _check_theta,
+    _check_times,
+    _check_variances,
+    _observed_indices,
     builtin_names,
     builtin_system,
     scale_rate,
@@ -89,7 +101,6 @@ _EXPERIMENT_DEFAULTS: dict[str, dict] = {
         "t_span": [0.0, 55.0],
         "n_points": 440,
         "noise_var": 0.25,
-        "sde": {"sigma2": 0.01},
         "observed": [1, 2],
         "model": "linear2d",
         "forcing": {"mode": "additive", "target": 2},
@@ -99,7 +110,6 @@ _EXPERIMENT_DEFAULTS: dict[str, dict] = {
         "t_span": [0.0, 55.0],
         "n_points": 440,
         "noise_var": 0.001,
-        "sde": {"sigma2": 0.01},
         "observed": [1, 2],
         "model": "linear2d",
         "forcing": {"mode": "additive", "target": 2},
@@ -130,7 +140,6 @@ _EXPERIMENT_DEFAULTS: dict[str, dict] = {
         "t_span": [0.0, 110.0],
         "n_points": 440,
         "noise_var": 0.25,
-        "sde": {"sigma2": 0.01},
         "observed": [1, 2],
         "model": "rosenzweig_macarthur_log",
         "smoothing": {
@@ -185,26 +194,84 @@ def _check_keys(source: str, d: dict, allowed: dict, prefix: str = ""):
             _check_keys(source, d[key], allowed[key], prefix=f"{prefix}{key}.")
 
 
-def _is_pos(v) -> bool:
-    return is_finite_real(v) and v > 0
+def _require(source: str, *rules) -> None:
+    """Fail at the key of the first of ``rules``, (key, holds, message)
+    triples, that does not hold."""
+    for key, holds, msg in rules:
+        if not holds:
+            _fail(source, key, msg)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _numbers(v, size=None) -> bool:
+    """Whether ``v`` is a non-empty list of finite numbers, of ``size`` if given."""
+    return (
+        isinstance(v, list) and bool(v) and all(map(is_finite_real, v)) and size in (None, len(v))
+    )
+
+
+def _paths(key: str, fields) -> dict:
+    """The key path of each of ``fields``, field names of the objects block
+    ``key`` builds: ``x_penalty`` is ``smoothing.x_penalty`` and
+    ``total_dim`` ``smoothing.smoother_dim``."""
+    return {name: f"{key}.{_SMOOTHER_KEYS.get(name, name)}" for name in fields}
+
+
+# the key paths of the simulators' argument names that are not config keys
+_GENERATOR_PATHS = {
+    "sigma2": "sde.sigma2",
+    "step": "sde.step",
+    "substep": "ode.substep",
+    "factor": "ode.rate_scale",
+}
 
 
 @contextmanager
-def _at(source: str, key: str, fields):
+def _at(source: str, paths: dict):
     """Turn an ArgumentError raised inside into a ConfigError whose message
-    names each of ``fields`` (field names of the objects block ``key``
-    builds) by its key path: ``x_penalty`` becomes ``smoothing.x_penalty``
-    and ``total_dim`` ``smoothing.smoother_dim``."""
+    names each field of ``paths`` by its key path there."""
     try:
         yield
     except ArgumentError as exc:
-        named = rf"(?<![\w'])(?:{'|'.join(fields)})(?![\w'])"
-        msg = re.sub(named, lambda m: f"{key}.{_SMOOTHER_KEYS.get(m[0], m[0])}", str(exc))
+        named = rf"(?<![\w'])(?:{'|'.join(paths)})(?![\w'])"
+        msg = re.sub(named, lambda m: paths[m[0]], str(exc))
         raise ConfigError(f"{source}: {msg}") from None
+
+
+def _check_generator(cfg: dict, source: str) -> None:
+    """Run the simulators' own checks on the generator keys. A config
+    without a builtin system has no sizes: each variance list is sized by
+    itself and observed indices have no upper bound, so only ranges are
+    checked, and the system named in size messages is never shown."""
+    system = cfg["system"]
+    generator = builtin_system(system) if isinstance(system, str) else None
+    dim = generator.dim if generator else math.inf
+    obs, nv, sde, ode = cfg["observed"], cfg["noise_var"], cfg["sde"], cfg["ode"]
+    with _at(source, _GENERATOR_PATHS):
+        if generator is not None:
+            if cfg["theta"] is not None:
+                _check_theta(generator, cfg["theta"])
+            if cfg["x0"] is not None:
+                _check_start(generator, cfg["x0"])
+        n_obs = dim if obs is None else _observed_indices(obs, dim, system).size
+        if nv is not None:
+            _check_variances(nv, n_obs if generator else np.size(nv), "noise_var", system)
+        s2 = sde["sigma2"]
+        _check_variances(s2, dim if generator else np.size(s2), "sigma2", system)
+        _check_rate_scale(ode["rate_scale"])
+        if ode["substep"] is not None:
+            _check_step(ode["substep"], "substep")
+        _check_step(sde["step"], "step")
+
+
+def _check_tests(config: "ExperimentConfig", times: np.ndarray) -> None:
+    """Raise ConfigError at ``test.<field>`` when a configured test does not
+    fit the observation ``times``: its blocks, end trim or case-3 lag."""
+    settings = config.pipeline_settings()
+    g_basis = make_basis(settings.g_order, (times[0], times[-1]), settings.g_knot_spacing)
+    test = TestConfig(seed=0, **config.test_kwargs())
+    with _at(config.source, _paths("test", config.resolved["test"])):
+        for kind in config.tests:
+            _geometry(kind, times, g_basis.support_width, test, settings.smoother)
 
 
 @dataclass
@@ -376,73 +443,49 @@ def _resolve(raw: dict, source: str) -> dict:
 
 
 def _validate(cfg: dict, source: str) -> None:
-    system = cfg["system"]
-    if system is not None:
-        if isinstance(system, dict):
-            if set(system) != {"csv"} or not isinstance(system["csv"], str):
-                _fail(source, "system", 'as an object must be {"csv": "path"}')
-        elif not isinstance(system, str):
-            _fail(source, "system", "must be a builtin name or {\"csv\": path}")
-
-    if cfg["generator"] not in ("ode", "sde"):
-        _fail(source, "generator", f"must be 'ode' or 'sde', got {cfg['generator']!r}")
-
-    for key in ("theta", "x0"):
-        v = cfg[key]
-        if v is not None and not (
-            isinstance(v, list) and v and all(is_finite_real(x) for x in v)
-        ):
-            _fail(source, key, "must be a list of finite numbers")
-    ts = cfg["t_span"]
-    if ts is not None:
-        if not (
-            isinstance(ts, list) and len(ts) == 2 and all(is_finite_real(x) for x in ts)
-            and ts[1] > ts[0]
-        ):
-            _fail(source, "t_span", "must be [start, end] with end > start")
-    npts = cfg["n_points"]
-    if npts is not None and not (_is_int(npts) and npts >= 4):
-        _fail(source, "n_points", f"must be an integer >= 4, got {npts!r}")
-    nv = cfg["noise_var"]
-    if nv is not None:
-        ok = (is_finite_real(nv) and nv >= 0) or (
-            isinstance(nv, list) and nv and all(is_finite_real(x) and x >= 0 for x in nv)
-        )
-        if not ok:
-            _fail(source, "noise_var", "must be a nonnegative number or list")
-    obs = cfg["observed"]
-    if obs is not None and not (
-        isinstance(obs, list) and obs and all(_is_int(x) and x >= 1 for x in obs)
-    ):
-        _fail(source, "observed", "must be a list of 1-based coordinate indices")
-    sde = cfg["sde"]
-    s2 = sde["sigma2"]
-    ok = (is_finite_real(s2) and s2 >= 0) or (
-        isinstance(s2, list) and s2 and all(is_finite_real(x) and x >= 0 for x in s2)
+    system, ts, npts, nv = cfg["system"], cfg["t_span"], cfg["n_points"], cfg["noise_var"]
+    obs, sigma2 = cfg["observed"], cfg["sde"]["sigma2"]
+    csv = isinstance(system, dict) and set(system) == {"csv"} and isinstance(system["csv"], str)
+    numbers = "must be a list of finite numbers"
+    _require(
+        source,
+        (
+            "system",
+            system is None or isinstance(system, str) or csv,
+            'must be a builtin name or {"csv": path}',
+        ),
+        (
+            "generator",
+            cfg["generator"] in ("ode", "sde"),
+            f"must be 'ode' or 'sde', got {cfg['generator']!r}",
+        ),
+        ("theta", cfg["theta"] is None or _numbers(cfg["theta"]), numbers),
+        ("x0", cfg["x0"] is None or _numbers(cfg["x0"]), numbers),
+        ("t_span", ts is None or _numbers(ts, 2), "must be [start, end], two finite numbers"),
     )
-    if not ok:
-        _fail(source, "sde.sigma2", "must be a nonnegative number or list")
-    if isinstance(system, str):
-        generator = builtin_system(system)
-        n_obs = len(obs) if obs is not None else generator.dim
-        for key, v, size in (
-            ("theta", cfg["theta"], generator.n_params),
-            ("x0", cfg["x0"], generator.dim),
-            ("noise_var", nv, n_obs),
-            ("sde.sigma2", s2, generator.dim),
-        ):
-            if isinstance(v, list) and len(v) != size:
-                _fail(source, key, f"has {len(v)} entries, {system} expects {size}")
-        if obs is not None and max(obs) > generator.dim:
-            _fail(source, "observed", f"indices must lie in 1..{generator.dim} for {system}")
-
-    ode = cfg["ode"]
-    if not is_finite_real(ode["rate_scale"]) or ode["rate_scale"] == 0:
-        _fail(source, "ode.rate_scale", "must be a nonzero finite number")
-    if ode["substep"] is not None and not _is_pos(ode["substep"]):
-        _fail(source, "ode.substep", "must be a positive number or null")
-    if not _is_pos(sde["step"]):
-        _fail(source, "sde.step", "must be a positive number")
+    if ts is not None:
+        # the ends of the grid simulate_series builds, which may be too long
+        # to build here
+        with _at(source, _GENERATOR_PATHS):
+            _check_times(ts, "t_span")
+    variances = "must be a finite number or a non-empty list of them"
+    _require(
+        source,
+        # the fewest observation times a pipeline fits
+        (
+            "n_points",
+            npts is None or is_count(npts) and npts >= 4,
+            f"must be an integer >= 4, got {npts!r}",
+        ),
+        ("noise_var", nv is None or is_finite_real(nv) or _numbers(nv), variances),
+        (
+            "observed",
+            obs is None or isinstance(obs, list) and all(map(is_count, obs)),
+            "must be a list of 1-based coordinate indices",
+        ),
+        ("sde.sigma2", is_finite_real(sigma2) or _numbers(sigma2), variances),
+    )
+    _check_generator(cfg, source)
 
     model = cfg["model"]
     if model is not None and model not in builtin_names():
@@ -452,19 +495,20 @@ def _validate(cfg: dict, source: str) -> None:
     if forcing is not None:
         if not isinstance(forcing, dict) or set(forcing) - {"mode", "target"}:
             _fail(source, "forcing", 'must be {"mode": ..., "target": ...}')
-        with _at(source, "forcing", ("mode", "target")):
+        with _at(source, _paths("forcing", ("mode", "target"))):
             spec = ForcingSpec(forcing.get("mode"), forcing.get("target"))
             if model is not None:
                 with_forcing(builtin_system(model), spec)
 
     sm = cfg["smoothing"]
-    with _at(source, "smoothing", [*sm, *_SMOOTHER_KEYS]):
+    with _at(source, _paths("smoothing", [*sm, *_SMOOTHER_KEYS])):
         settings = _pipeline_settings(sm)
         if model is not None:
             check_model(settings, builtin_system(model))
-    with _at(source, "test", cfg["test"]):
+    with _at(source, _paths("test", cfg["test"])):
         TestConfig(seed=0, **cfg["test"])
     if sm["second_order"] and isinstance(system, str):
+        n_obs = builtin_system(system).dim if obs is None else len(obs)
         if n_obs != 1:
             _fail(
                 source,
@@ -472,27 +516,30 @@ def _validate(cfg: dict, source: str) -> None:
                 f"fits one observed coordinate; {system} observes {n_obs}",
             )
 
-    tests = cfg["tests"]
-    if not (
-        isinstance(tests, list)
-        and tests
-        and all(x in _VALID_TESTS for x in tests)
-        and len(set(tests)) == len(tests)
-    ):
-        _fail(source, "tests", f"must be a non-empty subset of {list(_VALID_TESTS)}")
-
-    if not (_is_int(cfg["replicates"]) and cfg["replicates"] >= 1):
-        _fail(source, "replicates", "must be a positive integer")
-    if not (_is_int(cfg["jobs"]) and cfg["jobs"] >= 1):
-        _fail(source, "jobs", "must be a positive integer")
-    if cfg["master_seed"] is not None and not (
-        _is_int(cfg["master_seed"]) and cfg["master_seed"] >= 0
-    ):
-        _fail(source, "master_seed", "must be a nonnegative integer")
-    if not isinstance(cfg["out_dir"], str) or not cfg["out_dir"]:
-        _fail(source, "out_dir", "must be a non-empty path string")
-    cells = cfg.get("cells")
-    if cells is not None and not (
-        isinstance(cells, list) and cells and all(isinstance(c, dict) for c in cells)
-    ):
-        _fail(source, "cells", "must be a non-empty list of config overrides")
+    tests, seed, out_dir, cells = cfg["tests"], cfg["master_seed"], cfg["out_dir"], cfg["cells"]
+    positive = "must be a positive integer"
+    _require(
+        source,
+        (
+            "tests",
+            isinstance(tests, list)
+            and tests
+            and all(x in _VALID_TESTS for x in tests)
+            and len(set(tests)) == len(tests),
+            f"must be a non-empty subset of {list(_VALID_TESTS)}",
+        ),
+        ("replicates", is_count(cfg["replicates"]) and cfg["replicates"] >= 1, positive),
+        ("jobs", is_count(cfg["jobs"]) and cfg["jobs"] >= 1, positive),
+        (
+            "master_seed",
+            seed is None or is_count(seed) and seed >= 0,
+            "must be a nonnegative integer",
+        ),
+        ("out_dir", isinstance(out_dir, str) and out_dir, "must be a non-empty path string"),
+        (
+            "cells",
+            cells is None
+            or isinstance(cells, list) and cells and all(isinstance(c, dict) for c in cells),
+            "must be a non-empty list of config overrides",
+        ),
+    )

@@ -16,6 +16,13 @@ Its structure is then classified by two nested tests:
   block span, which just exceeds the g-basis support: at a shorter lag
   the lagged states would share smoothing error with g(t).
 
+A test runs on the observation rows left after an end trim, in blocks
+that span the g-basis support, and case 3 only on the trimmed rows whose
+lagged time stays in range. :func:`_geometry` resolves this once, for the
+test, for the plots of its report, and for the check that ``run_diagnose``
+and ``run_power_study`` make before any work; it names the ``TestConfig``
+field that does not fit.
+
 Both are wrapped in a residual bootstrap over the data smoothing, giving
 one permutation p-value p_b per bootstrap replicate:
 ``p_b = (1 + #{F_kb >= F_0b}) / (B2 + 1)``, where an F_kb within a
@@ -440,20 +447,12 @@ class _Case2Stat(_PermutationStat):
 
 
 class _Case3Stat(_PermutationStat):
-    def __init__(self, times_trim, smoother_settings, delta):
+    def __init__(self, times_trim, smoother_settings, delta, valid):
         self.settings = smoother_settings
         self.times = times_trim
         self.delta = float(delta)
-        lag_t = times_trim - self.delta
-        # times increase, so the rows whose lag stays in range form a tail
-        first = int(np.searchsorted(lag_t, times_trim[0] - 1e-12))
-        if lag_t.size - first < 16:
-            raise ArgumentError(
-                f"lag delta={delta:g} leaves {lag_t.size - first} usable rows; "
-                "shorten the lag or the trim"
-            )
-        self.valid = slice(first, None)
-        self.lag_times = lag_t[self.valid]
+        self.valid = valid
+        self.lag_times = times_trim[valid] - self.delta
 
     def _layouts(self, states_trim):
         # h0 on the states; h1 on the lag-valid rows, the states and the
@@ -484,6 +483,50 @@ class _Case3Stat(_PermutationStat):
         return f0, (h0.edf[0], h1.edf[0]), null
 
 
+def _geometry(kind, times, support_width, test, smoother) -> tuple:
+    """The geometry of test ``kind`` on the observation ``times``: the
+    trimmed rows, the statistic, and the resolved values a report records
+    (``spacing``, ``block_len``, ``end_trim`` and ``delta``).
+
+    ``test`` is a :class:`TestConfig`, whose unset ``block_len``, ``end_trim``
+    and ``delta`` take their defaults (``support_width``, that of the g
+    basis, sets the block length), or a report, whose resolved values it
+    reproduces. The statistic is built on the trimmed times with the
+    smoother settings ``smoother``; a case-3 statistic keeps the rows whose
+    lagged time stays in range.
+
+    Raises
+    ------
+    ArgumentError
+        Naming the field of ``test`` that does not fit: blocks and trim
+        that leave too few rows, or a lag that leaves fewer than 16.
+    """
+    spacing = float(np.median(np.diff(times)))
+    block_len = test.block_len or default_block_len(support_width, spacing)
+    trim = test.end_trim if test.end_trim is not None else math.ceil(block_len / 2)
+    n = times.size
+    need = max(2 * block_len, 24)
+    if n - 2 * trim < need:
+        raise ArgumentError(
+            f"block_len {block_len} and end_trim {trim} leave too few points: "
+            f"{n - 2 * trim} of {n} observations remain, and the blocks need {need}"
+        )
+    rows = slice(trim, n - trim)
+    resolved = dict(spacing=spacing, block_len=block_len, end_trim=trim, delta=None)
+    if kind == "case2":
+        return rows, _Case2Stat(smoother), resolved
+    resolved["delta"] = delta = test.delta if test.delta is not None else block_len * spacing
+    t_trim = times[rows]
+    # times increase, so the rows whose lag stays in range form a tail
+    first = int(np.searchsorted(t_trim - float(delta), t_trim[0] - 1e-12))
+    if t_trim.size - first < 16:
+        raise ArgumentError(
+            f"delta {delta:g} leaves {t_trim.size - first} of {t_trim.size} trimmed rows "
+            "with a lagged time in range, fewer than 16; shorten the lag or the trim"
+        )
+    return rows, _Case3Stat(t_trim, smoother, delta, slice(first, None)), resolved
+
+
 def _run_test(kind, series, system, config, pipeline):
     if not isinstance(series, TimeSeries):
         raise ArgumentError(f"series must be a TimeSeries, got {type(series).__name__}")
@@ -491,30 +534,10 @@ def _run_test(kind, series, system, config, pipeline):
         raise ArgumentError(f"config must be a TestConfig, got {type(config).__name__}")
     settings = pipeline or PipelineSettings()
     runner = PipelineRunner(series.times, system, settings)
-    fit0 = runner.run(series.values)
-
-    times = series.times
-    spacing = float(np.median(np.diff(times)))
-    block_len = config.block_len or default_block_len(
-        runner.g_basis.support_width, spacing
+    sl, stat, resolved = _geometry(
+        kind, series.times, runner.g_basis.support_width, config, settings.smoother
     )
-    trim = config.end_trim if config.end_trim is not None else math.ceil(block_len / 2)
-    n = times.size
-    if n - 2 * trim < max(2 * block_len, 24):
-        raise ArgumentError(
-            f"{n} observations minus 2x{trim} trim leave too few points for "
-            f"blocks of {block_len}"
-        )
-    sl = slice(trim, n - trim)
-    t_trim = times[sl]
-    delta = None
-    if kind == "case3":
-        delta = config.delta if config.delta is not None else block_len * spacing
-
-    if kind == "case2":
-        stat = _Case2Stat(settings.smoother)
-    else:
-        stat = _Case3Stat(t_trim, settings.smoother, delta)
+    fit0 = runner.run(series.values)
 
     root = as_seed_sequence(config.seed)
     rep_seeds = root.spawn(config.b1)
@@ -553,7 +576,7 @@ def _run_test(kind, series, system, config, pipeline):
                     fit_b.g_obs[sl],
                     perm_rng=rng_from(perm_ss),
                     b2=config.b2,
-                    block_len=block_len,
+                    block_len=resolved["block_len"],
                 )
             except OdelofError as exc:
                 failures.append(f"replicate {b}: {exc}")
@@ -606,11 +629,7 @@ def _run_test(kind, series, system, config, pipeline):
         n_degenerate=n_degenerate,
         b1=config.b1,
         b2=config.b2,
-        block_len=block_len,
-        end_trim=trim,
-        delta=delta,
-        spacing=spacing,
-        n_obs=n,
+        n_obs=series.times.size,
         n_failed=len(failures),
         failure_messages=tuple(failures[:10]),
         seed_entropy=(
@@ -626,4 +645,5 @@ def _run_test(kind, series, system, config, pipeline):
         xhat_spline=fit0.xhat,
         settings=settings_echo,
         version=__version__,
+        **resolved,
     )

@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .diagnose import DiagnosticReport, _Case2Stat, _Case3Stat, _ready
+from .diagnose import DiagnosticReport, _geometry, _ready
 from .errors import ArgumentError, BlowupError
 from .pipeline import CompanionState
 from .seriesio import _write_csv
@@ -50,16 +50,19 @@ def export_diagnostic_plots(
         )
     if system is None:
         system = builtin_system(report.model)
+    # the report's blocks, trim and statistic, resolved as its test resolved them
+    echo = report.settings
+    smoother = SmootherSettings(echo["smoother_total_dim"], echo["smoother_interaction"])
+    sl, stat, resolved = _geometry(report.kind, series.times, None, report, smoother)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     xhat = report.xhat_spline
     g = report.g_spline
     theta = np.asarray(report.theta, dtype=float)
-    second_order = bool(report.settings.get("second_order"))
+    second_order = bool(echo.get("second_order"))
 
     times = series.times
     n = times.size
-    sl = slice(report.end_trim, n - report.end_trim)
     x_obs = np.asarray(xhat(times))
     if x_obs.ndim == 1:
         x_obs = x_obs[:, None]
@@ -87,19 +90,17 @@ def export_diagnostic_plots(
     _write_csv(path, header, cols)
     paths.append(path)
 
-    paths.append(_export_h(report, out, t_trim, s_trim, g_trim))
-    paths.append(_export_series_overlay(out, series, x_obs, states[0], system, theta))
+    paths.append(_export_h(report.kind, stat, out, t_trim, s_trim, g_trim))
+    paths.append(
+        _export_series_overlay(out, series, x_obs, states[0], system, theta, resolved["spacing"])
+    )
     return paths
 
 
-def _export_h(report, out, t_trim, s_trim, g_trim) -> Path:
-    echo = report.settings
-    settings = SmootherSettings(echo["smoother_total_dim"], echo["smoother_interaction"])
+def _export_h(kind, stat, out, t_trim, s_trim, g_trim) -> Path:
     # the designs of the report's test, built as the test builds them
-    case2 = report.kind == "case2"
-    stat = _Case2Stat(settings) if case2 else _Case3Stat(t_trim, settings, report.delta)
     designs = [_ready(d) for d in stat.designs([s_trim])[0]]
-    if case2:
+    if kind == "case2":
         design = designs[0]
         coef = design.fit_many(g_trim[None]).coefficients[0]
         if s_trim.shape[1] == 1:
@@ -130,12 +131,12 @@ def _export_h(report, out, t_trim, s_trim, g_trim) -> Path:
     return path
 
 
-def _export_series_overlay(out, series, x_obs, x0, system, theta) -> Path:
-    """Data, smooth and the bare model solution from the state ``x0``; the
-    solution's first columns are the observed ones (the only one, x, for a
-    second-order model)."""
+def _export_series_overlay(out, series, x_obs, x0, system, theta, spacing) -> Path:
+    """Data, smooth and the bare model solution from the state ``x0``, at
+    RK4 substeps of a quarter of the grid ``spacing``; the solution's first
+    columns are the observed ones (the only one, x, for a second-order
+    model)."""
     times = series.times
-    spacing = float(np.median(np.diff(times)))
     sol = np.full((times.size, system.dim), np.nan)
     try:
         traj = integrate(system, theta, x0, times, substep=spacing / 4.0)

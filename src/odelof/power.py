@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _check_tests
 from .diagnose import DiagnosticReport, TestConfig, case2_test, case3_test, report_json
 from .errors import TestAbortedError
 from .rng import as_seed_sequence
@@ -27,13 +27,20 @@ from .systems import TimeSeries, integrate, observe, simulate_sde
 _TEST_FN = {"case2": case2_test, "case3": case3_test}
 
 
+def _grid(config: ExperimentConfig) -> np.ndarray:
+    """The observation times of a simulation: ``n_points`` evenly spaced
+    over ``t_span``."""
+    config.require_simulation()
+    start, end = config.resolved["t_span"]
+    return np.linspace(float(start), float(end), config.resolved["n_points"])
+
+
 def simulate_series(config: ExperimentConfig, seed) -> TimeSeries:
     """One noisy dataset from the configured generator."""
-    config.require_simulation()
+    times = _grid(config)
     cfg = config.resolved
     system = config.generator_system()
     theta = config.generator_theta()
-    times = np.linspace(cfg["t_span"][0], cfg["t_span"][1], cfg["n_points"])
     ss = as_seed_sequence(seed)
     path_ss, obs_ss = ss.spawn(2)
     if config.generator == "sde":
@@ -141,11 +148,15 @@ def run_power_study(
     Replicates that abort (too many failed bootstrap refits) are counted
     in ``n_aborted`` and excluded from the power denominator.
 
-    Any other error in a replicate propagates: it means the cell is
-    misconfigured, not that the data were unlucky.
+    Every test of every cell is checked against its cell's grid first, so
+    a test that does not fit is a ConfigError before any output. Any other
+    error in a replicate propagates: it means the cell is misconfigured,
+    not that the data were unlucky.
     """
     config.require_seed()
     cells = config.cells()
+    for cell in cells:
+        _check_tests(cell, _grid(cell))
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "w", newline="\n") as fh:
         fh.write(config.echo_json())
@@ -156,7 +167,6 @@ def run_power_study(
     names = _unique_names(cells)
     tasks = []
     for cell, name, cell_ss in zip(cells, names, cell_seeds):
-        cell.require_simulation()
         rep_seeds = cell_ss.spawn(cell.replicates)
         for i, rep_ss in enumerate(rep_seeds):
             sim_ss = rep_ss.spawn(1)[0]
@@ -253,9 +263,12 @@ def run_diagnose(
 
     With ``series=None`` the dataset is simulated first, using the same
     seed child ``run_simulate`` would, so diagnosing a saved CSV and
-    diagnosing in one step produce byte-identical reports.
+    diagnosing in one step produce byte-identical reports. The tests are
+    checked against the grid they will run on, the series' or the
+    simulation's, before anything is simulated or written.
     """
     config.require_seed()
+    _check_tests(config, _grid(config) if series is None else series.times)
     root = as_seed_sequence(config.master_seed)
     sim_ss, test_root = root.spawn(2)
     if series is None:

@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, BlowupError, check_kinds
+from .errors import ArgumentError, BlowupError, check_kinds, is_finite_real
 from .rng import SeedLike, rng_from
 
 RateFn = Callable[[np.ndarray, object, np.ndarray, object], np.ndarray]
@@ -216,12 +216,18 @@ class TimeSeries:
         return self.values.shape[1]
 
 
+def _entries(value, size: int, what: str, owner: str, scalar: bool = False) -> np.ndarray:
+    """``value`` as a float array of ``size`` entries of ``owner``'s, or a
+    scalar where ``scalar`` allows one."""
+    v = np.asarray(value, dtype=float)
+    if v.shape != (size,) and not (scalar and v.ndim == 0):
+        got = f"{v.size} entries" if v.ndim == 1 else f"shape {v.shape}"
+        raise ArgumentError(f"{what} has {got}, {owner} expects {size}")
+    return v
+
+
 def _check_theta(system: DynamicalSystem, theta) -> np.ndarray:
-    th = np.asarray(theta, dtype=float)
-    if th.shape != (system.n_params,):
-        raise ArgumentError(
-            f"theta has shape {th.shape}, {system.name} expects ({system.n_params},)"
-        )
+    th = _entries(theta, system.n_params, "theta", system.name)
     if not np.all(np.isfinite(th)):
         raise ArgumentError("theta contains non-finite values")
     return th
@@ -402,29 +408,44 @@ def _stepper(scheme: str, system: DynamicalSystem, th: np.ndarray, what: str, fo
 
 
 def _check_start(system: DynamicalSystem, x0) -> list:
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (system.dim,):
-        raise ArgumentError(f"x0 has shape {x.shape}, expected ({system.dim},)")
+    x = _entries(x0, system.dim, "x0", system.name)
     if not np.all(np.isfinite(x)):
         raise ArgumentError("x0 contains non-finite values")
     return x.tolist()
 
 
-def _check_variances(value, size: int, what: str) -> np.ndarray:
-    # a scalar, or one nonnegative variance per coordinate
-    v = np.asarray(value, dtype=float)
-    if v.ndim and v.shape != (size,):
-        raise ArgumentError(f"{what} has shape {v.shape}, expected a scalar or ({size},)")
+def _check_variances(value, size: int, what: str, owner: str) -> np.ndarray:
+    # a scalar, or one nonnegative variance per coordinate of owner's size
+    v = _entries(value, size, what, owner, scalar=True)
     if np.any(v < 0) or not np.all(np.isfinite(v)):
         raise ArgumentError(f"{what} must be nonnegative and finite, got {value!r}")
     return np.broadcast_to(v, (size,))
 
 
 def _check_step(value, what: str) -> float:
-    h = float(value)
-    if not (h > 0 and math.isfinite(h)):
-        raise ArgumentError(f"{what} must be positive and finite, got {value}")
-    return h
+    if not (is_finite_real(value) and value > 0):
+        raise ArgumentError(f"{what} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def _observed_indices(observed, dim: float, owner: str) -> np.ndarray:
+    """0-based indices of the 1-based coordinates ``observed`` of ``owner``,
+    of dimension ``dim`` (``math.inf`` bounds them from below only)."""
+    idx = np.asarray(list(observed), dtype=int) - 1
+    if idx.size == 0:
+        raise ArgumentError("observed must name at least one coordinate")
+    if np.any(idx < 0):
+        raise ArgumentError(f"observed indices are 1-based, got {list(observed)}")
+    if np.any(idx >= dim):
+        raise ArgumentError(
+            f"observed indices must lie in 1..{dim} for {owner}, got {list(observed)}"
+        )
+    return idx
+
+
+def _check_rate_scale(factor) -> None:
+    if not (is_finite_real(factor) and factor != 0):
+        raise ArgumentError(f"factor must be a nonzero finite number, got {factor!r}")
 
 
 def integrate(
@@ -513,7 +534,7 @@ def simulate_sde(
     th = _check_theta(system, theta)
     t_grid = _check_times(np.asarray(times, dtype=float), "simulation times")
     xs = _check_start(system, x0)
-    s2 = _check_variances(sigma2, system.dim, "sigma2")
+    s2 = _check_variances(sigma2, system.dim, "sigma2", system.name)
     step = _check_step(step, "step")
     if seed is None:
         raise ArgumentError("simulate_sde requires an explicit seed")
@@ -552,14 +573,8 @@ def observe(
     if observed is None:
         idx = np.arange(trajectory.dim)
     else:
-        idx = np.asarray(list(observed), dtype=int) - 1
-        if idx.size == 0:
-            raise ArgumentError("observed must name at least one coordinate")
-        if np.any(idx < 0) or np.any(idx >= trajectory.dim):
-            raise ArgumentError(
-                f"observed indices must lie in 1..{trajectory.dim}, got {list(observed)}"
-            )
-    v = _check_variances(noise_var, idx.size, "noise_var")
+        idx = _observed_indices(observed, trajectory.dim, "the trajectory")
+    v = _check_variances(noise_var, idx.size, "noise_var", "the observation")
     rng = rng_from(seed)
     clean = trajectory.states[:, idx]
     noisy = clean + np.sqrt(v) * rng.standard_normal(clean.shape)
@@ -568,8 +583,7 @@ def observe(
 
 def scale_rate(system: DynamicalSystem, factor: float) -> DynamicalSystem:
     """System with its rate multiplied by a constant (time speed-up)."""
-    if not np.isfinite(factor) or factor == 0:
-        raise ArgumentError(f"scale factor must be finite and nonzero, got {factor}")
+    _check_rate_scale(factor)
     base = system.rate
     if isinstance(base, CoordinateRate):
         # each coordinate times factor: the bits of factor * base(...)

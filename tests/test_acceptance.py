@@ -22,8 +22,10 @@ from odelof import (
     PipelineSettings,
     SmoothingOperator,
     SmootherSettings,
+    TestConfig,
     builtin_system,
     config_from_dict,
+    diagnose_series,
     f_stat_case2,
     f_stat_case3,
     gradient_match,
@@ -35,9 +37,10 @@ from odelof import (
     quadrature_state,
     run_diagnose,
     run_power_study,
+    simulate_series,
     with_forcing,
 )
-from odelof.diagnose import _Case2Stat, _Case3Stat
+from odelof.diagnose import _Case2Stat, _geometry
 from odelof.pipeline import CompanionState
 from odelof.rng import rng_from
 
@@ -178,7 +181,9 @@ class TestCriterion3Level:
         # g = a smooth function of the state plus noise independent across
         # blocks: the lagged states carry nothing more
         times, states = linear_fit
-        stat = _Case3Stat(times, SmootherSettings(interaction=True), 32 * (times[1] - times[0]))
+        # the statistic on the trimmed rows, with a lag of one block
+        test = TestConfig(seed=0, block_len=32, end_trim=0, delta=32 * (times[1] - times[0]))
+        _, stat, _ = _geometry("case3", times, None, test, SmootherSettings(interaction=True))
         h = np.sin(2.0 * states[:, 0]) + states[:, 1] ** 2
         pvals = uniform_null_pvalues(
             stat, states, lambda rng: h + 0.5 * rng.standard_normal(states.shape[0])
@@ -203,6 +208,56 @@ class TestCriterion3Level:
             3,
             f"case2 level on correctly specified linear2d: "
             f"{s.power:.3f} ({s.rejections}/{s.completed}) <= {bound}",
+            ok,
+        )
+        assert ok
+
+
+ROADMAP_ITEM_9 = pytest.mark.xfail(
+    strict=True,
+    reason="gradient matching on the curvature-penalized smooth biases vanderpol's theta, "
+    "and case 2 reads the bias as a wrong rate (ROADMAP item 9)",
+)
+
+
+class TestCriterion3CorrectModels:
+    """The hierarchy's first level: a correctly specified model is retained
+    on ODE and on SDE data. Dataset d is simulated from seed (9, 0, d) and
+    tested from (9, 1, d), at 10 datasets, B1 = 20 and B2 = 99 at both tiers."""
+
+    @pytest.mark.parametrize(
+        "system, generator, kind",
+        [
+            pytest.param("vanderpol", "ode", "case2", marks=ROADMAP_ITEM_9),
+            pytest.param("vanderpol", "sde", "case2", marks=ROADMAP_ITEM_9),
+        ],
+    )
+    def test_correct_model_is_retained(self, system, generator, kind, capsys):
+        cfg = config_from_dict(
+            {
+                "system": system,
+                "model": system,
+                "generator": generator,
+                "tests": [kind],
+                "test": {"b1": 20, "b2": 99},
+            }
+        )
+        n_data, bound = 10, 0.3
+        rejections, p_b = 0, []
+        for d in range(n_data):
+            series = simulate_series(cfg, np.random.SeedSequence(9, spawn_key=(0, d)))
+            report = diagnose_series(cfg, series, kind, np.random.SeedSequence(9, spawn_key=(1, d)))
+            rejections += report.reject
+            p_b += report.p_values
+        rate = rejections / n_data
+        ok = rate <= bound
+        # the pooled share is reported, not gated: it is 5% for uniform p_b
+        share = float(np.mean(np.asarray(p_b) <= 0.05))
+        emit(
+            capsys,
+            3,
+            f"{system}/{generator} {kind} on its own model: rate {rate:.3f} "
+            f"({rejections}/{n_data}) <= {bound}; pooled p_b <= 0.05: {share:.1%}",
             ok,
         )
         assert ok

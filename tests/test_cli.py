@@ -10,9 +10,15 @@ from odelof import (
     ForcingSpec,
     PipelineSettings,
     TestAbortedError,
+    Trajectory,
     builtin_system,
     cli,
     config_from_dict,
+    integrate,
+    observe,
+    power,
+    scale_rate,
+    simulate_sde,
     with_forcing,
 )
 from odelof.pipeline import check_model
@@ -88,7 +94,8 @@ class TestDiagnose:
             run_a / "report_case2.json"
         ).read_bytes()
 
-    def test_short_series_is_a_runtime_error(self, tmp_path, capsys):
+    def test_short_series_is_an_argument_error(self, tmp_path, capsys):
+        # the blocks do not fit the CSV's grid: exit 2 before any output
         cfg = write_config(tmp_path / "c.json")
         import math
 
@@ -100,8 +107,61 @@ class TestDiagnose:
         code = cli.main(
             ["diagnose", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "o")]
         )
-        assert code == 3
-        assert "too few" in capsys.readouterr().err
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: test.block_len 9 and test.end_trim 5 leave too few points" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            pytest.param(
+                {"n_points": 20, "tests": ["case2"]},
+                "test.block_len 2 and test.end_trim 1 leave too few points: 18 of 20",
+                id="n_points",
+            ),
+            pytest.param(
+                {"tests": ["case2"], "test": {"block_len": 300}},
+                "test.block_len 300 and test.end_trim 150 leave too few points: 140 of 440",
+                id="block_len",
+            ),
+            pytest.param(
+                {"tests": ["case3"], "test": {"delta": 50}},
+                "test.delta 50 leaves 8 of 408 trimmed rows",
+                id="delta",
+            ),
+        ],
+    )
+    def test_test_that_does_not_fit_its_grid_exits_2_first(
+        self, tmp_path, capsys, monkeypatch, override, message
+    ):
+        # checked on the grid to be simulated, before simulating it
+        def no_simulation(config, seed):
+            raise AssertionError("simulated before the tests were checked")
+
+        monkeypatch.setattr(power, "simulate_series", no_simulation)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"system": "linear2d", "master_seed": 1, **override}))
+        out = tmp_path / "out"
+        assert cli.main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_data_grid_is_the_one_checked(self, tmp_path):
+        # a CSV whose grid fits runs under a config whose own grid would not,
+        # and gives the report of a config whose grid fits
+        fits = write_config(tmp_path / "fits.json")
+        data = tmp_path / "data.csv"
+        assert cli.main(["simulate", "--config", str(fits), "--out", str(data)]) == 0
+        short = write_config(tmp_path / "short.json", n_points=20)
+        assert cli.main(["diagnose", "--config", str(short), "--out", str(tmp_path / "x")]) == 2
+        runs = {}
+        for name, cfg in (("short", short), ("fits", fits)):
+            runs[name] = tmp_path / name
+            argv = ["diagnose", "--config", str(cfg), "--data", str(data), "--out", str(runs[name])]
+            assert cli.main(argv) == 0
+        report = "report_case2.json"
+        assert (runs["short"] / report).read_bytes() == (runs["fits"] / report).read_bytes()
 
     def test_aborted_test_exit_code(self, tmp_path, capsys, monkeypatch):
         def boom(config, out_dir, series=None):
@@ -154,6 +214,16 @@ class TestPowerStudy:
         assert len(table) == 3  # two cells, one test each
         assert (one / "linear2d_ode" / "case2" / "rep0000.json").exists()
         assert (one / "linear2d_sde" / "case2" / "rep0001.json").exists()
+
+    def test_cell_whose_test_does_not_fit_exits_2_first(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cells = [{"system": "linear2d"}, {"system": "linear2d", "test": {"delta": 50}}]
+        raw = {"master_seed": 23, "replicates": 2, "tests": ["case3"], "cells": cells}
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli.main(["power-study", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: {cfg}: cells[1]: test.delta 50 leaves" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cells_inherit_cli_replicate_override(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -301,6 +371,57 @@ MODEL_ROWS = [
 ]
 
 
+VANDERPOL = builtin_system("vanderpol")
+VDP_THETA, VDP_X0 = VANDERPOL.theta_default, [0.0, 2.0]
+VDP_PATH = Trajectory([0.0, 1.0], [VDP_X0, VDP_X0])
+
+
+# (config override of a vanderpol config, key path, the simulator's field
+# name, the simulator call that states the rule)
+GENERATOR_ROWS = [
+    (
+        {"theta": [1, 2, 3]},
+        "theta",
+        "theta",
+        lambda: integrate(VANDERPOL, [1, 2, 3], VDP_X0, [0, 1]),
+    ),
+    (
+        {"x0": [0.0, 2.0, 1.0]},
+        "x0",
+        "x0",
+        lambda: integrate(VANDERPOL, VDP_THETA, [0.0, 2.0, 1.0], [0, 1]),
+    ),
+    ({"noise_var": -1.0}, "noise_var", "noise_var", lambda: observe(VDP_PATH, -1.0, seed=1)),
+    ({"observed": []}, "observed", "observed", lambda: observe(VDP_PATH, 0.1, 1, observed=[])),
+    ({"observed": [0]}, "observed", "observed", lambda: observe(VDP_PATH, 0.1, 1, observed=[0])),
+    (
+        {"sde": {"sigma2": -0.1}},
+        "sde.sigma2",
+        "sigma2",
+        lambda: simulate_sde(VANDERPOL, VDP_THETA, -0.1, VDP_X0, [0, 1], seed=1),
+    ),
+    (
+        {"sde": {"sigma2": [0.01, 0.02, 0.03]}},
+        "sde.sigma2",
+        "sigma2",
+        lambda: simulate_sde(VANDERPOL, VDP_THETA, [0.01, 0.02, 0.03], VDP_X0, [0, 1], seed=1),
+    ),
+    (
+        {"sde": {"step": 0}},
+        "sde.step",
+        "step",
+        lambda: simulate_sde(VANDERPOL, VDP_THETA, 0.01, VDP_X0, [0, 1], step=0, seed=1),
+    ),
+    (
+        {"ode": {"substep": -0.01}},
+        "ode.substep",
+        "substep",
+        lambda: integrate(VANDERPOL, VDP_THETA, VDP_X0, [0, 1], substep=-0.01),
+    ),
+    ({"ode": {"rate_scale": 0}}, "ode.rate_scale", "factor", lambda: scale_rate(VANDERPOL, 0)),
+]
+
+
 class TestArgumentHandling:
     def test_requires_a_subcommand(self):
         with pytest.raises(SystemExit):
@@ -339,6 +460,18 @@ class TestArgumentHandling:
         code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, key, field, build",
+        [pytest.param(*row, id=str(row[0])) for row in GENERATOR_ROWS],
+    )
+    def test_generator_rows_state_the_simulators_rule(self, override, key, field, build):
+        with pytest.raises(ConfigError) as by_config:
+            config_from_dict({"system": "vanderpol", **override})
+        with pytest.raises(ArgumentError) as by_simulator:
+            build()
+        # the config names the field by its key path; the words are the same
+        assert str(by_config.value) == f"config: {key}" + str(by_simulator.value)[len(field):]
 
     @pytest.mark.parametrize("override, message", [row[:2] for row in MODEL_ROWS])
     def test_model_settings_are_checked_against_the_model(

@@ -36,6 +36,8 @@ from odelof.diagnose import (
     _PermutationStat,
     _f_columns,
     _from_json_float,
+    _geometry,
+    _run_test,
     _json_float,
     block_permutation_indices,
 )
@@ -417,6 +419,45 @@ class TestGuards:
         with pytest.raises(ArgumentError, match="too few"):
             case2_test(series, system, TestConfig(seed=1, b1=2, b2=19))
 
+    @pytest.mark.parametrize(
+        "test, message",
+        [
+            (
+                TestConfig(seed=1, block_len=200),
+                "^block_len 200 and end_trim 100 leave too few points: 240 of 440 observations "
+                "remain, and the blocks need 400$",
+            ),
+            (
+                TestConfig(seed=1, end_trim=209),
+                "^block_len 32 and end_trim 209 leave too few points: 22 of 440",
+            ),
+            (
+                TestConfig(seed=1, delta=50.0),
+                "^delta 50 leaves 8 of 408 trimmed rows with a lagged time in range, fewer "
+                "than 16; shorten the lag or the trim$",
+            ),
+        ],
+    )
+    def test_geometry_names_the_field_that_does_not_fit(self, vdp_series, test, message):
+        with pytest.raises(ArgumentError, match=message):
+            _geometry("case3", vdp_series.times, 4.0, test, SmootherSettings())
+
+    @pytest.mark.parametrize("kind", ["case2", "case3"])
+    def test_geometry_of_a_report_is_its_tests(self, vdp_series, kind):
+        report = _run_test(
+            kind, vdp_series, builtin_system("linear2d"), TestConfig(seed=5, b1=2, b2=9), None
+        )
+        rows, stat, resolved = _geometry(kind, vdp_series.times, None, report, SmootherSettings())
+        assert resolved == {
+            "spacing": report.spacing,
+            "block_len": 32,
+            "end_trim": 16,
+            "delta": None if kind == "case2" else 32 * report.spacing,
+        }
+        assert {name: getattr(report, name) for name in resolved} == resolved
+        assert rows == slice(16, 424)
+        assert type(stat) is (_Case2Stat if kind == "case2" else _Case3Stat)
+
     def test_abort_when_replicates_fail(self, vdp_series, monkeypatch):
         original = _Case2Stat.evaluate
 
@@ -584,12 +625,9 @@ def case3_setup(system, interaction, seed=11):
     runner = PipelineRunner(series.times, config.model_system(), settings)
     fit = runner.run(series.values)
     test = TestConfig(seed=seed, **config.test_kwargs())
-    spacing = float(np.median(np.diff(series.times)))
-    block_len = test.block_len or default_block_len(runner.g_basis.support_width, spacing)
-    trim = test.end_trim if test.end_trim is not None else math.ceil(block_len / 2)
-    rows = slice(trim, series.times.size - trim)
-    stat = _Case3Stat(series.times[rows], settings.smoother, block_len * spacing)
-    return stat, fit.state_obs[rows], fit.g_obs[rows], block_len
+    width = runner.g_basis.support_width
+    rows, stat, resolved = _geometry("case3", series.times, width, test, settings.smoother)
+    return stat, fit.state_obs[rows], fit.g_obs[rows], resolved["block_len"]
 
 
 class TestCase3LagUpdate:
@@ -635,7 +673,8 @@ class TestCase3LagUpdate:
         for j in range(2):
             lagged = np.interp(stat.times[rows] - stat.delta, stat.times, states[:, j])
             assert np.array_equal(design.predictors[:, 2 + j], lagged)
-        additive = lone_designs(_Case3Stat(stat.times, SmootherSettings(), stat.delta), states)[1]
+        additive = _Case3Stat(stat.times, SmootherSettings(), stat.delta, stat.valid)
+        additive = lone_designs(additive, states)[1]
         assert additive.groups == ((0,), (1,), (2,), (3,))
 
     def test_degenerate_lag_fit_fails_its_replicate(self, vdp_series, monkeypatch):

@@ -1,5 +1,5 @@
 import odelof
-from odelof import diagnose, estimate, pipeline, seriesio
+from odelof import config, diagnose, estimate, pipeline, plots, seriesio
 
 
 def test_every_exported_name_resolves():
@@ -32,3 +32,12 @@ def test_one_state_on_the_quadrature():
     assert not hasattr(pipeline, "_OnGrids")
     assert not hasattr(diagnose._Case3Stat, "lag_design")
     assert not hasattr(estimate, "_state_on_grid")
+
+
+def test_one_rule_per_input():
+    # config validation runs the simulators' checks, and the test, the plots
+    # and the up-front check share one test geometry
+    for name in ("_is_int", "_is_pos"):
+        assert not hasattr(config, name)
+    for name in ("_Case2Stat", "_Case3Stat"):
+        assert not hasattr(plots, name)

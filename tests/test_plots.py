@@ -12,7 +12,7 @@ from odelof import (
     integrate,
     observe,
 )
-from odelof.diagnose import _Case3Stat
+from odelof.diagnose import _geometry
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +101,7 @@ class TestCase3Exports:
             total_dim=report.settings["smoother_total_dim"],
             interaction=report.settings["smoother_interaction"],
         )
-        stat = _Case3Stat(times, settings, report.delta)
+        stat = _geometry("case3", series.times, None, report, settings)[1]
         h1 = stat.designs([states])[0][1].fit_many(g[None, stat.valid]).fitted[0]
         np.testing.assert_array_equal(exported[:, 0], times[stat.valid])
         np.testing.assert_array_equal(exported[:, 3], h1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from odelof import TestAbortedError, config_from_dict
+from odelof import ConfigError, TestAbortedError, config_from_dict
 from odelof.power import (
     CellSummary,
     diagnose_series,
@@ -127,3 +127,27 @@ class TestRunPowerStudy:
         cfg = config_from_dict({"system": "linear2d", "n_points": 120})
         with pytest.raises(Exception, match="master_seed"):
             run_power_study(cfg, str(tmp_path / "out"))
+
+
+class TestTestsFitTheirGrid:
+    """Every test of every cell is checked against the cell's grid before
+    anything is written or run."""
+
+    def test_study_checks_every_cell_first(self, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(power_mod, "_run_replicate", ran.append)
+        cfg = config_from_dict(
+            {
+                "master_seed": 5,
+                "replicates": 2,
+                "n_points": 120,
+                "tests": ["case2", "case3"],
+                "test": {"b1": 2, "b2": 9},
+                "cells": [{"system": "linear2d"}, {"system": "vanderpol", "test": {"delta": 50}}],
+            }
+        )
+        match = r"^config: cells\[1\]: test\.delta 50 leaves 1 of 110 trimmed rows"
+        with pytest.raises(ConfigError, match=match):
+            run_power_study(cfg, str(tmp_path / "out"))
+        assert ran == []
+        assert not (tmp_path / "out").exists()
