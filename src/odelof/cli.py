@@ -1,8 +1,9 @@
 """Command line entry point.
 
 Exit codes: 0 success, 2 bad configuration or arguments, including a
-file named on the command line that cannot be read, parsed or written
-and a test that does not fit the grid it would run on, 3 runtime
+file named on the command line that cannot be read, parsed or written,
+a missing model, a data series whose columns do not fit the model and a
+test that does not fit the grid it would run on, 3 runtime
 failure inside the pipeline, 4 test aborted (too many bootstrap
 replicates failed on this dataset).
 """

@@ -14,7 +14,8 @@ x0, t_span, observed, the variances, the steps and the rate scale), and
 reports their :class:`ArgumentError` as a :class:`ConfigError` with each
 field named by its key path. A test's fit to its grid is checked by
 :func:`_check_tests` once the grid is known, through the geometry the
-test itself resolves.
+test itself resolves, together with the model it needs and, for a given
+series, that series' columns against the model.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .diagnose import TestConfig, _geometry
 from .errors import ArgumentError, ConfigError, is_count, is_finite_real
-from .pipeline import PipelineSettings, check_model
+from .pipeline import PipelineSettings, check_columns, check_model
 from .smoothers import SmootherSettings
 from .splines import make_basis
 from .systems import (
@@ -53,6 +54,10 @@ from .systems import (
 
 # smoothing-block keys of the SmootherSettings fields, by field name
 _SMOOTHER_KEYS = {"total_dim": "smoother_dim", "interaction": "h_interaction"}
+# the smoothing-block key of each name the pipeline's checks give a
+# smoothing field: the SmootherSettings fields, and gradient matching's
+# free_mask
+_FIELD_KEYS = {**_SMOOTHER_KEYS, "free_mask": "theta_free"}
 
 
 def _smoothing_block(settings: PipelineSettings) -> dict:
@@ -211,9 +216,9 @@ def _numbers(v, size=None) -> bool:
 
 def _paths(key: str, fields) -> dict:
     """The key path of each of ``fields``, field names of the objects block
-    ``key`` builds: ``x_penalty`` is ``smoothing.x_penalty`` and
-    ``total_dim`` ``smoothing.smoother_dim``."""
-    return {name: f"{key}.{_SMOOTHER_KEYS.get(name, name)}" for name in fields}
+    ``key`` builds: ``x_penalty`` is ``smoothing.x_penalty``, ``total_dim``
+    ``smoothing.smoother_dim`` and ``free_mask`` ``smoothing.theta_free``."""
+    return {name: f"{key}.{_FIELD_KEYS.get(name, name)}" for name in fields}
 
 
 # the key paths of the simulators' argument names that are not config keys
@@ -263,13 +268,20 @@ def _check_generator(cfg: dict, source: str) -> None:
         _check_step(sde["step"], "step")
 
 
-def _check_tests(config: "ExperimentConfig", times: np.ndarray) -> None:
-    """Raise ConfigError at ``test.<field>`` when a configured test does not
-    fit the observation ``times``: its blocks, end trim or case-3 lag."""
+def _check_tests(config: "ExperimentConfig", times: np.ndarray, n_columns=None) -> None:
+    """Raise ConfigError, at its key path, when the configured tests cannot
+    run on a series at the observation ``times``: without a model, on
+    ``n_columns`` observed coordinates that do not fit the model (None for
+    a simulated series, whose count validation checked), or with blocks,
+    an end trim or a case-3 lag that do not fit the times."""
+    model = config.model_system()
     settings = config.pipeline_settings()
     g_basis = make_basis(settings.g_order, (times[0], times[-1]), settings.g_knot_spacing)
     test = TestConfig(seed=0, **config.test_kwargs())
-    with _at(config.source, _paths("test", config.resolved["test"])):
+    paths = {**_paths("smoothing", ("second_order",)), **_paths("test", config.resolved["test"])}
+    with _at(config.source, paths):
+        if n_columns is not None:
+            check_columns(n_columns, settings, model, "the series")
         for kind in config.tests:
             _geometry(kind, times, g_basis.support_width, test, settings.smoother)
 
@@ -465,7 +477,8 @@ def _validate(cfg: dict, source: str) -> None:
     )
     if ts is not None:
         # the ends of the grid simulate_series builds, which may be too long
-        # to build here
+        # to build here; its spacing (end - start) / (n_points - 1) is
+        # finite where the ends' is
         with _at(source, _GENERATOR_PATHS):
             _check_times(ts, "t_span")
     variances = "must be a finite number or a non-empty list of them"
@@ -501,20 +514,16 @@ def _validate(cfg: dict, source: str) -> None:
                 with_forcing(builtin_system(model), spec)
 
     sm = cfg["smoothing"]
-    with _at(source, _paths("smoothing", [*sm, *_SMOOTHER_KEYS])):
+    with _at(source, _paths("smoothing", [*sm, *_FIELD_KEYS])):
         settings = _pipeline_settings(sm)
         if model is not None:
-            check_model(settings, builtin_system(model))
+            proposed = builtin_system(model)
+            check_model(settings, proposed)
+            if isinstance(system, str):
+                n_obs = builtin_system(system).dim if obs is None else len(obs)
+                check_columns(n_obs, settings, proposed, system)
     with _at(source, _paths("test", cfg["test"])):
         TestConfig(seed=0, **cfg["test"])
-    if sm["second_order"] and isinstance(system, str):
-        n_obs = builtin_system(system).dim if obs is None else len(obs)
-        if n_obs != 1:
-            _fail(
-                source,
-                "smoothing.second_order",
-                f"fits one observed coordinate; {system} observes {n_obs}",
-            )
 
     tests, seed, out_dir, cells = cfg["tests"], cfg["master_seed"], cfg["out_dir"], cfg["cells"]
     positive = "must be a positive integer"

@@ -60,6 +60,7 @@ from . import __version__
 from .errors import ArgumentError, OdelofError, TestAbortedError, check_kinds, is_finite_real
 from .pipeline import PipelineRunner, PipelineSettings
 from .rng import SeedLike, as_seed_sequence, rng_from
+from .seriesio import write_text
 from .smoothers import AdditiveSmootherDesign, build_designs
 from .splines import SplineFunction
 from .systems import DynamicalSystem, TimeSeries
@@ -276,8 +277,7 @@ class DiagnosticReport:
         )
 
     def save(self, path: Union[str, os.PathLike]) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(report_json(self))
+        write_text(path, report_json(self))
 
     @staticmethod
     def load(path: Union[str, os.PathLike]) -> "DiagnosticReport":

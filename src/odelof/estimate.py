@@ -42,7 +42,7 @@ from scipy.linalg import cho_factor, cho_solve, solveh_banded
 from .errors import ArgumentError, ConvergenceError, RankError, is_finite_real
 from .rng import SeedLike, rng_from
 from .splines import BasisGrid, BSplineBasis, SplineFunction
-from .systems import DynamicalSystem, rate_values
+from .systems import DynamicalSystem, _entries, rate_values
 
 _GN_MAX_ITER = 100
 _GN_TOL = 1e-10
@@ -127,26 +127,18 @@ def quadrature_state(xhat, nodes, weights) -> QuadratureState:
 
 
 def _resolve_mask(system: DynamicalSystem, theta_init, free_mask) -> tuple[np.ndarray, np.ndarray]:
-    if free_mask is None:
-        mask = np.ones(system.n_params, dtype=bool)
-    else:
-        mask = np.asarray(free_mask, dtype=bool)
-        if mask.shape != (system.n_params,):
-            raise ArgumentError(
-                f"free_mask must have shape ({system.n_params},), got {mask.shape}"
-            )
+    """The free-parameter mask and the base theta (the fixed parameters'
+    values) of a match; raises :class:`ArgumentError` when either does not
+    fit ``system``'s parameters."""
+    n = system.n_params
+    mask = np.ones(n, dtype=bool)
+    if free_mask is not None:
+        mask = _entries(free_mask, n, "free_mask", system.name) != 0
     if not mask.any():
         raise ArgumentError("free_mask leaves no parameter to estimate")
-    if theta_init is None:
-        if not mask.all():
-            raise ArgumentError("fixed parameters need values: pass theta_init")
-        base = np.zeros(system.n_params)
-    else:
-        base = np.asarray(theta_init, dtype=float)
-        if base.shape != (system.n_params,):
-            raise ArgumentError(
-                f"theta_init must have shape ({system.n_params},), got {base.shape}"
-            )
+    if theta_init is None and not mask.all():
+        raise ArgumentError("free_mask fixes parameters, which need values: pass theta_init")
+    base = np.zeros(n) if theta_init is None else _entries(theta_init, n, "theta_init", system.name)
     return mask, base
 
 

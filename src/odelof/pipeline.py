@@ -24,6 +24,7 @@ from .estimate import (
     ForcingEstimate,
     ForcingOperator,
     GradientMatchFit,
+    _resolve_mask,
     gradient_match,
     quad_grid,
     quadrature_state,
@@ -98,19 +99,32 @@ class PipelineSettings:
 def check_model(settings: PipelineSettings, system: DynamicalSystem) -> None:
     """Raise :class:`ArgumentError`, naming the field, when ``settings`` do
     not fit the proposed model ``system``: a second-order fit needs a
-    two-dimensional model, and ``theta_init`` and ``theta_free`` need one
-    entry per parameter."""
+    two-dimensional model, and ``theta_init`` and ``theta_free`` (gradient
+    matching's ``free_mask``) are checked by the rule gradient matching
+    applies to them."""
     if settings.second_order and system.dim != 2:
         raise ArgumentError(
             f"second_order fits the state (x, dx/dt) of a two-dimensional model; "
             f"{system.name} has dimension {system.dim}"
         )
-    for name in ("theta_init", "theta_free"):
-        v = getattr(settings, name)
-        if v is not None and len(v) != system.n_params:
+    _resolve_mask(system, settings.theta_init, settings.theta_free)
+
+
+def check_columns(
+    n_columns: int, settings: PipelineSettings, system: DynamicalSystem, owner: str
+) -> None:
+    """Raise :class:`ArgumentError` when the ``n_columns`` observed
+    coordinates of ``owner`` do not fit the model ``system``: one per model
+    coordinate, or one with ``second_order``."""
+    if settings.second_order:
+        if n_columns != 1:
             raise ArgumentError(
-                f"{name} has {len(v)} entries, {system.name} expects {system.n_params}"
+                f"second_order fits one observed coordinate; {owner} observes {n_columns}"
             )
+    elif n_columns != system.dim:
+        raise ArgumentError(
+            f"model {system.name} has dimension {system.dim}; {owner} observes {n_columns}"
+        )
 
 
 @dataclass(frozen=True)
@@ -191,19 +205,8 @@ class PipelineRunner:
         if y.ndim == 1:
             y = y[:, None]
         try:
-            if s.second_order:
-                if y.shape[1] != 1:
-                    raise ArgumentError(
-                        f"second-order pipeline needs one observed coordinate, got {y.shape[1]}"
-                    )
-                xhat = self.smoother.fit(y[:, 0])
-            else:
-                if y.shape[1] != self.system.dim:
-                    raise ArgumentError(
-                        f"model {self.system.name} has dim {self.system.dim}, "
-                        f"data has {y.shape[1]} columns"
-                    )
-                xhat = self.smoother.fit(y)
+            check_columns(y.shape[1], s, self.system, "the series")
+            xhat = self.smoother.fit(y[:, 0] if s.second_order else y)
         except OdelofError as exc:
             raise PipelineError(f"smoothing failed: {exc}", stage="smooth") from exc
         state = CompanionState(xhat) if s.second_order else xhat

@@ -1,10 +1,12 @@
 """Batch runners: simulate datasets, diagnose them, tabulate rejection rates.
 
 A power study is a grid of cells (system x generator), each diagnosed with
-one or both tests over many simulated replicates. Replicates are
-independent given their seeds, so they parallelize across processes; the
-seed tree is spawned up front and results are aggregated in replicate
-order, making output bytes independent of --jobs.
+one or both tests over many simulated replicates. One task is one
+replicate of one cell: it simulates the dataset once and runs each of the
+cell's tests on it in turn. Replicates are independent given their seeds,
+so they parallelize across processes; the seed tree is spawned up front
+and each replicate's files are written as it arrives, in replicate order,
+making output bytes independent of --jobs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .config import ExperimentConfig, _check_tests
 from .diagnose import DiagnosticReport, TestConfig, case2_test, case3_test, report_json
 from .errors import TestAbortedError
 from .rng import as_seed_sequence
-from .seriesio import write_series_csv
+from .seriesio import write_series_csv, write_text
 from .systems import TimeSeries, integrate, observe, simulate_sde
 
 _TEST_FN = {"case2": case2_test, "case3": case3_test}
@@ -69,15 +71,6 @@ def diagnose_series(
 
 
 @dataclass
-class ReplicateResult:
-    cell: str
-    kind: str
-    index: int
-    report: Optional[DiagnosticReport]
-    error: Optional[str]
-
-
-@dataclass
 class CellSummary:
     cell: str
     system: str
@@ -110,22 +103,18 @@ def _pin_blas():
         os.environ[var] = "1"
 
 
-def _run_replicate(task) -> ReplicateResult:
-    cell_resolved, cell_name, kind, index, sim_state, test_state = task
-    config = ExperimentConfig(cell_resolved, source=cell_name)
-    sim_ss = np.random.SeedSequence(**sim_state)
-    test_ss = np.random.SeedSequence(**test_state)
-    try:
-        series = simulate_series(config, sim_ss)
-        report = diagnose_series(config, series, kind, test_ss)
-        return ReplicateResult(cell_name, kind, index, report, None)
-    except TestAbortedError as exc:
-        return ReplicateResult(cell_name, kind, index, None, str(exc))
-
-
-def _ss_state(ss: np.random.SeedSequence) -> dict:
-    # entropy + spawn_key identify a SeedSequence exactly and pickle cheaply
-    return {"entropy": ss.entropy, "spawn_key": ss.spawn_key}
+def _run_replicate(task) -> list:
+    """Simulate one replicate's dataset and run each of its cell's tests on
+    it, in order; per test, its report or its TestAbortedError message."""
+    cell, sim_ss, test_seeds = task
+    series = simulate_series(cell, sim_ss)
+    outcomes = []
+    for kind, test_ss in zip(cell.tests, test_seeds):
+        try:
+            outcomes.append(diagnose_series(cell, series, kind, test_ss))
+        except TestAbortedError as exc:
+            outcomes.append(str(exc))
+    return outcomes
 
 
 def _unique_names(cells) -> list[str]:
@@ -145,90 +134,69 @@ def run_power_study(
 
     Layout under ``out_dir``: ``config.json`` echo, one
     ``<cell>/<test>/rep####.json`` per replicate, and ``power_table.csv``.
+    A replicate's dataset is simulated once for all of its cell's tests,
+    and its files are written as soon as it finishes, in replicate order.
     Replicates that abort (too many failed bootstrap refits) are counted
-    in ``n_aborted`` and excluded from the power denominator.
+    in ``n_aborted`` and excluded from the power denominator; they leave a
+    ``rep####.aborted.txt`` with the reason.
 
-    Every test of every cell is checked against its cell's grid first, so
-    a test that does not fit is a ConfigError before any output. Any other
-    error in a replicate propagates: it means the cell is misconfigured,
-    not that the data were unlucky.
+    Every test of every cell is checked against its cell's grid and model
+    first, so a test that does not fit is a ConfigError before any output.
+    Any other error in a replicate propagates: it means the cell is
+    misconfigured, not that the data were unlucky. It leaves the files of
+    the replicates written before it, and no ``power_table.csv``.
     """
     config.require_seed()
     cells = config.cells()
     for cell in cells:
         _check_tests(cell, _grid(cell))
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w", newline="\n") as fh:
-        fh.write(config.echo_json())
-
-    root = as_seed_sequence(config.master_seed)
-    cell_seeds = root.spawn(len(cells))
+    write_text(os.path.join(out_dir, "config.json"), config.echo_json())
 
     names = _unique_names(cells)
-    tasks = []
-    for cell, name, cell_ss in zip(cells, names, cell_seeds):
-        rep_seeds = cell_ss.spawn(cell.replicates)
-        for i, rep_ss in enumerate(rep_seeds):
-            sim_ss = rep_ss.spawn(1)[0]
-            # independent test stream per kind: case2 and case3 for one
-            # replicate share the dataset but not bootstrap draws
-            kind_seeds = rep_ss.spawn(len(cell.tests))
-            for kind, kind_ss in zip(cell.tests, kind_seeds):
-                tasks.append(
-                    (
-                        cell.resolved,
-                        name,
-                        kind,
-                        i,
-                        _ss_state(sim_ss),
-                        _ss_state(kind_ss),
-                    )
-                )
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_blas) as pool:
-            results = list(pool.map(_run_replicate, tasks, chunksize=1))
-    else:
-        results = [_run_replicate(t) for t in tasks]
-
     summaries: dict[tuple[str, str], CellSummary] = {}
-    cell_by_name = dict(zip(names, cells))
-    for res in results:
-        key = (res.cell, res.kind)
-        if key not in summaries:
-            cell = cell_by_name[res.cell]
-            summaries[key] = CellSummary(
-                cell=res.cell,
+    cell_seeds = as_seed_sequence(config.master_seed).spawn(len(cells))
+    tasks, places = [], []
+    for cell, name, cell_ss in zip(cells, names, cell_seeds):
+        for kind in cell.tests:
+            summaries[name, kind] = CellSummary(
+                cell=name,
                 system=cell.system_name or "csv",
                 generator=cell.generator,
-                kind=res.kind,
+                kind=kind,
                 replicates=cell.replicates,
                 completed=0,
                 rejections=0,
                 n_aborted=0,
             )
-        summary = summaries[key]
-        rep_dir = os.path.join(out_dir, res.cell, res.kind)
-        os.makedirs(rep_dir, exist_ok=True)
-        if res.report is None:
-            summary.n_aborted += 1
-            with open(
-                os.path.join(rep_dir, f"rep{res.index:04d}.aborted.txt"),
-                "w",
-                newline="\n",
-            ) as fh:
-                fh.write(res.error + "\n")
-        else:
-            summary.completed += 1
-            summary.rejections += int(res.report.reject)
-            with open(
-                os.path.join(rep_dir, f"rep{res.index:04d}.json"), "w", newline="\n"
-            ) as fh:
-                fh.write(report_json(res.report))
+        for i, rep_ss in enumerate(cell_ss.spawn(cell.replicates)):
+            # the dataset takes child 0 and each test the next: case2 and
+            # case3 of a replicate share the dataset, not bootstrap draws
+            sim_ss, *test_seeds = rep_ss.spawn(1 + len(cell.tests))
+            tasks.append((cell, sim_ss, test_seeds))
+            places.append((cell, name, i))
+
+    pool = ProcessPoolExecutor(jobs, initializer=_pin_blas) if jobs > 1 else None
+    try:
+        outcomes = (map if pool is None else pool.map)(_run_replicate, tasks)
+        for (cell, name, i), results in zip(places, outcomes):
+            for kind, result in zip(cell.tests, results):
+                summary = summaries[name, kind]
+                rep_dir = os.path.join(out_dir, name, kind)
+                os.makedirs(rep_dir, exist_ok=True)
+                if isinstance(result, str):
+                    summary.n_aborted += 1
+                    write_text(os.path.join(rep_dir, f"rep{i:04d}.aborted.txt"), result + "\n")
+                else:
+                    summary.completed += 1
+                    summary.rejections += int(result.reject)
+                    write_text(os.path.join(rep_dir, f"rep{i:04d}.json"), report_json(result))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     ordered = [summaries[k] for k in sorted(summaries)]
-    with open(os.path.join(out_dir, "power_table.csv"), "w", newline="\n") as fh:
-        fh.write(power_table_csv(ordered))
+    write_text(os.path.join(out_dir, "power_table.csv"), power_table_csv(ordered))
     return ordered
 
 
@@ -264,18 +232,20 @@ def run_diagnose(
     With ``series=None`` the dataset is simulated first, using the same
     seed child ``run_simulate`` would, so diagnosing a saved CSV and
     diagnosing in one step produce byte-identical reports. The tests are
-    checked against the grid they will run on, the series' or the
-    simulation's, before anything is simulated or written.
+    checked against the model and the grid they will run on, the series'
+    or the simulation's, before anything is simulated or written.
     """
     config.require_seed()
-    _check_tests(config, _grid(config) if series is None else series.times)
+    if series is None:
+        _check_tests(config, _grid(config))
+    else:
+        _check_tests(config, series.times, series.dim)
     root = as_seed_sequence(config.master_seed)
     sim_ss, test_root = root.spawn(2)
     if series is None:
         series = simulate_series(config, sim_ss)
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w", newline="\n") as fh:
-        fh.write(config.echo_json())
+    write_text(os.path.join(out_dir, "config.json"), config.echo_json())
     write_series_csv(os.path.join(out_dir, "data.csv"), series)
     reports = []
     kind_seeds = test_root.spawn(len(config.tests))

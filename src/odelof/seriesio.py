@@ -28,12 +28,16 @@ def write_series_csv(path: Union[str, os.PathLike], obj: Union[TimeSeries, Traje
     _write_csv(path, header, [obj.times, *values.T])
 
 
+def write_text(path: Union[str, os.PathLike], text: str) -> None:
+    """Write ``text`` to ``path`` with LF line endings on every platform."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
+
+
 def _write_csv(path: Union[str, os.PathLike], header: list[str], columns: list[np.ndarray]):
     # one row per entry of the equally long columns, 17 significant digits
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    rows = (",".join(f"{v:.17g}" for v in row) for row in zip(*columns))
+    write_text(path, "".join(f"{line}\n" for line in (",".join(header), *rows)))
 
 
 def read_timeseries_csv(path: Union[str, os.PathLike]) -> TimeSeries:

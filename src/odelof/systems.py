@@ -161,8 +161,12 @@ def _check_times(times: np.ndarray, what: str) -> np.ndarray:
         raise ArgumentError(f"{what} must be a 1-D array with at least 2 entries")
     if not np.all(np.isfinite(t)):
         raise ArgumentError(f"{what} contain non-finite values")
-    if np.any(np.diff(t) <= 0):
+    with np.errstate(over="ignore"):
+        steps = np.diff(t)
+    if np.any(steps <= 0):
         raise ArgumentError(f"{what} must be strictly increasing")
+    if not np.all(np.isfinite(steps)):
+        raise ArgumentError(f"{what} must lie a finite distance apart")
     return _frozen(t)
 
 

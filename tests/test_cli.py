@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from odelof import (
     simulate_sde,
     with_forcing,
 )
-from odelof.pipeline import check_model
+from odelof.pipeline import check_columns, check_model
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -184,7 +185,7 @@ class TestPowerStudy:
                     "replicates": 2,
                     "n_points": 120,
                     "test": {"b1": 2, "b2": 9},
-                    "tests": ["case2"],
+                    "tests": ["case2", "case3"],
                     "cells": [
                         {"system": "linear2d"},
                         {"system": "linear2d", "generator": "sde"},
@@ -211,9 +212,10 @@ class TestPowerStudy:
             "cell,system,generator,test,replicates,completed,rejections,"
             "power,mc_se,n_aborted"
         )
-        assert len(table) == 3  # two cells, one test each
+        assert len(table) == 5  # two cells, two tests each
+        assert len(files) == 2 + 2 * 2 * 2  # config, table and 8 reports
         assert (one / "linear2d_ode" / "case2" / "rep0000.json").exists()
-        assert (one / "linear2d_sde" / "case2" / "rep0001.json").exists()
+        assert (one / "linear2d_sde" / "case3" / "rep0001.json").exists()
 
     def test_cell_whose_test_does_not_fit_exits_2_first(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -323,8 +325,12 @@ def checked(model, **settings):
     return lambda: check_model(PipelineSettings(**settings), builtin_system(model))
 
 
-# (config override, message, the constructor call that states the rule, or
-# None for a rule that needs the config's view of the data)
+def fits_columns(model, n_columns, owner, **settings):
+    system = builtin_system(model)
+    return lambda: check_columns(n_columns, PipelineSettings(**settings), system, owner)
+
+
+# (config override, message, the pipeline call that states the rule)
 MODEL_ROWS = [
     (
         {"system": "vanderpol", "forcing": {"mode": "additive", "target": 5}},
@@ -350,9 +356,24 @@ MODEL_ROWS = [
         checked("linear2d", theta_free=(True, False)),
     ),
     (
+        {"system": "vanderpol", "model": "vanderpol", "smoothing": {"theta_free": [True, False]}},
+        "smoothing.theta_free fixes parameters, which need values: pass smoothing.theta_init",
+        checked("vanderpol", theta_free=(True, False)),
+    ),
+    (
+        {"system": "vanderpol", "model": "vanderpol", "smoothing": {"theta_free": [False, False]}},
+        "smoothing.theta_free leaves no parameter to estimate",
+        checked("vanderpol", theta_free=(False, False)),
+    ),
+    (
         {"system": "vanderpol_order2", "observed": [1, 2]},
         "smoothing.second_order fits one observed coordinate; vanderpol_order2 observes 2",
-        None,
+        fits_columns("vanderpol_order2", 2, "vanderpol_order2", second_order=True),
+    ),
+    (
+        {"system": "vanderpol", "observed": [1]},
+        "model linear2d has dimension 2; vanderpol observes 1",
+        fits_columns("linear2d", 1, "vanderpol"),
     ),
     (
         {
@@ -484,18 +505,55 @@ class TestArgumentHandling:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["diagnose", "power-study"])
+    def test_a_missing_model_exits_2_first(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "c.json", model=None, replicates=1)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: {cfg}: 'model' is required for diagnosis" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given", ["csv source", "--data"])
+    def test_data_columns_are_checked_against_the_model_first(self, tmp_path, capsys, given):
+        data = tmp_path / "one.csv"
+        data.write_text("time,x1\n" + "".join(f"{0.5 * i},{i % 3}\n" for i in range(120)))
+        argv = ["diagnose", "--out", str(tmp_path / "out")]
+        if given == "--data":
+            cfg = write_config(tmp_path / "c.json")
+            argv += ["--data", str(data)]
+        else:
+            forcing = {"mode": "additive", "target": 2}
+            cfg = write_config(
+                tmp_path / "c.json", system={"csv": str(data)}, model="linear2d", forcing=forcing
+            )
+        assert cli.main(argv + ["--config", str(cfg)]) == 2
+        message = f"error: {cfg}: model linear2d has dimension 2; the series observes 1"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "diagnose", "power-study"])
+    def test_an_overflowing_grid_spacing_exits_2_quietly(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "c.json", t_span=[-1e308, 1e308], replicates=1)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: {cfg}: t_span must lie a finite distance apart" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "override, build",
-        [pytest.param(override, build, id=message) for override, message, build in MODEL_ROWS if build],
+        [pytest.param(override, build, id=message) for override, message, build in MODEL_ROWS],
     )
     def test_model_settings_state_the_constructors_rule(self, override, build):
         with pytest.raises(ConfigError) as by_config:
             config_from_dict({"master_seed": 1, **override})
         with pytest.raises(ArgumentError) as by_constructor:
             build()
-        # the config names each field by its key path; the words are the same
+        # the config names each field by its key path, gradient matching's
+        # free_mask as smoothing.theta_free; the words are the same
         field_names = re.sub(r"^config: |\b(forcing|smoothing)\.", "", str(by_config.value))
-        assert field_names == str(by_constructor.value)
+        assert field_names == str(by_constructor.value).replace("free_mask", "theta_free")
 
     @pytest.mark.parametrize(
         "smoothing, message",

@@ -147,6 +147,21 @@ class TestRejection:
                 id="x_penalty-oversized",
             ),
             key_path("test.delta", {"test": {"delta": 10**400}}, id="delta-oversized"),
+            # the grid spacing (end - start) / (n_points - 1) overflows
+            key_path("t_span", {"t_span": [-1e308, 1e308]}, id="t_span-spacing-overflows"),
+            # gradient matching's rule for the free parameters, and the
+            # pipeline's for the data columns against the model
+            key_path(
+                "smoothing.theta_free",
+                {"smoothing": {"theta_free": [False] * 4}},
+                id="theta_free-fixes-every-parameter",
+            ),
+            key_path(
+                "smoothing.theta_free",
+                {"smoothing": {"theta_free": [True, False, True, True]}},
+                id="theta_free-without-theta_init",
+            ),
+            key_path("model", {"observed": [2]}, id="observed-against-the-model"),
         ],
     )
     def test_semantic_checks(self, override, fragment):

@@ -1,5 +1,5 @@
 import odelof
-from odelof import config, diagnose, estimate, pipeline, plots, seriesio
+from odelof import config, diagnose, estimate, pipeline, plots, power, seriesio
 
 
 def test_every_exported_name_resolves():
@@ -41,3 +41,11 @@ def test_one_rule_per_input():
         assert not hasattr(config, name)
     for name in ("_Case2Stat", "_Case3Stat"):
         assert not hasattr(plots, name)
+
+
+def test_one_task_per_study_replicate():
+    # a study task is one (cell, replicate): it takes the cell's config and
+    # its seeds as they are, and returns per test a report or the abort
+    # message, which the study writes as it arrives
+    for name in ("ReplicateResult", "_ss_state"):
+        assert not hasattr(power, name)

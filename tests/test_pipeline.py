@@ -245,7 +245,7 @@ class TestRunner:
 
     def test_column_mismatch_is_a_smooth_stage_error(self):
         runner = PipelineRunner(np.linspace(0, 55, 440), builtin_system("linear2d"))
-        with pytest.raises(PipelineError, match="columns") as err:
+        with pytest.raises(PipelineError, match="dimension 2; the series observes 3") as err:
             runner.run(np.zeros((440, 3)))
         assert err.value.stage == "smooth"
 

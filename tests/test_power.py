@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from odelof import ConfigError, TestAbortedError, config_from_dict
+from odelof import ConfigError, PipelineError, TestAbortedError, config_from_dict
 from odelof.power import (
     CellSummary,
     diagnose_series,
@@ -98,6 +98,17 @@ class TestSummaries:
         assert _unique_names(cells) == ["a_ode", "b_ode", "a_ode_2", "a_ode_3"]
 
 
+# an ODE and an SDE cell, each running both tests on every replicate
+BOTH_TESTS = {
+    "master_seed": 41,
+    "replicates": 2,
+    "n_points": 120,
+    "tests": ["case2", "case3"],
+    "test": {"b1": 2, "b2": 9},
+    "cells": [{"system": "linear2d"}, {"system": "linear2d", "generator": "sde"}],
+}
+
+
 class TestRunPowerStudy:
     def test_aborted_replicates_tracked(self, tiny_config, tmp_path, monkeypatch):
         real = diagnose_series
@@ -122,6 +133,42 @@ class TestRunPowerStudy:
         assert "unlucky draw" in (rep_dir / "rep0001.aborted.txt").read_text()
         table = (tmp_path / "out" / "power_table.csv").read_text()
         assert ",3,2," in table
+
+    def test_a_replicate_is_simulated_once_for_its_tests(self, tmp_path, monkeypatch):
+        real = simulate_series
+        seeds = []
+
+        def counted(config, seed):
+            seeds.append(seed.spawn_key)
+            return real(config, seed)
+
+        monkeypatch.setattr(power_mod, "simulate_series", counted)
+        cfg = config_from_dict({**BOTH_TESTS, "replicates": 2})
+        run_power_study(cfg, str(tmp_path / "out"), jobs=1)
+        # two cells of two replicates, each dataset at child 0 of its
+        # replicate's seed
+        assert seeds == [(c, r, 0) for c in range(2) for r in range(2)]
+
+    def test_an_error_keeps_the_finished_replicates(self, tmp_path, monkeypatch):
+        real = simulate_series
+        calls = {"n": 0}
+
+        def failing(config, seed):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise PipelineError("integration failed", stage="simulate")
+            return real(config, seed)
+
+        monkeypatch.setattr(power_mod, "simulate_series", failing)
+        cfg = config_from_dict({**BOTH_TESTS, "replicates": 4, "cells": BOTH_TESTS["cells"][:1]})
+        out = tmp_path / "out"
+        with pytest.raises(PipelineError, match="integration failed"):
+            run_power_study(cfg, str(out), jobs=1)
+        written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        assert written == ["config.json"] + [
+            f"linear2d_ode/{kind}/rep{i:04d}.json" for kind in ("case2", "case3") for i in (0, 1)
+        ]
+        assert calls["n"] == 3
 
     def test_requires_seed(self, tmp_path):
         cfg = config_from_dict({"system": "linear2d", "n_points": 120})

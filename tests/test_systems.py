@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -711,6 +712,12 @@ class TestContainers:
     def test_nan_rejected(self):
         with pytest.raises(ArgumentError):
             TimeSeries(np.array([0.0, 1.0]), np.array([[np.nan], [0.0]]))
+
+    def test_times_an_overflowing_distance_apart_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError, match="times must lie a finite distance apart"):
+                TimeSeries(np.array([-1e308, 1e308]), np.zeros((2, 1)))
 
     def test_one_dim_values_promoted(self):
         series = TimeSeries(np.array([0.0, 1.0]), np.array([3.0, 4.0]))
