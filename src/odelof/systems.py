@@ -17,9 +17,9 @@ and state dimension, generated from the dimension alone and cached, which
 keeps the state in the local floats x1 ... xd. The builtins are
 :class:`CoordinateRate` instances, written once as a function of
 coordinates and parameters; the estimators call it on array columns and
-the kernels on Python floats, and both round alike because powers and
-exponentials stay numpy ufuncs (Python's float pow and ``math.exp`` differ
-from the array loops in the last bit on a few percent of inputs). That
+the kernels on Python floats, and both round alike because powers are
+written as products and exponentials stay numpy ufuncs (``math.exp``
+differs from the array loop in the last bit on a few percent of inputs). That
 direct call is the kernels' only fast path. Every other rate, forced or
 user, steps through :func:`forced_rate` on a fresh float64 array of shape
 (d,) per stage, so forcing is applied by one rule everywhere and a rate
@@ -607,22 +607,12 @@ def scale_rate(system: DynamicalSystem, factor: float) -> DynamicalSystem:
 #
 # Each builtin rate is written once, coordinate-wise, as a CoordinateRate: the
 # same arithmetic runs on array columns (estimators) and on Python floats
-# (simulators), and must round alike. Squares are written as products, since
-# an array's x**2 is a multiply and a float's is C pow. Cubes and exponentials
-# go through numpy's ufunc loops, since Python's float pow and math.exp round
-# differently from those on a few percent of inputs.
-
-
-# A float64 exponent spares a Python float base numpy's weak-scalar promotion
-# and rounds alike; as a 0-d array it is also cheaper than np.float64(3.0).
-_THREE = np.array(3.0)
-_THREE.flags.writeable = False
-
-
-def _cube(x):
-    """np.power(x, 3); a Python float for a scalar, so a step stays in floats."""
-    y = np.power(x, _THREE)
-    return y if isinstance(x, np.ndarray) else float(y)
+# (simulators), and must round alike. Squares and cubes are written as
+# products, since an array's x**2 is a multiply and a float's is C pow, and a
+# product rounds the same on every CPU. Exponentials go through numpy's ufunc
+# loop, since math.exp rounds differently from it on a few percent of inputs;
+# that loop follows numpy's CPU dispatch, so rosenzweig_macarthur_log alone
+# may simulate different bytes on another CPU.
 
 
 def _exp(x):
@@ -636,7 +626,7 @@ def _linear2d(x1, x2, a11, a12, a21, a22):
 
 
 def _vanderpol(x1, x2, c, d):
-    return c * x2, d * (x2 - x1 - _cube(x2) / 3.0)
+    return c * x2, d * (x2 - x1 - x2 * x2 * x2 / 3.0)
 
 
 def _rossler(x1, x2, x3, a, b, c):

@@ -1,5 +1,11 @@
 import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import odelof
 from odelof import (
     ArgumentError,
     BlowupError,
@@ -15,11 +22,13 @@ from odelof import (
     Trajectory,
     builtin_names,
     builtin_system,
+    config_from_dict,
     integrate,
     observe,
     rate_values,
     scale_rate,
     simulate_sde,
+    simulate_series,
     with_forcing,
 )
 from odelof.rng import rng_from
@@ -27,7 +36,6 @@ from odelof.systems import (
     BLOWUP_LIMIT,
     CoordinateRate,
     DynamicalSystem,
-    _cube,
     forced_rate,
 )
 
@@ -657,8 +665,8 @@ def test_float_drift_matches_array_rate_bitwise(name, data):
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_float_drift_matches_array_rate_on_many_states(name):
-    # float pow and the array loop disagree on well under 1% of inputs,
-    # too rarely for a few dozen examples to show
+    # math.exp and numpy's exp loop disagree on a few percent of inputs,
+    # which a few dozen examples can miss
     base = builtin_system(name)
     rng = np.random.default_rng(9)
     # off the defaults, where vanderpol_order2's x1**2 coefficient is 0
@@ -668,10 +676,59 @@ def test_float_drift_matches_array_rate_on_many_states(name):
     for sys in (base, scale_rate(base, 1.7)):
         rows = np.array([sys.rate.coords(*xs, *params) for xs in x.tolist()], dtype=float)
         assert rows.tobytes() == rate_values(sys, x, np.zeros(len(x)), theta).tobytes()
-    # the float64 exponent of _cube rounds as the integer one
-    cubes = np.array([_cube(v) for v in x.ravel().tolist()])
-    assert cubes.tobytes() == np.array([float(np.power(v, 3)) for v in x.ravel().tolist()]).tobytes()
-    assert _cube(x).tobytes() == np.power(x, 3).tobytes()
+
+
+# Products round the same on every CPU; numpy's exp loop follows its CPU
+# dispatch, so rosenzweig_macarthur_log is left out.
+CPU_FREE = [name for name in builtin_names() if name != "rosenzweig_macarthur_log"]
+
+
+def simulated_digests():
+    """sha256 of each CPU-free builtin's simulated series and rate values."""
+    digests = {}
+    for name in CPU_FREE:
+        for generator in ("ode", "sde"):
+            cfg = config_from_dict({"system": name, "generator": generator})
+            series = simulate_series(cfg, np.random.SeedSequence(11))
+            digests[f"{name} {generator}"] = hashlib.sha256(series.values.tobytes()).hexdigest()
+        base = builtin_system(name)
+        x = 1.5 * np.random.default_rng(9).normal(size=(5000, base.dim))
+        rates = rate_values(base, x, np.zeros(len(x)), np.asarray(base.theta_default))
+        digests[f"{name} rate"] = hashlib.sha256(rates.tobytes()).hexdigest()
+    return digests
+
+
+def test_simulated_bytes_do_not_depend_on_the_cpu():
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    active = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    if not active:
+        pytest.skip("numpy dispatches to no CPU feature on this host")
+    child = f"""
+import json
+from {umath.__name__} import __cpu_features__
+from test_systems import simulated_digests
+print(json.dumps({{"active": [f for f in {active!r} if __cpu_features__.get(f)],
+                  "digests": simulated_digests()}}))
+"""
+    src = str(Path(odelof.__file__).parents[1])
+    # only dispatch targets: numpy refuses to start with a baseline feature off
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(umath.__cpu_dispatch__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", child],
+        cwd=Path(__file__).parent,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    ).stdout
+    got = json.loads(out.splitlines()[-1])
+    assert got["active"] == []
+    assert got["digests"] == simulated_digests()
 
 
 @settings(max_examples=30, deadline=None)
