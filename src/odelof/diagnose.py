@@ -58,7 +58,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ArgumentError, OdelofError, TestAbortedError, check_kinds, is_finite_real
-from .pipeline import PipelineRunner, PipelineSettings
+from .pipeline import PipelineSettings, runner_for
 from .rng import SeedLike, as_seed_sequence, rng_from
 from .seriesio import write_text
 from .smoothers import AdditiveSmootherDesign, build_designs
@@ -533,7 +533,7 @@ def _run_test(kind, series, system, config, pipeline):
     if not isinstance(config, TestConfig):
         raise ArgumentError(f"config must be a TestConfig, got {type(config).__name__}")
     settings = pipeline or PipelineSettings()
-    runner = PipelineRunner(series.times, system, settings)
+    runner = runner_for(series.times, system, settings)
     sl, stat, resolved = _geometry(
         kind, series.times, runner.g_basis.support_width, config, settings.smoother
     )

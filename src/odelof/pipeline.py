@@ -10,11 +10,18 @@ values of the x and g bases on the quadrature nodes and the observation
 times. A refit evaluates its smooth on the node grid once, into the
 :class:`~odelof.estimate.QuadratureState` that gradient matching and the
 forcing both take, and the smooth and forcing at the times through theirs.
+
+A process builds one runner per observation grid, model and settings:
+:func:`runner_for` keeps the last few it built, so every test on the same
+inputs (the two tests of a run, a study's replicates, an acceptance row's
+datasets) reuses one. A runner holds no state of its fits, so a reused one
+fits the same bytes as a fresh one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -24,6 +31,7 @@ from .estimate import (
     ForcingEstimate,
     ForcingOperator,
     GradientMatchFit,
+    QuadratureState,
     _resolve_mask,
     gradient_match,
     quad_grid,
@@ -171,6 +179,10 @@ class PipelineRunner:
     runner's :class:`~odelof.estimate.ForcingOperator`. Their fits report
     ``converged``, which says that a Gauss-Newton loop stopped before its
     iteration cap; the closed forms always report True.
+
+    The diagnostic tests take their runner from :func:`runner_for`, which
+    builds one per process for each grid, model and settings and reuses it
+    for every test on them.
     """
 
     def __init__(self, times, system: DynamicalSystem, settings: Optional[PipelineSettings] = None):
@@ -198,6 +210,22 @@ class PipelineRunner:
         self._obs_grid = BasisGrid(self.x_basis, t, max_deriv - 1)
         self._g_grid = BasisGrid(self.g_basis, t)
 
+    def _quadrature(self, xhat: SplineFunction) -> QuadratureState:
+        """The smooth's state and its derivative on the nodes. The
+        second-order state (x, dx) and its derivative (dx, d2x) share dx,
+        so each derivative of x_hat is evaluated once."""
+        weights = self._forcing_op.weights
+        if not self.settings.second_order:
+            return quadrature_state(xhat, self._node_grid, weights)
+        x, dx, d2x = (xhat(self._node_grid, d) for d in range(3))
+        return QuadratureState(
+            self._forcing_op.nodes,
+            weights,
+            np.sqrt(weights),
+            np.stack([x, dx], axis=-1),
+            np.stack([dx, d2x], axis=-1),
+        )
+
     def run(self, values) -> PipelineFit:
         """Smooth the data, match theta, and estimate the forcing."""
         s = self.settings
@@ -210,7 +238,7 @@ class PipelineRunner:
         except OdelofError as exc:
             raise PipelineError(f"smoothing failed: {exc}", stage="smooth") from exc
         state = CompanionState(xhat) if s.second_order else xhat
-        quadrature = quadrature_state(state, self._node_grid, self._forcing_op.weights)
+        quadrature = self._quadrature(xhat)
 
         try:
             match = gradient_match(
@@ -240,3 +268,53 @@ class PipelineRunner:
             state_obs=state_obs,
             g_obs=g_obs,
         )
+
+
+# Runners kept per process. One CLI run holds at most two tests, both on
+# one key, and a study worker takes its tasks cell by cell, so a few
+# entries keep every key a process is working on; a runner holds some
+# 0.5-1 MB of arrays.
+_RUNNER_CAPACITY = 4
+_RUNNERS: OrderedDict[tuple, PipelineRunner] = OrderedDict()
+
+
+def _fields_key(obj, arrays: dict) -> tuple:
+    """A dataclass's type and field values, the fields named in ``arrays``
+    as the bytes of an array of the given dtype (None stays None)."""
+    key = [type(obj)]
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.name in arrays and v is not None:
+            a = np.asarray(v, dtype=arrays[f.name])
+            v = (a.shape, a.tobytes())
+        key.append(v)
+    return tuple(key)
+
+
+def runner_for(times, system: DynamicalSystem, settings: PipelineSettings) -> PipelineRunner:
+    """The process's :class:`PipelineRunner` for this grid, model and
+    settings: built on the first call, then reused by every call whose
+    inputs are equal (the grid's bytes, the model's fields and the
+    settings', array fields and ``theta_init``/``theta_free`` by value).
+    The last ``_RUNNER_CAPACITY`` keys used are kept. Inputs that cannot
+    be hashed, such as a rate without ``__hash__``, get a fresh runner;
+    a build that raises is not kept, so the next call raises again."""
+    t = np.array(times, dtype=float)
+    t.flags.writeable = False  # the kept runner's grid, whatever the caller does to theirs
+    try:
+        key = (
+            t.shape,
+            t.tobytes(),
+            _fields_key(system, {"theta_default": float}),
+            _fields_key(settings, {"theta_init": float, "theta_free": bool}),
+        )
+        runner = _RUNNERS.get(key)
+    except (TypeError, ValueError):  # a field that cannot be hashed or compared
+        return PipelineRunner(t, system, settings)
+    if runner is None:
+        runner = _RUNNERS[key] = PipelineRunner(t, system, settings)
+        while len(_RUNNERS) > _RUNNER_CAPACITY:
+            _RUNNERS.popitem(last=False)
+    else:
+        _RUNNERS.move_to_end(key)
+    return runner

@@ -228,8 +228,14 @@ class TestCriterion3CorrectModels:
     @pytest.mark.parametrize(
         "system, generator, kind",
         [
+            ("linear2d", "ode", "case2"),
+            ("linear2d", "ode", "case3"),
+            ("linear2d", "sde", "case2"),
+            ("linear2d", "sde", "case3"),
             pytest.param("vanderpol", "ode", "case2", marks=ROADMAP_ITEM_9),
             pytest.param("vanderpol", "sde", "case2", marks=ROADMAP_ITEM_9),
+            ("vanderpol", "ode", "case3"),
+            ("vanderpol", "sde", "case3"),
         ],
     )
     def test_correct_model_is_retained(self, system, generator, kind, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -5,22 +7,29 @@ from numpy.testing import assert_allclose, assert_array_equal
 from odelof import (
     ArgumentError,
     BasisGrid,
+    DynamicalSystem,
     ForcingOperator,
+    ForcingSpec,
     PipelineError,
     PipelineRunner,
     PipelineSettings,
     SmootherSettings,
     SplineFunction,
     TestConfig,
+    TimeSeries,
     builtin_system,
+    case2_test,
     config_from_dict,
     gradient_match,
     integrate,
     observe,
     quad_grid,
     quadrature_state,
+    report_json,
+    with_forcing,
 )
 from odelof import estimate, pipeline
+from odelof.errors import RankError
 from odelof.pipeline import CompanionState
 from odelof.power import simulate_series
 from odelof.splines import SmoothingOperator, make_basis
@@ -231,9 +240,9 @@ class TestRunner:
         monkeypatch.setattr(SplineFunction, "__call__", counted)
         runner.run(series.values)
         assert built == [] and at_points == []
-        # the state (x, dx/dt) and its derivative take x_hat's derivatives
-        # 0-1 and 1-2
-        assert sorted(on_nodes) == ([0, 1, 1, 2] if runner.settings.second_order else [0, 1])
+        # the state (x, dx/dt) and its derivative (dx/dt, d2x/dt2) share
+        # dx/dt, so each derivative of x_hat is evaluated once
+        assert sorted(on_nodes) == ([0, 1, 2] if runner.settings.second_order else [0, 1])
 
     def test_needs_enough_times(self):
         with pytest.raises(ArgumentError, match="at least 4"):
@@ -302,3 +311,131 @@ class TestCompanionState:
         d1 = state(t, 1)
         assert_allclose(d1[:, 0], spline(t, 1))
         assert_allclose(d1[:, 1], spline(t, 2))
+
+
+class _UnhashableRate:
+    """A user rate with ``__eq__`` and so, without ``__hash__``, no hash."""
+
+    def __init__(self):
+        self.rate = builtin_system("linear2d").rate
+
+    def __eq__(self, other):
+        return isinstance(other, _UnhashableRate)
+
+    def __call__(self, x, t, theta, g):
+        return self.rate(x, t, theta, g)
+
+
+class TestRunnerMemo:
+    """The tests take their runner from ``runner_for``: one per process for
+    each grid, model and settings, reused by every test on them."""
+
+    CONFIG = TestConfig(seed=3, b1=2, b2=19)
+
+    @pytest.fixture(autouse=True)
+    def builds(self, monkeypatch):
+        """The runners built, with the memo empty before and after."""
+        built = []
+
+        class Counted(PipelineRunner):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(pipeline, "PipelineRunner", Counted)
+        pipeline._RUNNERS.clear()
+        yield built
+        pipeline._RUNNERS.clear()
+
+    @pytest.fixture(scope="class")
+    def linear(self):
+        config = config_from_dict({"system": "linear2d", "master_seed": 1})
+        series = simulate_series(config, np.random.SeedSequence(1))
+        return series, config.model_system(), config.pipeline_settings()
+
+    def report(self, series, system, settings):
+        return report_json(case2_test(series, system, self.CONFIG, settings))
+
+    def test_a_reused_runner_reports_the_same_bytes(self, linear, builds):
+        first = self.report(*linear)
+        second = self.report(*linear)
+        assert len(builds) == 1
+        assert second == first
+
+    def test_equal_inputs_hit(self, linear, builds):
+        series, _, settings = linear
+        config = config_from_dict({"system": "linear2d", "master_seed": 1})
+        theta = (0.1, -1.0, 1.0, 0.0)
+        runners = {
+            pipeline.runner_for(times, config.model_system(), PipelineSettings(theta_init=init))
+            for times, init in [
+                (series.times, theta),
+                (list(series.times), list(theta)),
+                (series.times.copy(), np.array(theta)),
+            ]
+        }
+        assert len(runners) == len(builds) == 1
+
+    @pytest.mark.parametrize(
+        "change",
+        ["x_penalty", "g_knot_spacing", "second_order", "model", "forcing_target", "grid"],
+    )
+    def test_one_changed_input_builds_its_own_runner(self, linear, builds, change):
+        series, system, settings = linear
+        first = self.report(series, system, settings)
+        other_series, other_system, other_settings = series, system, settings
+        if change == "x_penalty":
+            other_settings = dataclasses.replace(settings, x_penalty=0.02)
+        elif change == "g_knot_spacing":
+            other_settings = dataclasses.replace(settings, g_knot_spacing=1.25)
+        elif change == "second_order":
+            other_settings = dataclasses.replace(settings, second_order=True)
+            other_series = TimeSeries(series.times, series.values[:, :1])
+        elif change == "model":
+            other_system = builtin_system("vanderpol")
+        elif change == "forcing_target":
+            other_system = with_forcing(system, ForcingSpec("additive", 3 - system.forcing.target))
+        else:
+            times = series.times.copy()
+            times[7] = np.nextafter(times[7], np.inf)
+            other_series = TimeSeries(times, series.values)
+        self.report(other_series, other_system, other_settings)
+        assert len(builds) == 2
+        assert self.report(series, system, settings) == first
+        assert len(builds) == 2
+
+    def test_a_failed_build_is_not_kept(self, builds):
+        times = np.linspace(0.0, 1.0, 10)
+        # 100 spans of x basis over 10 observations, unpenalized: singular
+        settings = PipelineSettings(x_knot_spacing=0.01, x_penalty=0.0)
+        for _ in range(2):
+            with pytest.raises(RankError, match="singular"):
+                pipeline.runner_for(times, builtin_system("linear2d"), settings)
+            with pytest.raises(ArgumentError, match="rossler has dimension 3"):
+                pipeline.runner_for(
+                    times, builtin_system("rossler"), PipelineSettings(second_order=True)
+                )
+        assert not pipeline._RUNNERS
+
+    def test_an_unhashable_rate_still_runs(self, linear, builds):
+        series, system, settings = linear
+        user = DynamicalSystem(
+            "user", 2, 4, _UnhashableRate(), linear_in_params=True, forcing=system.forcing
+        )
+        reports = [self.report(series, user, settings) for _ in range(2)]
+        assert reports[0] == reports[1]
+        assert len(builds) == 2 and not pipeline._RUNNERS
+
+    def test_the_memo_keeps_its_capacity(self, builds):
+        times, system = np.linspace(0.0, 55.0, 440), builtin_system("linear2d")
+        capacity = pipeline._RUNNER_CAPACITY
+        penalties = [0.01 * (k + 1) for k in range(capacity + 2)]
+        for penalty in penalties:
+            pipeline.runner_for(times, system, PipelineSettings(x_penalty=penalty))
+            assert len(pipeline._RUNNERS) <= capacity
+        # the latest keys are kept; the first was dropped and builds again
+        pipeline.runner_for(times, system, PipelineSettings(x_penalty=penalties[-1]))
+        assert len(builds) == capacity + 2
+        pipeline.runner_for(times, system, PipelineSettings(x_penalty=penalties[0]))
+        assert len(builds) == capacity + 3
+        assert len(pipeline._RUNNERS) == capacity
