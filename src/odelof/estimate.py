@@ -9,10 +9,11 @@ functions here match model rates to the smooth's derivative:
 * :class:`ForcingOperator` then estimates g(t) = Psi(t) D with theta held
   fixed, either added to one coordinate's equation (closed form) or
   replacing one parameter (Gauss-Newton on D). One operator serves every
-  refit on a quadrature: Psi at its nodes and the penalty are built
-  once, and a replacement-mode Gauss-Newton step solves K x K banded
-  normal equations (K basis functions, bandwidth the g order) instead of
-  a least-squares problem over every quadrature row.
+  refit on a quadrature. Both modes solve K x K banded normal equations
+  (K basis functions, bandwidth the g order) from the band routine
+  :meth:`~odelof.splines.BasisGrid.gram`: additive forcing is the
+  :class:`~odelof.splines.SmoothingOperator` at the nodes, factored once,
+  and a replacement-mode step calls the routine with its own weights.
 
 Both Gauss-Newton fits run one damped loop, :func:`_descend`; they differ
 only in the step (a finite-difference theta Jacobian solved by least
@@ -37,11 +38,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solveh_banded
+from scipy.linalg import solveh_banded
 
 from .errors import ArgumentError, ConvergenceError, RankError, is_finite_real
 from .rng import SeedLike, rng_from
-from .splines import BasisGrid, BSplineBasis, SplineFunction
+from .splines import BasisGrid, BSplineBasis, SmoothingOperator, SplineFunction, band_dot
 from .systems import DynamicalSystem, _entries, rate_values
 
 _GN_MAX_ITER = 100
@@ -322,29 +323,26 @@ class ForcingOperator:
     Everything that depends only on (system, g_basis, quadrature, penalty)
     is built once, so bootstrap replicates that share the observation grid
     reuse one instance: the g basis values at the quadrature ``nodes`` (a
-    :class:`~odelof.splines.BasisGrid`) and the design Psi built from them.
+    :class:`~odelof.splines.BasisGrid`) and what is built from them.
     :meth:`fit` takes a :class:`QuadratureState` on those nodes and weights.
 
-    Additive mode solves the penalized least-squares problem in closed
-    form from a Cholesky factor of ``Psi^T W Psi + penalty * P`` (P the
-    curvature Gram of the g basis), also built once.
+    Additive mode fits the target coordinate's mismatch by a weighted
+    :class:`~odelof.splines.SmoothingOperator` at the nodes.
 
     Parameter-replacement mode runs Gauss-Newton on the coefficients D,
     started at the constant function equal to the replaced parameter's
     value. Residual row (q, d) is ``sqrt(w_q) (dx_d - f_d(x, g))`` at node
     q, so its Jacobian row is ``a_qd psi_q`` with ``a = -sqrt(w) df/dg``
-    (a central difference) and ``psi_q`` row q of Psi. The step solves the
-    normal equations ``(Psi^T diag(c) Psi + penalty P) step = Psi^T s +
-    penalty P D`` with ``c_q = sum_d a_qd^2`` and ``s_q = sum_d a_qd r_qd``.
-    A row of Psi has ``order`` consecutive nonzeros, so both sides are
-    accumulated from those nonzeros (kept once, with their first column)
-    into the (order, K) upper band of the K x K system, and the step comes
-    from a banded Cholesky solve. The penalty band is built once too. A
-    coefficient that no residual row depends on (a zero on the diagonal,
-    no penalty) makes the system singular: RankError. If the Cholesky
-    fails otherwise, the normal equations have lost a direction to
-    rounding (g far out, where the rate is nearly flat in it), and that
-    step is the least-squares solve over all rows instead.
+    (a central difference) and ``psi_q`` row q of the g design Psi. The
+    step solves the normal equations ``(Psi^T diag(c) Psi + penalty P)
+    step = Psi^T s + penalty P D`` (P the curvature Gram) with ``c_q =
+    sum_d a_qd^2`` and ``s_q = sum_d a_qd r_qd``, built as bands by the
+    node grid, by a banded Cholesky. A coefficient that no residual row
+    depends on (a zero on the diagonal, no penalty) makes the system
+    singular: RankError. If the Cholesky fails otherwise, the normal
+    equations have lost a direction to rounding (g far out, where the
+    rate is nearly flat in it), and that step is the least-squares solve
+    over all rows instead.
     """
 
     def __init__(
@@ -361,49 +359,13 @@ class ForcingOperator:
             raise ArgumentError(f"penalty must be nonnegative and finite, got {penalty!r}")
         self.system = system
         self.basis = g_basis
+        self.penalty = float(penalty)
         self.nodes, self.weights = np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float)
-        grid = BasisGrid(g_basis, self.nodes)
-        self.psi = g_basis.design_matrix(grid)
-        pen = penalty * g_basis.penalty_gram(2) if penalty > 0 else None
+        self._grid = BasisGrid(g_basis, self.nodes)
         if system.forcing.mode == "additive":
-            self._factor_additive(pen)
+            self._smoother = SmoothingOperator(self._grid, g_basis, penalty, self.weights)
         else:
-            self._band_replacement(grid, pen)
-
-    def _factor_additive(self, pen: Optional[np.ndarray]):
-        gram = self.psi.T @ (self.weights[:, None] * self.psi)
-        if pen is not None:
-            gram = gram + pen
-        try:
-            self._factor = cho_factor(gram)
-        except np.linalg.LinAlgError:
-            advice = (
-                "the penalty may be too large for the data's scale"
-                if pen is not None
-                else "refine the quadrature or add a penalty"
-            )
-            raise RankError(f"forcing design is singular; {advice}") from None
-
-    def _band_replacement(self, grid: BasisGrid, pen: Optional[np.ndarray]):
-        order, size = self.basis.order, self.basis.size
-        # g at the nodes for coefficients D, and the nonzeros of row q of
-        # Psi: columns _cols[q], values _vals[q]
-        self._grid = grid
-        self._cols, self._vals = grid.nonzero()
-        # entry (i, j), i <= j, of a symmetric banded matrix sits at
-        # [order - 1 + i - j, j] of its upper band; flat band indices and
-        # the Psi products of every pair (i, j) of one row's nonzeros
-        ia, ib = np.triu_indices(order)
-        self._band_at = ((order - 1 - (ib - ia)) * size + self._cols[:, ib]).ravel()
-        self._band_psi = self._vals[:, ia] * self._vals[:, ib]
-        self._pen = pen
-        if pen is not None:
-            self._pen_band = np.zeros((order, size))
-            for k in range(order):
-                self._pen_band[order - 1 - k, k:] = np.diagonal(pen, k)
-            # penalty rows R with R^T R = pen, for the dense fallback step
-            w, v = np.linalg.eigh(pen)
-            self._pen_root = (v * np.sqrt(np.clip(w, 0.0, None))).T
+            self._pen = penalty * g_basis.penalty_gram(2) if penalty > 0 else None
 
     def fit(self, state: QuadratureState, theta) -> ForcingEstimate:
         """Estimate g at ``theta`` for the smooth's ``state`` on this
@@ -439,10 +401,10 @@ class ForcingOperator:
     def _fit_additive(self, state: QuadratureState, theta) -> ForcingEstimate:
         target = self.system.forcing.target - 1
         resid = state.mismatch(self.system, theta)[:, target]
-        coef = cho_solve(self._factor, self.psi.T @ (self.weights * resid))
-        post = resid - self.psi @ coef
+        g = self._smoother.fit(resid)
+        post = resid - self._grid.combine(g.coefficients)
         return ForcingEstimate(
-            g=SplineFunction(self.basis, coef),
+            g=g,
             mode="additive",
             target=self.system.forcing.target,
             objective=float(self.weights @ post**2),
@@ -455,18 +417,11 @@ class ForcingOperator:
         """Gauss-Newton step for residual rows ``r`` (nq, d) whose Jacobian
         row (q, d) is ``a[q, d] * psi_q``, with the penalty rows when the
         penalty is nonzero: the least-squares solution of J step = r."""
-        order, size = self.basis.order, self.basis.size
-        c = np.einsum("qd,qd->q", a, a)
-        s = np.einsum("qd,qd->q", a, r)
-        band = np.bincount(
-            self._band_at, weights=(self._band_psi * c[:, None]).ravel(), minlength=order * size
-        ).reshape(order, size)
-        rhs = np.bincount(
-            self._cols.ravel(), weights=(self._vals * s[:, None]).ravel(), minlength=size
-        )
+        band = self._grid.gram(np.einsum("qd,qd->q", a, a))
+        rhs = self._grid.project(np.einsum("qd,qd->q", a, r))
         if self._pen is not None:
-            band += self._pen_band
-            rhs += self._pen @ coef
+            band += self._pen
+            rhs += band_dot(self._pen, coef)
         try:
             return solveh_banded(band, rhs, check_finite=False)
         except np.linalg.LinAlgError:
@@ -483,11 +438,16 @@ class ForcingOperator:
         return self._dense_step(coef, a, r)
 
     def _dense_step(self, coef: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray:
-        jac = (a[:, :, None] * self.psi[:, None, :]).reshape(-1, self.basis.size)
+        psi = self.basis.design_matrix(self._grid)
+        jac = (a[:, :, None] * psi[:, None, :]).reshape(-1, self.basis.size)
         rhs = r.reshape(-1)
         if self._pen is not None:
-            jac = np.vstack([jac, self._pen_root])
-            rhs = np.concatenate([rhs, self._pen_root @ coef])
+            # penalty rows R with R^T R = penalty P: the weighted curvature
+            # at the nodes of the exact rule that builds P
+            grid, w = self.basis.penalty_rule(2)
+            rows = np.sqrt(self.penalty * w)[:, None] * self.basis.design_matrix(grid, 2)
+            jac = np.vstack([jac, rows])
+            rhs = np.concatenate([rhs, rows @ coef])
         return np.linalg.lstsq(jac, rhs, rcond=None)[0]
 
     def _fit_replacement(self, state: QuadratureState, theta) -> ForcingEstimate:
@@ -499,7 +459,7 @@ class ForcingOperator:
             flat = r.reshape(-1)
             obj = float(flat @ flat)
             if self._pen is not None:
-                obj += float(coef @ (self._pen @ coef))
+                obj += float(coef @ band_dot(self._pen, coef))
             return r, obj, g
 
         def banded_step(coef, r, g):

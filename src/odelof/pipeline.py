@@ -2,14 +2,15 @@
 
 The diagnostic tests refit this pipeline on every bootstrap replicate, so
 the pieces that depend only on the observation grid are built once by
-:class:`PipelineRunner` and reused: the smoothing design and
-factorization, the quadrature with the
-:class:`~odelof.estimate.ForcingOperator` on it (forcing design and
-factor or penalty band), and the :class:`~odelof.splines.BasisGrid`
+:class:`PipelineRunner` and reused: the :class:`~odelof.splines.BasisGrid`
 values of the x and g bases on the quadrature nodes and the observation
-times. A refit evaluates its smooth on the node grid once, into the
-:class:`~odelof.estimate.QuadratureState` that gradient matching and the
-forcing both take, and the smooth and forcing at the times through theirs.
+times, the smoother's banded factor, and the quadrature with the
+:class:`~odelof.estimate.ForcingOperator` on it. Every Gram of these fits
+is a band of :meth:`~odelof.splines.BasisGrid.gram`, so no fit follows
+the BLAS thread count. A refit evaluates its smooth on the node grid
+once, into the :class:`~odelof.estimate.QuadratureState` that gradient
+matching and the forcing both take, and the smooth and forcing at the
+times through theirs.
 
 A process builds one runner per observation grid, model and settings:
 :func:`runner_for` keeps the last few it built, so every test on the same
@@ -195,19 +196,19 @@ class PipelineRunner:
         s = self.settings
         self.x_basis = make_basis(s.x_order, domain, s.x_knot_spacing)
         self.g_basis = make_basis(s.g_order, domain, s.g_knot_spacing)
-        self.smoother = SmoothingOperator(t, self.x_basis, s.x_penalty)
+        # matching and forcing take x_hat and dx_hat on the quadrature
+        # nodes (and d2x_hat for the second-order model, whose state is
+        # (x, dx)); the fit reports the state and g_hat at the times
+        max_deriv = 2 if s.second_order else 1
+        self._obs_grid = BasisGrid(self.x_basis, t, max_deriv - 1)
+        self.smoother = SmoothingOperator(self._obs_grid, self.x_basis, s.x_penalty)
         if system is None:
             raise ArgumentError("a proposed model system is required")
         check_model(s, system)
         self.system = system
         nodes, weights = quad_grid(t, s.quad_per_spacing)
         self._forcing_op = ForcingOperator(system, self.g_basis, nodes, weights, s.g_penalty)
-        # matching and forcing take x_hat and dx_hat on the quadrature
-        # nodes (and d2x_hat for the second-order model, whose state is
-        # (x, dx)); the fit reports the state and g_hat at the times
-        max_deriv = 2 if s.second_order else 1
         self._node_grid = BasisGrid(self.x_basis, nodes, max_deriv)
-        self._obs_grid = BasisGrid(self.x_basis, t, max_deriv - 1)
         self._g_grid = BasisGrid(self.g_basis, t)
 
     def _quadrature(self, xhat: SplineFunction) -> QuadratureState:

@@ -93,16 +93,6 @@ class CellSummary:
         return math.sqrt(p * (1.0 - p) / self.completed)
 
 
-def _pin_blas():
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = "1"
-
-
 def _run_replicate(task) -> list:
     """Simulate one replicate's dataset and run each of its cell's tests on
     it, in order; per test, its report or its TestAbortedError message."""
@@ -176,7 +166,7 @@ def run_power_study(
             tasks.append((cell, sim_ss, test_seeds))
             places.append((cell, name, i))
 
-    pool = ProcessPoolExecutor(jobs, initializer=_pin_blas) if jobs > 1 else None
+    pool = ProcessPoolExecutor(jobs) if jobs > 1 else None
     try:
         outcomes = (map if pool is None else pool.map)(_run_replicate, tasks)
         for (cell, name, i), results in zip(places, outcomes):

@@ -16,14 +16,15 @@ basis is a stack of one.
   number of splines on that basis are then evaluated there by a short
   gather and sum per point; the pipeline's refits use this. A dense
   design matrix scatters those values into zeros.
+* Every Gram ``Psi^T W Psi`` of one basis (Psi its design, or a
+  derivative's, at a grid's points) is the band :meth:`BasisGrid.gram`
+  sums in a fixed order, free of the BLAS thread count: the curvature
+  penalty on an exact Gauss rule and the one fixed-penalty fit,
+  :class:`SmoothingOperator`, which a banded Cholesky factors.
 * :func:`stacked_basis_values` evaluates a stack of bases at once and
   :func:`stacked_derivative_gram` gives their penalty Grams in closed
   form; every term of the GCV smoother (:mod:`odelof.smoothers`) is built
   with them.
-
-The penalty Grams of one basis are built by per-span Gauss-Legendre
-quadrature, which is exact because the integrands are piecewise
-polynomials.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import ArgumentError, RankError, check_kinds, is_finite_real
 from .systems import _frozen
@@ -120,33 +121,27 @@ class BSplineBasis:
         """Evaluate all basis functions (or a derivative) at points ``t``,
         or at the points of a :class:`BasisGrid` of this basis."""
         grid = _grid_for(self, t, deriv)
-        if deriv > 0:
-            return grid.combine(np.eye(self.size), deriv)
-        # the nonzero values scattered into zeros: the bits of combine on
-        # the identity at O(n K), not O(n K order); + 0.0 as combine sums
-        # from 0.0, so a -0.0 value reads 0.0
-        cols, vals = grid.nonzero()
+        cols, vals = grid.nonzero(deriv)
         out = np.zeros((cols.shape[0], self.size))
-        np.put_along_axis(out, cols, vals + 0.0, axis=1)
+        np.put_along_axis(out, cols, vals, axis=1)
         return out.reshape(grid.points.shape + (self.size,))
 
     def penalty_gram(self, deriv: int = 2) -> np.ndarray:
-        """Exact Gram matrix of derivative inner products.
+        """Upper band (order, K) of the exact Gram ``P[i, j] = integral of
+        B_i^(deriv) B_j^(deriv)``: :meth:`BasisGrid.gram` on the rule."""
+        grid, weights = self.penalty_rule(deriv)
+        return grid.gram(weights, deriv)
 
-        ``P[i, j] = integral of B_i^(deriv) * B_j^(deriv)`` over the domain,
-        computed span by span with a Gauss-Legendre rule of the exact degree.
-        """
-        _check_deriv(self, deriv)
-        q = self.order - deriv
-        xi, wi = _gauss_rule(q)
-        a = self.breakpoints[:-1]
-        b = self.breakpoints[1:]
+    def penalty_rule(self, deriv: int = 2) -> tuple["BasisGrid", np.ndarray]:
+        """Nodes, as a grid to derivative ``deriv``, and weights of the
+        per-span Gauss-Legendre rule that integrates the products of two
+        basis functions' derivatives of that order exactly."""
+        _check_deriv(deriv, self.order - 1)
+        xi, wi = _gauss_rule(self.order - deriv)
+        a, b = self.breakpoints[:-1, None], self.breakpoints[1:, None]
         half = 0.5 * (b - a)
-        nodes = (0.5 * (a + b)[:, None] + half[:, None] * xi[None, :]).ravel()
-        weights = (half[:, None] * wi[None, :]).ravel()
-        d = self.design_matrix(nodes, deriv)
-        gram = d.T @ (weights[:, None] * d)
-        return 0.5 * (gram + gram.T)
+        nodes = (0.5 * (a + b) + half * xi).ravel()
+        return BasisGrid(self, nodes, deriv), (half * wi).ravel()
 
 
 @lru_cache(maxsize=16)
@@ -283,12 +278,9 @@ def _dense(span: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-_SLAB = 1 << 13  # entries of one gathered term in BasisGrid.combine
-
-
-def _check_deriv(basis: BSplineBasis, deriv: int) -> None:
-    if deriv < 0 or deriv >= basis.order:
-        raise ArgumentError(f"deriv must be in 0..{basis.order - 1}, got {deriv}")
+def _check_deriv(deriv: int, top: int, where: str = "") -> None:
+    if not 0 <= deriv <= top:
+        raise ArgumentError(f"deriv must be in 0..{top}{where}, got {deriv}")
 
 
 class BasisGrid:
@@ -303,7 +295,7 @@ class BasisGrid:
     """
 
     def __init__(self, basis: BSplineBasis, points, max_deriv: int = 0):
-        _check_deriv(basis, max_deriv)
+        _check_deriv(max_deriv, basis.order - 1)
         self.basis = basis
         self.points = np.atleast_1d(np.asarray(points, dtype=float))
         self.max_deriv = max_deriv
@@ -321,17 +313,68 @@ class BasisGrid:
         for _ in range(max_deriv):
             self._gaps.append(knots[k + 1 : -1] - knots[1 : -k - 1])
             knots, k = knots[1:-1], k - 1
+        self._bands: dict[int, tuple] = {}  # by derivative, for gram
 
-    def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
-        """Columns and values (n, order) of the basis functions nonzero at
-        each point."""
-        return np.ascontiguousarray(self._at.T), np.ascontiguousarray(self._vals[0].T)
+    def nonzero(self, deriv: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Columns and values (n, order) of the derivative ``deriv`` of the
+        basis functions that can be nonzero at each point, with the bits
+        :meth:`combine` gives the identity, at O(n order^2)."""
+        _check_deriv(deriv, self.max_deriv, " on this grid")
+        # combine's differences of the identity, a band whose row i holds
+        # columns i..i+deriv; column j sums the lowered order's values times
+        # their rows' entry j, in combine's order and from 0.0
+        diff = np.ones((self.basis.size, 1))
+        for d, gap in enumerate(self._gaps[:deriv]):
+            pad = np.pad(diff, ((0, 0), (1, 1)))
+            diff = (pad[1:, :-1] - pad[:-1, 1:]) * (self.basis.degree - d) / gap[:, None]
+        vals, first = self._vals[deriv], self._at[0]
+        out = np.zeros(self._at.shape)
+        for j in range(self.basis.order):
+            for r in range(max(0, j - deriv), min(vals.shape[0], j + 1)):
+                out[j] += vals[r] * diff[first + r, j - r]
+        return np.ascontiguousarray(self._at.T), np.ascontiguousarray(out.T)
+
+    def gram(self, weights=None, deriv: int = 0) -> np.ndarray:
+        """Upper band (order, K) of ``Psi^T diag(weights) Psi``, Psi the
+        design matrix of derivative ``deriv`` at the points (unit weights
+        by default).
+
+        Entry (i, j), i <= j, sits at ``[order - 1 + i - j, j]``, the layout
+        of scipy's ``cholesky_banded``. A row of Psi has ``order``
+        consecutive nonzeros, so the Gram sums, over points, the weighted
+        products of each pair of a row's nonzeros at the pair's place; kept
+        on first use, these make a call one ``bincount`` in point order.
+        """
+        *_, at, pairs = self._products(deriv)
+        if weights is not None:
+            pairs = pairs * weights[:, None]
+        order, size = self.basis.order, self.basis.size
+        return np.bincount(at, weights=pairs.ravel(), minlength=order * size).reshape(order, size)
+
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """``Psi^T values`` for values (n,) or (n, m) at the points: the
+        right-hand side that goes with :meth:`gram`."""
+        cols, vals, *_ = self._products(0)
+        if values.ndim == 2:
+            return np.stack([self.project(v) for v in values.T], axis=1)
+        weights = (vals * values[:, None]).ravel()
+        return np.bincount(cols, weights=weights, minlength=self.basis.size)
+
+    def _products(self, deriv: int) -> tuple:
+        # the flat columns and values of the nonzeros, and the band places
+        # and products of their pairs, once per derivative
+        if deriv not in self._bands:
+            cols, vals = self.nonzero(deriv)
+            order = self.basis.order
+            ia, ib = np.triu_indices(order)
+            at = ((order - 1 - (ib - ia)) * self.basis.size + cols[:, ib]).ravel()
+            self._bands[deriv] = cols.ravel(), vals, at, vals[:, ia] * vals[:, ib]
+        return self._bands[deriv]
 
     def combine(self, coefficients: np.ndarray, deriv: int = 0) -> np.ndarray:
         """Derivative ``deriv`` at the points of the spline with these
         coefficients, (K,) or (K, m)."""
-        if not 0 <= deriv <= self.max_deriv:
-            raise ArgumentError(f"deriv must be in 0..{self.max_deriv} on this grid, got {deriv}")
+        _check_deriv(deriv, self.max_deriv, " on this grid")
         c = np.asarray(coefficients, dtype=float)
         for d, gap in enumerate(self._gaps[:deriv]):
             # the derivative, one order lower on the inner knots:
@@ -342,19 +385,12 @@ class BasisGrid:
         vals = self._vals[deriv]
         if c.ndim == 2:
             vals = vals[:, :, None]
-        at = self._at[: vals.shape[0]]
-        out = np.empty(at.shape[1:] + c.shape[1:])
-        # points in slabs, so the gathered terms of a wide coefficient
-        # array (a design matrix's identity) stay small
-        step = max(1, _SLAB // c[0].size)
-        for lo in range(0, out.shape[0], step):
-            terms = np.take(c, at[:, lo : lo + step], axis=0)
-            terms *= vals[:, lo : lo + step]
-            part = out[lo : lo + step]
-            # summed from 0.0, as scipy sums: -0.0 becomes 0.0
-            np.add(terms[0], 0.0, out=part)
-            for term in terms[1:]:
-                part += term
+        terms = np.take(c, self._at[: vals.shape[0]], axis=0)
+        terms *= vals
+        # summed from 0.0, as scipy sums: -0.0 becomes 0.0
+        out = terms[0] + 0.0
+        for term in terms[1:]:
+            out += term
         return out.reshape(self.points.shape + c.shape[1:])
 
 
@@ -429,27 +465,40 @@ class SplineFunction:
         return SplineFunction(basis, np.asarray(d["coefficients"], dtype=float))
 
 
-class SmoothingOperator:
-    """Penalized least-squares smoother with precomputed factorization.
+def band_dot(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The symmetric matrix with upper band ``band``, in the layout of
+    :meth:`BasisGrid.gram`, times the vector ``x``."""
+    u = band.shape[0] - 1
+    out = band[u] * x
+    for k in range(1, u + 1):
+        out[:-k] += band[u - k, k:] * x[k:]
+        out[k:] += band[u - k, k:] * x[:-k]
+    return out
 
-    Fixing (times, basis, penalty) once allows many response vectors to be
-    smoothed at the cost of one triangular solve each; the bootstrap loops
-    rely on this. Smoothing is linear in the data by construction.
+
+class SmoothingOperator:
+    """Penalized least-squares spline fit, factored once.
+
+    Minimizes ``sum_i w_i (y_i - s(t_i))^2 + penalty * integral s''^2``
+    over splines s on ``basis``, weights w (default ones) at ``times``,
+    points or a :class:`BasisGrid` on them. The two bands are factored
+    once by a banded Cholesky, so each response is one banded solve; the
+    x_hat and additive g_hat refits rely on this. Linear in the data.
     """
 
-    def __init__(self, times, basis: BSplineBasis, penalty: float):
-        t = np.asarray(times, dtype=float)
+    def __init__(self, times, basis: BSplineBasis, penalty: float, weights=None):
         if not is_finite_real(penalty) or penalty < 0:
             raise ArgumentError(f"penalty must be nonnegative and finite, got {penalty!r}")
         self.basis = basis
         self.penalty = float(penalty)
-        self.times = t
-        self.design = basis.design_matrix(t)
-        gram = self.design.T @ self.design
+        self.grid = _grid_for(basis, times, 0)
+        self.times = self.grid.points
+        self.weights = None if weights is None else np.asarray(weights, dtype=float)
+        band = self.grid.gram(self.weights)
         if penalty > 0:
-            gram = gram + penalty * basis.penalty_gram(2)
+            band += penalty * basis.penalty_gram(2)
         try:
-            self._factor = cho_factor(gram)
+            self._factor = cholesky_banded(band)
         except np.linalg.LinAlgError:
             advice = (
                 "the penalty may be too large for the data's scale"
@@ -457,20 +506,19 @@ class SmoothingOperator:
                 else "increase the penalty or coarsen the knots"
             )
             raise RankError(
-                f"smoothing system is singular ({t.size} observations, "
+                f"penalized spline fit is singular ({self.times.size} points, "
                 f"{basis.size} basis functions, penalty={penalty:g}); {advice}"
             ) from None
 
     def fit(self, values) -> SplineFunction:
         y = np.asarray(values, dtype=float)
-        one_d = y.ndim == 1
-        if one_d:
-            y = y[:, None]
         if y.shape[0] != self.times.size:
             raise ArgumentError(
                 f"values have {y.shape[0]} rows, operator was built for {self.times.size}"
             )
-        coef = cho_solve(self._factor, self.design.T @ y)
+        if self.weights is not None:
+            y = (self.weights * y.T).T
+        coef = cho_solve_banded((self._factor, False), self.grid.project(y))
         if not np.all(np.isfinite(coef)):
             raise RankError("smoothing produced non-finite coefficients")
-        return SplineFunction(self.basis, coef[:, 0] if one_d else coef)
+        return SplineFunction(self.basis, coef)

@@ -1,12 +1,17 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import odelof
 from odelof import (
     ArgumentError,
     DegenerateDesignError,
@@ -825,3 +830,45 @@ def fixture_report(system, kind):
 def fixture_p_values(system, kind):
     """p-values of one test on the fixed-seed fixture of ``system``."""
     return fixture_report(system, kind).p_values
+
+
+def fixture_reports():
+    """Report JSON of case 2 and case 3 on the fixtures of vanderpol
+    (additive forcing) and rosenzweig_macarthur_log (parameter
+    replacement)."""
+    return {
+        f"{system} {kind}": report_json(fixture_report(system, kind))
+        for system in ("vanderpol", "rosenzweig_macarthur_log")
+        for kind in ("case2", "case3")
+    }
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: BLAS runs one thread")
+def test_report_bytes_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS reads its thread count when it loads, so each count runs in
+    # a child interpreter; every Gram of the fits is a band summed in a
+    # fixed order, and no product whose rounding follows the thread count
+    # reaches a report
+    child = """
+import json
+from test_diagnose import fixture_reports
+print(json.dumps(fixture_reports()))
+"""
+    src = str(Path(odelof.__file__).parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", child],
+            cwd=Path(__file__).parent,
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        ).stdout
+        reports.append(json.loads(out.splitlines()[-1]))
+    assert len(reports[0]) == 4
+    for name, report in reports[0].items():
+        assert report == reports[1][name], name

@@ -30,6 +30,7 @@ from odelof.pipeline import CompanionState
 from odelof.power import diagnose_series, simulate_series
 from odelof.rng import rng_from
 from odelof.systems import rate_values
+from test_splines import dense_band
 
 LINEAR_THETA = np.array([0.0, -1.0, 1.0, 0.0])
 TIMES = np.linspace(0.0, 55.0, 440)
@@ -320,7 +321,7 @@ class TestEstimateForcing:
         "penalty, g_spacing, advice",
         [
             # knots finer than the nodes leave g coefficients no node sees
-            (0.0, 0.05, "refine the quadrature or add a penalty"),
+            (0.0, 0.05, "increase the penalty or coarsen the knots"),
             # a valid but huge penalty swamps the data term in rounding
             (1e19, 0.5, "the penalty may be too large for the data's scale"),
         ],
@@ -331,7 +332,7 @@ class TestEstimateForcing:
         forced = with_forcing(linear_system, ForcingSpec("additive", 2))
         t = np.linspace(0.0, 10.0, 50)
         g_basis = make_basis(4, (0.0, 10.0), g_spacing)
-        with pytest.raises(RankError, match=f"^forcing design is singular; {advice}$"):
+        with pytest.raises(RankError, match=f"^penalized spline fit is singular .*; {advice}$"):
             ForcingOperator(forced, g_basis, *quad_grid(t, 1), penalty)
 
     def test_replacement_mode_recovers_constant(self):
@@ -407,7 +408,7 @@ def dense_replacement_forcing(xhat, system, theta, g_basis, times, penalty=0.0):
 def penalty_root(g_basis, penalty):
     if penalty == 0:
         return None
-    vals, vecs = np.linalg.eigh(g_basis.penalty_gram(2))
+    vals, vecs = np.linalg.eigh(dense_band(g_basis.penalty_gram(2)))
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))).T * np.sqrt(penalty)
 
 
@@ -444,10 +445,11 @@ class TestReplacementForcing:
         sw = np.sqrt(op.weights)
         rng = np.random.default_rng(4)
         pen_root = penalty_root(runner.g_basis, penalty)
+        psi = runner.g_basis.design_matrix(op.nodes)
         for _ in range(3):
             coef = theta[6] * (1.0 + 0.2 * rng.standard_normal(runner.g_basis.size))
-            g = op.psi @ coef
-            jac, a = dense_jacobian(system, x, op.nodes, theta, op.psi, sw, coef, pen_root)
+            g = psi @ coef
+            jac, a = dense_jacobian(system, x, op.nodes, theta, psi, sw, coef, pen_root)
             r = sw[:, None] * (dx - rate_values(system, x, op.nodes, theta, g))
             rhs = r.reshape(-1)
             if pen_root is not None:

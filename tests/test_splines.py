@@ -22,7 +22,7 @@ from odelof import (
     make_basis,
     quad_grid,
 )
-from odelof.splines import BasisGrid, stacked_basis_values, stacked_derivative_gram
+from odelof.splines import BasisGrid, band_dot, stacked_basis_values, stacked_derivative_gram
 
 
 def scipy_values(basis, coef, t, deriv=0):
@@ -41,6 +41,17 @@ def scipy_gram(basis, deriv):
     weights = (0.5 * (b - a)[:, None] * wi).ravel()
     d = scipy_values(basis, np.eye(basis.size), nodes, deriv)
     return d.T @ (weights[:, None] * d)
+
+
+def dense_band(band):
+    """The symmetric matrix whose upper band is ``band``, in the layout of
+    :meth:`BasisGrid.gram`."""
+    u, size = band.shape[0] - 1, band.shape[1]
+    out = np.zeros((size, size))
+    for k in range(u + 1):
+        i = np.arange(size - k)
+        out[i, i + k] = out[i + k, i] = band[u - k, k:]
+    return out
 
 
 class TestBasis:
@@ -80,14 +91,15 @@ class TestBasis:
         design = basis.design_matrix(t)
         coef, *_ = np.linalg.lstsq(design, t**2, rcond=None)
         p = basis.penalty_gram(2)
-        assert coef @ p @ coef == pytest.approx(4.0 * 3.0, rel=1e-9)
+        assert coef @ dense_band(p) @ coef == pytest.approx(4.0 * 3.0, rel=1e-9)
+        assert coef @ band_dot(p, coef) == pytest.approx(4.0 * 3.0, rel=1e-9)
 
     def test_penalty_gram_first_derivative(self):
         # f(t) = t: integral of f'^2 over [0, 2] = 2
         basis = make_basis(4, (0.0, 2.0), 0.5)
         t = np.linspace(0.0, 2.0, 100)
         coef, *_ = np.linalg.lstsq(basis.design_matrix(t), t, rcond=None)
-        assert coef @ basis.penalty_gram(1) @ coef == pytest.approx(2.0, rel=1e-9)
+        assert coef @ dense_band(basis.penalty_gram(1)) @ coef == pytest.approx(2.0, rel=1e-9)
 
     def test_bases_compare_by_order_and_breakpoints(self):
         basis = make_basis(4, (0.0, 2.0), 0.5)
@@ -148,7 +160,10 @@ class TestStackedBases:
                 exact = scipy_gram(basis, deriv)
                 assert_allclose(gram, exact, rtol=0, atol=1e-12 * np.abs(exact).max())
                 assert_allclose(
-                    basis.penalty_gram(deriv), exact, rtol=0, atol=1e-12 * np.abs(exact).max()
+                    dense_band(basis.penalty_gram(deriv)),
+                    exact,
+                    rtol=0,
+                    atol=1e-12 * np.abs(exact).max(),
                 )
 
 
@@ -257,20 +272,44 @@ class TestBasisGrid:
 
     @pytest.mark.parametrize("order", range(1, 7))
     def test_dense_values_are_the_bits_of_combine(self, order):
-        # design_matrix scatters the grid's nonzero values; combine sums
-        # the identity's columns over them: the same bits, at the knots,
-        # at both ends (a -0.0 left end too) and between
+        # design_matrix scatters the grid's nonzero values of a derivative;
+        # combine sums the differenced identity's columns over the values
+        # of the lowered order: the same bits, for every derivative, at the
+        # knots, at both ends (a -0.0 left end too) and between
         basis = BSplineBasis(order, np.array([0.0, 0.3, 0.35, 1.1, 2.0, 2.05, 3.0]))
         t = np.concatenate(
             [basis.breakpoints, [-0.0, 3.0 + 1e-12], np.random.default_rng(2).uniform(0, 3, 40)]
         )
         identity = np.eye(basis.size)
-        for points in (t, BasisGrid(basis, t), np.float64(1.1), np.array(-0.0), 3.0):
-            grid = points if isinstance(points, BasisGrid) else BasisGrid(basis, points)
-            dense = basis.design_matrix(points)
-            combined = grid.combine(identity)
-            assert dense.shape == combined.shape
-            assert dense.tobytes() == combined.tobytes()
+        top = order - 1
+        for points in (t, BasisGrid(basis, t, top), np.float64(1.1), np.array(-0.0), 3.0):
+            grid = points if isinstance(points, BasisGrid) else BasisGrid(basis, points, top)
+            for deriv in range(order):
+                dense = basis.design_matrix(points, deriv)
+                combined = grid.combine(identity, deriv)
+                assert dense.shape == combined.shape
+                assert dense.tobytes() == combined.tobytes()
+
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_gram_is_the_dense_weighted_gram(self, order):
+        basis = BSplineBasis(order, np.array([0.0, 0.3, 0.35, 1.1, 2.0, 2.05, 3.0]))
+        rng = np.random.default_rng(3)
+        t = np.sort(rng.uniform(0.0, 3.0, 60))
+        w = rng.uniform(0.5, 2.0, t.size)
+        grid = BasisGrid(basis, t, order - 1)
+        y = rng.standard_normal((t.size, 2))
+        psi = basis.design_matrix(grid)
+        assert_allclose(grid.project(y), psi.T @ y, rtol=0, atol=1e-13)
+        assert_allclose(grid.project(y[:, 0]), psi.T @ y[:, 0], rtol=0, atol=1e-13)
+        for deriv in range(order):
+            d = basis.design_matrix(grid, deriv)
+            exact = d.T @ (w[:, None] * d)
+            atol = 1e-13 * np.abs(exact).max()
+            assert_allclose(dense_band(grid.gram(w, deriv)), exact, rtol=0, atol=atol)
+            assert_allclose(dense_band(grid.gram(None, deriv)), d.T @ d, rtol=0, atol=atol)
+        x = rng.standard_normal(basis.size)
+        band = grid.gram(w)
+        assert_allclose(band_dot(band, x), dense_band(band) @ x, rtol=0, atol=1e-13)
 
     def test_grid_checks_basis_and_derivative(self):
         basis = make_basis(4, (0.0, 3.0), 0.4)
@@ -398,6 +437,27 @@ class TestSmoothingOperator:
         fit = SmoothingOperator(series.times, basis, 0.01).fit(series.values)
         # TimeSeries values are always 2-D, so the smooth has one column
         assert np.asarray(fit(t)).shape == (100, 1)
+
+
+    @pytest.mark.parametrize("columns", [None, 2])
+    def test_weighted_fit_is_the_dense_penalized_least_squares_solve(self, columns):
+        # lstsq on the sqrt(w)-scaled design stacked over penalty rows R,
+        # R^T R = penalty times the curvature Gram
+        rng = np.random.default_rng(6)
+        t = np.sort(rng.uniform(0.0, 5.0, 80))
+        w = rng.uniform(0.1, 3.0, t.size)
+        y = rng.standard_normal(t.size if columns is None else (t.size, columns))
+        basis = make_basis(4, (0.0, 5.0), 0.5)
+        penalty = 0.3
+        vals, vecs = np.linalg.eigh(scipy_gram(basis, 2))
+        rows = (vecs * np.sqrt(np.clip(vals, 0.0, None) * penalty)).T
+        sw = np.sqrt(w)
+        design = np.vstack([sw[:, None] * basis.design_matrix(t), rows])
+        target = np.concatenate([(sw * y.T).T, np.zeros((basis.size,) + y.shape[1:])])
+        dense = np.linalg.lstsq(design, target, rcond=None)[0]
+        fit = SmoothingOperator(t, basis, penalty, weights=w).fit(y)
+        assert fit.coefficients.shape == dense.shape
+        assert_allclose(fit.coefficients, dense, rtol=0, atol=1e-10 * np.abs(dense).max())
 
 
 @settings(max_examples=20, deadline=None)
