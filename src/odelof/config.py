@@ -37,11 +37,13 @@ from .pipeline import PipelineSettings, check_columns, check_model
 from .smoothers import SmootherSettings
 from .splines import make_basis
 from .systems import (
+    MAX_GRID_POINTS,
     DynamicalSystem,
     ForcingSpec,
     _check_rate_scale,
     _check_start,
     _check_step,
+    _check_substeps,
     _check_theta,
     _check_times,
     _check_variances,
@@ -263,9 +265,16 @@ def _check_generator(cfg: dict, source: str) -> None:
         s2 = sde["sigma2"]
         _check_variances(s2, dim if generator else np.size(s2), "sigma2", system)
         _check_rate_scale(ode["rate_scale"])
+        steps = {"step": _check_step(sde["step"], "step")}
         if ode["substep"] is not None:
-            _check_step(ode["substep"], "substep")
-        _check_step(sde["step"], "step")
+            steps["substep"] = _check_step(ode["substep"], "substep")
+        step = "step" if cfg["generator"] == "sde" else "substep"
+        ts, npts = cfg["t_span"], cfg["n_points"]
+        if step in steps and ts is not None and npts is not None:
+            # the configured simulator's substeps on the grid simulate_series
+            # builds, whose interval follows from its ends
+            interval = (float(ts[1]) - float(ts[0])) / (npts - 1)
+            _check_substeps(interval, steps[step], step)
 
 
 def _check_tests(config: "ExperimentConfig", times: np.ndarray, n_columns=None) -> None:
@@ -487,8 +496,8 @@ def _validate(cfg: dict, source: str) -> None:
         # the fewest observation times a pipeline fits
         (
             "n_points",
-            npts is None or is_count(npts) and npts >= 4,
-            f"must be an integer >= 4, got {npts!r}",
+            npts is None or is_count(npts) and 4 <= npts <= MAX_GRID_POINTS,
+            f"must be an integer from 4 to {MAX_GRID_POINTS}, got {npts!r}",
         ),
         ("noise_var", nv is None or is_finite_real(nv) or _numbers(nv), variances),
         (

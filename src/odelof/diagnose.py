@@ -30,14 +30,22 @@ relative 1.5e-8 below F_0b counts as a tie (the two come from fits that
 agree only to rounding); the test rejects when the mean of the p_b falls
 below alpha.
 
-The B2 permutations of a replicate run as one batch: their block orders
-are B2 successive draws from the replicate's generator
-(:func:`block_permutation_indices`), drawn ``_PERM_BLOCK`` at a time, the
-permuted responses, one per row, are fitted together, each with its own
-GCV lambda (:meth:`~odelof.smoothers.AdditiveSmootherDesign.fit_many`),
-and their F values come from the one column kernel that
-:func:`f_stat_case2` and :func:`f_stat_case3` wrap. A permutation changes
-only the response: the h0 and h1 designs are built once per replicate.
+The B2 permutations of a replicate run in batches of ``_PERM_BLOCK``:
+their block orders are B2 successive draws from the replicate's
+generator (:meth:`_Blocks.orders`), and no permuted response is formed.
+A permutation only reorders a replicate's blocks, and a smoother fit
+sees its response only through its projection onto the design's
+eigen-columns W = X V and its squared norm, so a permutation's are sums
+of one entry per block from a table built once per replicate and design
+(:meth:`_Blocks.table`: every block against every start it can take).
+The GCV picks of the whole batch come from those sums
+(:meth:`~odelof.smoothers.AdditiveSmootherDesign.shrink_projections`),
+and F from the shrunk projections through k x k Grams of W. A row whose
+Gram formulas lose too much to cancellation is refitted from its permuted
+response by the one-row fit and kernel of F0 (:func:`f_stat_case2`,
+:func:`f_stat_case3`), so every null F is within ``_F_REL`` of that
+path's. A permutation changes only the response: the h0 and h1 designs
+are built once per replicate.
 Replicates run in chunks of ``_REPLICATE_CHUNK``: each replicate of a
 chunk is refitted, the designs of all their fits are built as one stack
 (:func:`~odelof.smoothers.build_designs`; the original fit joins the
@@ -146,32 +154,91 @@ def f_stat_case3(g, h0, h1) -> FStatResult:
     return _one(_f_columns(gv[None], h1v[None], h0v[None]))
 
 
-def block_permutation_indices(
-    n: int, block_len: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Row indices (n, count) of ``count`` block permutations of n rows.
+class _Blocks:
+    """n rows in consecutive blocks of ``block_len`` (the last may be
+    short) and their block permutations.
 
-    Column j reorders the consecutive blocks of ``block_len`` rows (a
-    final short block moves along with the full ones) by the j-th of
-    ``count`` successive ``rng.permutation(n_blocks)`` draws. One
-    ``rng.permuted`` call over ``count`` stacked ranges makes the same
-    draws, row by row, and leaves the generator in the same state.
+    A permutation places its blocks back to back in the order it draws,
+    so a block starts at j ``block_len`` when j full blocks precede it, or
+    at j ``block_len`` + r when the short final block (of r rows) is among
+    them. A block has 2 ``n_blocks`` such slots, j + ``n_blocks`` for the
+    shifted ones. :meth:`table` sums a permutation's per-block parts once
+    per block and slot, and :meth:`gather` adds up a permutation's parts,
+    so the null holds no array of n rows per permutation; :meth:`rows`
+    gives the permuted rows where a refit needs them.
     """
-    if block_len < 1:
-        raise ArgumentError(f"block_len must be >= 1, got {block_len}")
-    if n < 1:
-        raise ArgumentError("nothing to permute")
-    n_blocks = -(-n // block_len)
-    starts = np.arange(n_blocks) * block_len
-    sizes = np.minimum(block_len, n - starts)
-    orders = rng.permuted(np.tile(np.arange(n_blocks), (count, 1)), axis=1)
-    lens = sizes[orders]
-    # output row p of a block that starts at output row s and source row
-    # b is source row p + (b - s)
-    shift = starts[orders] - (np.cumsum(lens, axis=1) - lens)
-    rows = np.repeat(shift.ravel(), lens.ravel()).reshape(count, n)
-    rows += np.arange(n)
-    return rows.T
+
+    def __init__(self, n: int, block_len: int):
+        if block_len < 1:
+            raise ArgumentError(f"block_len must be >= 1, got {block_len}")
+        if n < 1:
+            raise ArgumentError("nothing to permute")
+        self.n, self.block_len = n, block_len
+        self.n_blocks = -(-n // block_len)
+        self.starts = np.arange(self.n_blocks) * block_len
+        self.sizes = np.minimum(block_len, n - self.starts)
+        self.full = n // block_len  # the blocks of block_len rows
+
+    def orders(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """``count`` block orders (count, n_blocks): row j is the j-th of
+        ``count`` successive ``rng.permutation(n_blocks)`` draws. One
+        ``rng.permuted`` call over ``count`` stacked ranges makes the same
+        draws and leaves the generator in the same state."""
+        return rng.permuted(np.tile(np.arange(self.n_blocks), (count, 1)), axis=1)
+
+    def rows(self, orders: np.ndarray) -> np.ndarray:
+        """The source rows (m, n) of the m permutations ``orders``."""
+        lens = self.sizes[orders]
+        # output row p of a block that starts at output row s and source
+        # row b is source row p + (b - s)
+        shift = self.starts[orders] - (np.cumsum(lens, axis=1) - lens)
+        rows = np.repeat(shift.ravel(), lens.ravel()).reshape(len(orders), self.n)
+        rows += np.arange(self.n)
+        return rows
+
+    def table(self, a: np.ndarray, src: np.ndarray) -> np.ndarray:
+        """Per source block b and slot j, the sum over the block's rows i
+        of a[s + i] src[start_b + i], with s the slot's start: an
+        (n_blocks, 2 n_blocks, c) array for ``a`` (n, c) and ``src`` (n,).
+        Slots a block cannot take hold zeros. The windows of ``a`` are
+        views, so nothing of n rows is copied."""
+        size, nb, full, c = self.block_len, self.n_blocks, self.full, a.shape[1]
+        out = np.zeros((nb, 2 * nb, c))
+        src_full = src[: full * size].reshape(full, size)
+
+        def full_blocks(first):
+            # every full block against the windows of a from row first on
+            windows = a[first : first + full * size].reshape(full, size, c)
+            return (src_full @ windows).transpose(1, 0, 2)
+
+        # full blocks start at j size, j < full, and after a short block
+        # at j size + r, which ends at row n
+        out[:full, :full] = full_blocks(0)
+        if full < nb:
+            r = self.n - full * size
+            out[:full, nb : nb + full] = full_blocks(r)
+            windows = np.lib.stride_tricks.sliding_window_view(a, r, axis=0)[::size]
+            out[full, :nb] = windows @ src[full * size :]
+        return out
+
+    def slots(self, orders: np.ndarray) -> np.ndarray:
+        """The flat :meth:`table` entries (m, n_blocks) of the blocks of
+        the m permutations ``orders``, in their output order."""
+        lens = self.sizes[orders]
+        starts = np.cumsum(lens, axis=1) - lens
+        slot = starts // self.block_len + self.n_blocks * (starts % self.block_len != 0)
+        return orders * (2 * self.n_blocks) + slot
+
+    @staticmethod
+    def gather(table: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Per permutation, the sum of its blocks' :meth:`table` entries
+        (m, c), added in output order, so a permutation's sum does not
+        depend on the others of its batch."""
+        flat = table.reshape(-1, table.shape[2])
+        out = flat[slots[:, 0]]
+        for at in slots.T[1:]:
+            out += flat[at]
+        return out
 
 
 def residual_bootstrap_resample(
@@ -362,10 +429,12 @@ def case3_test(
     return _run_test("case3", series, system, config, pipeline)
 
 
-# Permutations fitted together: enough columns for the matrix products to
-# pay, few enough that the (block, n) responses, fits and residuals stay
-# small next to the rest of a replicate's memory.
-_PERM_BLOCK = 64
+# The most permutations of one null batch. A batch's arrays are (m, k) or
+# (m, lambdas), none with n rows, so the cap only bounds them for a large
+# B2. On the vanderpol case-3 fixture at B2 = 999, a null took 1.44
+# ms per 199 permutations in batches of 256, against 1.78 at 64 and 1.74
+# at 1024 (BLAS on one thread).
+_PERM_BLOCK = 256
 
 # Bootstrap replicates refitted together, their designs built as one
 # stack: the build's cost per member falls to about 3/5 of a lone build by
@@ -374,14 +443,34 @@ _PERM_BLOCK = 64
 _REPLICATE_CHUNK = 16
 
 # A null F value counts as reaching F0 from F0 * (1 - _TIE_REL) up (about
-# sqrt(eps), as R vegan's permutest): F0 is a one-row fit_many call, the
-# null a batch of up to _PERM_BLOCK rows, and a row's fit rounds
-# differently with the batch size (the identity permutation's case-3 F in
-# a 64-row batch is off F0 by 1e-14 relative on a vanderpol fixture, 4e-12
-# on vanderpol_order2), so a permutation that reproduces the observed
-# order must not count by rounding luck. F >= 0, so 0 and inf count as
-# exact comparisons do.
+# sqrt(eps), as R vegan's permutest): F0 is a one-row fit_many call and
+# f_stat_case*, the null's F values come from sums of per-block parts
+# (_Blocks), and the two agree only to rounding (within _F_REL), so a
+# permutation that reproduces the observed order must not count by
+# rounding luck. F >= 0, so 0 and inf count as exact comparisons do.
 _TIE_REL = 1.5e-8
+
+# How far a null F from the block sums may stray from the F of the same
+# permutation's one-row fits (_refit_null). Per row, with k the fits'
+# width, the relative error between the two is estimated as
+# eps (k cancel + 2 sqrt(spread)) (_unsure), each summed over the
+# numerator and the RSS of F, where
+# - cancel is the ratio of the largest terms of a difference to its result,
+#   in the Gram formulas (||y||^2 to the RSS; ||h||^2, and in case 3
+#   ||h1||^2 + ||h0||^2, to the numerator) and in the one-row GCV, whose
+#   RSS cancels the uncentred ||y||^2 and whose pick can move with it;
+# - spread is the scale of the one-row fit's rounding, whose coefficients
+#   beta and fitted values X beta lose about eps sqrt(sum_j beta_j^2
+#   ||X_j||^2), squared over the RSS and over the numerator: a fit whose
+#   coefficients (or, in case 2, g's mean) dwarf its variation rounds off.
+# A row whose estimate passes _F_REL / _GUARD_MARGIN is refitted. Against
+# one-row fits on vanderpol, vanderpol_order2, linear2d and rossler
+# fixtures (their forcing, and near-exact, pure-noise and far-off-zero
+# responses), no row missed by more than 3.2 times its estimate, and no
+# kept row by more than a tenth of _F_REL. The builtins' forcing keeps the
+# ratios to a few hundred and is seldom refitted.
+_F_REL = 1e-10
+_GUARD_MARGIN = 8.0
 
 
 def _ready(design):
@@ -389,6 +478,31 @@ def _ready(design):
     if isinstance(design, OdelofError):
         raise design
     return design
+
+
+def _quad(u: np.ndarray, gram: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # the forms u_i^T gram v_i of the rows of u and v
+    return np.einsum("ij,ij->i", u @ gram, v)
+
+
+def _unsure(k: int, num, rss, tops, roundings) -> np.ndarray:
+    """Rows whose F = ``num`` / ``rss`` from the Gram formulas may miss
+    that of their one-row fits by more than ``_F_REL`` / ``_GUARD_MARGIN``,
+    given the largest terms ``tops`` and the squared rounding ``roundings``
+    of the numerator and the RSS, each a pair of (m,) arrays, as above. A
+    result rounded to zero or below is unsure too."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cancel = tops[0] / num + tops[1] / rss
+        spread = roundings[0] / num + roundings[1] / rss
+        loss = np.finfo(float).eps * (k * cancel + 2.0 * np.sqrt(spread))
+        return ~((num > 0.0) & (rss > 0.0) & (loss <= _F_REL / _GUARD_MARGIN))
+
+
+def _rounding_gram(design) -> tuple[np.ndarray, np.ndarray]:
+    # the design's eigen-columns W, and P with (d z)^T P (d z) =
+    # sum_j beta_j^2 ||X_j||^2 for the coefficients beta = V (d z)
+    w, v = design.eigenbasis()
+    return w, (v.T * np.sum(design.design**2, axis=0)) @ v
 
 
 class _PermutationStat:
@@ -399,11 +513,21 @@ class _PermutationStat:
     one fit's designs and fits the unpermuted statistic; a design whose
     build failed raises its error there, when the statistic first needs
     it. Given a permutation generator, it then draws the ``b2`` block
-    permutations ``_PERM_BLOCK`` at a time (the draws of one call for all
-    of them) and passes each block to the null of :meth:`_observed`, which
-    fits them together and returns their F values; the count of those at
-    or above F0, up to a relative ``_TIE_REL`` for rounding, gives the
-    p-value.
+    orders ``_PERM_BLOCK`` at a time (the draws of one call for all of
+    them) and passes each batch to the null of :meth:`_observed`, which
+    returns their F values; the count of those at or above F0, up to a
+    relative ``_TIE_REL`` for rounding, gives the p-value.
+
+    A null forms no permuted response but to refit one. Its fits are
+    linear in the response, so each one's projections onto the
+    eigen-columns W = X V of a design
+    (:meth:`~odelof.smoothers.AdditiveSmootherDesign.eigenbasis`) are sums
+    of per-block parts, one :meth:`_Blocks.table` per replicate and
+    design. The GCV picks take those sums
+    (:meth:`~odelof.smoothers.AdditiveSmootherDesign.shrink_projections`),
+    and F comes from the shrunk projections through k x k Grams of W; a
+    row those formulas may not hold to ``_F_REL`` (:func:`_unsure`) is
+    refitted from its permuted response as F0 is (:func:`_refit_null`).
     """
 
     def designs(self, states: list) -> list[tuple]:
@@ -415,16 +539,25 @@ class _PermutationStat:
         return [tuple(next(built) for _ in per) for per in layouts]
 
     def evaluate(self, designs, g_trim, perm_rng=None, b2=0, block_len=0):
-        f0, edfs, null = self._observed(designs, g_trim)
+        blocks = _Blocks(g_trim.shape[0], block_len) if perm_rng is not None else None
+        f0, edfs, null = self._observed(designs, g_trim, blocks)
         p_b = None
         if perm_rng is not None:
-            n, reach = g_trim.shape[0], f0.value * (1.0 - _TIE_REL)
+            reach = f0.value * (1.0 - _TIE_REL)
             count = 0
             for at in range(0, b2, _PERM_BLOCK):
-                idx = block_permutation_indices(n, block_len, min(_PERM_BLOCK, b2 - at), perm_rng)
-                count += int(np.count_nonzero(null(idx.T) >= reach))
+                orders = blocks.orders(min(_PERM_BLOCK, b2 - at), perm_rng)
+                count += int(np.count_nonzero(null(orders) >= reach))
             p_b = (1 + count) / (b2 + 1)
         return (f0, p_b) + edfs
+
+
+def _refit_null(values, unsure, orders, blocks, f_stat):
+    # the F values of the unsure rows, from their permuted responses by the
+    # one-row fits and kernel of F0
+    for i in np.flatnonzero(unsure):
+        values[i] = f_stat(blocks.rows(orders[i : i + 1])[0])
+    return values
 
 
 class _Case2Stat(_PermutationStat):
@@ -434,16 +567,42 @@ class _Case2Stat(_PermutationStat):
     def _layouts(self, states_trim):
         return [(states_trim, None)]
 
-    def _observed(self, designs, g_trim):
+    def _observed(self, designs, g_trim, blocks):
         design = _ready(designs[0])
-        fit = design.fit_many(g_trim[None])
 
-        def null(idx):
-            g_k = g_trim[idx]  # (m, n): one permutation per row
-            h_k = design.fit_many(g_k).fitted[:, :, None]
-            return _f_columns(g_k[:, :, None], h_k, h_k.mean(axis=1, keepdims=True))[0]
+        def f_stat(rows):
+            g_k = g_trim[rows]
+            fit = design.fit_many(g_k[None])
+            return f_stat_case2(g_k, fit.fitted[0]), fit.edf[0]
 
-        return f_stat_case2(g_trim, fit.fitted[0]), (fit.edf[0], None), null
+        f0, edf = f_stat(slice(None))
+        if blocks is None:
+            return f0, (edf, None), None
+        # the fit of g less its mean is the fit of g less a constant (the
+        # intercept is unpenalized and the other columns sum to zero), so F
+        # is the same, and the centred sums lose less to cancellation
+        n, g_mean = g_trim.shape[0], g_trim.mean()
+        gc = g_trim - g_mean
+        w, rounding_gram = _rounding_gram(design)
+        table = blocks.table(w, gc)
+        yy = gc @ gc
+        yy_g = g_trim @ g_trim  # the one-row GCV's
+        gram, col_sums = w.T @ w, w.sum(axis=0)
+
+        def null(orders):
+            z = blocks.gather(table, blocks.slots(orders))
+            dz = design.shrink_projections(z, np.full(len(orders), yy))
+            q = _quad(dz, gram, dz)  # ||h||^2
+            h_sum = dz @ col_sums
+            num = q - h_sum * h_sum / n  # n var(h)
+            rss = yy - 2.0 * np.einsum("ij,ij->i", z, dz) + q
+            # the one-row fit's intercept carries g's mean, on a column of ones
+            rounding = _quad(dz, rounding_gram, dz) + n * g_mean * g_mean
+            unsure = _unsure(w.shape[1], num, rss, (q, yy_g), (rounding, rounding))
+            values = np.divide(num, rss, out=np.zeros_like(num), where=~unsure)
+            return _refit_null(values, unsure, orders, blocks, lambda rows: f_stat(rows)[0].value)
+
+        return f0, (edf, None), null
 
 
 class _Case3Stat(_PermutationStat):
@@ -463,24 +622,62 @@ class _Case3Stat(_PermutationStat):
         groups = [tuple(range(m)), tuple(range(m, 2 * m))] if self.settings.interaction else None
         return [(states_trim, None), (x1, groups)]
 
-    def _observed(self, designs, g_trim):
+    def _observed(self, designs, g_trim, blocks):
         rows = self.valid
         design0 = _ready(designs[0])
-        h0 = design0.fit_many(g_trim[None])
+        fit0 = design0.fit_many(g_trim[None])
         design1 = _ready(designs[1])
-        h1 = design1.fit_many(g_trim[None, rows])
-        f0 = f_stat_case3(g_trim[rows], h0.fitted[0, rows], h1.fitted[0])
-        eta = g_trim - h0.fitted[0]
+        fit1 = design1.fit_many(g_trim[None, rows])
+        h0 = fit0.fitted[0]
+        f0 = f_stat_case3(g_trim[rows], h0[rows], fit1.fitted[0])
+        edfs = (fit0.edf[0], fit1.edf[0])
+        if blocks is None:
+            return f0, edfs, None
+        # the null keeps h0(x_hat) and block-permutes eta = g - h0: the
+        # permuted response y = eta* + h0 projects to W^T eta* + W^T h0
+        eta = g_trim - h0
+        n, h0v = eta.shape[0], h0[rows]
+        (w0, rounding0), (w1, rounding1) = _rounding_gram(design0), _rounding_gram(design1)
+        k0, k1 = w0.shape[1], w1.shape[1]
+        # the parts of eta* against W0, W1 (zero off the lag-valid rows),
+        # h0 and h0 on the lag-valid rows; the last two give ||y||^2
+        cols = np.zeros((n, k0 + k1 + 2))
+        cols[:, :k0] = w0
+        cols[rows, k0 : k0 + k1] = w1
+        cols[:, -2] = h0
+        cols[rows, -1] = h0v
+        table = blocks.table(cols, eta)
+        lag_valid = np.zeros((n, 1))
+        lag_valid[rows] = 1.0
+        squares = blocks.table(lag_valid, eta * eta)  # sum of eta*^2 on the lag-valid rows
+        c0, c1 = h0 @ w0, h0v @ w1
+        yy0, h0v_sq = eta @ eta + h0 @ h0, h0v @ h0v
+        w0v = w0[rows]
+        g11, g10, g00 = w1.T @ w1, w1.T @ w0v, w0v.T @ w0v
 
-        def null(idx):
-            # the null keeps h0(x_hat) and block-permutes eta = g - h0
-            g_k = eta[idx]  # (m, n): one permutation per row
-            g_k += h0.fitted[0]
-            h0_k = design0.fit_many(g_k).fitted
-            h1_k = design1.fit_many(g_k[:, rows]).fitted
-            return _f_columns(g_k[:, rows, None], h1_k[:, :, None], h0_k[:, rows, None])[0]
+        def null(orders):
+            slots = blocks.slots(orders)
+            parts = blocks.gather(table, slots)
+            z0, z1 = parts[:, :k0] + c0, parts[:, k0 : k0 + k1] + c1
+            yy_v = blocks.gather(squares, slots)[:, 0] + 2.0 * parts[:, -1] + h0v_sq
+            dz0 = design0.shrink_projections(z0, yy0 + 2.0 * parts[:, -2])
+            dz1 = design1.shrink_projections(z1, yy_v)
+            # ||h1 - h0||^2 and ||y - h1||^2 on the lag-valid rows
+            q11, q00 = _quad(dz1, g11, dz1), _quad(dz0, g00, dz0)
+            num = q11 - 2.0 * _quad(dz1, g10, dz0) + q00
+            rss = yy_v - 2.0 * np.einsum("ij,ij->i", z1, dz1) + q11
+            round1, round0 = _quad(dz1, rounding1, dz1), _quad(dz0, rounding0, dz0)
+            unsure = _unsure(k0 + k1, num, rss, (q11 + q00, yy_v), (round1 + round0, round1))
+            values = np.divide(num, rss, out=np.zeros_like(num), where=~unsure)
+            return _refit_null(values, unsure, orders, blocks, refit)
 
-        return f0, (h0.edf[0], h1.edf[0]), null
+        def refit(perm):
+            g_k = eta[perm] + h0
+            h0_k = design0.fit_many(g_k[None]).fitted[0]
+            h1_k = design1.fit_many(g_k[None, rows]).fitted[0]
+            return f_stat_case3(g_k[rows], h0_k[rows], h1_k).value
+
+        return f0, edfs, null
 
 
 def _geometry(kind, times, support_width, test, smoother) -> tuple:

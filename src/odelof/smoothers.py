@@ -13,16 +13,19 @@ penalty, and a null-space shrinkage penalty so lambda -> inf shrinks the
 whole term away (EDF -> 1 for pure-noise responses).
 
 The design is factorized once (QR of the ridged design, then an
-eigendecomposition of the reparameterized penalty), after which each
-response-only refit costs O(n k): the nested bootstrap/permutation loops
-depend on this. :meth:`AdditiveSmootherDesign.fit_many` is the one fit:
-it fits the rows of a response matrix, such as the B2 block permutations
-of one replicate, each with its own GCV lambda; one response is the
-one-row matrix ``y[None]``. A row's fit depends on the batch size through
-rounding, so the permutation tests count near-ties as ties. Both
-permutation tests swap only the response within a replicate (case 3's
-lagged predictors are lagged states, fixed with the states), so one
-factorized design serves every permutation.
+eigendecomposition of the reparameterized penalty, V), after which a
+response enters a fit only through its projection z = (X V)^T y and its
+squared norm: the GCV pick and the shrunk projection d z come from those
+at O(k) per lambda, and the fitted values are X V (d z).
+:meth:`AdditiveSmootherDesign.fit_many` is the fit of responses: it fits
+the rows of a response matrix, each with its own GCV lambda; one response
+is the one-row matrix ``y[None]``. :meth:`~AdditiveSmootherDesign.shrink_projections`
+is the same pick from given projections, for callers that form them
+without the responses: the permutation tests sum them from per-block
+parts (:mod:`odelof.diagnose`). Both permutation tests swap only the
+response within a replicate (case 3's lagged predictors are lagged
+states, fixed with the states), so one factorized design serves every
+permutation.
 
 Designs are built as a stack (:func:`build_designs`, such as the h0 and
 h1 designs of a chunk of bootstrap replicates); one design is the stack
@@ -537,6 +540,21 @@ class AdditiveSmootherDesign:
         )
         beta = shrunk @ v.T
         return RowFits(beta, beta @ self.design.T, edf, self.lambda_grid[pick], gcv)
+
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
+        """The GCV eigenbasis V (k, k) and the design in it, W = X V (n, k):
+        a response y projects to z = W^T y, and the fit with shrunk
+        projection d z has the coefficients V (d z) and the fitted values
+        W (d z)."""
+        v = self._factor[0][0]
+        return self.design @ v, v
+
+    def shrink_projections(self, z, yy) -> np.ndarray:
+        """The shrunk projections d z (m, k) of m responses at each one's
+        GCV pick, from their projections ``z`` (m, k), as
+        :meth:`eigenbasis` gives them, and their squared norms ``yy``
+        (m,): the pick of :meth:`fit_many` without the responses."""
+        return _gcv_table(z, yy, self.n, self._factor, self.eps)[3]
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,21 @@ RateFn = Callable[[np.ndarray, object, np.ndarray, object], np.ndarray]
 # States beyond this magnitude count as divergence during integration.
 BLOWUP_LIMIT = 1e8
 
+# The most substeps that tile one grid interval. An interval's substeps run
+# in one kernel call, and Euler-Maruyama draws their increments at once and
+# holds them as Python floats (about 150 bytes a substep in 3 dimensions):
+# 100,000 keep an interval within about 15 MB and a second of stepping,
+# some 800 times the default SDE step's count on the builtin grids. A
+# smaller step is a slip of the exponent, and would fail in numpy's array
+# allocation or step for practically ever.
+MAX_SUBSTEPS = 100_000
+
+# The most points of a simulated grid. A test builds smoother designs of n
+# rows by up to about 40 columns per fit, so a million points already
+# reach hundreds of MB per design; a longer grid is a slip, not a study,
+# and one of 10**30 points fails in numpy's allocation.
+MAX_GRID_POINTS = 1_000_000
+
 _FORCING_MODES = ("additive", "parameter_replacement")
 
 
@@ -305,20 +320,24 @@ def rate_values(
     return out
 
 
-def _kernel_source(scheme: str, d: int) -> str:
-    """Source of the substep loop of ``scheme`` ("rk4" or "em") in dimension d.
+def _kernel_source(scheme: str, d: int, q: int) -> str:
+    """Source of the substep loop of ``scheme`` ("rk4" or "em") in dimension
+    d, for rates of q parameters.
 
     ``kernel(f, p, t, h, steps, what, x1, ..., xd)`` runs one substep per
     item of ``steps`` (a range for RK4, the rows of Brownian increments for
     Euler-Maruyama) from the state x at time t and returns the end state.
-    The rate is ``f(x1, ..., xd, *p)``, or ``f(t, x1, ..., xd)`` when p is
-    None. It raises BlowupError at the first substep that leaves
-    |x| <= BLOWUP_LIMIT; the negated comparison is also true for NaN.
+    The rate is ``f(x1, ..., xd, p1, ..., pq)`` on the q entries of p, or
+    ``f(t, x1, ..., xd)`` when p is None. The parameters are passed by
+    position, not as ``*p``: an unpacked call takes the interpreter's
+    unspecialised call path. It raises BlowupError at the first substep
+    that leaves |x| <= BLOWUP_LIMIT; the negated comparison is also true for
+    NaN.
     """
     js = range(1, d + 1)
 
-    def row(fmt: str) -> str:
-        return ", ".join(fmt.format(j) for j in js)
+    def row(fmt: str, count: int = d) -> str:
+        return ", ".join(fmt.format(j) for j in range(1, count + 1))
 
     def tup(fmt: str) -> str:
         # a tuple also when d = 1
@@ -328,7 +347,9 @@ def _kernel_source(scheme: str, d: int) -> str:
 
     def loop(direct: bool) -> list:
         def rate(time: str, state: str) -> str:
-            return f"f({row(state)}, *p)" if direct else f"f({time}, {row(state)})"
+            if direct:
+                return f"f({', '.join(filter(None, [row(state), row('p{0}', q)]))})"
+            return f"f({time}, {row(state)})"
 
         if scheme == "rk4":
             var = "_"
@@ -354,18 +375,22 @@ def _kernel_source(scheme: str, d: int) -> str:
     if scheme == "rk4":
         lines += ["h2 = 0.5 * h", "h6 = h / 6.0"]
     lines += ["if p is None:"] + ["    " + line for line in loop(direct=False)]
-    lines += ["else:"] + ["    " + line for line in loop(direct=True)]
+    direct = loop(direct=True)
+    if q:
+        direct = [f"{row('p{0}', q)}, = p"] + direct
+    lines += ["else:"] + ["    " + line for line in direct]
     lines += [f"return {x}"]
     head = f"def kernel(f, p, t, h, steps, what, {row('x{0}')}):"
     return "\n".join([head] + ["    " + line for line in lines]) + "\n"
 
 
 @functools.cache
-def _kernel(scheme: str, d: int) -> Callable:
-    """The compiled :func:`_kernel_source`, built once per scheme and d."""
+def _kernel(scheme: str, d: int, q: int) -> Callable:
+    """The compiled :func:`_kernel_source`, built on first use once per
+    scheme, d and q."""
     namespace = {"BlowupError": BlowupError, "BLOWUP_LIMIT": BLOWUP_LIMIT}
-    source = _kernel_source(scheme, d)
-    filename = f"<odelof {scheme} kernel, d={d}>"
+    source = _kernel_source(scheme, d, q)
+    filename = f"<odelof {scheme} kernel, d={d}, q={q}>"
     # so that tracebacks through the kernel show its lines
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     exec(compile(source, filename, "exec"), namespace)
@@ -381,7 +406,6 @@ def _stepper(scheme: str, system: DynamicalSystem, th: np.ndarray, what: str, fo
     """
     if forcing is not None and system.forcing is None:
         raise ArgumentError(f"{system.name} has no forcing entry point, but a forcing was given")
-    kernel = _kernel(scheme, system.dim)
 
     def adapter(t, *xs):
         # a fresh array, so a rate that writes into its argument cannot
@@ -397,6 +421,7 @@ def _stepper(scheme: str, system: DynamicalSystem, th: np.ndarray, what: str, fo
         f, p = system.rate.coords, tuple(th.tolist())
     else:
         f, p = adapter, None
+    kernel = _kernel(scheme, system.dim, 0 if p is None else len(p))
 
     def advance(t, h, steps, xs):
         try:
@@ -430,6 +455,19 @@ def _check_step(value, what: str) -> float:
     if not (is_finite_real(value) and value > 0):
         raise ArgumentError(f"{what} must be positive and finite, got {value!r}")
     return float(value)
+
+
+def _check_substeps(interval: float, step: float, what: str) -> None:
+    """Raise unless a grid interval of length ``interval`` takes at most
+    ``MAX_SUBSTEPS`` substeps of at most ``step``, the step named ``what``."""
+    with np.errstate(over="ignore"):
+        count = np.float64(interval) / step
+    # as the simulators count them, ceil(interval / step - 1e-12)
+    if not count <= MAX_SUBSTEPS + 1e-12:
+        raise ArgumentError(
+            f"{what} {step:g} tiles a grid interval of {interval:g} with more than "
+            f"{MAX_SUBSTEPS} substeps"
+        )
 
 
 def _observed_indices(observed, dim: float, owner: str) -> np.ndarray:
@@ -482,7 +520,8 @@ def integrate(
     Raises
     ------
     ArgumentError
-        If ``forcing`` is given for a system without a ForcingSpec.
+        If ``forcing`` is given for a system without a ForcingSpec, or if a
+        grid interval would take more than ``MAX_SUBSTEPS`` substeps.
     BlowupError
         If the state leaves |x| <= 1e8 or becomes non-finite; its ``time``
         is the end of the first substep that does.
@@ -492,6 +531,7 @@ def integrate(
     xs = _check_start(system, x0)
     spacing = np.diff(t_grid)
     h_max = _check_step(spacing.min() if substep is None else substep, "substep")
+    _check_substeps(spacing.max(), h_max, "substep")
     advance = _stepper("rk4", system, th, f"integration of {system.name}", forcing)
 
     out = np.empty((t_grid.size, system.dim))
@@ -531,6 +571,8 @@ def simulate_sde(
 
     Raises
     ------
+    ArgumentError
+        If a grid interval would take more than ``MAX_SUBSTEPS`` steps.
     BlowupError
         If the state leaves |x| <= 1e8 or becomes non-finite; its ``time``
         is the end of the first substep that does.
@@ -540,6 +582,7 @@ def simulate_sde(
     xs = _check_start(system, x0)
     s2 = _check_variances(sigma2, system.dim, "sigma2", system.name)
     step = _check_step(step, "step")
+    _check_substeps(np.diff(t_grid).max(), step, "step")
     if seed is None:
         raise ArgumentError("simulate_sde requires an explicit seed")
     rng = rng_from(seed)

@@ -13,6 +13,7 @@ from odelof import (
     config_from_dict,
     load_config,
 )
+from odelof.systems import MAX_GRID_POINTS, MAX_SUBSTEPS
 
 
 class TestDefaults:
@@ -149,6 +150,15 @@ class TestRejection:
             key_path("test.delta", {"test": {"delta": 10**400}}, id="delta-oversized"),
             # the grid spacing (end - start) / (n_points - 1) overflows
             key_path("t_span", {"t_span": [-1e308, 1e308]}, id="t_span-spacing-overflows"),
+            # the size policy: a grid numpy cannot allocate, and substeps
+            # that would fail in numpy or step for practically ever
+            key_path("n_points", {"n_points": 10**30}, id="n_points-oversized"),
+            key_path(
+                "sde.step",
+                {"generator": "sde", "sde": {"step": 1e-300}},
+                id="sde-step-too-many-substeps",
+            ),
+            key_path("ode.substep", {"ode": {"substep": 1e-300}}, id="substep-too-many-substeps"),
             # gradient matching's rule for the free parameters, and the
             # pipeline's for the data columns against the model
             key_path(
@@ -183,6 +193,18 @@ class TestRejection:
                 "test": {"delta": big},
             }
         )
+
+    def test_size_policy_bounds_are_inclusive(self):
+        # the most substeps per interval and the longest grid validate; the
+        # grid is never built
+        interval = 55.0 / 439
+        config_from_dict(
+            {"system": "vanderpol", "generator": "sde", "sde": {"step": interval / MAX_SUBSTEPS}}
+        )
+        config_from_dict({"system": "vanderpol", "ode": {"substep": interval / MAX_SUBSTEPS}})
+        config_from_dict({"system": "vanderpol", "n_points": MAX_GRID_POINTS})
+        # the step of the other generator is not used, so only its range counts
+        config_from_dict({"system": "vanderpol", "sde": {"step": 1e-300}})
 
     @pytest.mark.parametrize(
         "smoothing, fragment",

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
 import odelof
 from odelof import (
@@ -35,6 +36,7 @@ from odelof import diagnose
 from odelof.diagnose import (
     _FLAGS,
     _TIE_REL,
+    _Blocks,
     _Case2Stat,
     _Case3Stat,
     _PERM_BLOCK,
@@ -44,7 +46,6 @@ from odelof.diagnose import (
     _geometry,
     _run_test,
     _json_float,
-    block_permutation_indices,
 )
 from odelof.pipeline import PipelineRunner
 from odelof.smoothers import AdditiveSmootherDesign, SmootherSettings
@@ -157,32 +158,42 @@ def reference_block_permute(values, block_len, rng):
 
 
 def one_block_permutation(n, block_len, seed):
-    return block_permutation_indices(n, block_len, 1, np.random.default_rng(seed))[:, 0]
+    blocks = _Blocks(n, block_len)
+    return blocks.rows(blocks.orders(1, np.random.default_rng(seed)))[0]
 
 
-class TestBlockPermutationIndices:
+class TestBlockPermutations:
     @pytest.mark.parametrize("n, block_len", [(60, 5), (63, 5), (7, 10), (9, 1)])
     def test_orders_are_successive_permutation_draws(self, n, block_len):
         rng_a, rng_b = np.random.default_rng(12), np.random.default_rng(12)
-        idx = block_permutation_indices(n, block_len, 30, rng_a)
-        expected = [reference_block_permute(np.arange(n), block_len, rng_b) for _ in range(30)]
-        assert idx.shape == (n, 30)
-        assert np.array_equal(idx, np.column_stack(expected))
+        blocks = _Blocks(n, block_len)
+        orders = blocks.orders(30, rng_a)
+        assert orders.shape == (30, blocks.n_blocks)
+        expected = [rng_b.permutation(blocks.n_blocks) for _ in range(30)]
+        assert np.array_equal(orders, expected)
         # the next draw of both generators agrees
         assert rng_a.random() == rng_b.random()
 
+    @pytest.mark.parametrize("n, block_len", [(60, 5), (63, 5), (7, 10), (9, 1)])
+    def test_rows_follow_the_orders(self, n, block_len):
+        rng_a, rng_b = np.random.default_rng(12), np.random.default_rng(12)
+        blocks = _Blocks(n, block_len)
+        rows = blocks.rows(blocks.orders(30, rng_a))
+        expected = [reference_block_permute(np.arange(n), block_len, rng_b) for _ in range(30)]
+        assert np.array_equal(rows, expected)
+
     def test_short_final_block_moves_whole(self):
-        idx = block_permutation_indices(11, 4, 20, np.random.default_rng(5))
-        for col in idx.T:
-            assert np.array_equal(np.sort(col), np.arange(11))
-            at = int(np.flatnonzero(col == 8)[0])
-            assert np.array_equal(col[at : at + 3], [8, 9, 10])
+        blocks = _Blocks(11, 4)
+        for row in blocks.rows(blocks.orders(20, np.random.default_rng(5))):
+            assert np.array_equal(np.sort(row), np.arange(11))
+            at = int(np.flatnonzero(row == 8)[0])
+            assert np.array_equal(row[at : at + 3], [8, 9, 10])
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ArgumentError, match="block_len"):
-            block_permutation_indices(5, 0, 3, np.random.default_rng(0))
+            _Blocks(5, 0)
         with pytest.raises(ArgumentError, match="nothing"):
-            block_permutation_indices(0, 2, 3, np.random.default_rng(0))
+            _Blocks(0, 2)
 
     def test_preserves_row_multiset(self):
         v = np.random.default_rng(0).standard_normal((37, 2))
@@ -207,17 +218,19 @@ class TestBlockPermutationIndices:
     def test_draws_in_blocks_are_one_draw(self, n, block_len, count):
         # the permutation null draws _PERM_BLOCK orders at a time
         rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
-        whole = block_permutation_indices(n, block_len, count, rng_a)
+        blocks = _Blocks(n, block_len)
+        whole = blocks.orders(count, rng_a)
         parts = [
-            block_permutation_indices(n, block_len, min(_PERM_BLOCK, count - at), rng_b)
+            blocks.orders(min(_PERM_BLOCK, count - at), rng_b)
             for at in range(0, count, _PERM_BLOCK)
         ]
-        assert np.array_equal(whole, np.hstack(parts))
+        assert np.array_equal(whole, np.vstack(parts))
         assert rng_a.random() == rng_b.random()
 
     def test_deterministic_under_seed(self):
-        a = block_permutation_indices(20, 4, 5, np.random.default_rng(7))
-        b = block_permutation_indices(20, 4, 5, np.random.default_rng(7))
+        blocks = _Blocks(20, 4)
+        a = blocks.orders(5, np.random.default_rng(7))
+        b = blocks.orders(5, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
     @settings(max_examples=25, deadline=None)
@@ -228,6 +241,24 @@ class TestBlockPermutationIndices:
     )
     def test_multiset_property(self, n, block, seed):
         assert np.array_equal(np.sort(one_block_permutation(n, block, seed)), np.arange(n))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        block=st.integers(min_value=1, max_value=70),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_gathered_sums_are_sums_over_permuted_rows(self, n, block, seed):
+        # each permutation's sum of its blocks' table entries is the sum
+        # over its rows of a[p] src[row p], whether or not a short final
+        # block shifts the blocks after it
+        rng = np.random.default_rng(seed)
+        a, src = rng.standard_normal((n, 3)), rng.standard_normal(n)
+        blocks = _Blocks(n, block)
+        orders = blocks.orders(12, rng)
+        sums = blocks.gather(blocks.table(a, src), blocks.slots(orders))
+        expected = [src[rows] @ a for rows in blocks.rows(orders)]
+        assert_allclose(sums, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestResidualBootstrap:
@@ -684,19 +715,19 @@ class TestCase3LagUpdate:
 
     def test_degenerate_lag_fit_fails_its_replicate(self, vdp_series, monkeypatch):
         # a null fit that raises costs that bootstrap replicate and not the
-        # test; with b2 = 19 each replicate fits one null batch for h0 and
+        # test; with b2 = 19 each replicate picks one null batch for h0 and
         # then one for h1, after the one-row fits of F0
-        original = AdditiveSmootherDesign.fit_many
+        original = AdditiveSmootherDesign.shrink_projections
         calls = []
 
-        def degenerate_first_h1(self, responses):
-            if len(responses) > 1:
+        def degenerate_first_h1(self, z, yy):
+            if len(z) > 1:
                 calls.append(None)
                 if len(calls) == 2:
                     raise DegenerateDesignError("synthetic degenerate h1 fit")
-            return original(self, responses)
+            return original(self, z, yy)
 
-        monkeypatch.setattr(AdditiveSmootherDesign, "fit_many", degenerate_first_h1)
+        monkeypatch.setattr(AdditiveSmootherDesign, "shrink_projections", degenerate_first_h1)
         report = case3_test(
             vdp_series,
             builtin_system("vanderpol"),
@@ -721,6 +752,78 @@ class TestCase3LagUpdate:
         # so a changed statistic or a flipped comparison would move them;
         # rossler_chaotic, whose third state is missing, sits at the floor
         assert fixture_p_values(system, "case3") == p_values
+
+
+def one_row_null(kind, stat, states, g, block_len, b2, seed):
+    """The F values of ``b2`` block permutations drawn from ``seed``, each
+    from one-row fits of its permuted response on designs built alone."""
+    rng = np.random.default_rng(seed)
+    designs = lone_designs(stat, states)
+    if kind == "case2":
+        return np.array([
+            f_stat_case2(g_k, fit_one(designs[0], g_k)[0]).value
+            for g_k in (reference_block_permute(g, block_len, rng) for _ in range(b2))
+        ])
+    rows = stat.valid
+    h0 = fit_one(designs[0], g)[0]
+    values = []
+    for _ in range(b2):
+        g_k = reference_block_permute(g - h0, block_len, rng) + h0
+        h1_k = fit_one(designs[1], g_k[rows])[0]
+        values.append(f_stat_case3(g_k[rows], fit_one(designs[0], g_k)[0][rows], h1_k).value)
+    return np.array(values)
+
+
+class TestNullMatchesOneRowFits:
+    """Each null F from the block sums is within _F_REL of the F of its
+    permuted response's one-row fits, and p_b counts as theirs does."""
+
+    @staticmethod
+    def compare(monkeypatch, kind, stat, states, g, block_len, b2=99):
+        unsure = []
+        original = diagnose._unsure
+
+        def spy(*args):
+            unsure.append(original(*args))
+            return unsure[-1]
+
+        monkeypatch.setattr(diagnose, "_unsure", spy)
+        (designs,) = stat.designs([states])
+        blocks = _Blocks(g.size, block_len)
+        assert blocks.full < blocks.n_blocks  # a short final block shifts the others
+        f0, p_b, _, _ = stat.evaluate(
+            designs, g, perm_rng=np.random.default_rng(4), b2=b2, block_len=block_len
+        )
+        null = stat._observed(designs, g, blocks)[2](blocks.orders(b2, np.random.default_rng(4)))
+        reference = one_row_null(kind, stat, states, g, block_len, b2, 4)
+        assert_allclose(null, reference, rtol=diagnose._F_REL, atol=0)
+        reach = f0.value * (1 - _TIE_REL)
+        assert p_b == (1 + np.count_nonzero(reference >= reach)) / (b2 + 1)
+        return np.concatenate(unsure)
+
+    @staticmethod
+    def stat(kind, system, interaction):
+        stat3, states, g, block_len = case3_setup(system, interaction)
+        return (stat3 if kind == "case3" else _Case2Stat(stat3.settings)), states, g, block_len
+
+    @pytest.mark.parametrize("kind", ["case2", "case3"])
+    @pytest.mark.parametrize("interaction", [True, False])
+    def test_fixture_forcing(self, monkeypatch, kind, interaction):
+        # 408 trimmed rows in blocks of 32: the last block has 24
+        stat, states, g, block_len = self.stat(kind, "vanderpol", interaction)
+        unsure = self.compare(monkeypatch, kind, stat, states, g, block_len)
+        assert not unsure.any()
+
+    @pytest.mark.parametrize("kind", ["case2", "case3"])
+    def test_near_exact_fit_is_refitted(self, monkeypatch, kind):
+        # g = sin(x1) x2 + 5 + N(0, 1e-14) on the vanderpol_order2 state
+        # (x, dx/dt) fits to about 1e-7 against a mean of 5: the Gram
+        # formulas cancel most of ||y||^2, and the guard refits those rows
+        stat, states, _, block_len = self.stat(kind, "vanderpol_order2", True)
+        noise = 1e-7 * np.random.default_rng(3).standard_normal(states.shape[0])
+        g = np.sin(states[:, 0]) * states[:, 1] + 5.0 + noise
+        unsure = self.compare(monkeypatch, kind, stat, states, g, block_len)
+        assert unsure.any()
 
 
 class TestCase2Batched:
@@ -775,8 +878,11 @@ class StubNull(_PermutationStat):
         self.f0 = f0
         self.null_values = np.asarray(null_values, dtype=float)
 
-    def _observed(self, designs, g_trim):
-        return FStatResult(self.f0, None), (0.0, None), lambda idx: self.null_values[: len(idx)]
+    def _observed(self, designs, g_trim, blocks):
+        def null(orders):
+            return self.null_values[: len(orders)]
+
+        return FStatResult(self.f0, None), (0.0, None), null
 
 
 class TestPermutationTies:

@@ -18,7 +18,7 @@ def test_one_estimation_path():
 
 
 def test_no_test_only_wrappers():
-    # block permutations come from diagnose.block_permutation_indices and
+    # block permutations come from diagnose._Blocks and
     # series files from write_series_csv
     for module, name in ((diagnose, "block_permute"), (seriesio, "series_csv_text")):
         assert name not in odelof.__all__

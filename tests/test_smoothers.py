@@ -13,7 +13,7 @@ from odelof import (
     config_from_dict,
     simulate_series,
 )
-from odelof.diagnose import block_permutation_indices
+from odelof.diagnose import _Blocks
 from odelof.smoothers import AdditiveSmootherDesign, _terms, build_designs
 from odelof.splines import BSplineBasis
 from test_splines import dense_band
@@ -23,6 +23,12 @@ def one_row(design, y):
     """The GCV fit of one response: row 0 of ``fit_many(y[None])``."""
     fits = design.fit_many(np.asarray(y, dtype=float)[None])
     return SimpleNamespace(**{name: value[0] for name, value in vars(fits).items()})
+
+
+def block_permutations(n, block_len, count, rng):
+    """The rows (count, n) of ``count`` block permutations of n rows."""
+    blocks = _Blocks(n, block_len)
+    return blocks.rows(blocks.orders(count, rng))
 
 
 def smooth(predictors, responses, settings=None, groups=None):
@@ -111,7 +117,7 @@ class TestFitMany:
         design = AdditiveSmootherDesign(x, SmootherSettings(interaction=interaction))
         ys = np.array(
             [y, truth, 3.0 * truth + 1.0, np.zeros_like(y), np.full_like(y, 2.5)]
-            + list(y[block_permutation_indices(y.size, 20, 30, rng).T])
+            + list(y[block_permutations(y.size, 20, 30, rng)])
             + [rng.standard_normal(y.size) for _ in range(5)]
         )
         fits = design.fit_many(ys)
@@ -369,7 +375,7 @@ class TestGcvPick:
             [y, np.zeros(n), np.full(n, 2.5), 3.0 * y + 1.0, signal, 1e3 * signal]
             + [signal + e * rng.standard_normal(n) for e in (1e-7, 1e-5, 1e-3)]
             + [truth + e * rng.standard_normal(n) for e in (1e-7, 1e-4)]
-            + list(y[block_permutation_indices(n, 20, 40, rng).T])
+            + list(y[block_permutations(n, 20, 40, rng)])
             + [s * rng.standard_normal(n) for s in (1e-6, 1.0, 1e4) for _ in range(4)]
         )
 

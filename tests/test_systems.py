@@ -34,8 +34,10 @@ from odelof import (
 from odelof.rng import rng_from
 from odelof.systems import (
     BLOWUP_LIMIT,
+    MAX_SUBSTEPS,
     CoordinateRate,
     DynamicalSystem,
+    _kernel_source,
     forced_rate,
 )
 
@@ -177,6 +179,29 @@ class TestIntegrate:
         sys = circle_system()
         with pytest.raises(ArgumentError, match="substep"):
             integrate(sys, sys.theta_default, (1.0, 0.0), [0.0, 1.0], substep=substep)
+
+
+class TestSubstepPolicy:
+    def test_integrate_rejects_too_many_substeps(self):
+        theta, x0 = (0.0, -1.0, 1.0, 0.0), (1.0, 0.0)
+        with pytest.raises(ArgumentError, match="substep 1e-300 tiles"):
+            integrate(circle_system(), theta, x0, [0.0, 1.0], substep=1e-300)
+        # the default substep is the shortest interval: an uneven grid can
+        # ask for too many on its longest
+        with pytest.raises(ArgumentError, match="substep"):
+            integrate(circle_system(), theta, x0, [0.0, 1e-9, 1.0])
+
+    def test_sde_rejects_too_many_steps(self):
+        with pytest.raises(ArgumentError, match="step 1e-300 tiles"):
+            simulate_sde(
+                circle_system(), (0.0, -1.0, 1.0, 0.0), 0.0, (1.0, 0.0), [0.0, 1.0],
+                step=1e-300, seed=1,
+            )
+
+    def test_the_bound_is_inclusive(self):
+        times = [0.0, MAX_SUBSTEPS * 1e-6]
+        traj = integrate(circle_system(), (0.0, -1.0, 1.0, 0.0), (1.0, 0.0), times, substep=1e-6)
+        assert np.all(np.isfinite(traj.states))
 
 
 class TestSde:
@@ -729,6 +754,58 @@ print(json.dumps({{"active": [f for f in {active!r} if __cpu_features__.get(f)],
     got = json.loads(out.splitlines()[-1])
     assert got["active"] == []
     assert got["digests"] == simulated_digests()
+
+
+# sha256 prefixes of simulated_digests' series, from the kernels that took
+# the parameters as *p: passing them by position moves no byte
+SIMULATED_SERIES = {
+    "linear2d ode": "52c4a17decac6faf",
+    "linear2d sde": "e29e92f206719118",
+    "rossler ode": "2348118b2919b6a7",
+    "rossler sde": "2c1410789862b282",
+    "rossler_chaotic ode": "40bbcf64191812c3",
+    "rossler_chaotic sde": "75c42a142a4983e3",
+    "vanderpol ode": "9f1012f183f6e35a",
+    "vanderpol sde": "1d307522c3926345",
+    "vanderpol_order2 ode": "04e566959376cb7b",
+    "vanderpol_order2 sde": "f9a52bd0a2dc7356",
+}
+
+
+class TestKernels:
+    def test_simulated_series_are_pinned(self):
+        digests = simulated_digests()
+        assert {key: digests[key][:16] for key in SIMULATED_SERIES} == SIMULATED_SERIES
+
+    @pytest.mark.parametrize("scheme", ["rk4", "em"])
+    def test_parameters_pass_by_position(self, scheme):
+        source = _kernel_source(scheme, 3, 2)
+        assert "*p" not in source
+        assert "p1, p2, = p" in source
+        assert "f(x1, x2, x3, p1, p2)" in source
+        assert "f(x1)" in _kernel_source(scheme, 1, 0)
+
+    def test_kernels_compile_on_first_use(self):
+        # importing odelof and resolving a config compile no kernel, so
+        # neither pays for them
+        child = """
+from odelof import config_from_dict
+from odelof.systems import _kernel
+config_from_dict({"system": "rossler", "generator": "sde", "master_seed": 1})
+print(_kernel.cache_info().currsize)
+"""
+        src = str(Path(odelof.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", child],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout
+        assert out.split() == ["0"]
 
 
 @settings(max_examples=30, deadline=None)
