@@ -26,9 +26,9 @@ field that does not fit.
 Both are wrapped in a residual bootstrap over the data smoothing, giving
 one permutation p-value p_b per bootstrap replicate:
 ``p_b = (1 + #{F_kb >= F_0b}) / (B2 + 1)``, where an F_kb within a
-relative 1.5e-8 below F_0b counts as a tie (the two come from fits that
-agree only to rounding); the test rejects when the mean of the p_b falls
-below alpha.
+relative 1.5e-8 below F_0b counts as a tie (a refitted permutation, or
+the identity order in a larger batch, reproduces F_0b only to rounding);
+the test rejects when the mean of the p_b falls below alpha.
 
 The B2 permutations of a replicate run in batches of ``_PERM_BLOCK``:
 their block orders are B2 successive draws from the replicate's
@@ -40,12 +40,14 @@ of one entry per block from a table built once per replicate and design
 (:meth:`_Blocks.table`: every block against every start it can take).
 The GCV picks of the whole batch come from those sums
 (:meth:`~odelof.smoothers.AdditiveSmootherDesign.shrink_projections`),
-and F from the shrunk projections through k x k Grams of W. A row whose
-Gram formulas lose too much to cancellation is refitted from its permuted
-response by the one-row fit and kernel of F0 (:func:`f_stat_case2`,
-:func:`f_stat_case3`), so every null F is within ``_F_REL`` of that
-path's. A permutation changes only the response: the h0 and h1 designs
-are built once per replicate.
+and F from the shrunk projections through k x k Grams of W. F0 is the
+same statistic at the identity block order, in a batch of its own, and
+every F is taken on g centred once: F does not change with a constant.
+A row whose Gram formulas lose too much to cancellation, F0's included,
+is refitted from its permuted response by one-row fits and
+:func:`f_stat_case2` or :func:`f_stat_case3`, so every F is within
+``_F_REL`` of that path's. A permutation changes only the response: the
+h0 and h1 designs are built once per replicate.
 Replicates run in chunks of ``_REPLICATE_CHUNK``: each replicate of a
 chunk is refitted, the designs of all their fits are built as one stack
 (:func:`~odelof.smoothers.build_designs`; the original fit joins the
@@ -93,41 +95,18 @@ def _as_rows(a, name: str) -> np.ndarray:
     return v
 
 
-# degeneracy flags of the F kernels, indexed by their flag codes
-_FLAGS = (None, "zero_over_zero", "zero_denominator")
+def _mean_square(r: np.ndarray) -> float:
+    # the mean over rows of the sums over columns of r (n, d) squared
+    return float(np.mean(np.sum(r * r, axis=1)))
 
 
-def _mean_squares(r: np.ndarray) -> np.ndarray:
-    # squares r (m, n, d) in place; the means over rows of the sums over d
-    r *= r
-    return np.mean(np.sum(r, axis=2), axis=1)
-
-
-def _ratios(num: np.ndarray, den: np.ndarray):
-    """F values and flag codes (indices into ``_FLAGS``): 0/0 reads 0,
-    x/0 reads inf."""
-    zero = den == 0.0
-    values = np.divide(num, den, out=np.zeros_like(num), where=~zero)
-    values[zero & (num != 0.0)] = math.inf
-    codes = np.where(zero, np.where(num == 0.0, 1, 2), 0)
-    return values, codes
-
-
-def _f_columns(g: np.ndarray, h: np.ndarray, ref: np.ndarray):
-    """F values and flag codes of m statistics: the mean squares of h - ref
-    over those of g - h. ``g`` and ``h`` are (m, n, d) arrays (m statistics,
-    n rows, d response columns) and ``ref`` broadcasts to them: h's mean
-    over rows in case 2, h0 in case 3 (where h is h1). Each statistic sums
-    over its rows in the order a single one does, so its bits do not
-    depend on m."""
-    r = h - ref
-    num = _mean_squares(r)
-    return _ratios(num, _mean_squares(np.subtract(g, h, out=r)))
-
-
-def _one(result) -> FStatResult:
-    values, codes = result
-    return FStatResult(float(values[0]), _FLAGS[codes[0]])
+def _ratio(num: float, den: float) -> FStatResult:
+    # 0/0 reads 0 and x/0 reads inf, each flagged
+    if den != 0.0:
+        return FStatResult(num / den, None)
+    if num == 0.0:
+        return FStatResult(0.0, "zero_over_zero")
+    return FStatResult(math.inf, "zero_denominator")
 
 
 def f_stat_case2(g, h) -> FStatResult:
@@ -137,8 +116,7 @@ def f_stat_case2(g, h) -> FStatResult:
     hv = _as_rows(h, "h")
     if gv.shape != hv.shape:
         raise ArgumentError(f"g and h must share a shape, got {gv.shape} vs {hv.shape}")
-    h = hv[None]
-    return _one(_f_columns(gv[None], h, h.mean(axis=1, keepdims=True)))
+    return _ratio(_mean_square(hv - hv.mean(axis=0)), _mean_square(gv - hv))
 
 
 def f_stat_case3(g, h0, h1) -> FStatResult:
@@ -151,7 +129,7 @@ def f_stat_case3(g, h0, h1) -> FStatResult:
         raise ArgumentError(
             f"g, h0, h1 must share a shape, got {gv.shape}, {h0v.shape}, {h1v.shape}"
         )
-    return _one(_f_columns(gv[None], h1v[None], h0v[None]))
+    return _ratio(_mean_square(h1v - h0v), _mean_square(gv - h1v))
 
 
 class _Blocks:
@@ -443,32 +421,36 @@ _PERM_BLOCK = 256
 _REPLICATE_CHUNK = 16
 
 # A null F value counts as reaching F0 from F0 * (1 - _TIE_REL) up (about
-# sqrt(eps), as R vegan's permutest): F0 is a one-row fit_many call and
-# f_stat_case*, the null's F values come from sums of per-block parts
-# (_Blocks), and the two agree only to rounding (within _F_REL), so a
-# permutation that reproduces the observed order must not count by
-# rounding luck. F >= 0, so 0 and inf count as exact comparisons do.
+# sqrt(eps), as R vegan's permutest). F0 is the null's own statistic at the
+# identity block order, but a refitted row (its one-row fits agree with
+# the Gram formulas only within _F_REL) and an identity row of a larger
+# batch (whose products round as the batch's do) reproduce it only to
+# rounding, so a permutation that reproduces the observed order must not
+# count by rounding luck. F >= 0, so 0 and inf count as exact comparisons
+# do.
 _TIE_REL = 1.5e-8
 
 # How far a null F from the block sums may stray from the F of the same
-# permutation's one-row fits (_refit_null). Per row, with k the fits'
-# width, the relative error between the two is estimated as
+# permutation's one-row fits (the refit of _null). Per row, with k the
+# fits' width, the relative error between the two is estimated as
 # eps (k cancel + 2 sqrt(spread)) (_unsure), each summed over the
 # numerator and the RSS of F, where
 # - cancel is the ratio of the largest terms of a difference to its result,
 #   in the Gram formulas (||y||^2 to the RSS; ||h||^2, and in case 3
 #   ||h1||^2 + ||h0||^2, to the numerator) and in the one-row GCV, whose
-#   RSS cancels the uncentred ||y||^2 and whose pick can move with it;
+#   RSS cancels ||y||^2 and whose pick can move with it;
 # - spread is the scale of the one-row fit's rounding, whose coefficients
 #   beta and fitted values X beta lose about eps sqrt(sum_j beta_j^2
 #   ||X_j||^2), squared over the RSS and over the numerator: a fit whose
-#   coefficients (or, in case 2, g's mean) dwarf its variation rounds off.
+#   coefficients dwarf its variation rounds off.
 # A row whose estimate passes _F_REL / _GUARD_MARGIN is refitted. Against
 # one-row fits on vanderpol, vanderpol_order2, linear2d and rossler
 # fixtures (their forcing, and near-exact, pure-noise and far-off-zero
 # responses), no row missed by more than 3.2 times its estimate, and no
 # kept row by more than a tenth of _F_REL. The builtins' forcing keeps the
-# ratios to a few hundred and is seldom refitted.
+# ratios to a few hundred and is seldom refitted; since g is centred
+# before any fit, a response far off zero is refitted no more often than
+# its centred self.
 _F_REL = 1e-10
 _GUARD_MARGIN = 8.0
 
@@ -490,7 +472,8 @@ def _unsure(k: int, num, rss, tops, roundings) -> np.ndarray:
     that of their one-row fits by more than ``_F_REL`` / ``_GUARD_MARGIN``,
     given the largest terms ``tops`` and the squared rounding ``roundings``
     of the numerator and the RSS, each a pair of (m,) arrays, as above. A
-    result rounded to zero or below is unsure too."""
+    result rounded to zero or below is unsure too: only the one-row path
+    flags a degenerate F."""
     with np.errstate(divide="ignore", invalid="ignore"):
         cancel = tops[0] / num + tops[1] / rss
         spread = roundings[0] / num + roundings[1] / rss
@@ -510,24 +493,34 @@ class _PermutationStat:
 
     :meth:`designs` builds the smoother designs of many fits' states as one
     stack (:func:`~odelof.smoothers.build_designs`). :meth:`evaluate` takes
-    one fit's designs and fits the unpermuted statistic; a design whose
-    build failed raises its error there, when the statistic first needs
-    it. Given a permutation generator, it then draws the ``b2`` block
-    orders ``_PERM_BLOCK`` at a time (the draws of one call for all of
-    them) and passes each batch to the null of :meth:`_observed`, which
-    returns their F values; the count of those at or above F0, up to a
-    relative ``_TIE_REL`` for rounding, gives the p-value.
+    one fit's designs and forcing g, which it centres once: F does not
+    change with a constant, since the intercept is unpenalized and the
+    other columns sum to zero, and the centred sums lose less to
+    cancellation. A statistic's ``_null(designs, g, blocks)`` sets up its
+    null on g's blocks (a design whose build failed raises its error
+    there) and returns ``grams(orders)``, ``refit(order)`` and the EDF of
+    h0 (None in case 2).
 
     A null forms no permuted response but to refit one. Its fits are
     linear in the response, so each one's projections onto the
     eigen-columns W = X V of a design
     (:meth:`~odelof.smoothers.AdditiveSmootherDesign.eigenbasis`) are sums
     of per-block parts, one :meth:`_Blocks.table` per replicate and
-    design. The GCV picks take those sums
-    (:meth:`~odelof.smoothers.AdditiveSmootherDesign.shrink_projections`),
-    and F comes from the shrunk projections through k x k Grams of W; a
-    row those formulas may not hold to ``_F_REL`` (:func:`_unsure`) is
-    refitted from its permuted response as F0 is (:func:`_refit_null`).
+    design. ``grams`` takes a batch's GCV picks from those sums
+    (:meth:`~odelof.smoothers.AdditiveSmootherDesign.shrink_projections`)
+    and its F values from the shrunk projections through k x k Grams of W,
+    and gives them (zero where unsure), the mask of the rows those formulas
+    may not hold to ``_F_REL`` (:func:`_unsure`) and the EDFs of h (h1 in
+    case 3). ``refit`` gives one order's F, flagged as
+    :func:`f_stat_case2` or :func:`f_stat_case3` flag it, and that EDF,
+    from one-row fits of its permuted response.
+
+    F0 is the null's statistic at the identity block order, evaluated as a
+    batch of its own so that its products are one-row ones, and refitted
+    if unsure. Given a permutation generator, :meth:`evaluate` then draws
+    the ``b2`` block orders ``_PERM_BLOCK`` at a time (the draws of one
+    call for all of them); the count of their F values at or above F0, up
+    to a relative ``_TIE_REL`` for rounding, gives the p-value.
     """
 
     def designs(self, states: list) -> list[tuple]:
@@ -538,25 +531,35 @@ class _PermutationStat:
         built = iter(build_designs([lay for per in layouts for lay in per], self.settings))
         return [tuple(next(built) for _ in per) for per in layouts]
 
-    def evaluate(self, designs, g_trim, perm_rng=None, b2=0, block_len=0):
-        blocks = _Blocks(g_trim.shape[0], block_len) if perm_rng is not None else None
-        f0, edfs, null = self._observed(designs, g_trim, blocks)
+    def evaluate(self, designs, g_trim, block_len, perm_rng=None, b2=0):
+        """F0, p_b (None without ``perm_rng``), and the EDFs of h and
+        None (case 2) or of h0 and h1 (case 3), for the forcing ``g_trim``
+        in blocks of ``block_len`` rows."""
+        blocks = _Blocks(g_trim.shape[0], block_len)
+        grams, refit, edf_h0 = self._null(designs, g_trim - g_trim.mean(), blocks)
+        identity = np.arange(blocks.n_blocks)[None]
+        values, unsure, edf = grams(identity)
+        if unsure[0]:
+            f0, edf = refit(identity[0])
+        else:
+            f0, edf = FStatResult(float(values[0]), None), edf[0]
         p_b = None
         if perm_rng is not None:
             reach = f0.value * (1.0 - _TIE_REL)
             count = 0
             for at in range(0, b2, _PERM_BLOCK):
                 orders = blocks.orders(min(_PERM_BLOCK, b2 - at), perm_rng)
-                count += int(np.count_nonzero(null(orders) >= reach))
+                count += int(np.count_nonzero(_null_values(grams, refit, orders) >= reach))
             p_b = (1 + count) / (b2 + 1)
-        return (f0, p_b) + edfs
+        return (f0, p_b) + ((edf, None) if edf_h0 is None else (edf_h0, edf))
 
 
-def _refit_null(values, unsure, orders, blocks, f_stat):
-    # the F values of the unsure rows, from their permuted responses by the
-    # one-row fits and kernel of F0
+def _null_values(grams, refit, orders) -> np.ndarray:
+    # the F values of a batch of block orders: the Gram formulas', and the
+    # one-row fits' where those are unsure
+    values, unsure, _ = grams(orders)
     for i in np.flatnonzero(unsure):
-        values[i] = f_stat(blocks.rows(orders[i : i + 1])[0])
+        values[i] = refit(orders[i])[0].value
     return values
 
 
@@ -567,42 +570,30 @@ class _Case2Stat(_PermutationStat):
     def _layouts(self, states_trim):
         return [(states_trim, None)]
 
-    def _observed(self, designs, g_trim, blocks):
+    def _null(self, designs, g, blocks):
         design = _ready(designs[0])
-
-        def f_stat(rows):
-            g_k = g_trim[rows]
-            fit = design.fit_many(g_k[None])
-            return f_stat_case2(g_k, fit.fitted[0]), fit.edf[0]
-
-        f0, edf = f_stat(slice(None))
-        if blocks is None:
-            return f0, (edf, None), None
-        # the fit of g less its mean is the fit of g less a constant (the
-        # intercept is unpenalized and the other columns sum to zero), so F
-        # is the same, and the centred sums lose less to cancellation
-        n, g_mean = g_trim.shape[0], g_trim.mean()
-        gc = g_trim - g_mean
         w, rounding_gram = _rounding_gram(design)
-        table = blocks.table(w, gc)
-        yy = gc @ gc
-        yy_g = g_trim @ g_trim  # the one-row GCV's
+        table = blocks.table(w, g)
+        n, yy = g.shape[0], g @ g
         gram, col_sums = w.T @ w, w.sum(axis=0)
 
-        def null(orders):
+        def grams(orders):
             z = blocks.gather(table, blocks.slots(orders))
-            dz = design.shrink_projections(z, np.full(len(orders), yy))
+            dz, edf = design.shrink_projections(z, np.full(len(orders), yy))
             q = _quad(dz, gram, dz)  # ||h||^2
             h_sum = dz @ col_sums
             num = q - h_sum * h_sum / n  # n var(h)
             rss = yy - 2.0 * np.einsum("ij,ij->i", z, dz) + q
-            # the one-row fit's intercept carries g's mean, on a column of ones
-            rounding = _quad(dz, rounding_gram, dz) + n * g_mean * g_mean
-            unsure = _unsure(w.shape[1], num, rss, (q, yy_g), (rounding, rounding))
-            values = np.divide(num, rss, out=np.zeros_like(num), where=~unsure)
-            return _refit_null(values, unsure, orders, blocks, lambda rows: f_stat(rows)[0].value)
+            rounding = _quad(dz, rounding_gram, dz)
+            unsure = _unsure(w.shape[1], num, rss, (q, yy), (rounding, rounding))
+            return np.divide(num, rss, out=np.zeros_like(num), where=~unsure), unsure, edf
 
-        return f0, (edf, None), null
+        def refit(order):
+            g_k = g[blocks.rows(order[None])[0]]
+            fit = design.fit_many(g_k[None])
+            return f_stat_case2(g_k, fit.fitted[0]), fit.edf[0]
+
+        return grams, refit, None
 
 
 class _Case3Stat(_PermutationStat):
@@ -622,20 +613,15 @@ class _Case3Stat(_PermutationStat):
         groups = [tuple(range(m)), tuple(range(m, 2 * m))] if self.settings.interaction else None
         return [(states_trim, None), (x1, groups)]
 
-    def _observed(self, designs, g_trim, blocks):
-        rows = self.valid
-        design0 = _ready(designs[0])
-        fit0 = design0.fit_many(g_trim[None])
-        design1 = _ready(designs[1])
-        fit1 = design1.fit_many(g_trim[None, rows])
-        h0 = fit0.fitted[0]
-        f0 = f_stat_case3(g_trim[rows], h0[rows], fit1.fitted[0])
-        edfs = (fit0.edf[0], fit1.edf[0])
-        if blocks is None:
-            return f0, edfs, None
+    def _null(self, designs, g, blocks):
         # the null keeps h0(x_hat) and block-permutes eta = g - h0: the
         # permuted response y = eta* + h0 projects to W^T eta* + W^T h0
-        eta = g_trim - h0
+        rows = self.valid
+        design0 = _ready(designs[0])
+        fit0 = design0.fit_many(g[None])
+        design1 = _ready(designs[1])
+        h0 = fit0.fitted[0]
+        eta = g - h0
         n, h0v = eta.shape[0], h0[rows]
         (w0, rounding0), (w1, rounding1) = _rounding_gram(design0), _rounding_gram(design1)
         k0, k1 = w0.shape[1], w1.shape[1]
@@ -655,29 +641,28 @@ class _Case3Stat(_PermutationStat):
         w0v = w0[rows]
         g11, g10, g00 = w1.T @ w1, w1.T @ w0v, w0v.T @ w0v
 
-        def null(orders):
+        def grams(orders):
             slots = blocks.slots(orders)
             parts = blocks.gather(table, slots)
             z0, z1 = parts[:, :k0] + c0, parts[:, k0 : k0 + k1] + c1
             yy_v = blocks.gather(squares, slots)[:, 0] + 2.0 * parts[:, -1] + h0v_sq
-            dz0 = design0.shrink_projections(z0, yy0 + 2.0 * parts[:, -2])
-            dz1 = design1.shrink_projections(z1, yy_v)
+            dz0, _ = design0.shrink_projections(z0, yy0 + 2.0 * parts[:, -2])
+            dz1, edf1 = design1.shrink_projections(z1, yy_v)
             # ||h1 - h0||^2 and ||y - h1||^2 on the lag-valid rows
             q11, q00 = _quad(dz1, g11, dz1), _quad(dz0, g00, dz0)
             num = q11 - 2.0 * _quad(dz1, g10, dz0) + q00
             rss = yy_v - 2.0 * np.einsum("ij,ij->i", z1, dz1) + q11
             round1, round0 = _quad(dz1, rounding1, dz1), _quad(dz0, rounding0, dz0)
             unsure = _unsure(k0 + k1, num, rss, (q11 + q00, yy_v), (round1 + round0, round1))
-            values = np.divide(num, rss, out=np.zeros_like(num), where=~unsure)
-            return _refit_null(values, unsure, orders, blocks, refit)
+            return np.divide(num, rss, out=np.zeros_like(num), where=~unsure), unsure, edf1
 
-        def refit(perm):
-            g_k = eta[perm] + h0
+        def refit(order):
+            g_k = eta[blocks.rows(order[None])[0]] + h0
             h0_k = design0.fit_many(g_k[None]).fitted[0]
-            h1_k = design1.fit_many(g_k[None, rows]).fitted[0]
-            return f_stat_case3(g_k[rows], h0_k[rows], h1_k).value
+            fit1 = design1.fit_many(g_k[None, rows])
+            return f_stat_case3(g_k[rows], h0_k[rows], fit1.fitted[0]), fit1.edf[0]
 
-        return f0, edfs, null
+        return grams, refit, fit0.edf[0]
 
 
 def _geometry(kind, times, support_width, test, smoother) -> tuple:
@@ -763,7 +748,9 @@ def _run_test(kind, series, system, config, pipeline):
         ]
         built = iter(stat.designs([fit.state_obs[sl] for fit in members]))
         if lo == 0:
-            f0, _, edf_h, edf_alt = stat.evaluate(next(built), fit0.g_obs[sl])
+            f0, _, edf_h, edf_alt = stat.evaluate(
+                next(built), fit0.g_obs[sl], resolved["block_len"]
+            )
         for b, fit_b, perm_ss in zip(chunk, fits, perm_seeds):
             try:
                 if isinstance(fit_b, OdelofError):
@@ -771,9 +758,9 @@ def _run_test(kind, series, system, config, pipeline):
                 f0_b, p_b, _, _ = stat.evaluate(
                     next(built),
                     fit_b.g_obs[sl],
+                    resolved["block_len"],
                     perm_rng=rng_from(perm_ss),
                     b2=config.b2,
-                    block_len=resolved["block_len"],
                 )
             except OdelofError as exc:
                 failures.append(f"replicate {b}: {exc}")

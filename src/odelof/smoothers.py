@@ -549,12 +549,13 @@ class AdditiveSmootherDesign:
         v = self._factor[0][0]
         return self.design @ v, v
 
-    def shrink_projections(self, z, yy) -> np.ndarray:
+    def shrink_projections(self, z, yy) -> tuple[np.ndarray, np.ndarray]:
         """The shrunk projections d z (m, k) of m responses at each one's
-        GCV pick, from their projections ``z`` (m, k), as
-        :meth:`eigenbasis` gives them, and their squared norms ``yy``
-        (m,): the pick of :meth:`fit_many` without the responses."""
-        return _gcv_table(z, yy, self.n, self._factor, self.eps)[3]
+        GCV pick and the picks' EDFs (m,), from their projections ``z``
+        (m, k), as :meth:`eigenbasis` gives them, and their squared norms
+        ``yy`` (m,): the pick of :meth:`fit_many` without the responses."""
+        _, edf, _, shrunk = _gcv_table(z, yy, self.n, self._factor, self.eps)
+        return shrunk, edf
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from odelof import (
     ArgumentError,
     DegenerateDesignError,
     DiagnosticReport,
-    FStatResult,
     PipelineError,
     TestAbortedError,
     TestConfig,
@@ -34,14 +33,13 @@ from odelof import (
 )
 from odelof import diagnose
 from odelof.diagnose import (
-    _FLAGS,
+    _F_REL,
     _TIE_REL,
     _Blocks,
     _Case2Stat,
     _Case3Stat,
     _PERM_BLOCK,
     _PermutationStat,
-    _f_columns,
     _from_json_float,
     _geometry,
     _run_test,
@@ -96,13 +94,9 @@ class TestFStatistics:
         with pytest.raises(ArgumentError, match="non-finite"):
             f_stat_case2([1.0, np.nan], [1.0, 2.0])
 
-
-class TestFStatColumns:
-    """The (m, n, d) kernel behind the scalar statistics: case 2 is h
-    against its mean over rows, case 3 h1 against h0."""
-
     @staticmethod
     def statistics(d):
+        # five (g, h, h1) triples of 40 rows and d columns
         rng = np.random.default_rng(d)
         g = rng.standard_normal((5, 40, d))
         h = 0.5 * g + 0.1 * rng.standard_normal((5, 40, d))
@@ -113,37 +107,31 @@ class TestFStatColumns:
         return g, h, h1
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_case2_columns_match_scalar(self, d):
+    def test_case2_mean_squares_and_flags(self, d):
         g, h, _ = self.statistics(d)
-        values, codes = _f_columns(g, h, h.mean(axis=1, keepdims=True))
-        for j in range(g.shape[0]):
-            res = f_stat_case2(g[j], h[j])
-            assert values[j] == res.value
-            assert _FLAGS[codes[j]] == res.flag
-        assert [_FLAGS[c] for c in codes[:3]] == [None, "zero_over_zero", "zero_denominator"]
+        res = [f_stat_case2(g[j], h[j]) for j in range(g.shape[0])]
+        assert [r.flag for r in res[:3]] == [None, "zero_over_zero", "zero_denominator"]
         num = np.mean(np.sum((h[0] - h[0].mean(axis=0)) ** 2, axis=1))
         den = np.mean(np.sum((g[0] - h[0]) ** 2, axis=1))
-        assert values[0] == pytest.approx(num / den, rel=1e-14)
-        assert values[1] == 0.0 and math.isinf(values[2])
+        assert res[0].value == pytest.approx(num / den, rel=1e-14)
+        assert res[1].value == 0.0 and math.isinf(res[2].value)
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_case3_columns_match_scalar(self, d):
+    def test_case3_mean_squares_and_flags(self, d):
         g, h0, h1 = self.statistics(d)
-        values, codes = _f_columns(g, h1, h0)
-        for j in range(g.shape[0]):
-            res = f_stat_case3(g[j], h0[j], h1[j])
-            assert values[j] == res.value
-            assert _FLAGS[codes[j]] == res.flag
-        assert [_FLAGS[c] for c in codes[[0, 1, 3]]] == [None, "zero_over_zero", "zero_denominator"]
+        res = [f_stat_case3(g[j], h0[j], h1[j]) for j in range(g.shape[0])]
+        assert [res[j].flag for j in (0, 1, 3)] == [None, "zero_over_zero", "zero_denominator"]
         num = np.mean(np.sum((h1[0] - h0[0]) ** 2, axis=1))
         den = np.mean(np.sum((g[0] - h1[0]) ** 2, axis=1))
-        assert values[0] == pytest.approx(num / den, rel=1e-14)
+        assert res[0].value == pytest.approx(num / den, rel=1e-14)
+        assert res[1].value == 0.0 and math.isinf(res[3].value)
 
-    def test_kernels_leave_inputs_alone(self):
+    def test_statistics_leave_inputs_alone(self):
         g, h0, h1 = self.statistics(1)
         before = [a.copy() for a in (g, h0, h1)]
-        _f_columns(g, h0, h0.mean(axis=1, keepdims=True))
-        _f_columns(g, h1, h0)
+        for j in range(g.shape[0]):
+            f_stat_case2(g[j], h0[j])
+            f_stat_case3(g[j], h0[j], h1[j])
         for a, b in zip((g, h0, h1), before):
             assert np.array_equal(a, b)
 
@@ -497,10 +485,10 @@ class TestGuards:
     def test_abort_when_replicates_fail(self, vdp_series, monkeypatch):
         original = _Case2Stat.evaluate
 
-        def flaky(self, designs, g, perm_rng=None, b2=0, block_len=0):
+        def flaky(self, designs, g, block_len, perm_rng=None, b2=0):
             if perm_rng is not None:
                 raise ArgumentError("synthetic replicate failure")
-            return original(self, designs, g, perm_rng, b2, block_len)
+            return original(self, designs, g, block_len, perm_rng, b2)
 
         monkeypatch.setattr(_Case2Stat, "evaluate", flaky)
         with pytest.raises(TestAbortedError) as err:
@@ -692,11 +680,13 @@ class TestCase3LagUpdate:
             g_k = reference_block_permute(g - h0, block_len, rng) + h0
             h0_k = fit_one(design0, g_k)[0][rows]
             f_k.append(f_stat_case3(g_k[rows], h0_k, fit_one(design1, g_k[rows])[0]).value)
-        assert f0 == f_stat_case3(g[rows], h0[rows], h1)
+        one_row = f_stat_case3(g[rows], h0[rows], h1)
+        assert f0.value == pytest.approx(one_row.value, rel=_F_REL)
+        assert f0.flag is one_row.flag is None
         assert (edf0, edf1) == (edf_h0, edf_h1)
         # vanderpol_order2 has five blocks, so the identity order can recur;
-        # its batch row rounds differently from the one-row F0 fit, and the
-        # tie rule counts it
+        # its one-row fits round differently from F0's Gram formulas, and
+        # the tie rule counts it
         count = sum(f >= f0.value * (1 - _TIE_REL) for f in f_k)
         assert p_b == (1 + count) / 100
 
@@ -716,7 +706,7 @@ class TestCase3LagUpdate:
     def test_degenerate_lag_fit_fails_its_replicate(self, vdp_series, monkeypatch):
         # a null fit that raises costs that bootstrap replicate and not the
         # test; with b2 = 19 each replicate picks one null batch for h0 and
-        # then one for h1, after the one-row fits of F0
+        # then one for h1, after F0's batch of one
         original = AdditiveSmootherDesign.shrink_projections
         calls = []
 
@@ -794,8 +784,12 @@ class TestNullMatchesOneRowFits:
         f0, p_b, _, _ = stat.evaluate(
             designs, g, perm_rng=np.random.default_rng(4), b2=b2, block_len=block_len
         )
-        null = stat._observed(designs, g, blocks)[2](blocks.orders(b2, np.random.default_rng(4)))
-        reference = one_row_null(kind, stat, states, g, block_len, b2, 4)
+        # a test centres g before any fit, and so does the reference: one-row
+        # fits of a response far off zero round at about eps |mean g|
+        centred = g - g.mean()
+        grams, refit, _ = stat._null(designs, centred, blocks)
+        null = diagnose._null_values(grams, refit, blocks.orders(b2, np.random.default_rng(4)))
+        reference = one_row_null(kind, stat, states, centred, block_len, b2, 4)
         assert_allclose(null, reference, rtol=diagnose._F_REL, atol=0)
         reach = f0.value * (1 - _TIE_REL)
         assert p_b == (1 + np.count_nonzero(reference >= reach)) / (b2 + 1)
@@ -826,6 +820,36 @@ class TestNullMatchesOneRowFits:
         assert unsure.any()
 
 
+class TestShiftInvariance:
+    """F does not change with a constant added to g, and a test centres g
+    once: a shifted forcing reads the same F0 and p_b, and the Gram
+    formulas hold every row of its null and F0's."""
+
+    @pytest.mark.parametrize("kind", ["case2", "case3"])
+    @pytest.mark.parametrize("system", ["vanderpol", "linear2d"])
+    def test_shifted_forcing_reads_the_same(self, monkeypatch, kind, system):
+        stat, states, g, block_len = TestNullMatchesOneRowFits.stat(kind, system, True)
+        unsure = []
+        original = diagnose._unsure
+
+        def spy(*args):
+            unsure.append(original(*args))
+            return unsure[-1]
+
+        monkeypatch.setattr(diagnose, "_unsure", spy)
+        (designs,) = stat.designs([states])
+        (f0, p_b), *shifted = [
+            stat.evaluate(
+                designs, g_s, block_len=block_len, perm_rng=np.random.default_rng(4), b2=199
+            )[:2]
+            for g_s in (g, g + 50.0, g + 5.0 - g.mean())
+        ]
+        for f0_s, p_s in shifted:
+            assert f0_s.value == pytest.approx(f0.value, rel=1e-13, abs=0)
+            assert p_s == p_b
+        assert not np.concatenate(unsure).any()
+
+
 class TestCase2Batched:
     @pytest.mark.parametrize(
         "system, p_values",
@@ -854,7 +878,9 @@ class TestCase2Batched:
             g_k = reference_block_permute(g, 9, rng)
             f_k.append(f_stat_case2(g_k, fit_one(design, g_k)[0]).value)
         h, edf_h = fit_one(design, g)
-        assert f0 == f_stat_case2(g, h)
+        one_row = f_stat_case2(g, h)
+        assert f0.value == pytest.approx(one_row.value, rel=_F_REL)
+        assert f0.flag is one_row.flag is None
         assert edf == edf_h
         assert p_b == (1 + sum(f >= f0.value for f in f_k)) / 100
 
@@ -872,29 +898,33 @@ class TestCase2Batched:
 
 
 class StubNull(_PermutationStat):
-    """A statistic whose F0 and null F values are given."""
+    """A statistic whose F0 and null F values are given: the Gram
+    formulas of its first batch, the identity order, read F0, and those of
+    its second the null values, all sure."""
 
     def __init__(self, f0, null_values):
-        self.f0 = f0
-        self.null_values = np.asarray(null_values, dtype=float)
+        self.batches = ([f0], null_values)
 
-    def _observed(self, designs, g_trim, blocks):
-        def null(orders):
-            return self.null_values[: len(orders)]
+    def _null(self, designs, g, blocks):
+        batches = iter(self.batches)
 
-        return FStatResult(self.f0, None), (0.0, None), null
+        def grams(orders):
+            values = np.array(next(batches), dtype=float)[: len(orders)]
+            return values, np.zeros(len(orders), dtype=bool), np.zeros(len(orders))
+
+        return grams, None, None
 
 
 class TestPermutationTies:
     def evaluate(self, f0, null_values):
         stat = StubNull(f0, null_values)
         return stat.evaluate(
-            (), np.zeros(40), perm_rng=np.random.default_rng(0),
-            b2=len(null_values), block_len=4,
+            (), np.zeros(40), 4, perm_rng=np.random.default_rng(0), b2=len(null_values)
         )[1]
 
     def test_rounding_below_f0_counts_as_a_tie(self):
-        # the identity order refits F0 along another path, off by rounding
+        # the identity order in a larger batch, or refitted by one-row fits,
+        # reproduces F0 only to rounding
         f0 = 80.60143969173889
         assert self.evaluate(f0, [80.60143969162252, f0 * (1 - 1e-9), f0 * (1 - 1e-6), 0.0]) == 3 / 5
 
