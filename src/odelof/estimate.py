@@ -16,9 +16,10 @@ functions here match model rates to the smooth's derivative:
   and a replacement-mode step calls the routine with its own weights.
 
 Both Gauss-Newton fits run one damped loop, :func:`_descend`; they differ
-only in the step (a finite-difference theta Jacobian solved by least
-squares, or the banded g step). Their ``converged`` flag says the loop
-stopped before its cap of ``_GN_MAX_ITER`` iterations: the objective
+only in the step (a theta Jacobian solved by least squares, or the banded g
+step), and both take the rate's derivative from the one routine
+:func:`~odelof.systems.rate_derivative`. Their ``converged`` flag says the
+loop stopped before its cap of ``_GN_MAX_ITER`` iterations: the objective
 stalled to within ``_GN_TOL`` relative, or no shortened step kept it from
 growing.
 
@@ -43,7 +44,7 @@ from scipy.linalg import solveh_banded
 from .errors import ArgumentError, ConvergenceError, RankError, is_finite_real
 from .rng import SeedLike, rng_from
 from .splines import BasisGrid, BSplineBasis, SmoothingOperator, SplineFunction, band_dot
-from .systems import DynamicalSystem, _entries, rate_values
+from .systems import DynamicalSystem, _entries, rate_derivative, rate_values
 
 _GN_MAX_ITER = 100
 _GN_TOL = 1e-10
@@ -210,15 +211,10 @@ def gradient_match(
         return r, float(r @ r), None
 
     def jacobian_step(theta, r, _):
-        # central differences in each free parameter; the fixed ones stay
-        jac = np.empty((r.size, free_idx.size))
-        for k, j in enumerate(free_idx):
-            h = 1e-6 * max(1.0, abs(theta[j]))
-            tp = theta.copy()
-            tp[j] += h
-            tm = theta.copy()
-            tm[j] -= h
-            jac[:, k] = (residual(tp)[0] - residual(tm)[0]) / (2.0 * h)
+        # a column per free parameter; the fixed ones stay
+        units = np.eye(theta.size)[free_idx]
+        cols = [rate_derivative(system, state.x, state.nodes, theta, d_theta=u) for u in units]
+        jac = (-sw[:, None, None] * np.stack(cols, axis=-1)).reshape(r.size, -1)
         if not np.all(np.isfinite(jac)):
             return None
         step = np.zeros(theta.size)
@@ -333,16 +329,16 @@ class ForcingOperator:
     started at the constant function equal to the replaced parameter's
     value. Residual row (q, d) is ``sqrt(w_q) (dx_d - f_d(x, g))`` at node
     q, so its Jacobian row is ``a_qd psi_q`` with ``a = -sqrt(w) df/dg``
-    (a central difference) and ``psi_q`` row q of the g design Psi. The
+    (systems.rate_derivative) and ``psi_q`` row q of the g design Psi. The
     step solves the normal equations ``(Psi^T diag(c) Psi + penalty P)
     step = Psi^T s + penalty P D`` (P the curvature Gram) with ``c_q =
     sum_d a_qd^2`` and ``s_q = sum_d a_qd r_qd``, built as bands by the
     node grid, by a banded Cholesky. A coefficient that no residual row
-    depends on (a zero on the diagonal, no penalty) makes the system
-    singular: RankError. If the Cholesky fails otherwise, the normal
+    depends on at the start (a zero on the diagonal, no penalty) makes the
+    system singular: RankError. If the Cholesky fails otherwise, the normal
     equations have lost a direction to rounding (g far out, where the
-    rate is nearly flat in it), and that step is the least-squares solve
-    over all rows instead.
+    rate is nearly flat in it, or flat in rounding later in the descent),
+    and that step is the least-squares solve over all rows instead.
     """
 
     def __init__(
@@ -413,10 +409,11 @@ class ForcingOperator:
             n_iter=1,
         )
 
-    def _step(self, coef: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def _step(self, coef: np.ndarray, a: np.ndarray, r: np.ndarray, start: bool = False) -> np.ndarray:
         """Gauss-Newton step for residual rows ``r`` (nq, d) whose Jacobian
         row (q, d) is ``a[q, d] * psi_q``, with the penalty rows when the
-        penalty is nonzero: the least-squares solution of J step = r."""
+        penalty is nonzero: the least-squares solution of J step = r.
+        ``start`` says that ``coef`` is the fit's start."""
         band = self._grid.gram(np.einsum("qd,qd->q", a, a))
         rhs = self._grid.project(np.einsum("qd,qd->q", a, r))
         if self._pen is not None:
@@ -426,15 +423,16 @@ class ForcingOperator:
             return solveh_banded(band, rhs, check_finite=False)
         except np.linalg.LinAlgError:
             pass
-        if not band[-1].all():
+        if start and not band[-1].all():
             raise RankError(
                 "replacement-forcing Gauss-Newton system is singular: the rate does "
                 "not depend on the replaced parameter over the support of a g basis "
                 "function"
             )
         # positive definite in exact arithmetic, not in rounding: g has run to
-        # where the rate barely depends on it, and squaring the Jacobian's
-        # condition number lost that direction; solve over the rows instead
+        # where the rate barely depends on it (or, past the start, not at all),
+        # and squaring the Jacobian's condition number lost that direction;
+        # solve over the rows instead
         return self._dense_step(coef, a, r)
 
     def _dense_step(self, coef: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -463,10 +461,8 @@ class ForcingOperator:
             return r, obj, g
 
         def banded_step(coef, r, g):
-            dgh = 1e-6 * max(1.0, float(np.abs(g).max()))
-            fp = rate_values(system, x, nodes, theta, g + dgh)
-            fm = rate_values(system, x, nodes, theta, g - dgh)
-            return self._step(coef, -sw[:, None] * ((fp - fm) / (2.0 * dgh)), r)
+            df = rate_derivative(system, x, nodes, theta, g, d_g=1.0)
+            return self._step(coef, -sw[:, None] * df, r, coef is start)
 
         replaced = theta[system.forcing.target - 1]
         start = np.full(self.basis.size, replaced, dtype=float)  # partition of unity
