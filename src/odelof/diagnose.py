@@ -534,9 +534,21 @@ class _PermutationStat:
     def evaluate(self, designs, g_trim, block_len, perm_rng=None, b2=0):
         """F0, p_b (None without ``perm_rng``), and the EDFs of h and
         None (case 2) or of h0 and h1 (case 3), for the forcing ``g_trim``
-        in blocks of ``block_len`` rows."""
+        in blocks of ``block_len`` rows.
+
+        Raises
+        ------
+        ArgumentError
+            If the centred g's sum of squares is not finite: every F is a
+            ratio of its squares, which would overflow.
+        """
         blocks = _Blocks(g_trim.shape[0], block_len)
-        grams, refit, edf_h0 = self._null(designs, g_trim - g_trim.mean(), blocks)
+        g = g_trim - g_trim.mean()
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(g @ g)
+        if not finite:
+            raise ArgumentError(f"g's sum of squares is not finite (max |g| {np.abs(g_trim).max():.3g})")
+        grams, refit, edf_h0 = self._null(designs, g, blocks)
         identity = np.arange(blocks.n_blocks)[None]
         values, unsure, edf = grams(identity)
         if unsure[0]:

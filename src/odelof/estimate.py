@@ -334,11 +334,11 @@ class ForcingOperator:
     step = Psi^T s + penalty P D`` (P the curvature Gram) with ``c_q =
     sum_d a_qd^2`` and ``s_q = sum_d a_qd r_qd``, built as bands by the
     node grid, by a banded Cholesky. A coefficient that no residual row
-    depends on at the start (a zero on the diagonal, no penalty) makes the
-    system singular: RankError. If the Cholesky fails otherwise, the normal
+    depends on (a zero on the diagonal, no penalty) makes the system
+    singular: RankError. If the Cholesky fails otherwise, the normal
     equations have lost a direction to rounding (g far out, where the
-    rate is nearly flat in it, or flat in rounding later in the descent),
-    and that step is the least-squares solve over all rows instead.
+    rate is nearly flat in it), and that step is the least-squares solve
+    over all rows instead.
     """
 
     def __init__(
@@ -409,11 +409,10 @@ class ForcingOperator:
             n_iter=1,
         )
 
-    def _step(self, coef: np.ndarray, a: np.ndarray, r: np.ndarray, start: bool = False) -> np.ndarray:
+    def _step(self, coef: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Gauss-Newton step for residual rows ``r`` (nq, d) whose Jacobian
         row (q, d) is ``a[q, d] * psi_q``, with the penalty rows when the
-        penalty is nonzero: the least-squares solution of J step = r.
-        ``start`` says that ``coef`` is the fit's start."""
+        penalty is nonzero: the least-squares solution of J step = r."""
         band = self._grid.gram(np.einsum("qd,qd->q", a, a))
         rhs = self._grid.project(np.einsum("qd,qd->q", a, r))
         if self._pen is not None:
@@ -423,16 +422,15 @@ class ForcingOperator:
             return solveh_banded(band, rhs, check_finite=False)
         except np.linalg.LinAlgError:
             pass
-        if start and not band[-1].all():
+        if not band[-1].all():
             raise RankError(
                 "replacement-forcing Gauss-Newton system is singular: the rate does "
                 "not depend on the replaced parameter over the support of a g basis "
                 "function"
             )
         # positive definite in exact arithmetic, not in rounding: g has run to
-        # where the rate barely depends on it (or, past the start, not at all),
-        # and squaring the Jacobian's condition number lost that direction;
-        # solve over the rows instead
+        # where the rate barely depends on it, and squaring the Jacobian's
+        # condition number lost that direction; solve over the rows instead
         return self._dense_step(coef, a, r)
 
     def _dense_step(self, coef: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -462,7 +460,7 @@ class ForcingOperator:
 
         def banded_step(coef, r, g):
             df = rate_derivative(system, x, nodes, theta, g, d_g=1.0)
-            return self._step(coef, -sw[:, None] * df, r, coef is start)
+            return self._step(coef, -sw[:, None] * df, r)
 
         replaced = theta[system.forcing.target - 1]
         start = np.full(self.basis.size, replaced, dtype=float)  # partition of unity

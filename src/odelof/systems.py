@@ -106,10 +106,7 @@ class DynamicalSystem:
         Length of the parameter vector theta.
     rate : callable
         ``rate(x, t, theta, g) -> dx/dt`` with ``x`` of shape (d,) or (n, d)
-        and matching output. ``g`` is None, a scalar, or shape (n,). A
-        :class:`CoordinateRate` is differentiated by the complex step, so
-        its coordinates must be analytic (see there); any other callable is
-        differenced (:func:`rate_derivative`).
+        and matching output. ``g`` is None, a scalar, or shape (n,).
     linear_in_params : bool
         True when the rate is affine in theta for every fixed (x, t, g);
         enables the closed-form gradient-matching path.
@@ -264,11 +261,6 @@ class CoordinateRate:
     columns ``x[..., j]`` and stacks the results, so it broadcasts over a
     batch; the simulators call ``coords`` on Python floats instead.
 
-    :func:`rate_derivative` passes complex parameters and g through
-    ``coords`` (the complex step), so the coordinates must be analytic:
-    written with arithmetic and numpy ufuncs, with no ``abs`` and no float
-    casts of their array arguments.
-
     Parameters
     ----------
     coords : callable
@@ -289,19 +281,12 @@ class CoordinateRate:
         return np.array(self.coords(*cols, *params)).T
 
 
-def _number_type(*values) -> type:
-    """complex if any of ``values`` is complex, else float: the casts of the
-    rate's input and output keep a complex step's imaginary part."""
-    return complex if any(np.iscomplexobj(v) for v in values) else float
-
-
 def forced_rate(system: DynamicalSystem, x: np.ndarray, t, theta: np.ndarray, g=None) -> np.ndarray:
     """Rate with the forcing applied according to the system's ForcingSpec."""
     if g is None or system.forcing is None:
         return system.rate(x, t, theta, None)
     if system.forcing.mode == "additive":
-        f = system.rate(x, t, theta, None)
-        out = np.array(f, dtype=_number_type(f, g))
+        out = np.array(system.rate(x, t, theta, None), dtype=float)
         out[..., system.forcing.target - 1] += g
         return out
     return system.rate(x, t, theta, g)
@@ -316,33 +301,23 @@ def rate_values(
 ) -> np.ndarray:
     """Evaluate the (forced) rate on a batch of states, in one call.
 
-    The states and the output are float arrays, or complex ones when the
-    input is complex: a complex step passes through.
-
     Raises
     ------
     ArgumentError
         If the rate's output does not have the states' shape: a rate must
         broadcast over a leading batch axis.
     """
-    states = np.asarray(states, dtype=_number_type(states))
+    states = np.asarray(states, dtype=float)
     times = np.asarray(times, dtype=float)
     if states.ndim != 2 or states.shape[1] != system.dim:
         raise ArgumentError(f"states must have shape (n, {system.dim})")
-    out = forced_rate(system, states, times, theta, g)
-    out = np.asarray(out, dtype=_number_type(out))
+    out = np.asarray(forced_rate(system, states, times, theta, g), dtype=float)
     if out.shape != states.shape:
         raise ArgumentError(
             f"{system.name}: the rate returned shape {out.shape} for states of shape "
             f"{states.shape}; a rate must broadcast over a batch of states"
         )
     return out
-
-
-# The complex step's h: far below the square root of the rounding unit, so
-# the step's second-order term vanishes in rounding, and a power of two, so
-# that dividing by it is exact.
-_COMPLEX_STEP = 2.0**-66
 
 
 def rate_derivative(
@@ -359,28 +334,18 @@ def rate_derivative(
     the rate.
 
     ``d_theta`` is a direction in theta, ``d_g`` one in g (a scalar or one
-    entry per state, and g must be given); an omitted one is zero. A
-    :class:`CoordinateRate` takes the complex step, Im f(theta + i h
-    d_theta, g + i h d_g) / h with h = 2**-66: no difference is taken, so
-    it is as exact as the rate's own arithmetic, in one rate call (Squire &
-    Trapp 1998, SIAM Review 40; Martins, Sturdza & Alonso 2003, ACM TOMS
-    29). Any other rate, which need not take complex input, takes a
-    central difference of step 1e-6 max(1, |x|) over the entries x that
-    the direction moves.
+    entry per state, and g must be given); an omitted one is zero. It is
+    the central difference of step 1e-6 max(1, |v|) over the entries v that
+    the direction moves, in two rate calls.
     """
     theta = np.asarray(theta, dtype=float)
-    d_theta = None if d_theta is None else np.asarray(d_theta, dtype=float)
-    d_g = None if d_g is None else np.asarray(d_g, dtype=float)
-
-    def at(h):
-        th = theta if d_theta is None else theta + h * d_theta
-        gh = g if d_g is None else g + h * d_g
-        return rate_values(system, states, times, th, gh)
-
-    if isinstance(system.rate, CoordinateRate):
-        return at(1j * _COMPLEX_STEP).imag / _COMPLEX_STEP
     moved = [np.where(d != 0, v, 0.0) for v, d in ((theta, d_theta), (g, d_g)) if d is not None]
     h = 1e-6 * max([1.0] + [float(np.abs(m).max()) for m in moved])
+
+    def at(s):
+        th = theta if d_theta is None else theta + s * np.asarray(d_theta, dtype=float)
+        return rate_values(system, states, times, th, g if d_g is None else g + s * d_g)
+
     return (at(h) - at(-h)) / (2.0 * h)
 
 

@@ -4,20 +4,9 @@ The smoother and spline fits multiply small matrices, for which BLAS
 threads cost more than they save: pin BLAS to one thread, as study
 workers are, before anything imports numpy. An explicit setting in the
 environment wins.
-
-A cast that drops a complex step's imaginary part warns with numpy's
-ComplexWarning; every test turns it into an error.
 """
 
 import os
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
-
-import numpy as np  # noqa: E402  (after the BLAS pin)
-
-
-def pytest_configure(config):
-    # numpy 1.24 has no np.exceptions, and numpy 2 no np.ComplexWarning
-    warning = getattr(np, "exceptions", np).ComplexWarning
-    config.addinivalue_line("filterwarnings", f"error::{warning.__module__}.{warning.__name__}")

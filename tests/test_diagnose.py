@@ -896,6 +896,17 @@ class TestCase2Batched:
         assert f0 == (0.0, "zero_over_zero")
         assert p_b == 1.0
 
+    def test_a_g_whose_squares_overflow_fails(self, vdp_series):
+        # F would read inf/inf or x/inf; the replicate fails instead
+        fit = PipelineRunner(vdp_series.times, builtin_system("linear2d")).run(vdp_series.values)
+        stat = _Case2Stat(SmootherSettings())
+        g = np.zeros(vdp_series.times.size)
+        g[200:220] = 1e160
+        with pytest.raises(ArgumentError, match="sum of squares is not finite"):
+            stat.evaluate(
+                stat.designs([fit.state_obs])[0], g, perm_rng=np.random.default_rng(0), b2=19, block_len=9
+            )
+
 
 class StubNull(_PermutationStat):
     """A statistic whose F0 and null F values are given: the Gram

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 
 import odelof
 from odelof import (
@@ -667,8 +667,9 @@ def test_builtin_rate_batches_match_rows(name):
         assert_allclose(batch, rows, rtol=1e-13, atol=1e-13)
 
 
-# The Gauss-Newton fits take the rate's derivatives from rate_derivative: a
-# CoordinateRate by the complex step, any other rate by a central difference.
+# The Gauss-Newton fits take the rate's derivatives from rate_derivative, a
+# central difference. A builtin rate is analytic in theta and g, so the
+# complex step Im f(v + i h) / h is its exact derivative to rounding.
 
 COMPLEX_STEP = 2.0**-66
 
@@ -682,72 +683,28 @@ def derivative_point(sys):
     return x, np.linspace(0.0, 1.0, 9), theta, g
 
 
-def directions(sys):
-    """(d_theta, d_g) of each theta coordinate, then of g."""
-    return [(e, None) for e in np.eye(sys.n_params)] + [(None, 1.0)]
-
-
-def central_difference(sys, x, t, theta, g, d_theta, d_g, h=1e-6):
-    def at(s):
-        th = theta if d_theta is None else theta + s * d_theta
-        return rate_values(sys, x, t, th, g if d_g is None else g + s * d_g)
-
-    return (at(h) - at(-h)) / (2.0 * h)
-
-
-def real_only(rate):
-    """``rate`` as a plain function that refuses complex input."""
-
-    def plain(x, t, th, g):
-        assert not any(np.iscomplexobj(v) for v in (x, th, g))
-        return rate(x, t, th, g)
-
-    return plain
-
-
 @pytest.mark.parametrize("name", builtin_names())
-def test_rate_derivative_matches_central_differences(name):
+def test_rate_derivative_matches_the_complex_step(name):
     base = builtin_system(name)
     x, t, theta, g = derivative_point(base)
     for sys in (base, scale_rate(base, 1.7)):
-        assert isinstance(sys.rate, CoordinateRate)
-        plain = dataclasses.replace(sys, rate=real_only(sys.rate))
-        for d_theta, d_g in directions(sys):
-            exact = rate_derivative(sys, x, t, theta, g, d_theta, d_g)
-            assert exact.shape == x.shape and exact.dtype == float
-            scale = max(np.abs(exact).max(), 1.0)
-            reference = central_difference(sys, x, t, theta, g, d_theta, d_g)
-            assert_allclose(exact, reference, rtol=0, atol=1e-6 * scale)
-            # a rate of any other type takes the central difference itself
-            differenced = rate_derivative(plain, x, t, theta, g, d_theta, d_g)
-            assert_allclose(differenced, exact, rtol=0, atol=1e-6 * scale)
+
+        def complex_step(th, gg):
+            return np.imag(sys.rate(x, t, th, gg)) / COMPLEX_STEP
+
+        units = np.eye(sys.n_params)
+        exact = [complex_step(theta + 1j * COMPLEX_STEP * e, None) for e in units]
+        got = [rate_derivative(sys, x, t, theta, d_theta=e) for e in units]
         if sys.forcing.mode == "additive":
-            # forced_rate adds the complex g: its derivative is exactly one
-            target = np.eye(sys.dim)[sys.forcing.target - 1]
-            assert_array_equal(rate_derivative(sys, x, t, theta, g, d_g=1.0), np.tile(target, (9, 1)))
-
-
-@pytest.mark.parametrize("name", builtin_names())
-def test_rate_values_keeps_complex_input_complex(name):
-    sys = builtin_system(name)
-    x, t, theta, g = derivative_point(sys)
-    real = rate_values(sys, x, t, theta, g)
-    rng = np.random.default_rng(2)
-    step = COMPLEX_STEP * rng.uniform(0.5, 2.0, sys.n_params)
-    for states, th, gg in [
-        (x, theta + 1j * step, g),
-        (x, theta, g + 1j * COMPLEX_STEP),
-        (x + 1j * COMPLEX_STEP * rng.normal(size=x.shape), theta, g),
-    ]:
-        out = rate_values(sys, states, t, th, gg)
-        assert out.dtype == complex and out.shape == x.shape
-        assert_allclose(out.real, real, rtol=1e-14, atol=1e-14)
-        assert np.any(out.imag != 0.0)
-    # an additive g's imaginary part reaches its coordinate untouched
-    if sys.forcing.mode == "additive":
-        y = rng.normal(size=9)
-        out = rate_values(sys, x, t, theta, g + 1j * y)
-        assert_array_equal(out.imag, np.outer(y, np.eye(sys.dim)[sys.forcing.target - 1]))
+            # forced_rate adds g to its coordinate
+            exact.append(np.tile(np.eye(sys.dim)[sys.forcing.target - 1], (9, 1)))
+        else:
+            exact.append(complex_step(theta, g + 1j * COMPLEX_STEP))
+        got.append(rate_derivative(sys, x, t, theta, g, d_g=1.0))
+        for reference, d in zip(exact, got):
+            assert d.shape == x.shape
+            scale = max(np.abs(reference).max(), 1.0)
+            assert_allclose(d, reference, rtol=0, atol=1e-6 * scale)
 
 
 # The simulators call an unforced builtin's coords on Python floats, and
