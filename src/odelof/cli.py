@@ -56,7 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.add_argument(
         "--replicates", type=int, default=None, help="override replicates per cell"
     )
-    p_pow.add_argument("--jobs", type=int, default=None, help="worker processes")
+    p_pow.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="worker processes, at most one per replicate of the study's cells",
+    )
     p_pow.add_argument("--out", default=None, help="output directory (default: out_dir)")
 
     p_plot = sub.add_parser(

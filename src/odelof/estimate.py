@@ -13,7 +13,9 @@ functions here match model rates to the smooth's derivative:
   (K basis functions, bandwidth the g order) from the band routine
   :meth:`~odelof.splines.BasisGrid.gram`: additive forcing is the
   :class:`~odelof.splines.SmoothingOperator` at the nodes, factored once,
-  and a replacement-mode step calls the routine with its own weights.
+  and a replacement-mode step calls the routine with its own weights
+  and solves the band by scipy.linalg's ``solveh_banded``, imported at
+  the first step.
 
 Both Gauss-Newton fits run one damped loop, :func:`_descend`; they differ
 only in the step (a theta Jacobian solved by least squares, or the banded g
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import ArgumentError, ConvergenceError, RankError, is_finite_real
 from .rng import SeedLike, rng_from
@@ -418,6 +419,8 @@ class ForcingOperator:
         if self._pen is not None:
             band += self._pen
             rhs += band_dot(self._pen, coef)
+        from scipy.linalg import solveh_banded
+
         try:
             return solveh_banded(band, rhs, check_finite=False)
         except np.linalg.LinAlgError:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -135,6 +134,10 @@ def run_power_study(
     Any other error in a replicate propagates: it means the cell is
     misconfigured, not that the data were unlucky. It leaves the files of
     the replicates written before it, and no ``power_table.csv``.
+
+    Replicates run on ``min(jobs, number of tasks)`` worker processes, so
+    no worker starts without a task; with one task, or ``jobs=1``, they
+    run in this process.
     """
     config.require_seed()
     cells = config.cells()
@@ -166,7 +169,16 @@ def run_power_study(
             tasks.append((cell, sim_ss, test_seeds))
             places.append((cell, name, i))
 
-    pool = ProcessPoolExecutor(jobs) if jobs > 1 else None
+    workers = min(jobs, len(tasks))
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # forked workers share the parent's scipy.linalg instead of each
+        # importing its own at its first fit
+        import scipy.linalg
+
+        pool = ProcessPoolExecutor(workers)
     try:
         outcomes = (map if pool is None else pool.map)(_run_replicate, tasks)
         for (cell, name, i), results in zip(places, outcomes):

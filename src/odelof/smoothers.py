@@ -33,9 +33,11 @@ of one. Knots come per design. Terms are built as arrays, a stack of
 equal-shaped terms at a time across the designs and their groups
 (:func:`_terms`; case 3's two tensor terms are one stack): B-spline
 columns by the Cox-de Boor recursion, a Householder sum-to-zero basis
-and closed-form penalty Grams. The QR of each ridged design is its own;
-one routine turns the triangular factors and penalties of all designs
-of a width into the eigenbasis the GCV search needs (:func:`_factor`).
+and closed-form penalty Grams. The QR of each ridged design is its own
+(LAPACK's geqrf, and trtri to invert the triangular factor, from
+scipy.linalg.lapack, imported at the first fit); one routine turns the
+triangular factors and penalties of all designs of a width into the
+eigenbasis the GCV search needs (:func:`_factor`).
 :func:`_gcv_table` picks each response row's lambda: bounds on the RSS's
 ridge term give every (row, lambda) cell a lower and an upper GCV at
 O(k) cost, and the term itself (O(k^2)) is computed only where they
@@ -50,7 +52,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dtrtri
 
 from .errors import ArgumentError, DegenerateDesignError, OdelofError, check_kinds
 from .splines import stacked_basis_values, stacked_derivative_gram
@@ -235,6 +236,8 @@ def _packed_r(a: np.ndarray) -> np.ndarray:
     """LAPACK geqrf of ``a`` in place when it is Fortran-ordered: the
     triangular factor of its thin QR sits in the upper triangle of the
     leading rows; below it are Householder vectors (no Q is formed)."""
+    from scipy.linalg.lapack import dgeqrf
+
     packed, _, _, info = dgeqrf(a, overwrite_a=True)
     if info != 0:
         raise DegenerateDesignError(f"QR of the smoother design failed (info {info})")
@@ -243,6 +246,8 @@ def _packed_r(a: np.ndarray) -> np.ndarray:
 
 def _r_inverse(packed: np.ndarray) -> np.ndarray:
     # inverse of the k x k triangular factor at the top of a packed QR
+    from scipy.linalg.lapack import dtrtri
+
     k = packed.shape[1]
     r_inv, info = dtrtri(packed[:k])
     if info != 0:

@@ -20,7 +20,9 @@ basis is a stack of one.
   derivative's, at a grid's points) is the band :meth:`BasisGrid.gram`
   sums in a fixed order, free of the BLAS thread count: the curvature
   penalty on an exact Gauss rule and the one fixed-penalty fit,
-  :class:`SmoothingOperator`, which a banded Cholesky factors.
+  :class:`SmoothingOperator`, which a banded Cholesky factors. Its
+  scipy.linalg routines are imported where they are called, so importing
+  the package loads no scipy module.
 * :func:`stacked_basis_values` evaluates a stack of bases at once and
   :func:`stacked_derivative_gram` gives their penalty Grams in closed
   form; every term of the GCV smoother (:mod:`odelof.smoothers`) is built
@@ -34,7 +36,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import ArgumentError, RankError, check_kinds, is_finite_real
 from .systems import _frozen
@@ -497,6 +498,8 @@ class SmoothingOperator:
         band = self.grid.gram(self.weights)
         if penalty > 0:
             band += penalty * basis.penalty_gram(2)
+        from scipy.linalg import cholesky_banded
+
         try:
             self._factor = cholesky_banded(band)
         except np.linalg.LinAlgError:
@@ -518,6 +521,8 @@ class SmoothingOperator:
             )
         if self.weights is not None:
             y = (self.weights * y.T).T
+        from scipy.linalg import cho_solve_banded
+
         coef = cho_solve_banded((self._factor, False), self.grid.project(y))
         if not np.all(np.isfinite(coef)):
             raise RankError("smoothing produced non-finite coefficients")

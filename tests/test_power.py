@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -174,6 +175,37 @@ class TestRunPowerStudy:
         cfg = config_from_dict({"system": "linear2d", "n_points": 120})
         with pytest.raises(Exception, match="master_seed"):
             run_power_study(cfg, str(tmp_path / "out"))
+
+
+class TestWorkers:
+    """A study starts at most one worker per task, and none for one task."""
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size and runs the
+        tasks in this process."""
+
+        sizes = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    @pytest.mark.parametrize(
+        "jobs, replicates, sizes", [(64, 2, [2]), (64, 1, []), (2, 3, [2]), (1, 3, [])]
+    )
+    def test_pool_is_capped_at_the_tasks(self, tmp_path, monkeypatch, jobs, replicates, sizes):
+        monkeypatch.setattr(self.RecordingPool, "sizes", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.RecordingPool)
+        monkeypatch.setattr(power_mod, "_run_replicate", lambda task: ["stub abort"])
+        raw = {"system": "linear2d", "master_seed": 3, "replicates": replicates, "tests": ["case2"]}
+        (summary,) = run_power_study(config_from_dict(raw), str(tmp_path / "out"), jobs=jobs)
+        assert self.RecordingPool.sizes == sizes
+        assert summary.n_aborted == replicates
 
 
 class TestTestsFitTheirGrid:

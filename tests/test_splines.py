@@ -323,15 +323,16 @@ class TestBasisGrid:
             BasisGrid(basis, [1.0], 4)
 
 
-def test_import_leaves_scipy_interpolate_out():
-    # the package loads numpy and scipy.linalg only; scipy.interpolate
-    # (and the scipy.special and scipy.optimize it pulls in) would add
-    # about 0.4 s to every start
+def test_import_loads_no_scipy_and_no_process_pool():
+    # the package and its command line load numpy and the standard library
+    # only: scipy.linalg loads at the first banded or QR factorization and
+    # the process pool at the first study with jobs > 1, so a command that
+    # fits nothing pays for neither
     src = str(Path(odelof.__file__).resolve().parents[1])
     code = (
         "import sys; import odelof, odelof.cli; "
-        "print(sorted(m for m in ('scipy.interpolate', 'scipy.special', 'scipy.optimize') "
-        "if m in sys.modules))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing') "
+        "or m == 'concurrent.futures.process'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
