@@ -60,7 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes, at most one per replicate of the study's cells",
+        metavar="N",
+        help="N processes run replicates, this one included: it forks N - 1 "
+        "workers, at most one process per replicate, and writes each "
+        "replicate's files in replicate order",
     )
     p_pow.add_argument("--out", default=None, help="output directory (default: out_dir)")
 

@@ -82,6 +82,10 @@ class BlowupError(OdelofError):
         super().__init__(message)
         self.time = float(time)
 
+    def __reduce__(self):
+        # a study's worker returns it to the calling process by pickle
+        return type(self), (str(self), self.time)
+
 
 class DegenerateDesignError(OdelofError):
     """A smoother design collapsed (constant predictor, too few points)."""

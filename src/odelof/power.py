@@ -4,9 +4,10 @@ A power study is a grid of cells (system x generator), each diagnosed with
 one or both tests over many simulated replicates. One task is one
 replicate of one cell: it simulates the dataset once and runs each of the
 cell's tests on it in turn. Replicates are independent given their seeds,
-so they parallelize across processes; the seed tree is spawned up front
-and each replicate's files are written as it arrives, in replicate order,
-making output bytes independent of --jobs.
+so they parallelize across processes, the calling one among them; the
+seed tree is spawned up front and each replicate's files are written by
+the calling process in replicate order, making output bytes independent
+of --jobs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .config import ExperimentConfig, _check_tests
 from .diagnose import DiagnosticReport, TestConfig, case2_test, case3_test, report_json
-from .errors import TestAbortedError
+from .errors import ArgumentError, TestAbortedError, is_count
 from .rng import as_seed_sequence
 from .seriesio import write_series_csv, write_text
 from .systems import TimeSeries, integrate, observe, simulate_sde
@@ -106,6 +107,66 @@ def _run_replicate(task) -> list:
     return outcomes
 
 
+_shared = None  # a pool worker's (counter, tasks), set as it starts
+
+
+def _share(counter, tasks) -> None:
+    global _shared
+    _shared = (counter, tasks)
+
+
+def _claim(counter, tasks) -> tuple:
+    """Take the next task from the shared counter and run it: its index
+    with its outcomes or the exception it raised, or an index past the
+    end once every task is taken. A failing task closes the counter, so
+    no process starts another."""
+    with counter.get_lock():
+        k = counter.value
+        counter.value += 1
+    if k >= len(tasks):
+        return k, None
+    try:
+        return k, _run_replicate(tasks[k])
+    except Exception as exc:
+        with counter.get_lock():
+            counter.value = len(tasks)
+        return k, exc
+
+
+def _claim_shared() -> tuple:
+    return _claim(*_shared)
+
+
+def _in_order(pool, counter, tasks):
+    """Run ``tasks`` in this process and the pool's workers, each taking
+    the next task as it finishes one, and yield each task's outcomes in
+    task order: between this process's own tasks, then as the workers
+    finish the rest. A task's exception is raised in its place."""
+    import queue
+
+    # one claim per task, so a worker never waits on this process; each
+    # claim's future is queued as it finishes
+    finished = queue.SimpleQueue()
+    for _ in tasks:
+        pool.submit(_claim_shared).add_done_callback(finished.put)
+    done: dict = {}
+    claiming = True
+    for k in range(len(tasks)):
+        while k not in done:
+            if claiming:
+                j, outcome = _claim(counter, tasks)
+                done[j] = outcome
+                claiming = j < len(tasks)
+            else:  # every task is taken: wait for a worker to finish one
+                done.update([finished.get().result()])
+            while not finished.empty():
+                done.update([finished.get().result()])
+        outcome = done.pop(k)
+        if isinstance(outcome, Exception):
+            raise outcome
+        yield outcome
+
+
 def _unique_names(cells) -> list[str]:
     names = []
     seen: dict[str, int] = {}
@@ -135,10 +196,18 @@ def run_power_study(
     misconfigured, not that the data were unlucky. It leaves the files of
     the replicates written before it, and no ``power_table.csv``.
 
-    Replicates run on ``min(jobs, number of tasks)`` worker processes, so
-    no worker starts without a task; with one task, or ``jobs=1``, they
-    run in this process.
+    ``jobs`` processes run replicates, this one included: a study forks
+    ``min(jobs, number of tasks) - 1`` workers, so none starts without a
+    task, and with one task, or ``jobs=1``, every replicate runs here. Each
+    process takes the next replicate from one shared counter as it
+    finishes one. This process writes each replicate's files in replicate
+    order, between its own replicates and then as the workers finish, and
+    every worker has ended when the study returns or raises. A ``jobs``
+    that is not a positive integer is an ArgumentError before anything is
+    written.
     """
+    if not is_count(jobs) or jobs < 1:
+        raise ArgumentError(f"jobs must be a positive integer, got {jobs!r}")
     config.require_seed()
     cells = config.cells()
     for cell in cells:
@@ -172,15 +241,17 @@ def run_power_study(
     workers = min(jobs, len(tasks))
     pool = None
     if workers > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         # forked workers share the parent's scipy.linalg instead of each
         # importing its own at its first fit
         import scipy.linalg
 
-        pool = ProcessPoolExecutor(workers)
+        claims = (multiprocessing.Value("q", 0), tasks)
+        pool = ProcessPoolExecutor(workers - 1, initializer=_share, initargs=claims)
     try:
-        outcomes = (map if pool is None else pool.map)(_run_replicate, tasks)
+        outcomes = map(_run_replicate, tasks) if pool is None else _in_order(pool, *claims)
         for (cell, name, i), results in zip(places, outcomes):
             for kind, result in zip(cell.tests, results):
                 summary = summaries[name, kind]

@@ -103,7 +103,8 @@ print("scipy.linalg" in sys.modules)
 def test_study_workers_inherit_scipy(tmp_path):
     # before it starts the pool, a study loads scipy.linalg, which forked
     # workers then share instead of each importing its own at its first
-    # fit; the output does not depend on jobs
+    # fit: every replicate, in this process or a worker, starts with it
+    # loaded. The output does not depend on jobs
     study = {
         "system": "linear2d",
         "n_points": 120,
@@ -114,15 +115,19 @@ def test_study_workers_inherit_scipy(tmp_path):
     }
     child = f"""
 import sys
-from odelof import config_from_dict
-from odelof.power import run_power_study
+from odelof import config_from_dict, power
 config = config_from_dict({study!r})
-loaded = "scipy.linalg" in sys.modules
-run_power_study(config, "two", jobs=2)
-print(loaded, "scipy.linalg" in sys.modules)
-run_power_study(config, "one", jobs=1)
+run_replicate = power._run_replicate
+def reporting(task):
+    print("scipy.linalg" in sys.modules, flush=True)
+    return run_replicate(task)
+power._run_replicate = reporting
+print("scipy.linalg" in sys.modules, flush=True)
+power.run_power_study(config, "two", jobs=2)
+power._run_replicate = run_replicate
+power.run_power_study(config, "one", jobs=1)
 """
-    assert fresh_interpreter(child, tmp_path)[-1] == "False True"
+    assert fresh_interpreter(child, tmp_path) == ["False", "True", "True"]
     one, two = tmp_path / "one", tmp_path / "two"
     files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file())

@@ -1,11 +1,20 @@
 import concurrent.futures
 import math
+import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from odelof import ConfigError, PipelineError, TestAbortedError, config_from_dict
+from odelof import (
+    ArgumentError,
+    BlowupError,
+    ConfigError,
+    PipelineError,
+    TestAbortedError,
+    config_from_dict,
+)
 from odelof.power import (
     CellSummary,
     diagnose_series,
@@ -177,35 +186,114 @@ class TestRunPowerStudy:
             run_power_study(cfg, str(tmp_path / "out"))
 
 
+def _files(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 class TestWorkers:
-    """A study starts at most one worker per task, and none for one task."""
+    """The calling process is one of a study's ``jobs`` processes: it forks
+    min(jobs, tasks) - 1 workers, every task runs once in one of them, and
+    the output is the same at every jobs."""
 
-    class RecordingPool:
-        """Stands in for the process pool: records its size and runs the
-        tasks in this process."""
-
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
         sizes = []
+        init = concurrent.futures.ProcessPoolExecutor.__init__
 
-        def __init__(self, max_workers):
-            self.sizes.append(max_workers)
+        def recording(pool, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            init(pool, max_workers, *args, **kwargs)
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", recording)
+        return sizes
 
-        def shutdown(self, cancel_futures=False):
-            pass
+    @pytest.fixture
+    def ran(self, tmp_path, monkeypatch):
+        """Reads the dataset seed of every task run so far, in any process:
+        forked workers inherit the patch and append to the same file."""
+        log = tmp_path / "ran.txt"
+        log.touch()
+        real = power_mod._run_replicate
+
+        def logged(task):
+            with open(log, "a") as fh:
+                fh.write(f"{task[1].spawn_key}\n")
+            return real(task)
+
+        monkeypatch.setattr(power_mod, "_run_replicate", logged)
+        return lambda: sorted(log.read_text().splitlines())
 
     @pytest.mark.parametrize(
-        "jobs, replicates, sizes", [(64, 2, [2]), (64, 1, []), (2, 3, [2]), (1, 3, [])]
+        "jobs, replicates, cells, sizes",
+        [(1, 2, 2, []), (2, 2, 2, [1]), (3, 2, 2, [2]), (64, 2, 2, [3]), (64, 1, 1, [])],
     )
-    def test_pool_is_capped_at_the_tasks(self, tmp_path, monkeypatch, jobs, replicates, sizes):
-        monkeypatch.setattr(self.RecordingPool, "sizes", [])
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.RecordingPool)
-        monkeypatch.setattr(power_mod, "_run_replicate", lambda task: ["stub abort"])
-        raw = {"system": "linear2d", "master_seed": 3, "replicates": replicates, "tests": ["case2"]}
-        (summary,) = run_power_study(config_from_dict(raw), str(tmp_path / "out"), jobs=jobs)
-        assert self.RecordingPool.sizes == sizes
-        assert summary.n_aborted == replicates
+    def test_forks_one_worker_fewer_than_the_processes(
+        self, tmp_path, pool_sizes, ran, jobs, replicates, cells, sizes
+    ):
+        raw = {**BOTH_TESTS, "replicates": replicates, "cells": BOTH_TESTS["cells"][:cells]}
+        summaries = run_power_study(config_from_dict(raw), str(tmp_path / "out"), jobs=jobs)
+        assert pool_sizes == sizes
+        assert ran() == sorted(str((c, r, 0)) for c in range(cells) for r in range(replicates))
+        assert [s.completed for s in summaries] == [replicates] * 2 * cells
+        assert multiprocessing.active_children() == []
+
+    def test_every_task_runs_once_under_contention(self, tmp_path, monkeypatch, ran):
+        # more processes than cores race for 48 quick tasks; a claim lost or
+        # taken twice shows in the log and in the files
+        def aborting(config, series, kind, seed):
+            raise TestAbortedError("stub abort", n_failed=1, n_total=1)
+
+        monkeypatch.setattr(power_mod, "diagnose_series", aborting)
+        raw = {"system": "linear2d", "master_seed": 3, "replicates": 48, "tests": ["case2"]}
+        out = tmp_path / "out"
+        (summary,) = run_power_study(config_from_dict(raw), str(out), jobs=4)
+        assert ran() == sorted(str((0, r, 0)) for r in range(48))
+        assert summary.n_aborted == 48
+        assert len(list(out.glob("*/case2/rep*.aborted.txt"))) == 48
+        assert multiprocessing.active_children() == []
+
+    def test_output_does_not_depend_on_jobs(self, tmp_path):
+        cfg = config_from_dict(BOTH_TESTS)
+        outputs = []
+        for jobs in (1, 2, 3):
+            run_power_study(cfg, str(tmp_path / f"jobs{jobs}"), jobs=jobs)
+            outputs.append(_files(tmp_path / f"jobs{jobs}"))
+            assert multiprocessing.active_children() == []
+        assert len(outputs[0]) == 10  # config, table and eight reports
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_an_error_in_any_process_keeps_the_finished_replicates(self, tmp_path, monkeypatch):
+        # a worker counts calls in its own copy of a counter, so the failing
+        # replicate is named by its seed, and fails in whichever process runs it
+        real = simulate_series
+
+        def failing(config, seed):
+            if seed.spawn_key == (0, 2, 0):
+                raise BlowupError("simulation diverged", 1.5)
+            return real(config, seed)
+
+        monkeypatch.setattr(power_mod, "simulate_series", failing)
+        cfg = config_from_dict({**BOTH_TESTS, "replicates": 4, "cells": BOTH_TESTS["cells"][:1]})
+        out = tmp_path / "out"
+        with pytest.raises(BlowupError, match="simulation diverged") as info:
+            run_power_study(cfg, str(out), jobs=2)
+        assert info.value.time == 1.5
+        assert sorted(_files(out)) == ["config.json"] + [
+            f"linear2d_ode/{kind}/rep{i:04d}.json" for kind in ("case2", "case3") for i in (0, 1)
+        ]
+        assert multiprocessing.active_children() == []
+
+    def test_blowup_error_crosses_processes(self):
+        # a worker returns its replicate's exception to the calling process
+        err = pickle.loads(pickle.dumps(BlowupError("diverged at t=2", 2.0)))
+        assert type(err) is BlowupError
+        assert (str(err), err.time) == ("diverged at t=2", 2.0)
+
+    @pytest.mark.parametrize("jobs", [0, -1, 2.5, "2", None, True])
+    def test_jobs_must_be_a_positive_integer(self, tmp_path, jobs):
+        with pytest.raises(ArgumentError, match=r"^jobs must be a positive integer, got "):
+            run_power_study(config_from_dict(BOTH_TESTS), str(tmp_path / "out"), jobs=jobs)
+        assert not (tmp_path / "out").exists()
 
 
 class TestTestsFitTheirGrid:
