@@ -7,7 +7,8 @@ cell's tests on it in turn. Replicates are independent given their seeds,
 so they parallelize across processes, the calling one among them; the
 seed tree is spawned up front and each replicate's files are written by
 the calling process in replicate order, making output bytes independent
-of --jobs.
+of --jobs. An ODE cell's datasets differ only in their observation noise,
+so a process integrates the cell's noise-free path once.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -24,7 +26,15 @@ from .diagnose import DiagnosticReport, TestConfig, case2_test, case3_test, repo
 from .errors import ArgumentError, TestAbortedError, is_count
 from .rng import as_seed_sequence
 from .seriesio import write_series_csv, write_text
-from .systems import TimeSeries, integrate, observe, simulate_sde
+from .systems import (
+    TimeSeries,
+    Trajectory,
+    builtin_system,
+    integrate,
+    observe,
+    scale_rate,
+    simulate_sde,
+)
 
 _TEST_FN = {"case2": case2_test, "case3": case3_test}
 
@@ -37,18 +47,47 @@ def _grid(config: ExperimentConfig) -> np.ndarray:
     return np.linspace(float(start), float(end), config.resolved["n_points"])
 
 
+def _floats(values) -> bytes:
+    """``values`` as float64 bytes, a key that tells every float apart
+    (-0.0 from 0.0 too)."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# Noise-free ODE paths kept per process, by value: a study process takes its
+# tasks cell by cell, so a few entries keep every path it is working on, and
+# a path of n_points x dim floats is a few KB. A path that raises is not kept.
+@lru_cache(maxsize=4)
+def _ode_path(
+    system: str, rate_scale, theta: bytes, x0: bytes, times: bytes, substep
+) -> Trajectory:
+    """The RK4 path of builtin ``system``, its rate times ``rate_scale``,
+    from ``x0`` at ``theta`` over ``times`` (each as float64 bytes)."""
+    generator = builtin_system(system)
+    if rate_scale != 1.0:
+        generator = scale_rate(generator, rate_scale)
+    theta, x0, times = (np.frombuffer(b) for b in (theta, x0, times))
+    return integrate(generator, theta, x0, times, substep=substep)
+
+
 def simulate_series(config: ExperimentConfig, seed) -> TimeSeries:
-    """One noisy dataset from the configured generator."""
+    """One noisy dataset from the configured generator: its path on the
+    config's grid, observed with noise drawn from ``seed``.
+
+    An SDE path is drawn from ``seed`` for every dataset. An ODE path does
+    not depend on the seed, so a process integrates it once per distinct
+    set of generator entries (``system``, ``theta``, ``x0``, ``t_span``,
+    ``n_points``, ``ode.substep`` and ``ode.rate_scale``, compared by
+    value), and every dataset of that config observes the one path with
+    its own noise. The bytes are those of integrating the path each time.
+    """
     times = _grid(config)
     cfg = config.resolved
-    system = config.generator_system()
-    theta = config.generator_theta()
     ss = as_seed_sequence(seed)
     path_ss, obs_ss = ss.spawn(2)
     if config.generator == "sde":
         traj = simulate_sde(
-            system,
-            theta,
+            config.generator_system(),
+            config.generator_theta(),
             cfg["sde"]["sigma2"],
             cfg["x0"],
             times,
@@ -56,7 +95,14 @@ def simulate_series(config: ExperimentConfig, seed) -> TimeSeries:
             seed=path_ss,
         )
     else:
-        traj = integrate(system, theta, cfg["x0"], times, substep=cfg["ode"]["substep"])
+        traj = _ode_path(
+            config.system_name,
+            cfg["ode"]["rate_scale"],
+            _floats(config.generator_theta()),
+            _floats(cfg["x0"]),
+            _floats(times),
+            cfg["ode"]["substep"],
+        )
     return observe(traj, cfg["noise_var"], obs_ss, observed=cfg["observed"])
 
 

@@ -19,9 +19,19 @@ SeedLike = Union[int, Sequence[int], np.random.SeedSequence]
 
 
 def as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
-    """Normalize an int, tuple of ints, or SeedSequence to a SeedSequence."""
+    """Normalize an int, tuple of ints, or SeedSequence to a SeedSequence.
+
+    A SeedSequence comes back as a copy, the children it has spawned
+    counted, so spawning from the result never advances the caller's
+    object: the same object always yields the same tree.
+    """
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return np.random.SeedSequence(
+            seed.entropy,
+            spawn_key=seed.spawn_key,
+            pool_size=seed.pool_size,
+            n_children_spawned=seed.n_children_spawned,
+        )
     if isinstance(seed, (int, np.integer)):
         if seed < 0:
             raise ArgumentError(f"seed must be nonnegative, got {seed}")

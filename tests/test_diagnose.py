@@ -379,6 +379,17 @@ class TestCase2EndToEnd:
         )
         assert report_json(a) != report_json(c)
 
+    def test_a_reused_seed_sequence_gives_the_same_test(self, vdp_series):
+        ss = np.random.SeedSequence(7)
+        cfg = TestConfig(seed=ss, b1=2, b2=19)
+        a = case2_test(vdp_series, builtin_system("linear2d"), cfg)
+        b = case2_test(vdp_series, builtin_system("linear2d"), cfg)
+        assert report_json(a) == report_json(b)
+        assert a.seed_entropy == 7 and ss.n_children_spawned == 0
+        # a fresh object draws what its entropy as an int does
+        c = case2_test(vdp_series, builtin_system("linear2d"), TestConfig(seed=7, b1=2, b2=19))
+        assert report_json(a) == report_json(c)
+
     def test_round_trip(self, vdp_series, tmp_path):
         config = TestConfig(seed=104, b1=3, b2=19)
         case2 = case2_test(vdp_series, builtin_system("linear2d"), config)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 import math
 import multiprocessing
 import pickle
@@ -14,6 +15,8 @@ from odelof import (
     PipelineError,
     TestAbortedError,
     config_from_dict,
+    integrate,
+    observe,
 )
 from odelof.power import (
     CellSummary,
@@ -61,6 +64,117 @@ class TestSimulateSeries:
         cfg = config_from_dict({"system": "rossler", "n_points": 120})
         series = simulate_series(cfg, np.random.SeedSequence(1))
         assert series.values.shape == (120, 2)  # third coordinate hidden
+
+    def test_a_reused_seed_sequence_gives_the_same_data(self, tiny_config):
+        ss = np.random.SeedSequence(5)
+        a = simulate_series(tiny_config, ss)
+        b = simulate_series(tiny_config, ss)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert ss.n_children_spawned == 0
+        # children the caller spawned count: the next ones draw the data
+        ss.spawn(3)
+        c = simulate_series(tiny_config, ss)
+        d = simulate_series(tiny_config, np.random.SeedSequence(5, n_children_spawned=3))
+        assert c.values.tobytes() == d.values.tobytes() != a.values.tobytes()
+
+
+PATH_BASE = {"system": "vanderpol"}
+
+
+class TestPathStore:
+    @pytest.fixture(autouse=True)
+    def integrations(self, monkeypatch):
+        """The name of the generator of every ODE path integrated here."""
+        power_mod._ode_path.cache_clear()
+        calls = []
+        real = power_mod.integrate
+
+        def counted(system, *args, **kwargs):
+            calls.append(system.name)
+            return real(system, *args, **kwargs)
+
+        monkeypatch.setattr(power_mod, "integrate", counted)
+        yield calls
+        power_mod._ode_path.cache_clear()
+
+    @staticmethod
+    def assert_direct(config, seed):
+        """``simulate_series(config, seed)`` is the dataset built straight
+        from the simulators, the path integrated for this seed alone."""
+        cfg = config.resolved
+        times = np.linspace(*cfg["t_span"], cfg["n_points"])
+        path = integrate(
+            config.generator_system(),
+            config.generator_theta(),
+            cfg["x0"],
+            times,
+            substep=cfg["ode"]["substep"],
+        )
+        _, obs_ss = np.random.SeedSequence(seed).spawn(2)
+        expected = observe(path, cfg["noise_var"], obs_ss, observed=cfg["observed"])
+        series = simulate_series(config, np.random.SeedSequence(seed))
+        assert series.times.tobytes() == expected.times.tobytes()
+        assert series.values.tobytes() == expected.values.tobytes()
+
+    def test_an_ode_config_integrates_once(self, integrations):
+        cfg = config_from_dict(PATH_BASE)
+        for seed in range(5):
+            self.assert_direct(cfg, seed)
+        assert integrations == ["vanderpol"]
+
+    def test_a_config_rebuilt_from_its_echo_takes_the_stored_path(self, integrations):
+        cfg = config_from_dict({**PATH_BASE, "ode": {"rate_scale": 2.0}, "master_seed": 3})
+        echo = json.loads(cfg.echo_json())
+        rebuilt = config_from_dict({k: v for k, v in echo.items() if k != "cells"})
+        self.assert_direct(cfg, 1)
+        self.assert_direct(rebuilt, 2)
+        assert integrations == ["vanderpol_x2"]
+
+    def test_an_sde_config_draws_a_path_per_dataset(self, integrations, monkeypatch):
+        drawn = []
+        real = power_mod.simulate_sde
+
+        def counted(*args, **kwargs):
+            drawn.append(kwargs["seed"].spawn_key)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(power_mod, "simulate_sde", counted)
+        # no observation noise: the dataset is the path
+        cfg = config_from_dict({**PATH_BASE, "generator": "sde", "noise_var": 0.0})
+        paths = {simulate_series(cfg, seed).values.tobytes() for seed in range(3)}
+        assert len(paths) == 3
+        assert drawn == [(0,)] * 3 and integrations == []
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"system": "linear2d"},
+            {"theta": [0.25, 4.5]},
+            {"x0": [0.0, 2.5]},
+            {"t_span": [0.0, 50.0]},
+            {"n_points": 441},
+            {"ode": {"substep": 0.05}},
+            {"ode": {"rate_scale": 2.0}},
+        ],
+    )
+    @pytest.mark.parametrize("changed_first", [False, True])
+    def test_other_generator_entries_never_share_a_path(self, integrations, change, changed_first):
+        pair = [config_from_dict(PATH_BASE), config_from_dict({**PATH_BASE, **change})]
+        if changed_first:
+            pair.reverse()
+        for seed, cfg in enumerate(pair + pair):
+            self.assert_direct(cfg, seed)
+        assert len(integrations) == 2
+
+    def test_a_path_that_blows_up_raises_on_every_call(self, integrations):
+        # x' = x from x0 = 1 leaves |x| <= 1e8 near t = 18.4
+        cfg = config_from_dict(
+            {**PATH_BASE, "system": "linear2d", "theta": [1.0, 0.0, 0.0, 1.0], "x0": [1.0, 1.0]}
+        )
+        for seed in range(3):
+            with pytest.raises(BlowupError):
+                simulate_series(cfg, seed)
+        assert integrations == ["linear2d"] * 3
 
 
 class TestDiagnoseSeries:
